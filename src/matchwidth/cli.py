@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+from pathlib import Path
 
 from . import io as mio
 from .bigraph import BipartiteGraph, graph_from_edges, some_perfect_matching
@@ -36,6 +37,28 @@ def _need_digraph(g) -> Digraph:
     if not isinstance(g, Digraph):
         raise MatchwidthError("expected a digraph file")
     return g
+
+
+def _parse_shore(spec: str, g) -> frozenset[int]:
+    try:
+        shore = frozenset(int(x) for x in spec.split(",") if x)
+    except ValueError:
+        raise MatchwidthError(f"malformed shore {spec!r}: expected vertex ids") from None
+    outside = sorted(shore.difference(g.vertices))
+    if outside:
+        raise MatchwidthError(f"shore vertices {outside} are not in the graph")
+    return shore
+
+
+def _parse_pairs(spec: str) -> list[tuple[int, int]]:
+    pairs = []
+    for chunk in spec.split(","):
+        s, _, t = chunk.partition(":")
+        try:
+            pairs.append((int(s), int(t)))
+        except ValueError:
+            raise MatchwidthError(f"malformed terminal pair {chunk!r}: expected s:t") from None
+    return pairs
 
 
 def cmd_gen(args) -> int:
@@ -76,7 +99,7 @@ def cmd_pm(args) -> int:
         if args.oracle:
             value = count_pm_bruteforce(b)
         elif args.decomp:
-            dec = mio.leaf_tree_from_json(json.load(open(args.decomp)))
+            dec = mio.leaf_tree_from_json(json.loads(Path(args.decomp).read_text()))
             value = count_pm_decomp(b, dec)
         else:
             value = count_pm(b)
@@ -105,7 +128,7 @@ def cmd_pm(args) -> int:
 
 def cmd_cut(args) -> int:
     g = mio.parse_graph_file(args.graph)
-    shore = frozenset(int(x) for x in args.shore.split(",") if x)
+    shore = _parse_shore(args.shore, g)
     if isinstance(g, BipartiteGraph):
         from .porosity import matching_porosity
 
@@ -123,15 +146,16 @@ def cmd_guard(args) -> int:
 
     b = _need_bipartite(mio.parse_graph_file(args.graph))
     if args.matching:
-        m = mio.parse_matching_text(open(args.matching).read(), b)
+        m = mio.parse_matching_text(Path(args.matching).read_text(), b)
     else:
         found = some_perfect_matching(b)
         if found is None:
             raise MatchwidthError("graph has no perfect matching")
         m = found
-    shore = frozenset(int(x) for x in args.shore.split(",") if x)
+    shore = _parse_shore(args.shore, b)
     g = guarding_set(b, m, shore)
-    assert verify_guard(b, m, shore, g.edges)
+    if not verify_guard(b, m, shore, g.edges):
+        raise MatchwidthError("guarding set failed its verification")
     if args.json:
         _emit(args, {"guard": sorted(map(list, g.edges)), "porosity": g.porosity}, "")
     else:
@@ -143,10 +167,7 @@ def cmd_dapp(args) -> int:
     from .linkage import dapp_bruteforce, dapp_solve, dapp_solve_extending
 
     b = _need_bipartite(mio.parse_graph_file(args.graph))
-    pairs = []
-    for chunk in args.pairs.split(","):
-        s, t = chunk.split(":")
-        pairs.append((int(s), int(t)))
+    pairs = _parse_pairs(args.pairs)
     if args.oracle:
         answer, solution = dapp_bruteforce(b, pairs)
         if answer and args.witness and solution is not None:
@@ -160,7 +181,7 @@ def cmd_dapp(args) -> int:
                     fh,
                 )
     elif args.extend:
-        m = mio.parse_matching_text(open(args.extend).read(), b)
+        m = mio.parse_matching_text(Path(args.extend).read_text(), b)
         answer = dapp_solve_extending(b, pairs, m)
     else:
         answer = dapp_solve(b, pairs)
@@ -216,7 +237,7 @@ def cmd_dtw(args) -> int:
 
     d = _need_digraph(mio.parse_graph_file(args.graph))
     if args.dtd:
-        dec = mio.dtd_from_json(json.load(open(args.dtd)))
+        dec = mio.dtd_from_json(json.loads(Path(args.dtd).read_text()))
         ok, width, reason = validate_dtd(d, dec, proto=args.proto)
         payload = {"valid": ok, "width": width if ok else None, "reason": reason}
         _emit(args, payload, f"{'valid' if ok else 'invalid'} width={width if ok else '-'}")
@@ -234,7 +255,7 @@ def cmd_direction(args) -> int:
 
     b = _need_bipartite(mio.parse_graph_file(args.graph))
     if args.matching:
-        m = mio.parse_matching_text(open(args.matching).read(), b)
+        m = mio.parse_matching_text(Path(args.matching).read_text(), b)
     else:
         found = some_perfect_matching(b)
         if found is None:

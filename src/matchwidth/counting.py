@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterator
 
-from .bigraph import (
-    BipartiteGraph,
-    Edge,
-    Graph,
-    Matching,
-)
-from .decomp import LeafTree, NicePMD, compute_pmd
-from .errors import InvalidDecomposition, NoPerfectMatching, OracleLimitExceeded
+from .bigraph import BipartiteGraph, Graph
+from .decomp import LeafTree, compute_pmd
+from .errors import OracleLimitExceeded
 
 COUNT_ORACLE_LIMIT = 22
 
@@ -73,9 +68,20 @@ def count_pm_bruteforce(g: Graph | BipartiteGraph, limit: int = COUNT_ORACLE_LIM
 class CountStats:
     """Operation counters backing the runtime-envelope assertions."""
 
-    extendability_checks: int = 0
     table_entries: int = 0
     boundary_sets: int = 0
+
+
+def _matchings(mask: int, ends: list[int], cap: int) -> list[tuple[int, int]]:
+    """Matchings inside the edge set `mask` with at most `cap` edges, each as
+    an (edge mask, vertex mask) pair; `ends[i]` is the vertex mask of edge i."""
+    out = [(0, 0)]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        ev = ends[low.bit_length() - 1]
+        out += [(m | low, v | ev) for m, v in out if not v & ev and m.bit_count() < cap]
+    return out
 
 
 def count_pm_decomp(
@@ -89,13 +95,12 @@ def count_pm_decomp(
     mu(t, F) counts the perfect matchings of the graph induced by the leaves
     below t together with the endpoints of the boundary matching F that
     contain F; joins sum over matchings in the shared middle cut.  Works for
-    general graphs (desk scale).
+    general graphs (desk scale).  Tables are keyed on (node, edge bitmask) and
+    filled by a walk on an explicit stack, so any tree depth is fine.
     """
     dec.validate(g.vertices)
     if stats is None:
         stats = CountStats()
-    adj = g.adj
-    bipartite = isinstance(g, BipartiteGraph)
 
     if dec.m == 1:
         return 1 if g.n == 0 else 0
@@ -106,160 +111,88 @@ def count_pm_decomp(
     # root the tree: prefer the designated root when internal, else pick one
     root = dec.root
     if root is None or root in dec.leaf_map:
-        internal = [x for x in range(dec.m) if x not in dec.leaf_map]
-        root = internal[0]
+        root = next(x for x in range(dec.m) if x not in dec.leaf_map)
+
+    # cuts are bitmasks over the sorted edges; vertex v is bit v
+    ends: list[int] = []
+    incident: dict[int, int] = {v: 0 for v in g.vertices}
+    for i, (u, v) in enumerate(sorted(g.edges)):
+        ends.append(1 << u | 1 << v)
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
 
     parent: dict[int, int | None] = {root: None}
+    kids: dict[int, list[int]] = {}
     order = [root]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in dec.adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
+    for x in order:
+        kids[x] = [y for y in dec.adj[x] if y != parent[x]]
+        for y in kids[x]:
+            parent[y] = x
+            order.append(y)
 
-    below: dict[int, frozenset[int]] = {}
+    # an inner node's cut is the symmetric difference of its children's cuts
+    cut: dict[int, int] = {}
     for x in reversed(order):
-        if x in dec.leaf_map:
-            below[x] = frozenset({dec.leaf_map[x]})
-        else:
-            acc: set[int] = set()
-            for y in dec.adj[x]:
-                if y != parent[x]:
-                    acc |= below[y]
-            below[x] = frozenset(acc)
+        c = incident[dec.leaf_map[x]] if x in dec.leaf_map else 0
+        for y in kids[x]:
+            c ^= cut[y]
+        cut[x] = c
 
-    def boundary_edges(x: int) -> list[Edge]:
-        s = below[x]
-        return sorted(e for e in g.edges if (e[0] in s) != (e[1] in s))
+    # A degree-3 root r with children t1, t2, t3 becomes r -> (t1, s) with a
+    # joint node s -> (t2, t3); stats count no entries of r and s.
+    joint = dec.m
+    if len(kids[root]) == 3:
+        t1, t2, t3 = kids[root]
+        kids[joint] = [t2, t3]
+        cut[joint] = cut[t2] ^ cut[t3]
+        kids[root] = [t1, joint]
+    uncounted = (root, joint)
 
     cap = g.n // 2 if width is None else width
+    mids = {x: _matchings(cut[ys[0]] & cut[ys[1]], ends, cap) for x, ys in kids.items() if ys}
 
-    memo: dict[tuple[int, frozenset[Edge]], int] = {}
+    memo: dict[tuple[int, int], int] = {}
 
-    def mu(t: int, f: frozenset[Edge]) -> int:
-        key = (t, f)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        stats.table_entries += 1
-        if t in dec.leaf_map:
-            v = dec.leaf_map[t]
-            if len(f) == 1:
-                (e,) = f
-                result = 1 if v in e else 0
-            else:
-                result = 0
-            memo[key] = result
-            return result
-        kids = [y for y in dec.adj[t] if y != parent[t]]
-        assert len(kids) == 2
-        t1, t2 = kids
-        cut1 = set(boundary_edges(t1))
-        cut2 = set(boundary_edges(t2))
-        mid = sorted(cut1 & cut2)
-        f1 = frozenset(e for e in f if e in cut1)
-        f2 = frozenset(e for e in f if e in cut2)
-        covered = {x for e in f for x in e}
+    def entry(t: int, f: int, covered: int) -> Iterator[tuple[int, int, int]]:
+        """Evaluate mu(t, f) into memo.  Each missing child entry is yielded
+        as (node, f, covered); it is in memo when the walk resumes."""
+        t1, t2 = kids[t]
+        f1 = f & cut[t1]
+        f2 = f & cut[t2]
+        # covered may also hold vertices outside t, which no middle matching
+        # of t touches
+        ws = [w for w in mids[t] if not w[1] & covered]
+        if t not in uncounted:
+            stats.table_entries += 1
+            stats.boundary_sets += len(ws)
         total = 0
-        # enumerate matchings w in the middle cut compatible with f
-        def walk(idx: int, chosen: list[Edge], used: set[int]) -> None:
-            nonlocal total
-            w = frozenset(chosen)
-            stats.boundary_sets += 1
-            left = mu(t1, f1 | w)
+        for wm, wv in ws:
+            left = memo.get((t1, f1 | wm))
+            if left is None:
+                yield t1, f1 | wm, covered | wv
+                left = memo[t1, f1 | wm]
             if left:
-                total += left * mu(t2, f2 | w)
-            if len(chosen) >= cap:
-                return
-            for j in range(idx, len(mid)):
-                e = mid[j]
-                if e[0] in used or e[1] in used or e[0] in covered or e[1] in covered:
-                    continue
-                chosen.append(e)
-                used.update(e)
-                walk(j + 1, chosen, used)
-                chosen.pop()
-                used.difference_update(e)
+                right = memo.get((t2, f2 | wm))
+                if right is None:
+                    yield t2, f2 | wm, covered | wv
+                    right = memo[t2, f2 | wm]
+                total += left * right
+        memo[t, f] = total
 
-        walk(0, [], set())
-        memo[key] = total
-        return total
-
-    kids = [y for y in dec.adj[root] if parent.get(y) == root]
-    if len(kids) == 2:
-        t1, t2 = kids
-        cut = sorted(e for e in g.edges if (e[0] in below[t1]) != (e[1] in below[t1]))
-        total = 0
-
-        def walk_root(idx: int, chosen: list[Edge], used: set[int]) -> None:
-            nonlocal total
-            f = frozenset(chosen)
-            left = mu(t1, f)
-            if left:
-                total += left * mu(t2, f)
-            if len(chosen) >= cap:
-                return
-            for j in range(idx, len(cut)):
-                e = cut[j]
-                if e[0] in used or e[1] in used:
-                    continue
-                chosen.append(e)
-                used.update(e)
-                walk_root(j + 1, chosen, used)
-                chosen.pop()
-                used.difference_update(e)
-
-        walk_root(0, [], set())
-        return total
-
-    assert len(kids) == 3
-    t1, t2, t3 = kids
-    cut1 = sorted(boundary_edges(t1))
-    mid23 = sorted(set(boundary_edges(t2)) & set(boundary_edges(t3)))
-    total = 0
-
-    def walk_w(idx: int, f: list[Edge], chosen: list[Edge], used: set[int]) -> None:
-        nonlocal total
-        ff = frozenset(f)
-        w = frozenset(chosen)
-        f2 = frozenset(e for e in ff if (e[0] in below[t2]) != (e[1] in below[t2]))
-        f3 = frozenset(e for e in ff if (e[0] in below[t3]) != (e[1] in below[t3]))
-        a = mu(t1, ff)
-        if a:
-            b = mu(t2, f2 | w)
-            if b:
-                total += a * b * mu(t3, f3 | w)
-        if len(chosen) >= cap:
-            return
-        for j in range(idx, len(mid23)):
-            e = mid23[j]
-            if e[0] in used or e[1] in used:
-                continue
-            chosen.append(e)
-            used.update(e)
-            walk_w(j + 1, f, chosen, used)
-            chosen.pop()
-            used.difference_update(e)
-
-    def walk_f(idx: int, f: list[Edge], used: set[int]) -> None:
-        walk_w(0, f, [], set(used))
-        if len(f) >= cap:
-            return
-        for j in range(idx, len(cut1)):
-            e = cut1[j]
-            if e[0] in used or e[1] in used:
-                continue
-            f.append(e)
-            used.update(e)
-            walk_f(j + 1, f, used)
-            f.pop()
-            used.difference_update(e)
-
-    walk_f(0, [], set())
-    return total
+    # the walk: suspended entries on an explicit stack, deepest on top
+    stack = [entry(root, 0, 0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif child[0] in dec.leaf_map:
+            # f lies in the leaf's cut: its vertex is matched iff f has one edge
+            t, f, _ = child
+            memo[t, f] = 1 if f.bit_count() == 1 else 0
+            stats.table_entries += 1
+        else:
+            stack.append(entry(*child))
+    return memo[root, 0]
 
 
 def count_pm(

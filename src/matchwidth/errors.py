@@ -77,6 +77,10 @@ class InvalidW(MatchwidthError):
     """Terminal-covering matching violates its preconditions."""
 
 
+class InvalidPairs(MatchwidthError):
+    """Terminal pairs must each join V1 to V2."""
+
+
 class NotExtendable(MatchwidthError):
     """Edge set is not contained in any perfect matching."""
 

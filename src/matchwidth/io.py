@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 from typing import Iterable, TextIO
 
 from .bigraph import BipartiteGraph, Edge, Matching, check_matching, graph_from_edges
@@ -68,7 +69,7 @@ def parse_graph_text(text: str) -> BipartiteGraph | Digraph:
 
 
 def parse_graph_file(path: str) -> BipartiteGraph | Digraph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return parse_graph_text(text)
 
 

@@ -31,6 +31,7 @@ from .decomp import LeafTree, NicePMD, compute_pmd, dtw_exact_small, prepare_dtd
 from .direction import m_direction
 from .errors import (
     BoundViolated,
+    InvalidPairs,
     InvalidW,
     JoinConditionViolated,
     NotExtendable,
@@ -53,7 +54,7 @@ class Solution:
 def _pairs_ok(b: BipartiteGraph, pairs: Sequence[TerminalPair]) -> None:
     for s, t in pairs:
         if not (1 <= s <= b.n1 < t <= b.n):
-            raise ValueError(f"terminal pair ({s},{t}) must join V1 to V2")
+            raise InvalidPairs(f"terminal pair ({s},{t}) must join V1 to V2")
 
 
 def _paths_disjoint(paths: Sequence[tuple[int, ...]], pairs: Sequence[TerminalPair]) -> bool:

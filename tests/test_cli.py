@@ -20,9 +20,9 @@ from matchwidth.isomorphism import bipartite_isomorphic, digraph_isomorphic
 from common import even_cycle
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", flags=()):
     proc = subprocess.run(
-        [sys.executable, "-m", "matchwidth.cli", *args],
+        [sys.executable, *flags, "-m", "matchwidth.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
@@ -78,6 +78,11 @@ def test_cli_dapp():
     assert code == 0
     data = json.loads(out)
     assert data["solvable"] is True and data["schema"] == 1
+    # both ends in V1, and a chunk without a colon: errors, not "no"
+    for spec in ("1:2", "x"):
+        code, out, err = run_cli(["dapp", "-", "--pairs", spec], stdin=c6)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "Traceback" not in err
 
 
 def test_cli_guard_and_cut():
@@ -86,6 +91,11 @@ def test_cli_guard_and_cut():
     assert code == 0 and out.strip() == "2"
     code, out, _ = run_cli(["guard", "-", "1,3"], stdin=c4)
     assert code == 0 and out.startswith("m")
+    # shore vertex 9 is not in the 4-vertex graph; `a` is no vertex id
+    for cmd in (["cut", "porosity"], ["guard"]):
+        for shore in ("1,9", "a"):
+            code, out, err = run_cli([*cmd, "-", shore], stdin=c4)
+            assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_cli_generator_round_trips():
@@ -109,13 +119,20 @@ def test_cli_dtw_roundtrip(tmp_path):
     assert code2 == 0 and out2.startswith("valid")
 
 
-def test_cli_decomp_json_roundtrip():
+def test_cli_decomp_json_roundtrip(tmp_path):
     c6 = write_graph_text(even_cycle(3))
     code, out, _ = run_cli(["pm", "decomp", "-"], stdin=c6)
     assert code == 0
     data = json.loads(out)
     tree = leaf_tree_from_json(data)
     assert leaf_tree_to_json(tree)["tree"] == data["tree"]
+    # dev mode reports files left open as ResourceWarning on stderr
+    f = tmp_path / "dec.json"
+    f.write_text(out)
+    g = tmp_path / "c6.b"
+    g.write_text(c6)
+    code, out, err = run_cli(["pm", "count", str(g), "--decomp", str(f)], flags=("-X", "dev"))
+    assert code == 0 and out.strip() == "2" and "ResourceWarning" not in err
 
 
 def test_cli_error_exit():

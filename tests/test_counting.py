@@ -4,9 +4,9 @@ import pytest
 
 from matchwidth.bigraph import Graph, graph_from_edges
 from matchwidth.counting import CountStats, count_pm, count_pm_bruteforce, count_pm_decomp
-from matchwidth.decomp import compute_pmd, pmw_exact_small
+from matchwidth.decomp import LeafTree, _TreeBuilder, compute_pmd, pmw_exact_small
 from matchwidth.errors import OracleLimitExceeded
-from matchwidth.grids import cylindrical_grid, square_grid
+from matchwidth.grids import cylindrical_grid, square_grid, square_grid_coords
 
 from common import complete_bipartite, even_cycle, k2, path_graph, random_bipartite_with_pm
 
@@ -34,6 +34,36 @@ def domino_tilings(rows: int, cols: int) -> int:
     if rows * cols % 2:
         return 0
     return rec(0, 0)
+
+
+def row_major_caterpillar(rows: int, cols: int) -> tuple:
+    """The rows x cols grid and a caterpillar over its vertices in row-major order."""
+    ids = square_grid_coords(rows, cols)
+    order = [ids[r, c] for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    tb = _TreeBuilder()
+    root, leaves = tb.caterpillar(order)
+    return square_grid(rows, cols), LeafTree(tuple(map(frozenset, tb.adj)), leaves, root)
+
+
+def random_leaf_tree(rng: random.Random, ground, root_degree: int) -> LeafTree:
+    """Random leaf tree over `ground`: random pairs of parts join under new
+    nodes until `root_degree` parts are left, which the root joins."""
+    tb = _TreeBuilder()
+    leaf_map = {}
+    parts = []
+    for v in ground:
+        x = tb.node()
+        leaf_map[x] = v
+        parts.append(x)
+    while len(parts) > root_degree:
+        x = tb.node()
+        for _ in range(2):
+            tb.link(x, parts.pop(rng.randrange(len(parts))))
+        parts.append(x)
+    root = tb.node()
+    for x in parts:
+        tb.link(root, x)
+    return LeafTree(tuple(map(frozenset, tb.adj)), leaf_map, root)
 
 
 def test_bruteforce_counts():
@@ -95,6 +125,33 @@ def test_decomp_count_random_agreement():
         b = random_bipartite_with_pm(rng, rng.randint(1, 5), rng.randint(0, 9))
         nice = compute_pmd(b)
         assert count_pm_decomp(b, nice.tree, width=nice.width) == count_pm_bruteforce(b)
+
+
+def test_decomp_count_random_agreement_larger():
+    rng = random.Random(23)
+    for n1 in range(6, 12):
+        for _ in range(4):
+            b = random_bipartite_with_pm(rng, n1, rng.randint(n1, 2 * n1))
+            expected = count_pm_bruteforce(b)
+            nice = compute_pmd(b)
+            assert count_pm_decomp(b, nice.tree, width=nice.width) == expected
+            for root_degree in (2, 3):
+                tree = random_leaf_tree(rng, b.vertices, root_degree)
+                assert count_pm_decomp(b, tree) == expected
+
+
+def test_row_major_caterpillars():
+    # the 1000 x 2 ladder's spine is 2000 leaves deep; ladders count Fibonacci
+    g, tree = row_major_caterpillar(1000, 2)
+    a, b = 0, 1
+    for _ in range(1001):
+        a, b = b, a + b
+    assert count_pm_decomp(g, tree) == a
+    # frozen regression constants: table sizes of the 8 x 8 grid's caterpillar
+    g, tree = row_major_caterpillar(8, 8)
+    stats = CountStats()
+    assert count_pm_decomp(g, tree, stats=stats) == domino_tilings(8, 8) == 12988816
+    assert (stats.table_entries, stats.boundary_sets) == (15025, 23384)
 
 
 def test_count_invariant_across_decompositions():
