@@ -9,17 +9,11 @@ pure function, so concurrent use on shared graphs is safe.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import (
-    DegreeNotTwo,
-    InvalidMatching,
-    NoPerfectMatching,
-    OracleLimitExceeded,
-)
+from .errors import DegreeNotTwo, InvalidMatching, OracleLimitExceeded
 
 Edge = tuple[int, int]
 Matching = frozenset[Edge]
@@ -118,6 +112,24 @@ def graph_from_edges(n1: int, n2: int, pairs: Iterable[tuple[int, int]]) -> Bipa
     return BipartiteGraph(n1, n2, frozenset(tuple(p) for p in pairs))
 
 
+def induced_subgraph(
+    b: BipartiteGraph, keep: VertexSet
+) -> tuple[BipartiteGraph, dict[int, int], dict[int, int]]:
+    """Induced subgraph on keep with dense renumbering; returns maps both ways."""
+    blacks = sorted(v for v in keep if v <= b.n1)
+    whites = sorted(v for v in keep if v > b.n1)
+    fwd: dict[int, int] = {}
+    for i, v in enumerate(blacks, start=1):
+        fwd[v] = i
+    for i, v in enumerate(whites, start=len(blacks) + 1):
+        fwd[v] = i
+    back = {i: v for v, i in fwd.items()}
+    edges = frozenset(
+        (fwd[u], fwd[v]) for u, v in b.edges if u in keep and v in keep
+    )
+    return BipartiteGraph(len(blacks), len(whites), edges), fwd, back
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices [1..n], not necessarily bipartite."""
@@ -146,10 +158,6 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return {v: frozenset(s) for v, s in nbrs.items()}
-
-
-def as_plain_graph(b: BipartiteGraph) -> Graph:
-    return Graph(b.n, b.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +319,6 @@ def is_matching_covered(b: BipartiteGraph) -> bool:
     if b.n == 0 or not b.is_connected():
         return False
     return admissible_edges(b) == b.edges and len(b.edges) > 0
-
-
-def enumerate_matchings_of_size(b: BipartiteGraph, k: int) -> Iterator[Matching]:
-    """All matchings with exactly k edges (test helper, small graphs only)."""
-    for combo in combinations(sorted(b.edges), k):
-        covered: set[int] = set()
-        ok = True
-        for u, v in combo:
-            if u in covered or v in covered:
-                ok = False
-                break
-            covered.update((u, v))
-        if ok:
-            yield frozenset(combo)
 
 
 def bicontract(b: BipartiteGraph, v: int) -> tuple[BipartiteGraph, dict[int, int], int]:

@@ -16,7 +16,6 @@ from . import io as mio
 from .bigraph import BipartiteGraph, graph_from_edges, some_perfect_matching
 from .digraph import Digraph
 from .errors import MatchwidthError
-from .isomorphism import bipartite_isomorphic
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -48,6 +47,13 @@ def _parse_shore(spec: str, g) -> frozenset[int]:
     if outside:
         raise MatchwidthError(f"shore vertices {outside} are not in the graph")
     return shore
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise MatchwidthError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _parse_pairs(spec: str) -> list[tuple[int, int]]:
@@ -99,7 +105,7 @@ def cmd_pm(args) -> int:
         if args.oracle:
             value = count_pm_bruteforce(b)
         elif args.decomp:
-            dec = mio.leaf_tree_from_json(json.loads(Path(args.decomp).read_text()))
+            dec = mio.leaf_tree_from_json(_read_json(args.decomp))
             value = count_pm_decomp(b, dec)
         else:
             value = count_pm(b)
@@ -237,7 +243,7 @@ def cmd_dtw(args) -> int:
 
     d = _need_digraph(mio.parse_graph_file(args.graph))
     if args.dtd:
-        dec = mio.dtd_from_json(json.loads(Path(args.dtd).read_text()))
+        dec = mio.dtd_from_json(_read_json(args.dtd))
         ok, width, reason = validate_dtd(d, dec, proto=args.proto)
         payload = {"valid": ok, "width": width if ok else None, "reason": reason}
         _emit(args, payload, f"{'valid' if ok else 'invalid'} width={width if ok else '-'}")
@@ -339,7 +345,6 @@ def cmd_cops(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="matchwidth")
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    top.add_argument("--jobs", type=int, default=1, help="reserved for parallel corpus runs")
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="graph generators")

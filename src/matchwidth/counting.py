@@ -108,11 +108,6 @@ def count_pm_decomp(
         u, v = sorted(dec.leaf_map.values())
         return 1 if (min(u, v), max(u, v)) in g.edges else 0
 
-    # root the tree: prefer the designated root when internal, else pick one
-    root = dec.root
-    if root is None or root in dec.leaf_map:
-        root = next(x for x in range(dec.m) if x not in dec.leaf_map)
-
     # cuts are bitmasks over the sorted edges; vertex v is bit v
     ends: list[int] = []
     incident: dict[int, int] = {v: 0 for v in g.vertices}
@@ -121,35 +116,22 @@ def count_pm_decomp(
         incident[u] |= 1 << i
         incident[v] |= 1 << i
 
-    parent: dict[int, int | None] = {root: None}
-    kids: dict[int, list[int]] = {}
-    order = [root]
-    for x in order:
-        kids[x] = [y for y in dec.adj[x] if y != parent[x]]
-        for y in kids[x]:
-            parent[y] = x
-            order.append(y)
+    # A degree-3 root r with children t1, t2, t3 walks as r -> (t1, s) with
+    # the virtual node s = dec.m -> (t2, t3); stats count no entries of r, s.
+    view = dec.binarised()
+    root, kids = view.root, view.kids
+    uncounted = (root, dec.m)
 
     # an inner node's cut is the symmetric difference of its children's cuts
-    cut: dict[int, int] = {}
-    for x in reversed(order):
+    cut = [0] * len(kids)
+    for x in reversed(view.order):
         c = incident[dec.leaf_map[x]] if x in dec.leaf_map else 0
         for y in kids[x]:
             c ^= cut[y]
         cut[x] = c
 
-    # A degree-3 root r with children t1, t2, t3 becomes r -> (t1, s) with a
-    # joint node s -> (t2, t3); stats count no entries of r and s.
-    joint = dec.m
-    if len(kids[root]) == 3:
-        t1, t2, t3 = kids[root]
-        kids[joint] = [t2, t3]
-        cut[joint] = cut[t2] ^ cut[t3]
-        kids[root] = [t1, joint]
-    uncounted = (root, joint)
-
     cap = g.n // 2 if width is None else width
-    mids = {x: _matchings(cut[ys[0]] & cut[ys[1]], ends, cap) for x, ys in kids.items() if ys}
+    mids = {x: _matchings(cut[ys[0]] & cut[ys[1]], ends, cap) for x, ys in enumerate(kids) if ys}
 
     memo: dict[tuple[int, int], int] = {}
 
@@ -195,15 +177,10 @@ def count_pm_decomp(
     return memo[root, 0]
 
 
-def count_pm(
-    b: BipartiteGraph,
-    dec: LeafTree | None = None,
-    dtw_limit: int | None = None,
-) -> int:
+def count_pm(b: BipartiteGraph, dec: LeafTree | None = None) -> int:
     """Count perfect matchings through the decomposition pipeline."""
     if dec is None:
-        kwargs = {} if dtw_limit is None else {"dtw_limit": dtw_limit}
-        nice = compute_pmd(b, **kwargs)
+        nice = compute_pmd(b)
         dec = nice.tree
         width = nice.width
     else:

@@ -5,10 +5,20 @@ from directed tree decompositions to nice perfect matching decompositions."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
-from .bigraph import BipartiteGraph, Matching, check_matching, is_perfect, some_perfect_matching
+from .bigraph import (
+    BipartiteGraph,
+    Matching,
+    admissible_edges,
+    check_matching,
+    has_perfect_matching,
+    induced_subgraph,
+    is_conformal,
+    is_perfect,
+    some_perfect_matching,
+)
 from .digraph import Digraph, reachable_from, strong_components
 from .direction import m_direction
 from .errors import (
@@ -46,18 +56,15 @@ class LeafTree:
     def m(self) -> int:
         return len(self.adj)
 
-    def leaves(self) -> list[int]:
-        return sorted(self.leaf_map)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(x, y) for x in range(self.m) for y in self.adj[x] if x < y]
-
     def validate(self, ground: Iterable[int]) -> None:
         ground = set(ground)
         if self.m == 0:
             raise InvalidDecomposition("empty tree")
         if sum(len(a) for a in self.adj) != 2 * (self.m - 1):
             raise InvalidDecomposition("not a tree (edge count)")
+        for x, nbrs in enumerate(self.adj):
+            if any(not 0 <= y < self.m or x not in self.adj[y] for y in nbrs):
+                raise InvalidDecomposition(f"adjacency of node {x} is not symmetric")
         seen = {0}
         stack = [0]
         while stack:
@@ -80,41 +87,60 @@ class LeafTree:
             elif deg != 3:
                 raise InvalidDecomposition(f"internal node {x} has degree {deg}")
 
-    def side(self, x: int, y: int) -> frozenset[int]:
-        """Ground elements mapped to leaves on the y-side of the edge (x, y)."""
-        out: set[int] = set()
-        seen = {x, y}
-        stack = [y]
-        while stack:
-            z = stack.pop()
-            if z in self.leaf_map:
-                out.add(self.leaf_map[z])
-            for w in self.adj[z]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(out)
+    def rooted(self, root: int) -> RootedTree:
+        """The tree hung from `root`; children keep adjacency order."""
+        parent: dict[int, int | None] = {root: None}
+        kids: list[tuple[int, ...]] = [()] * self.m
+        order = [root]
+        for x in order:
+            kids[x] = tuple(y for y in self.adj[x] if y != parent[x])
+            for y in kids[x]:
+                parent[y] = x
+            order.extend(kids[x])
+        return RootedTree(self.leaf_map, root, order, kids)
 
-    def children(self, x: int, parent: int | None) -> list[int]:
-        return sorted(y for y in self.adj[x] if y != parent)
+    def binarised(self) -> RootedTree:
+        """The rooted view the decomposition DPs walk: hung from the designated
+        root when it is internal, else from the lowest internal node, with two
+        children at every internal node.  A degree-3 root keeps its first
+        child and gets the virtual node m, whose children are the other two.
+        The tree must have an internal node."""
+        root = self.root
+        if root is None or root in self.leaf_map:
+            root = next(x for x in range(self.m) if x not in self.leaf_map)
+        view = self.rooted(root)
+        if len(view.kids[root]) == 3:
+            t1, t2, t3 = view.kids[root]
+            view.kids[root] = (t1, self.m)
+            view.kids.append((t2, t3))
+            view.order.insert(1, self.m)
+        return view
+
+
+@dataclass
+class RootedTree:
+    """A leaf tree hung from `root`: `order` lists the nodes parents first and
+    `kids[x]` holds the children of x (none at a leaf, unless it is the root)."""
+
+    leaf_map: dict[int, int]
+    root: int
+    order: list[int]
+    kids: list[tuple[int, ...]]
+
+    def below(self) -> list[frozenset[int]]:
+        """Ground elements on the leaves under each node.  The tree edge from
+        x's parent to x cuts off exactly below[x]."""
+        out: list[frozenset[int]] = [frozenset()] * len(self.kids)
+        for x in reversed(self.order):
+            if x in self.leaf_map:
+                out[x] = frozenset({self.leaf_map[x]})
+            else:
+                out[x] = frozenset().union(*(out[y] for y in self.kids[x]))
+        return out
 
 
 PMDecomposition = LeafTree
 CycleDecomposition = LeafTree
-
-
-def _tree_from_children(
-    children: dict[int, list[int]], leaf_map: dict[int, int], root: int
-) -> LeafTree:
-    m = 1 + max(
-        [k for k in children] + [c for v in children.values() for c in v] + list(leaf_map)
-    )
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for p, cs in children.items():
-        for c in cs:
-            adj[p].add(c)
-            adj[c].add(p)
-    return LeafTree(tuple(frozenset(a) for a in adj), dict(leaf_map), root)
 
 
 def pmd_width(
@@ -131,10 +157,9 @@ def pmd_width(
         raise NoPerfectMatching("graph has no perfect matching")
     if dec.m == 1:
         return 0
-    width = 0
-    for x, y in dec.edges():
-        width = max(width, matching_porosity(host, dec.side(x, y)))
-    return width
+    # porosity counts crossing edges, so either shore of a tree edge will do
+    below = dec.rooted(0).below()
+    return max(matching_porosity(host, below[x]) for x in range(1, dec.m))
 
 
 def cycd_width(d: Digraph, dec: CycleDecomposition) -> int:
@@ -142,9 +167,8 @@ def cycd_width(d: Digraph, dec: CycleDecomposition) -> int:
     dec.validate(d.vertices)
     if dec.m == 1:
         return 0
-    worst = 0
-    for x, y in dec.edges():
-        worst = max(worst, cycle_porosity(d, dec.side(x, y)))
+    below = dec.rooted(0).below()
+    worst = max(cycle_porosity(d, below[x]) for x in range(1, dec.m))
     assert worst % 2 == 0, "cycle porosity of a cut is always even"
     return worst // 2
 
@@ -444,15 +468,6 @@ def _monotone_win(
     return strategy
 
 
-def cop_number_monotone(d: Digraph, limit: int = DTW_ORACLE_LIMIT) -> int:
-    if d.n > limit:
-        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {limit}")
-    for k in range(1, d.n + 1):
-        if _monotone_win(d, k) is not None:
-            return k
-    raise AssertionError("n cops always win")
-
-
 def cop_number_game_exact(d: Digraph, limit: int = 7) -> int:
     """True game value with arbitrary (including repositioning) moves.
 
@@ -577,16 +592,6 @@ def cops_play(
     comps = _scc_cache(d)
     transcript = PlayTranscript()
 
-    hitting: dict[tuple[int, int], frozenset[int]] = {}
-
-    def s_edge(x: int, y: int) -> frozenset[int]:
-        key = (min(x, y), max(x, y))
-        got = hitting.get(key)
-        if got is None:
-            got = directed_cycle_hitting_set(d, dec.side(x, y))
-            hitting[key] = got
-        return got
-
     def place(cops: frozenset[int], prev: frozenset[int], prev_robber: frozenset[int]) -> frozenset[int] | None:
         transcript.cop_positions.append(cops)
         options = _legal_responses(comps, prev, prev_robber, cops)
@@ -622,21 +627,32 @@ def cops_play(
             return transcript
         raise AssertionError("robber escaped the two-vertex capture")
 
-    t0 = next(iter(dec.adj[leaf]))
-    e1, e2 = [y for y in dec.adj[t0] if y != leaf]
-    c1 = c0 | s_edge(t0, e1) | s_edge(t0, e2)
+    # the pursuit descends from the opening leaf, so every tree edge it
+    # guards cuts off the below-set of its lower end
+    view = dec.rooted(leaf)
+    kids, below = view.kids, view.below()
+    hitting: dict[int, frozenset[int]] = {}
+
+    def s_edge(x: int) -> frozenset[int]:
+        got = hitting.get(x)
+        if got is None:
+            got = directed_cycle_hitting_set(d, below[x])
+            hitting[x] = got
+        return got
+
+    (t0,) = kids[leaf]
+    e1, e2 = kids[t0]
+    c1 = c0 | s_edge(e1) | s_edge(e2)
     r = place(c1, c0, r)
     if r is None:
         transcript.caught = True
         return transcript
 
-    side1 = dec.side(t0, e1)
-    branch = e1 if r <= side1 else e2
+    t_node = e1 if r <= below[e1] else e2
     prev_cops = c1
-    d_node, t_node = t0, branch
 
     while True:
-        guard = s_edge(d_node, t_node)
+        guard = s_edge(t_node)
         r2 = place(guard, prev_cops, r)
         if r2 is None:
             transcript.caught = True
@@ -650,16 +666,15 @@ def cops_play(
                 transcript.caught = True
                 return transcript
             raise AssertionError("robber escaped the leaf capture")
-        e1p, e2p = [y for y in dec.adj[t_node] if y != d_node]
-        cops = guard | s_edge(t_node, e1p) | s_edge(t_node, e2p)
+        e1p, e2p = kids[t_node]
+        cops = guard | s_edge(e1p) | s_edge(e2p)
         r2 = place(cops, prev_cops, r)
         if r2 is None:
             transcript.caught = True
             return transcript
         r = r2
         prev_cops = cops
-        side = dec.side(t_node, e1p)
-        d_node, t_node = t_node, (e1p if r <= side else e2p)
+        t_node = e1p if r <= below[e1p] else e2p
 
 
 # ---------------------------------------------------------------------------
@@ -943,12 +958,9 @@ def dtd_to_nice_pmd(
 
 
 def _is_elementary_set(b: BipartiteGraph, xs: frozenset[int]) -> bool:
-    from .porosity import _induced_bipartite
-    from .bigraph import has_perfect_matching, admissible_edges
-
     if not xs:
         return False
-    sub, _, _ = _induced_bipartite(b, xs)
+    sub, _, _ = induced_subgraph(b, xs)
     if sub.n1 != sub.n2 or not has_perfect_matching(sub):
         return False
     adm = admissible_edges(sub)
@@ -971,38 +983,14 @@ def _is_elementary_set(b: BipartiteGraph, xs: frozenset[int]) -> bool:
 
 def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
     """Verify the niceness axioms of a rooted perfect matching decomposition."""
-    from .bigraph import is_conformal
-
     tree = nice.tree
     root = tree.root
     if root is None:
         return False, "decomposition is not rooted"
     k = nice.type1_bound
-
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in tree.adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
-
-    below: dict[int, frozenset[int]] = {}
-    for x in reversed(order):
-        if x in tree.leaf_map:
-            below[x] = frozenset({tree.leaf_map[x]})
-        else:
-            acc: set[int] = set()
-            for y in tree.adj[x]:
-                if y != parent[x]:
-                    acc |= below[y]
-            below[x] = frozenset(acc)
-
-    def kids(x: int) -> list[int]:
-        return [y for y in tree.adj[x] if y != parent[x]]
+    view = tree.rooted(root)
+    kids = view.kids
+    below = view.below()
 
     def no_edge_v2_to_v1(a: frozenset[int], c: frozenset[int]) -> bool:
         for u, v in b.edges:
@@ -1012,7 +1000,7 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
         return True
 
     def is_join(x: int) -> bool:
-        cs = kids(x)
+        cs = kids[x]
         if len(cs) != 2:
             return False
         for t1, t2 in ((cs[0], cs[1]), (cs[1], cs[0])):
@@ -1025,7 +1013,7 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
         return len(xs) <= 2 * k and is_conformal(b, xs)
 
     def is_guard2(x: int) -> bool:
-        cs = kids(x)
+        cs = kids[x]
         if len(cs) != 2:
             return False
         for t1, t2 in ((cs[0], cs[1]), (cs[1], cs[0])):
@@ -1036,22 +1024,20 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
                 return True
         return False
 
-    for x in order:
+    for x in view.order:
         if x == root or x in tree.leaf_map:
             continue
-        cs = kids(x)
+        cs = kids[x]
         basic = len(cs) == 2 and all(c in tree.leaf_map for c in cs)
         if basic or is_join(x) or is_guard1(x) or is_guard2(x):
             continue
         return False, f"node {x} is neither basic, join, nor guard"
 
     # root condition (vacuous when the root is a leaf)
-    from itertools import permutations as _perms
-
     if root in tree.leaf_map:
         return True, None
     sortable: list[int] = []
-    for c in kids(root):
+    for c in kids[root]:
         if is_guard1(c):
             continue
         if is_join(c) or (is_conformal(b, below[c]) and _is_elementary_set(b, below[c])):
@@ -1061,7 +1047,7 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
     if len(sortable) > 3:
         return False, "root has too many ordered successors"
     ok_order = False
-    for perm in _perms(sortable):
+    for perm in permutations(sortable):
         good = True
         for i1 in range(len(perm)):
             for j1 in range(i1 + 1, len(perm)):
@@ -1080,11 +1066,7 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
     return True, None
 
 
-def compute_pmd(
-    b: BipartiteGraph,
-    dtd: DirectedTreeDecomposition | None = None,
-    dtw_limit: int = DTW_ORACLE_LIMIT,
-) -> NicePMD:
+def compute_pmd(b: BipartiteGraph, dtd: DirectedTreeDecomposition | None = None) -> NicePMD:
     """Full pipeline: pick a matching, build the M-direction, find a directed
     tree decomposition (exact small-scale search unless one is supplied),
     prepare it, and convert to a nice perfect matching decomposition."""
@@ -1093,7 +1075,7 @@ def compute_pmd(
         raise NoPerfectMatching("graph has no perfect matching")
     d, _ = m_direction(b, m)
     if dtd is None:
-        _, dtd = dtw_exact_small(d, dtw_limit)
+        _, dtd = dtw_exact_small(d)
     else:
         ok, _, reason = validate_dtd(d, dtd, proto=True)
         if not ok:

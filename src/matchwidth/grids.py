@@ -5,16 +5,15 @@ Erdos-Posa gadget digraph."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .bigraph import (
     BipartiteGraph,
     Edge,
     Matching,
     graph_from_edges,
-    is_matching_covered,
-    is_conformal,
     has_perfect_matching,
+    induced_subgraph,
+    is_matching_covered,
     some_perfect_matching,
 )
 from .digraph import Digraph, is_strongly_connected
@@ -461,16 +460,9 @@ def ear_decomposition(
     current_verts: set[int] = set(first)
 
     def subgraph_matching_covered(edge_set: frozenset[Edge]) -> bool:
-        verts = {x for e in edge_set for x in e}
-        keep = sorted(verts)
-        remap = {v: i + 1 for i, v in enumerate(sorted(x for x in keep if x <= b.n1))}
-        whites = [x for x in keep if x > b.n1]
-        for i, v in enumerate(whites, start=len(remap) + 1):
-            remap[v] = i
-        n1 = len(keep) - len(whites)
-        sub = graph_from_edges(
-            n1, len(whites), [(remap[u], remap[v]) for u, v in edge_set]
-        )
+        # the edge subgraph, renumbered onto the vertices it touches
+        verts = frozenset(x for e in edge_set for x in e)
+        sub, _, _ = induced_subgraph(graph_from_edges(b.n1, b.n2, edge_set), verts)
         return is_matching_covered(sub)
 
     def candidate_ears() -> list[tuple[int, ...]]:

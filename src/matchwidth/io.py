@@ -3,10 +3,9 @@ JSON decomposition schemas."""
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .bigraph import BipartiteGraph, Edge, Matching, check_matching, graph_from_edges
 from .decomp import DirectedTreeDecomposition, LeafTree
@@ -130,18 +129,23 @@ def dtd_to_json(dec: DirectedTreeDecomposition) -> dict:
 
 
 def dtd_from_json(data: dict) -> DirectedTreeDecomposition:
-    nodes = data["nodes"]
-    m = len(nodes)
-    parent = [0] * m
-    bags: list[frozenset[int]] = [frozenset()] * m
-    guards: list[frozenset[int]] = [frozenset()] * m
-    for entry in nodes:
-        t = int(entry["id"])
-        if not (0 <= t < m):
-            raise ParseError(f"node id {t} out of range")
-        parent[t] = int(entry["parent"])
-        bags[t] = frozenset(int(x) for x in entry.get("bag", []))
-        guards[t] = frozenset(int(x) for x in entry.get("guard", []))
+    try:
+        nodes = data["nodes"]
+        m = len(nodes)
+        parent = [0] * m
+        bags: list[frozenset[int]] = [frozenset()] * m
+        guards: list[frozenset[int]] = [frozenset()] * m
+        for entry in nodes:
+            t = int(entry["id"])
+            if not (0 <= t < m):
+                raise ParseError(f"node id {t} out of range")
+            parent[t] = int(entry["parent"])
+            if not (-1 <= parent[t] < m):
+                raise ParseError(f"parent {parent[t]} of node {t} out of range")
+            bags[t] = frozenset(int(x) for x in entry.get("bag", []))
+            guards[t] = frozenset(int(x) for x in entry.get("guard", []))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed decomposition: {exc!r}") from None
     return DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
 
 
@@ -155,7 +159,10 @@ def leaf_tree_to_json(dec: LeafTree) -> dict:
 
 
 def leaf_tree_from_json(data: dict) -> LeafTree:
-    adj = tuple(frozenset(int(x) for x in row) for row in data["tree"])
-    leaf_map = {int(k): int(v) for k, v in data["leaf_map"].items()}
-    root = data.get("root")
-    return LeafTree(adj, leaf_map, None if root is None else int(root))
+    try:
+        adj = tuple(frozenset(int(x) for x in row) for row in data["tree"])
+        leaf_map = {int(k): int(v) for k, v in data["leaf_map"].items()}
+        root = data.get("root")
+        return LeafTree(adj, leaf_map, None if root is None else int(root))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed decomposition: {exc!r}") from None

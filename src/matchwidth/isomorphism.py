@@ -7,9 +7,9 @@ memoisation of minor-closure searches.  Not intended for large graphs.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Hashable, Mapping, Sequence
+from typing import Sequence
 
-from .bigraph import BipartiteGraph, Graph, Matching
+from .bigraph import BipartiteGraph, Matching
 from .digraph import Digraph
 
 Canon = tuple
@@ -126,11 +126,6 @@ def canonical_digraph(d: Digraph) -> Canon:
     out = [frozenset(w - 1 for w in d.out_adj[v + 1]) for v in range(d.n)]
     inn = [frozenset(w - 1 for w in d.in_adj[v + 1]) for v in range(d.n)]
     return ("d", _canonical(d.n, out, inn, [0] * d.n))
-
-
-def canonical_graph(g: Graph) -> Canon:
-    out = [frozenset(w - 1 for w in g.adj[v + 1]) for v in range(g.n)]
-    return ("g", _canonical(g.n, out, None, [0] * g.n))
 
 
 def bipartite_isomorphic(

@@ -22,12 +22,12 @@ from .bigraph import (
     Edge,
     Matching,
     check_matching,
-    graph_from_edges,
     has_perfect_matching,
+    induced_subgraph,
     is_extendable,
     some_perfect_matching,
 )
-from .decomp import LeafTree, NicePMD, compute_pmd, dtw_exact_small, prepare_dtd, dtd_to_nice_pmd
+from .decomp import LeafTree, NicePMD, dtw_exact_small, prepare_dtd, dtd_to_nice_pmd
 from .direction import m_direction
 from .errors import (
     BoundViolated,
@@ -55,20 +55,6 @@ def _pairs_ok(b: BipartiteGraph, pairs: Sequence[TerminalPair]) -> None:
     for s, t in pairs:
         if not (1 <= s <= b.n1 < t <= b.n):
             raise InvalidPairs(f"terminal pair ({s},{t}) must join V1 to V2")
-
-
-def _paths_disjoint(paths: Sequence[tuple[int, ...]], pairs: Sequence[TerminalPair]) -> bool:
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            shared = set(paths[i]) & set(paths[j])
-            allowed = ({pairs[i][0], pairs[i][1]} & {pairs[j][0], pairs[j][1]})
-            if not shared <= allowed:
-                return False
-            ends_i = {paths[i][0], paths[i][-1]}
-            ends_j = {paths[j][0], paths[j][-1]}
-            if not shared <= (ends_i & ends_j):
-                return False
-    return True
 
 
 def _alternating_paths(
@@ -334,49 +320,17 @@ class _Ctx:
 
 
 def _binarise(tree: LeafTree) -> tuple[list[frozenset[int]], list[tuple[int, ...]], int]:
-    """Rooted binary DP tree: below-sets and children lists; a ternary root
-    is folded into a virtual extra node."""
-    root = tree.root
-    if root is None or root in tree.leaf_map:
-        internal = [x for x in range(tree.m) if x not in tree.leaf_map]
-        if not internal:
-            # a bare matching edge: synthesise the joining node
-            a, bb = (tree.leaf_map[x] for x in sorted(tree.leaf_map))
-            return (
-                [frozenset({a}), frozenset({bb}), frozenset({a, bb})],
-                [(), (), (0, 1)],
-                2,
-            )
-        root = internal[0]
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in tree.adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
-    below: list[frozenset[int]] = [frozenset()] * tree.m
-    kids: list[tuple[int, ...]] = [()] * tree.m
-    for x in reversed(order):
-        if x in tree.leaf_map:
-            below[x] = frozenset({tree.leaf_map[x]})
-        else:
-            cs = tuple(y for y in tree.adj[x] if y != parent[x])
-            kids[x] = cs
-            acc: set[int] = set()
-            for y in cs:
-                acc |= below[y]
-            below[x] = frozenset(acc)
-    if len(kids[root]) == 3:
-        c1, c2, c3 = kids[root]
-        virtual = len(below)
-        below = below + [below[c2] | below[c3]]
-        kids = kids + [(c2, c3)]
-        kids[root] = (c1, virtual)
-    return below, kids, root
+    """Below-sets, children lists and root of the binary DP tree."""
+    if len(tree.leaf_map) == tree.m:
+        # a bare matching edge: synthesise the joining node
+        a, bb = (tree.leaf_map[x] for x in sorted(tree.leaf_map))
+        return (
+            [frozenset({a}), frozenset({bb}), frozenset({a, bb})],
+            [(), (), (0, 1)],
+            2,
+        )
+    view = tree.binarised()
+    return view.below(), view.kids, view.root
 
 
 def _query(ctx: _Ctx, node: int, u_set: frozenset[Edge], pairs: tuple[TerminalPair, ...], j_set: frozenset[Edge]) -> frozenset[int]:
@@ -903,7 +857,6 @@ def _solve_full(
     pairs: tuple[TerminalPair, ...],
     banned: frozenset[int],
     forced: Matching,
-    dtw_limit: int,
 ) -> bool:
     """Branch over direct single-edge routings of adjacent pairs, then run
     the W/proxy pipeline on the remainder."""
@@ -915,7 +868,7 @@ def _solve_full(
     direct_terms = {x for i in direct for x in pairs[i]}
     rest_terms = {x for p in rest for x in p}
     extra_banned = frozenset(direct_terms - rest_terms)
-    return _solve_on_reduced(b, rest, banned | extra_banned, forced, dtw_limit)
+    return _solve_on_reduced(b, rest, banned | extra_banned, forced)
 
 
 def _solve_on_reduced(
@@ -923,7 +876,6 @@ def _solve_on_reduced(
     pairs: tuple[TerminalPair, ...],
     banned: frozenset[int],
     forced_extra: Matching,
-    dtw_limit: int,
 ) -> bool:
     """Inner engine: non-adjacent distinct-or-not pairs; W/proxy loops; the
     DP per proxied instance on the reduced host."""
@@ -966,8 +918,6 @@ def _solve_on_reduced(
             used.difference_update(e)
             del chosen[x]
 
-    from .porosity import _induced_bipartite
-
     for w_set in w_candidates(0, {}, set()):
         if not is_extendable(b, w_set | forced_extra):
             continue
@@ -979,7 +929,7 @@ def _solve_on_reduced(
             return True
         w_vertices = frozenset(x for e in w_set for x in e)
         keep = frozenset(b.vertices) - w_vertices
-        reduced, fwd, _ = _induced_bipartite(b, keep)
+        reduced, fwd, _ = induced_subgraph(b, keep)
         if reduced.n1 != reduced.n2 or not has_perfect_matching(reduced):
             continue
         red_banned = frozenset(fwd[x] for x in banned if x in fwd)
@@ -1001,7 +951,7 @@ def _solve_on_reduced(
                 continue  # forced edges collide with the proxy cover
             if not is_extendable(reduced, union):
                 continue
-            if _dp_decides(reduced, red_pairs, red_wprime | red_forced, red_banned, dtw_limit):
+            if _dp_decides(reduced, red_pairs, red_wprime | red_forced, red_banned):
                 return True
     return False
 
@@ -1011,7 +961,6 @@ def _dp_decides(
     pairs: tuple[TerminalPair, ...],
     forced: Matching,
     banned: frozenset[int],
-    dtw_limit: int,
 ) -> bool:
     """Build the safe nice decomposition for the instance and run the DP."""
     m = some_perfect_matching(b, frozenset())
@@ -1032,10 +981,7 @@ def _dp_decides(
     d, _ = m_direction(
         b if not extra else BipartiteGraph(b.n1, b.n2, b.edges | extra), m
     )
-    try:
-        _, dtd = dtw_exact_small(d, dtw_limit)
-    except OracleLimitExceeded:
-        raise
+    _, dtd = dtw_exact_small(d)
     prepared = prepare_dtd(d, dtd)
     nice = dtd_to_nice_pmd(b, m, extra, prepared)
     ctx = make_context(
@@ -1050,32 +996,24 @@ def _dp_decides(
     return bool(root_it.query(pairs, forced))
 
 
-def dapp_solve(
-    b: BipartiteGraph,
-    pairs: Sequence[TerminalPair],
-    dec: NicePMD | None = None,
-    dtw_limit: int = 12,
-) -> bool:
+def dapp_solve(b: BipartiteGraph, pairs: Sequence[TerminalPair]) -> bool:
     """Decide the k-disjoint alternating paths problem via the width DP.
 
     Adjacent pairs branch over direct routing; the remaining instance runs
-    through the W / proxy loops with a per-proxy nice decomposition.  The
-    optional dec is a hint only: per-proxy decompositions are recomputed on
-    the reduced graphs.
+    through the W / proxy loops with a nice decomposition computed for each
+    proxied instance on its reduced graph.
     """
     pairs = tuple(tuple(p) for p in pairs)
     _pairs_ok(b, pairs)
     if not has_perfect_matching(b):
         return False
-    return _solve_full(b, pairs, frozenset(), frozenset(), dtw_limit)
+    return _solve_full(b, pairs, frozenset(), frozenset())
 
 
 def dapp_solve_extending(
     b: BipartiteGraph,
     pairs: Sequence[TerminalPair],
     f_set: Iterable[Edge],
-    dec: NicePMD | None = None,
-    dtw_limit: int = 12,
     banned: frozenset[int] = frozenset(),
 ) -> bool:
     """Decide existence of an F-extending solution (F forced into M); paths
@@ -1085,7 +1023,7 @@ def dapp_solve_extending(
     f_set = check_matching(b, f_set)
     if not is_extendable(b, f_set):
         raise NotExtendable("f is not extendable")
-    return _solve_full(b, pairs, banned, f_set, dtw_limit)
+    return _solve_full(b, pairs, banned, f_set)
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .bigraph import (
     BipartiteGraph,
     Edge,
-    Graph,
     Matching,
     check_matching,
     has_perfect_matching,
+    induced_subgraph,
     is_perfect,
-    some_perfect_matching,
 )
 from .digraph import Digraph
 from .direction import split
@@ -25,11 +23,7 @@ from .errors import (
     NotContractible,
     OracleLimitExceeded,
 )
-from .isomorphism import (
-    bipartite_isomorphic,
-    canonical_bipartite,
-    canonical_digraph,
-)
+from .isomorphism import canonical_bipartite, canonical_digraph
 from .planarity import planarity_test
 
 MM_ORACLE_LIMIT = 14
@@ -241,9 +235,7 @@ def matching_minor_bruteforce(
         if g.n > n_h:
             for u, v in sorted(g.edges):
                 keep = frozenset(x for x in g.vertices if x not in (u, v))
-                from .porosity import _induced_bipartite
-
-                g2, _, _ = _induced_bipartite(g, keep)
+                g2, _, _ = induced_subgraph(g, keep)
                 if has_perfect_matching(g2) and search(g2):
                     return True
         # bicontractions
@@ -512,9 +504,7 @@ def _h_automorphism_images(h: BipartiteGraph) -> list[dict[int, int]]:
     return [{v: v for v in h.vertices}]
 
 
-def matching_minor_check(
-    b: BipartiteGraph, h: BipartiteGraph, dtw_limit: int = 12
-) -> bool:
+def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     """Decide matching minor containment by guessing the model's anchor
     structure and solving F-extending disjoint alternating path instances.
 
@@ -524,7 +514,6 @@ def matching_minor_check(
     consists of the anchor edges and the conformal-path end edges.
     """
     from .bigraph import enumerate_perfect_matchings, is_matching_covered
-    from .linkage import _solve_full
 
     if not is_matching_covered(h):
         raise ModelInvalid("pattern must be matching covered")
@@ -532,12 +521,6 @@ def matching_minor_check(
         return False
     if h.n > b.n or len(h.edges) > len(b.edges):
         return False
-    if h.n == b.n:
-        from .isomorphism import bipartite_isomorphic
-
-        # no vertices to spare: containment is spanning-subgraph containment,
-        # settled by the same search at zero budget below
-        pass
 
     h_pms = enumerate_perfect_matchings(h)
     autos = _h_automorphism_images(h)
@@ -561,7 +544,7 @@ def matching_minor_check(
         if key in seen_mh:
             continue
         seen_mh.add(key)
-        if _check_with_mh(b, h, m_h, budget_total, dtw_limit):
+        if _check_with_mh(b, h, m_h, budget_total):
             return True
     return False
 
@@ -571,10 +554,7 @@ def _check_with_mh(
     h: BipartiteGraph,
     m_h: Matching,
     budget: int,
-    dtw_limit: int,
 ) -> bool:
-    from .linkage import _solve_full
-
     h_vertices = sorted(h.vertices)
     non_m_edges = sorted(e for e in h.edges if e not in m_h)
     mate_h: dict[int, int] = {}
@@ -646,12 +626,12 @@ def _check_with_mh(
             return c if not flip else 3 - c
 
         for combo in assignments(0, {}, budget):
-            if _place_and_solve(b, h, m_h, combo, b_class, dtw_limit):
+            if _place_and_solve(b, h, m_h, combo, b_class):
                 return True
     return False
 
 
-def _place_and_solve(b, h, m_h, combo, b_class, dtw_limit) -> bool:
+def _place_and_solve(b, h, m_h, combo, b_class) -> bool:
     """Choose concrete vertices and edges for the guessed structure, then
     solve the resulting forced DAPP instance."""
     from .linkage import _solve_full
@@ -823,6 +803,6 @@ def _place_and_solve(b, h, m_h, combo, b_class, dtw_limit) -> bool:
             return False
         if not has_perfect_matching(b, frozenset(x for f in forced for x in f)):
             return False
-        return _solve_full(b, tuple(all_pairs), banned, frozenset(forced), dtw_limit)
+        return _solve_full(b, tuple(all_pairs), banned, frozenset(forced))
 
     return place(0)

@@ -13,10 +13,11 @@ from .bigraph import (
     admissible_edges,
     check_matching,
     has_perfect_matching,
+    induced_subgraph,
     is_perfect,
 )
-from .digraph import Digraph, has_cycle_crossing, strong_components
-from .direction import m_direction, split
+from .digraph import Digraph, strong_components
+from .direction import split
 from .errors import NoPerfectMatching, NotAPartialOrder, NotPerfect
 
 
@@ -317,22 +318,6 @@ class GuardingSet:
         return len(self.edges)
 
 
-def _induced_bipartite(b: BipartiteGraph, keep: VertexSet) -> tuple[BipartiteGraph, dict[int, int], dict[int, int]]:
-    """Induced subgraph on keep with dense renumbering; returns maps both ways."""
-    blacks = sorted(v for v in keep if v <= b.n1)
-    whites = sorted(v for v in keep if v > b.n1)
-    fwd: dict[int, int] = {}
-    for i, v in enumerate(blacks, start=1):
-        fwd[v] = i
-    for i, v in enumerate(whites, start=len(blacks) + 1):
-        fwd[v] = i
-    back = {i: v for v, i in fwd.items()}
-    edges = frozenset(
-        (fwd[u], fwd[v]) for u, v in b.edges if u in keep and v in keep
-    )
-    return BipartiteGraph(len(blacks), len(whites), edges), fwd, back
-
-
 def _crossing_conformal_cycle_exists(
     b: BipartiteGraph,
     m_edges: Iterable[Edge],
@@ -387,7 +372,7 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
     keep0 = frozenset(b.vertices) - removed0
     if not keep0:
         return GuardingSet(f_start, shore, k)
-    b0, fwd, back = _induced_bipartite(b, keep0)
+    b0, fwd, back = induced_subgraph(b, keep0)
     shore0 = frozenset(fwd[v] for v in shore if v in fwd)
     m0 = frozenset((fwd[u], fwd[v]) for u, v in m if u in keep0 and v in keep0)
     if not b0.cut(shore0):
@@ -402,7 +387,7 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
 
     # elementary components of b0 - V(W) in the lambda order of <=_2
     keep1 = frozenset(b0.vertices) - w_vertices
-    b1, fwd1, back1 = _induced_bipartite(b0, keep1)
+    b1, fwd1, back1 = induced_subgraph(b0, keep1)
     structure = dm_order(b1, 2)
     lam = linearise_dm(structure)
     comps_b0 = [frozenset(back1[v] for v in structure.components[i]) for i in lam]

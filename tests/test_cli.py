@@ -133,6 +133,28 @@ def test_cli_decomp_json_roundtrip(tmp_path):
     g.write_text(c6)
     code, out, err = run_cli(["pm", "count", str(g), "--decomp", str(f)], flags=("-X", "dev"))
     assert code == 0 and out.strip() == "2" and "ResourceWarning" not in err
+    # malformed decompositions are errors, not "no"; the asymmetric tree
+    # passes the edge-count and connectivity checks, and a walk that roots
+    # it never ends
+    k2_file = tmp_path / "k2.b"
+    k2_file.write_text("b 1 1\ne 1 2\n")
+    d2_file = tmp_path / "d2.d"
+    d2_file.write_text("d 2\na 1 2\na 2 1\n")
+    for i, text in enumerate((
+        '{"tree": 1',
+        '{"schema": 1}',
+        '{"tree": [[1, 2], [2], [0]], "leaf_map": {"1": 1, "2": 2}, "root": 0}',
+        '{"nodes": [{"id": 0, "parent": 7}]}',
+    )):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        for cmd in (
+            ["pm", "count", str(k2_file), "--decomp", str(bad)],
+            ["dtw", str(d2_file), "--dtd", str(bad)],
+        ):
+            code, out, err = run_cli(cmd)
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert "Traceback" not in err
 
 
 def test_cli_error_exit():

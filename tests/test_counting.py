@@ -168,7 +168,7 @@ def test_cg2_count_frozen():
     from matchwidth.bigraph import enumerate_perfect_matchings
 
     assert len(enumerate_perfect_matchings(b)) == value == 9
-    assert count_pm(b, dtw_limit=12) == 9
+    assert count_pm(b) == 9
 
 
 def test_stats_envelope():

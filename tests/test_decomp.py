@@ -23,6 +23,7 @@ from matchwidth.decomp import (
 from matchwidth.digraph import digraph_from_arcs
 from matchwidth.direction import m_direction
 from matchwidth.errors import OracleLimitExceeded
+from matchwidth.porosity import cycle_porosity, matching_porosity_bruteforce
 
 from common import (
     bidirected_clique,
@@ -31,6 +32,7 @@ from common import (
     directed_cycle,
     even_cycle,
     k2,
+    random_bipartite_with_pm,
     random_digraph,
 )
 
@@ -42,6 +44,88 @@ def leaf_tree_from_pairs(pairs, leaf_map, root=None):
         adj[x].add(y)
         adj[y].add(x)
     return LeafTree(tuple(frozenset(a) for a in adj), leaf_map, root)
+
+
+def random_cubic_tree(rng, ground, root_kind):
+    """Random leaf tree over `ground` (three or more elements), grown by
+    hanging each further leaf off a random edge.  root_kind is None, "leaf",
+    "deg3" (an internal node) or "deg2" (a node subdividing a random edge)."""
+    ground = list(ground)
+    adj = [{1}, {0}]
+    leaf_map = {0: ground[0], 1: ground[1]}
+
+    def subdivide():
+        x = rng.randrange(len(adj))
+        y = rng.choice(sorted(adj[x]))
+        adj[x].remove(y)
+        adj[y].remove(x)
+        adj[x].add(len(adj))
+        adj[y].add(len(adj))
+        adj.append({x, y})
+        return len(adj) - 1
+
+    for v in ground[2:]:
+        mid = subdivide()
+        adj[mid].add(len(adj))
+        adj.append({mid})
+        leaf_map[len(adj) - 1] = v
+    root = None
+    if root_kind == "leaf":
+        root = rng.choice(sorted(leaf_map))
+    elif root_kind == "deg3":
+        root = rng.choice([x for x in range(len(adj)) if x not in leaf_map])
+    elif root_kind == "deg2":
+        root = subdivide()
+    return LeafTree(tuple(map(frozenset, adj)), leaf_map, root)
+
+
+def tree_edge_shores(tree):
+    """Both shores of every tree edge, found by walking the tree."""
+
+    def side(x, y):
+        out, seen, stack = set(), {x, y}, [y]
+        while stack:
+            z = stack.pop()
+            if z in tree.leaf_map:
+                out.add(tree.leaf_map[z])
+            for w in tree.adj[z]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return frozenset(out)
+
+    return [(side(x, y), side(y, x)) for x in range(tree.m) for y in tree.adj[x] if x < y]
+
+
+ROOT_KINDS = (None, "leaf", "deg2", "deg3")
+
+
+def test_cut_widths_on_random_trees():
+    rng = random.Random(41)
+    for _ in range(25):
+        b = random_bipartite_with_pm(rng, rng.randint(2, 5), rng.randint(0, 8))
+        non_edges = [
+            (u, v) for u in b.v1 for v in b.v2 if (u, v) not in b.edges
+        ]
+        extra = frozenset(rng.sample(non_edges, min(3, len(non_edges))))
+        host = graph_from_edges(b.n1, b.n2, b.edges | extra)
+        for kind in ROOT_KINDS:
+            tree = random_cubic_tree(rng, b.vertices, kind)
+            shores = tree_edge_shores(tree)
+            assert pmd_width(b, tree) == max(
+                matching_porosity_bruteforce(b, s) for s, _ in shores
+            )
+            assert pmd_width(b, tree, extra) == max(
+                matching_porosity_bruteforce(host, s) for s, _ in shores
+            )
+        d = random_digraph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.6))
+        for kind in ROOT_KINDS:
+            tree = random_cubic_tree(rng, d.vertices, kind)
+            worst = max(
+                max(cycle_porosity(d, s), cycle_porosity(d, t))
+                for s, t in tree_edge_shores(tree)
+            )
+            assert cycd_width(d, tree) == worst // 2
 
 
 def test_pmd_width_c4():

@@ -1,0 +1,41 @@
+"""Source hygiene: every name a module imports is used where it is imported."""
+
+import ast
+from pathlib import Path
+
+import matchwidth
+
+SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Imported names never read in the module or function that imports them;
+    names a module lists in `__all__` count as used."""
+    tree = ast.parse(path.read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        scope = parent[node]
+        while not isinstance(scope, SCOPES):
+            scope = parent[scope]
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read and name not in exported:
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+def test_every_import_is_used():
+    src = Path(matchwidth.__file__).parent
+    assert [msg for path in sorted(src.glob("*.py")) for msg in unused_imports(path)] == []

@@ -211,9 +211,9 @@ def test_guard_separation_property():
         keep = frozenset(b.vertices) - removed
         if not keep:
             continue
-        from matchwidth.porosity import _induced_bipartite
+        from matchwidth.bigraph import induced_subgraph
 
-        sub, fwd, back = _induced_bipartite(b, keep)
+        sub, fwd, back = induced_subgraph(b, keep)
         if sub.n1 != sub.n2 or not enumerate_perfect_matchings(sub):
             continue
         for comp in elementary_components(sub).components:
