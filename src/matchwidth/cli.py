@@ -152,7 +152,7 @@ def cmd_guard(args) -> int:
 
     b = _need_bipartite(mio.parse_graph_file(args.graph))
     if args.matching:
-        m = mio.parse_matching_text(Path(args.matching).read_text(), b)
+        m = mio.parse_matching_text(mio.read_text(args.matching), b)
     else:
         found = some_perfect_matching(b)
         if found is None:
@@ -187,7 +187,7 @@ def cmd_dapp(args) -> int:
                     fh,
                 )
     elif args.extend:
-        m = mio.parse_matching_text(Path(args.extend).read_text(), b)
+        m = mio.parse_matching_text(mio.read_text(args.extend), b)
         answer = dapp_solve_extending(b, pairs, m)
     else:
         answer = dapp_solve(b, pairs)
@@ -261,7 +261,7 @@ def cmd_direction(args) -> int:
 
     b = _need_bipartite(mio.parse_graph_file(args.graph))
     if args.matching:
-        m = mio.parse_matching_text(Path(args.matching).read_text(), b)
+        m = mio.parse_matching_text(mio.read_text(args.matching), b)
     else:
         found = some_perfect_matching(b)
         if found is None:

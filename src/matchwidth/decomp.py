@@ -157,9 +157,13 @@ def pmd_width(
         raise NoPerfectMatching("graph has no perfect matching")
     if dec.m == 1:
         return 0
-    # porosity counts crossing edges, so either shore of a tree edge will do
+    # porosity counts crossing edges, so either shore of a tree edge will do;
+    # every perfect matching crosses a leaf edge's cut exactly once
     below = dec.rooted(0).below()
-    return max(matching_porosity(host, below[x]) for x in range(1, dec.m))
+    return max(
+        1 if len(below[x]) in (1, host.n - 1) else matching_porosity(host, below[x])
+        for x in range(1, dec.m)
+    )
 
 
 def cycd_width(d: Digraph, dec: CycleDecomposition) -> int:
@@ -393,79 +397,88 @@ def validate_dtd(
 # ---------------------------------------------------------------------------
 
 
-def _scc_cache(d: Digraph) -> Callable[[frozenset[int]], tuple[frozenset[int], ...]]:
-    cache: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
+def _bits(vertices: Iterable[int]) -> int:
+    """Vertex set as an int mask: vertex v is bit v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
-    def comps(banned: frozenset[int]) -> tuple[frozenset[int], ...]:
-        got = cache.get(banned)
-        if got is None:
-            got = tuple(strong_components(d, banned))
-            cache[banned] = got
+
+def _members(mask: int) -> frozenset[int]:
+    """The vertex set of a mask made by `_bits`."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+class _SccTable(dict):
+    """For a banned vertex mask: the strong components of d minus it, as
+    vertex masks in Tarjan's order (`strong_components`), and the component
+    of each vertex by index (0 for a banned vertex).  Filled on first use."""
+
+    def __init__(self, d: Digraph) -> None:
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, banned: int) -> tuple[tuple[int, ...], list[int]]:
+        comps: list[int] = []
+        owner = [0] * (self.d.n + 1)
+        for comp in strong_components(self.d, _members(banned)):
+            mask = _bits(comp)
+            comps.append(mask)
+            for v in comp:
+                owner[v] = mask
+        got = self[banned] = (tuple(comps), owner)
         return got
 
-    return comps
+
+def _responses(table: _SccTable, cops: int, robber: int, move: int) -> list[int]:
+    """Robber components after the cops move from `cops` to `move` (the
+    standard transition rule): the components of d - move inside the
+    component of d - (cops & move) that holds the robber."""
+    region = table[cops & move][1][(robber & -robber).bit_length() - 1]
+    return [c for c in table[move][0] if c & region]
 
 
-def _legal_responses(
-    comps: Callable[[frozenset[int]], tuple[frozenset[int], ...]],
-    cops: frozenset[int],
-    robber: frozenset[int],
-    move: frozenset[int],
-) -> list[frozenset[int]]:
-    """Robber components after the cops move (the standard transition rule)."""
-    hold = cops & move
-    sample = next(iter(robber))
-    region = None
-    for comp in comps(hold):
-        if sample in comp:
-            region = comp
-            break
-    assert region is not None
-    return [c for c in comps(move) if c <= region]
-
-
-def _monotone_win(
-    d: Digraph, k: int
-) -> dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] | None:
-    """Winning moves of the k-cop progress-monotone game, or None.
+def _monotone_win(table: _SccTable, moves: list[int]) -> dict[int, int] | None:
+    """The first winning move, in the order of `moves`, of each position the
+    progress-monotone game reaches, keyed on `robber << (n + 1) | cops`, with
+    0 where the cops lose; None if they lose from the start.
 
     Moves place at least one cop inside the robber component and must shrink
     the territory; the search is therefore acyclic and memoisable.
     """
-    verts = sorted(d.vertices)
-    comps = _scc_cache(d)
-    moves_pool: list[frozenset[int]] = [
-        frozenset(c) for size in range(1, k + 1) for c in combinations(verts, size)
-    ]
-    memo: dict[tuple[frozenset[int], frozenset[int]], frozenset[int] | None] = {}
+    shift = table.d.n + 1
+    memo: dict[int, int] = {}  # 0: the position is lost
 
-    def win(cops: frozenset[int], robber: frozenset[int]) -> frozenset[int] | None:
-        key = (cops, robber)
-        if key in memo:
-            return memo[key]
-        memo[key] = None
-        result = None
-        for move in moves_pool:
+    def win(cops: int, robber: int) -> int:
+        key = robber << shift | cops
+        result = memo.get(key)
+        if result is not None:
+            return result
+        result = 0
+        low = (robber & -robber).bit_length() - 1
+        for move in moves:
             if not move & robber:
                 continue
-            responses = _legal_responses(comps, cops, robber, move)
-            if any(not r < robber for r in responses):
-                continue  # a response escapes or fails to shrink: not monotone
-            if all(win(move, r) is not None for r in responses):
+            # No response equals the robber component, which `move` meets.
+            # A response leaves it iff the component of d - hold around the
+            # robber, opened up by the cops that lift, has a vertex outside
+            # robber | move.
+            hold = cops & move
+            if hold != cops and table[hold][1][low] & ~(robber | move):
+                continue
+            for c in table[move][0]:
+                if c & robber and not win(move, c):
+                    break
+            else:
                 result = move
                 break
         memo[key] = result
         return result
 
-    start_positions = [ (frozenset(), frozenset(c)) for c in comps(frozenset()) ]
-    strategy: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
-    for pos in start_positions:
-        if win(*pos) is None:
-            return None
-    for key, move in memo.items():
-        if move is not None:
-            strategy[key] = move
-    return strategy
+    if not all(win(0, c) for c in table[0][0]):
+        return None
+    return memo
 
 
 def cop_number_game_exact(d: Digraph, limit: int = 7) -> int:
@@ -477,15 +490,11 @@ def cop_number_game_exact(d: Digraph, limit: int = 7) -> int:
     if d.n > limit:
         raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {limit}")
     verts = sorted(d.vertices)
-    comps = _scc_cache(d)
+    table = _SccTable(d)
     for k in range(1, d.n + 1):
-        cop_sets = [
-            frozenset(c) for size in range(0, k + 1) for c in combinations(verts, size)
-        ]
-        positions = [
-            (c, r) for c in cop_sets for r in comps(c)
-        ]
-        winning: set[tuple[frozenset[int], frozenset[int]]] = set()
+        cop_sets = [_bits(c) for size in range(0, k + 1) for c in combinations(verts, size)]
+        positions = [(c, r) for c in cop_sets for r in table[c][0]]
+        winning: set[tuple[int, int]] = set()
         changed = True
         while changed:
             changed = False
@@ -496,12 +505,12 @@ def cop_number_game_exact(d: Digraph, limit: int = 7) -> int:
                 for move in cop_sets:
                     if not move:
                         continue
-                    responses = _legal_responses(comps, cops, robber, move)
+                    responses = _responses(table, cops, robber, move)
                     if all((move, r) in winning for r in responses):
                         winning.add(pos)
                         changed = True
                         break
-        if all((frozenset(), frozenset(r)) in winning for r in comps(frozenset())):
+        if all((0, r) in winning for r in table[0][0]):
             return k
     raise AssertionError("n cops always win")
 
@@ -516,36 +525,35 @@ def dtw_exact_small(
         raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {limit}")
     if d.n == 0:
         raise InvalidDecomposition("empty digraph")
-    strategy = None
-    number = 0
-    for k in range(1, d.n + 1):
-        strategy = _monotone_win(d, k)
+    table = _SccTable(d)
+    verts = sorted(d.vertices)
+    moves: list[int] = []
+    for number in range(1, d.n + 1):
+        moves += [_bits(c) for c in combinations(verts, number)]
+        strategy = _monotone_win(table, moves)
         if strategy is not None:
-            number = k
             break
     assert strategy is not None
 
-    comps = _scc_cache(d)
+    shift = d.n + 1
     parent: list[int] = []
     bags: list[frozenset[int]] = []
     guards: list[frozenset[int]] = []
 
-    def build(cops: frozenset[int], robber: frozenset[int], parent_idx: int) -> int:
-        move = strategy[(cops, robber)]
+    def build(cops: int, robber: int, parent_idx: int) -> int:
+        move = strategy[robber << shift | cops]
         idx = len(parent)
         parent.append(parent_idx)
-        bags.append(move & robber)
-        guards.append(cops)
-        for resp in _legal_responses(comps, cops, robber, move):
+        bags.append(_members(move & robber))
+        guards.append(_members(cops))
+        for resp in _responses(table, cops, robber, move):
             build(move, resp, idx)
         return idx
 
-    start = comps(frozenset())
-    first = frozenset(), frozenset(start[0])
-    root_idx = build(*first, -1)
-    guards[root_idx] = frozenset()
+    start = table[0][0]
+    root_idx = build(0, start[0], -1)
     for comp in start[1:]:
-        build(frozenset(), frozenset(comp), root_idx)
+        build(0, comp, root_idx)
         # the extra children of the root get guard = empty cop set, which
         # strongly guards a strong component of d
     dec = DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
@@ -589,13 +597,13 @@ def cops_play(
     The transcript ends in capture.
     """
     dec.validate(d.vertices)
-    comps = _scc_cache(d)
+    table = _SccTable(d)
     transcript = PlayTranscript()
 
     def place(cops: frozenset[int], prev: frozenset[int], prev_robber: frozenset[int]) -> frozenset[int] | None:
         transcript.cop_positions.append(cops)
-        options = _legal_responses(comps, prev, prev_robber, cops)
-        choice = robber(options)
+        options = _responses(table, _bits(prev), _bits(prev_robber), _bits(cops))
+        choice = robber([_members(c) for c in options])
         transcript.robber_positions.append(choice)
         return choice
 
@@ -611,7 +619,7 @@ def cops_play(
     v = dec.leaf_map[leaf]
     c0 = frozenset({v})
     transcript.cop_positions.append(c0)
-    opts = [frozenset(c) for c in comps(c0)]
+    opts = [_members(c) for c in table[_bits(c0)][0]]
     r = robber(opts)
     transcript.robber_positions.append(r)
     if r is None:

@@ -67,9 +67,17 @@ def parse_graph_text(text: str) -> BipartiteGraph | Digraph:
     return digraph_from_arcs(header[0], edges)
 
 
+def read_text(path: str) -> str:
+    """The text of a file, or of stdin for `-`; undecodable bytes raise
+    `ParseError`."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+
+
 def parse_graph_file(path: str) -> BipartiteGraph | Digraph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_graph_text(text)
+    return parse_graph_text(read_text(path))
 
 
 def write_graph_text(g: BipartiteGraph | Digraph) -> str:
@@ -100,7 +108,10 @@ def parse_matching_text(text: str, host: BipartiteGraph) -> Matching:
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise ParseError("expected `e <u> <v>`", lineno)
-        edges.append((int(parts[1]), int(parts[2])))
+        try:
+            edges.append((int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise ParseError("malformed endpoint", lineno)
     if not header_seen:
         raise ParseError("empty matching file")
     return check_matching(host, edges)

@@ -91,39 +91,39 @@ def _max_crossing_pm_subsets(
 ) -> list[int] | None:
     """Max-total-weight perfect matching by DP over column subsets.
 
-    adj_mask[i] lists (j, weight).  Exact; preferred when n <= 14.
-    Returns mate_l or None.
+    adj_mask[i] lists (j, weight).  Row i extends, in ascending order, only
+    the column masks that some matching of rows 0..i-1 covers; a strict `>`
+    keeps the first best witness.  Exact; preferred when n <= 14.  Returns
+    mate_l or None.
     """
-    big = -1
-    size = 1 << n
-    best = [big] * size
+    best = [-1] * (1 << n)
     best[0] = 0
-    choice: list[int] = [0] * size  # packed (i << 8) | j of the last assignment
-    for mask in range(size):
-        if best[mask] == big:
-            continue
-        i = bin(mask).count("1")
-        if i == n:
-            continue
-        for j, w in adj_mask[i]:
-            bit = 1 << j
-            if mask & bit:
-                continue
-            nv = best[mask] + w
-            if nv > best[mask | bit]:
-                best[mask | bit] = nv
-                choice[mask | bit] = (i << 8) | j
-    full = size - 1
-    if best[full] == big:
-        return None
-    mate_l: list[int | None] = [None] * n
-    mask = full
-    while mask:
-        packed = choice[mask]
-        i, j = packed >> 8, packed & 0xFF
-        mate_l[i] = j
-        mask ^= 1 << j
-    return mate_l  # type: ignore[return-value]
+    last = [0] * (1 << n)  # column bit of the row matched last
+    layer = [0]
+    for row in adj_mask:
+        edges = [(1 << j, w) for j, w in row]
+        nxt = []
+        for mask in layer:
+            base = best[mask]
+            for bit, w in edges:
+                if mask & bit:
+                    continue
+                grown = mask | bit
+                if base + w > best[grown]:
+                    if best[grown] < 0:
+                        nxt.append(grown)
+                    best[grown] = base + w
+                    last[grown] = bit
+        if not nxt:
+            return None
+        nxt.sort()
+        layer = nxt
+    mate_l = [0] * n
+    mask = (1 << n) - 1
+    for i in reversed(range(n)):
+        mate_l[i] = last[mask].bit_length() - 1
+        mask ^= last[mask]
+    return mate_l
 
 
 def _porosity_with_witness(b: BipartiteGraph, shore: VertexSet) -> tuple[int, Matching]:

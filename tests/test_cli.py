@@ -157,9 +157,49 @@ def test_cli_decomp_json_roundtrip(tmp_path):
             assert "Traceback" not in err
 
 
-def test_cli_error_exit():
+# the first 64 bytes of an x86-64 ELF executable; byte 40 (0xf0) is no UTF-8
+ELF_HEAD = (
+    b"\x7fELF\x02\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x03\x00>\x00\x01\x00"
+    b"\x00\x00`\x10\x00\x00\x00\x00\x00\x00@\x00\x00\x00\x00\x00\x00\x00\xf0:\x00\x00"
+    b"\x00\x00\x00\x00\x00\x00\x00\x00@\x008\x00\r\x00@\x00'\x00&\x00"
+)
+
+
+def test_cli_error_exit(tmp_path):
     code, _, err = run_cli(["pm", "count", "/nonexistent/file"])
     assert code == 2 and "error" in err
+    binary = tmp_path / "elf"
+    binary.write_bytes(ELF_HEAD)
+    code, out, err = run_cli(["pm", "count", str(binary)])
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "Traceback" not in err
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchwidth.cli", "pm", "count", "-"],
+        input=ELF_HEAD,
+        capture_output=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+def test_cli_malformed_matching_file(tmp_path):
+    graph = tmp_path / "c4.txt"
+    graph.write_text(write_graph_text(even_cycle(2)))
+    bad_endpoint = tmp_path / "m.txt"
+    bad_endpoint.write_text("m\ne x 3\ne 2 4\n")
+    binary = tmp_path / "elf"
+    binary.write_bytes(ELF_HEAD)
+    for matching in (bad_endpoint, binary):
+        for cmd in (
+            ["guard", str(graph), "1", "--matching", str(matching)],
+            ["direction", str(graph), "--matching", str(matching)],
+            ["dapp", str(graph), "--pairs", "1:3", "--extend", str(matching)],
+        ):
+            code, out, err = run_cli(cmd)
+            assert code == 2 and out == "" and err.startswith("error:"), (cmd, err)
+            assert "Traceback" not in err
+    with pytest.raises(ParseError, match="line 2: malformed endpoint"):
+        parse_matching_text("m\ne x 3\n", even_cycle(2))
 
 
 def test_cli_ears_and_cops_and_dm():

@@ -220,6 +220,25 @@ def test_cop_number_matches_true_game():
         assert dtw_exact_small(d)[0] == cop_number_game_exact(d)
 
 
+def test_dtw_exact_small_at_workload_size():
+    # M-directions of planted graphs as large as the pm-dense benchmark's;
+    # (cop number, width, nodes) as the frozenset search found them
+    pinned = [
+        (2, 1, 8), (3, 3, 8), (2, 2, 8), (3, 3, 9), (2, 2, 9), (4, 4, 9),
+        (4, 4, 10), (3, 3, 10), (5, 5, 10), (3, 3, 11), (3, 3, 11), (2, 2, 11),
+    ]
+    rng = random.Random(31)
+    got = []
+    for n1 in (8, 8, 8, 9, 9, 9, 10, 10, 10, 11, 11, 11):
+        b = random_bipartite_with_pm(rng, n1, rng.randint(2 * n1, 4 * n1))
+        d, _ = m_direction(b, frozenset((i, n1 + i) for i in range(1, n1 + 1)))
+        k, dec = dtw_exact_small(d)
+        assert validate_dtd(d, dec)[0]
+        assert dec.width() <= 2 * k - 1
+        got.append((k, dec.width(), dec.m))
+    assert got == pinned
+
+
 def test_dtw_width_vs_cop_bound():
     rng = random.Random(9)
     for _ in range(20):

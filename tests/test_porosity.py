@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from matchwidth.bigraph import enumerate_perfect_matchings, graph_from_edges
+import matchwidth.porosity as por
+from matchwidth.bigraph import (
+    check_matching,
+    enumerate_perfect_matchings,
+    graph_from_edges,
+    is_perfect,
+)
 from matchwidth.digraph import (
     digraph_from_arcs,
     has_cycle_crossing,
@@ -53,31 +59,66 @@ def test_porosity_matches_bruteforce_random():
         assert matching_porosity(b, shore) == matching_porosity_bruteforce(b, shore)
 
 
-def test_porosity_ssp_route_matches_subset_route():
-    # force the successive-shortest-path branch by monkeypatching the bound
-    import matchwidth.porosity as por
+def ssp_witness(b, shore):
+    """The successive-shortest-path route's maximising perfect matching, or
+    None when b has none."""
+    n = b.n1
+    rows = sorted(b.v1)
+    cols = sorted(b.v2)
+    cidx = {v: j for j, v in enumerate(cols)}
+    as_cost: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v in b.edges:
+        crossing = (u in shore) != (v in shore)
+        as_cost[u - 1].append((cidx[v], 0 if crossing else 1))
+    mate = por._min_cost_pm_ssp(n, as_cost)
+    if mate is None:
+        return None
+    return frozenset((rows[i], cols[mate[i]]) for i in range(n))
 
+
+def crossing(m, shore):
+    return sum(1 for u, v in m if (u in shore) != (v in shore))
+
+
+def test_porosity_ssp_route_matches_subset_route():
     rng = random.Random(11)
     for _ in range(40):
         b = random_bipartite_with_pm(rng, rng.randint(2, 5), rng.randint(0, 7))
         shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
         expect = matching_porosity_bruteforce(b, shore)
-        n = b.n1
-        rows = sorted(b.v1)
-        cols = sorted(b.v2)
-        cidx = {v: j for j, v in enumerate(cols)}
-        as_cost: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v in b.edges:
-            crossing = (u in shore) != (v in shore)
-            as_cost[u - 1].append((cidx[v], 0 if crossing else 1))
-        mate = por._min_cost_pm_ssp(n, as_cost)
+        mate = ssp_witness(b, shore)
         assert mate is not None
-        got = sum(
-            1
-            for i in range(n)
-            if (rows[i] in shore) != (cols[mate[i]] in shore)
-        )
-        assert got == expect
+        assert crossing(mate, shore) == expect
+
+
+def shuffled_columns(rng, b):
+    cols = sorted(b.v2)
+    perm = cols[:]
+    rng.shuffle(perm)
+    relabel = dict(zip(cols, perm))
+    return graph_from_edges(b.n1, b.n2, [(u, relabel[v]) for u, v in b.edges])
+
+
+def test_porosity_witness_on_both_routes():
+    rng = random.Random(23)
+    for n1 in range(6, 15):
+        for extra in (n1 // 2, n1, 2 * n1, 3 * n1):
+            b = shuffled_columns(rng, random_bipartite_with_pm(rng, n1, extra))
+            shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
+            k, m = por._porosity_with_witness(b, shore)
+            assert check_matching(b, m) == m and is_perfect(b, m)
+            assert crossing(m, shore) == k
+            other = ssp_witness(b, shore)
+            assert is_perfect(b, other) and crossing(other, shore) == k
+            if n1 <= 7:
+                assert k == matching_porosity_bruteforce(b, shore)
+        # rows 1 and 2 see only the first column: no mask of two columns is
+        # reachable, however well the later rows are matched
+        rest = [(i, n1 + j) for i in range(3, n1 + 1) for j in range(1, n1 + 1)]
+        starved = graph_from_edges(n1, n1, [(1, n1 + 1), (2, n1 + 1)] + rest)
+        with pytest.raises(NoPerfectMatching):
+            por._porosity_with_witness(starved, frozenset(range(1, n1 + 1)))
+        assert ssp_witness(starved, frozenset()) is None
 
 
 def test_porosity_requires_pm():
