@@ -306,12 +306,19 @@ def is_conformal(b: BipartiteGraph, x: Iterable[int]) -> bool:
 
 
 def admissible_edges(b: BipartiteGraph) -> frozenset[Edge]:
-    """Edges contained in at least one perfect matching (empty if no PM)."""
-    if not has_perfect_matching(b):
+    """Edges contained in at least one perfect matching (empty if no PM).
+
+    One perfect matching M and one strong-component pass over its
+    M-direction decide every edge: an edge is admissible iff both its ends
+    lie in one elementary part (`direction.elementary_parts`).
+    """
+    from .direction import elementary_parts
+
+    m = some_perfect_matching(b)
+    if m is None:
         return frozenset()
-    return frozenset(
-        e for e in b.edges if has_perfect_matching(b, frozenset(e))
-    )
+    part_of = {v: i for i, part in enumerate(elementary_parts(b, m)) for v in part}
+    return frozenset(e for e in b.edges if part_of[e[0]] == part_of[e[1]])
 
 
 def is_matching_covered(b: BipartiteGraph) -> bool:

@@ -11,16 +11,14 @@ from typing import Callable, Iterable, Sequence
 from .bigraph import (
     BipartiteGraph,
     Matching,
-    admissible_edges,
     check_matching,
-    has_perfect_matching,
     induced_subgraph,
     is_conformal,
     is_perfect,
     some_perfect_matching,
 )
-from .digraph import Digraph, reachable_from, strong_components
-from .direction import m_direction
+from .digraph import Digraph, is_strongly_connected, reachable_from, strong_components
+from .direction import elementary_parts, m_direction
 from .errors import (
     InvalidDecomposition,
     NoPerfectMatching,
@@ -760,13 +758,6 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
     return out
 
 
-def _induces_strongly_connected(d: Digraph, vertex_set: frozenset[int]) -> bool:
-    if not vertex_set:
-        return False
-    banned = frozenset(d.vertices) - vertex_set
-    return len(strong_components(d, banned)) == 1
-
-
 def is_prepared(d: Digraph, dec: DirectedTreeDecomposition, width: int | None = None) -> bool:
     """Check the prepared axioms (subcubic; strong or small child subtrees;
     two-successor nodes orderable without back edges)."""
@@ -782,14 +773,15 @@ def is_prepared(d: Digraph, dec: DirectedTreeDecomposition, width: int | None = 
             return False
         if len(kids) == 1:
             below = dec.subtree_bag(kids[0])
-            if not (_induces_strongly_connected(d, below) or len(below) <= width + 1):
+            strong = is_strongly_connected(d, frozenset(d.vertices) - below)
+            if not (strong or len(below) <= width + 1):
                 return False
         elif len(kids) == 2:
             a, bnode = kids
             seta = dec.subtree_bag(a)
             setb = dec.subtree_bag(bnode)
-            sa = _induces_strongly_connected(d, seta)
-            sb = _induces_strongly_connected(d, setb)
+            sa = is_strongly_connected(d, frozenset(d.vertices) - seta)
+            sb = is_strongly_connected(d, frozenset(d.vertices) - setb)
             sma = len(seta) <= width + 1
             smb = len(setb) <= width + 1
             no_back_ba = not any(u in setb and v in seta for u, v in d.arcs)
@@ -966,27 +958,10 @@ def dtd_to_nice_pmd(
 
 
 def _is_elementary_set(b: BipartiteGraph, xs: frozenset[int]) -> bool:
-    if not xs:
-        return False
+    """The induced subgraph on xs has a perfect matching and one elementary part."""
     sub, _, _ = induced_subgraph(b, xs)
-    if sub.n1 != sub.n2 or not has_perfect_matching(sub):
-        return False
-    adm = admissible_edges(sub)
-    if len(adm) == 0:
-        return False
-    nbrs: dict[int, set[int]] = {v: set() for v in sub.vertices}
-    for u, v in adm:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == sub.n
+    m = some_perfect_matching(sub)
+    return m is not None and len(elementary_parts(sub, m)) == 1
 
 
 def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:

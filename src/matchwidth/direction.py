@@ -8,11 +8,12 @@ from .bigraph import (
     BipartiteGraph,
     Graph,
     Matching,
+    VertexSet,
     check_matching,
     is_extendable,
     is_perfect,
 )
-from .digraph import Digraph, is_strongly_k_connected
+from .digraph import Digraph, is_strongly_k_connected, strong_components
 from .errors import NotPerfect, TooSmall
 
 VertexTag = dict[int, tuple[int, int]]
@@ -39,6 +40,17 @@ def m_direction(b: BipartiteGraph, m: Matching) -> tuple[Digraph, VertexTag]:
         if e != f:
             arcs.add((e, f))
     return Digraph(len(edges), frozenset(arcs)), tag
+
+
+def elementary_parts(b: BipartiteGraph, m: Matching) -> list[VertexSet]:
+    """Strong components of the M-direction, as vertex sets of b.
+
+    m must be a perfect matching.  A non-matching edge lies in some perfect
+    matching iff it joins two matching edges of one component, so these
+    parts are the elementary components of b, in Tarjan's order.
+    """
+    d, tag = m_direction(b, m)
+    return [frozenset(x for i in comp for x in tag[i]) for comp in strong_components(d)]
 
 
 def split(d: Digraph) -> tuple[BipartiteGraph, Matching, VertexTag]:

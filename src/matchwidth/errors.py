@@ -65,14 +65,6 @@ class NotMatchingCovered(MatchwidthError):
     """Graph must be matching covered."""
 
 
-class JoinConditionViolated(MatchwidthError):
-    """Merge at a join node requires the one-directional cut condition."""
-
-
-class BoundViolated(MatchwidthError):
-    """Merge at a guard node requires its porosity/size bounds."""
-
-
 class InvalidW(MatchwidthError):
     """Terminal-covering matching violates its preconditions."""
 

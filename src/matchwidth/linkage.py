@@ -30,10 +30,8 @@ from .bigraph import (
 from .decomp import LeafTree, NicePMD, dtw_exact_small, prepare_dtd, dtd_to_nice_pmd
 from .direction import m_direction
 from .errors import (
-    BoundViolated,
     InvalidPairs,
     InvalidW,
-    JoinConditionViolated,
     NotExtendable,
     OracleLimitExceeded,
 )
@@ -754,7 +752,7 @@ def _assemble(
 
 
 # ---------------------------------------------------------------------------
-# Public itinerary surface and the merge wrappers.
+# Public itinerary surface.
 # ---------------------------------------------------------------------------
 
 
@@ -762,8 +760,8 @@ def _assemble(
 class Itinerary:
     """Sparse lazy itinerary: entries are computed on demand and memoised.
 
-    f(ell, pairs, J) = 1 iff a linkage of total size ell with a local
-    matching certificate exists for the node's vertex set.
+    query(pairs, J) holds every total size ell of a linkage with a local
+    matching certificate for the node's vertex set.
     """
 
     ctx: _Ctx
@@ -778,48 +776,6 @@ class Itinerary:
             tuple(sorted(tuple(p) for p in pairs)),
             frozenset(tuple(e) for e in j_set) | self.u_set,
         )
-
-    def value(self, ell: int, pairs: Sequence[TerminalPair], j_set: Iterable[Edge]) -> int:
-        return 1 if ell in self.query(pairs, j_set) else 0
-
-
-def merge_join(
-    f_x: Itinerary, f_y: Itinerary, u_set: Iterable[Edge] = ()
-) -> Itinerary:
-    """Itinerary for the union of two sides with no edge from the V1 part of
-    the second into the V2 part of the first (join nodes)."""
-    ctx = f_x.ctx
-    if ctx is not f_y.ctx:
-        raise ValueError("itineraries come from different runs")
-    xs, ys = ctx.below[f_x.node], ctx.below[f_y.node]
-    for u, v in ctx.b.edges:
-        if u in ys and v in xs:
-            raise JoinConditionViolated(
-                f"edge ({u},{v}) runs from the second side into the first"
-            )
-    parent = _find_parent(ctx, f_x.node, f_y.node)
-    return Itinerary(ctx, parent, frozenset(tuple(e) for e in u_set))
-
-
-def merge_guard(
-    f_x: Itinerary, f_y: Itinerary, u_set: Iterable[Edge] = ()
-) -> Itinerary:
-    """Itinerary for the union of a side with a small conformal piece
-    (guard nodes): the second side must hold at most the width budget."""
-    ctx = f_x.ctx
-    if ctx is not f_y.ctx:
-        raise ValueError("itineraries come from different runs")
-    if len(ctx.below[f_y.node]) > 2 * ctx.w:
-        raise BoundViolated("guard piece exceeds the width budget")
-    parent = _find_parent(ctx, f_x.node, f_y.node)
-    return Itinerary(ctx, parent, frozenset(tuple(e) for e in u_set))
-
-
-def _find_parent(ctx: _Ctx, a: int, bnode: int) -> int:
-    for node, kids in enumerate(ctx.kids):
-        if set(kids) == {a, bnode}:
-            return node
-    raise ValueError("nodes are not siblings in the decomposition")
 
 
 def make_context(

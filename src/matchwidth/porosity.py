@@ -10,14 +10,13 @@ from .bigraph import (
     Edge,
     Matching,
     VertexSet,
-    admissible_edges,
     check_matching,
-    has_perfect_matching,
     induced_subgraph,
     is_perfect,
+    some_perfect_matching,
 )
-from .digraph import Digraph, strong_components
-from .direction import split
+from .digraph import Digraph, has_cycle_crossing
+from .direction import elementary_parts, m_direction, split
 from .errors import NoPerfectMatching, NotAPartialOrder, NotPerfect
 
 
@@ -206,32 +205,15 @@ class DMStructure:
 
 
 def elementary_components(b: BipartiteGraph) -> DMStructure:
-    """Connected components of the subgraph induced by admissible edges."""
-    if not has_perfect_matching(b):
+    """Elementary components, sorted by their least vertex.
+
+    They are the strong components of the M-direction of any one perfect
+    matching (`direction.elementary_parts`).
+    """
+    m = some_perfect_matching(b)
+    if m is None:
         raise NoPerfectMatching("graph has no perfect matching")
-    adm = admissible_edges(b)
-    nbrs: dict[int, set[int]] = {v: set() for v in b.vertices}
-    for u, v in adm:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    seen: set[int] = set()
-    comps: list[VertexSet] = []
-    for v in b.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return DMStructure(tuple(comps))
+    return DMStructure(tuple(sorted(elementary_parts(b, m), key=min)))
 
 
 def dm_order(b: BipartiteGraph, colour: int) -> DMStructure:
@@ -326,32 +308,15 @@ def _crossing_conformal_cycle_exists(
 ) -> bool:
     """Is there an M-conformal cycle inside `allowed` crossing the shore cut?
 
-    m_edges must pair up the allowed vertices among themselves.  Decided by
-    strong connectivity of the induced M-direction: a crossing cycle exists
-    iff some strong component holds matching edges from both sides.
+    m_edges must be a perfect matching of b; its edges not inside `allowed`
+    are banned from the M-direction.  A crossing cycle exists iff some
+    strong component of what is left holds matching edges from both sides
+    (a matching edge's side is that of its V1 end).
     """
-    inside = [e for e in m_edges if e[0] in allowed and e[1] in allowed]
-    index = {e: i + 1 for i, e in enumerate(inside)}
-    by_v1 = {e[0]: e for e in inside}
-    by_v2 = {e[1]: e for e in inside}
-    arcs = set()
-    for u, v in b.edges:
-        if u not in allowed or v not in allowed:
-            continue
-        e = by_v1.get(u)
-        f = by_v2.get(v)
-        if e is None or f is None or e == f:
-            continue
-        arcs.add((index[e], index[f]))
-    d = Digraph(len(inside), frozenset(arcs))
-    side = {index[e]: (e[0] in shore) for e in inside}
-    for comp in strong_components(d):
-        if len(comp) < 2:
-            continue
-        flags = {side[v] for v in comp}
-        if len(flags) == 2:
-            return True
-    return False
+    d, tag = m_direction(b, m_edges)
+    side = frozenset(i for i, e in tag.items() if e[0] in shore)
+    banned = frozenset(i for i, e in tag.items() if not (e[0] in allowed and e[1] in allowed))
+    return has_cycle_crossing(d, side, banned)
 
 
 def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> GuardingSet:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +16,12 @@ from matchwidth.bigraph import (
     plain_has_perfect_matching,
     some_perfect_matching,
     Graph,
+    induced_subgraph,
 )
-from matchwidth.errors import DegreeNotTwo, OracleLimitExceeded
+from matchwidth.decomp import _is_elementary_set
+from matchwidth.direction import conformal_cycles
+from matchwidth.errors import DegreeNotTwo, NoPerfectMatching, OracleLimitExceeded
+from matchwidth.porosity import _crossing_conformal_cycle_exists, elementary_components
 from matchwidth.isomorphism import bipartite_isomorphic
 
 from common import canonical_cycle_matching, complete_bipartite, even_cycle, k2, path_graph
@@ -122,11 +128,87 @@ def test_extendable_matches_enumeration():
             assert is_extendable(b, [e]) == by_enum
 
 
+def _random_bigraph(rng: random.Random) -> BipartiteGraph:
+    """n1 in 1..7; one graph in five unbalanced, half with a planted PM."""
+    n1 = rng.randint(1, 7)
+    n2 = n1 if rng.random() < 0.8 else max(1, n1 + rng.choice((-1, 1)))
+    p = rng.uniform(0.1, 0.5)
+    edges = {(i, n1 + j) for i in range(1, n1 + 1) for j in range(1, n2 + 1) if rng.random() < p}
+    if n1 == n2 and rng.random() < 0.5:
+        edges |= {(i, n1 + i) for i in range(1, n1 + 1)}
+    return graph_from_edges(n1, n2, edges)
+
+
+def _components(vertices, edges) -> set[frozenset[int]]:
+    nbrs = {v: set() for v in vertices}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    comps, seen = set(), set()
+    for v in vertices:
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for y in nbrs[stack.pop()] - comp:
+                comp.add(y)
+                stack.append(y)
+        seen |= comp
+        comps.add(frozenset(comp))
+    return comps
+
+
+def _elementary_by_definition(b: BipartiteGraph) -> bool:
+    pms = enumerate_perfect_matchings(b)
+    union = {e for m in pms for e in m}
+    return bool(pms) and len(_components(b.vertices, union)) == 1
+
+
 def test_admissible_is_union_of_pms():
     for b in [even_cycle(3), path_graph(5), complete_bipartite(2, 2)]:
         pms = enumerate_perfect_matchings(b)
         union = frozenset(e for m in pms for e in m)
         assert admissible_edges(b) == union
+
+    rng = random.Random(5)
+    seen = {"no_pm": 0, "unbalanced": 0, "split": 0, "crossing": 0}
+    for _ in range(300):
+        b = _random_bigraph(rng)
+        adm = admissible_edges(b)
+        assert adm == frozenset(e for e in b.edges if is_extendable(b, [e]))
+        pms = enumerate_perfect_matchings(b)
+        assert adm == frozenset(e for m in pms for e in m)
+        seen["unbalanced"] += b.n1 != b.n2
+        for _ in range(3):
+            xs = frozenset(v for v in b.vertices if rng.random() < 0.6)
+            sub, _, _ = induced_subgraph(b, xs)
+            assert _is_elementary_set(b, xs) == _elementary_by_definition(sub)
+        if not pms:
+            seen["no_pm"] += 1
+            with pytest.raises(NoPerfectMatching):
+                elementary_components(b)
+            continue
+        comps = elementary_components(b).components
+        assert set(comps) == _components(b.vertices, adm)
+        assert list(comps) == sorted(comps, key=min)
+
+        # a shore of whole matching edges and an `allowed` set that splits
+        # some of them, as in the lambda-loop of `guarding_set`
+        if b.n1 > 5:
+            continue
+        m = pms[rng.randrange(len(pms))]
+        cycles = conformal_cycles(b, m)
+        for _ in range(3):
+            shore = frozenset(x for e in m if rng.random() < 0.5 for x in e)
+            allowed = frozenset(v for v in b.vertices if rng.random() < 0.8)
+            seen["split"] += any((u in allowed) != (v in allowed) for u, v in m)
+            expected = any(
+                set(c) <= allowed and any(v in shore for v in c) and any(v not in shore for v in c)
+                for c in cycles
+            )
+            seen["crossing"] += expected
+            assert _crossing_conformal_cycle_exists(b, m, shore, allowed) == expected
+    assert min(seen.values()) >= 10, seen
 
 
 @settings(max_examples=60, deadline=None)

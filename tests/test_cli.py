@@ -212,22 +212,20 @@ def test_cli_ears_and_cops_and_dm():
     assert code == 0 and "component" in out
 
 
-def test_cli_minor():
+def test_cli_minor(tmp_path):
     c6 = write_graph_text(even_cycle(3))
     c4 = write_graph_text(even_cycle(2))
     code, out, _ = run_cli(["minor", "-", "/dev/stdin"], stdin=c6)
     # two stdin sources unsupported; write files instead
-    import tempfile, os
-
-    with tempfile.TemporaryDirectory() as tmp:
-        fb = os.path.join(tmp, "b.txt")
-        fh = os.path.join(tmp, "h.txt")
-        open(fb, "w").write(c6)
-        open(fh, "w").write(c4)
-        code, out, _ = run_cli(["minor", fb, fh])
-        assert code == 0 and out.strip() == "yes"
-        code, out, _ = run_cli(["minor", fb, fh, "--oracle"])
-        assert code == 0 and out.strip() == "yes"
-        code, out, _ = run_cli(["bminor", fh, fh])
-        # bminor expects digraphs: exit 2
-        assert code == 2
+    fb = tmp_path / "b.txt"
+    fh = tmp_path / "h.txt"
+    fb.write_text(c6)
+    fh.write_text(c4)
+    fb, fh = str(fb), str(fh)
+    code, out, _ = run_cli(["minor", fb, fh])
+    assert code == 0 and out.strip() == "yes"
+    code, out, _ = run_cli(["minor", fb, fh, "--oracle"])
+    assert code == 0 and out.strip() == "yes"
+    code, out, _ = run_cli(["bminor", fh, fh])
+    # bminor expects digraphs: exit 2
+    assert code == 2

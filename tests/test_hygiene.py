@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module imports is used where it is imported."""
+"""Source hygiene: every name a module imports is used where it is imported,
+and every module-level private function or class is referenced somewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -39,3 +41,32 @@ def unused_imports(path: Path) -> list[str]:
 def test_every_import_is_used():
     src = Path(matchwidth.__file__).parent
     assert [msg for path in sorted(src.glob("*.py")) for msg in unused_imports(path)] == []
+
+
+def unreferenced_private_defs(paths: list[Path]) -> list[str]:
+    """Module-level `_name` functions and classes that no module of the
+    package reads by name, as an attribute or in an import."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    referenced: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.startswith("__") and name not in referenced:
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+def test_every_private_definition_is_referenced():
+    src = Path(matchwidth.__file__).parent
+    assert unreferenced_private_defs(sorted(src.glob("*.py"))) == []

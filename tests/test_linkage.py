@@ -9,7 +9,7 @@ from matchwidth.bigraph import (
     is_extendable,
 )
 from matchwidth.decomp import compute_pmd
-from matchwidth.errors import InvalidW, JoinConditionViolated, NotExtendable, OracleLimitExceeded
+from matchwidth.errors import InvalidW, NotExtendable, OracleLimitExceeded
 from matchwidth.linkage import (
     Itinerary,
     dapp_bruteforce,
@@ -18,8 +18,6 @@ from matchwidth.linkage import (
     is_limited,
     make_context,
     make_proxies,
-    merge_guard,
-    merge_join,
     node_itinerary,
     parts_in,
     w_completion,
@@ -120,27 +118,6 @@ def test_make_proxies_empty_when_blocked():
     assert list(make_proxies(c4, [(1, 4)], w)) == []
 
 
-def test_merge_wrappers():
-    c6 = even_cycle(3)
-    nice = compute_pmd(c6)
-    ctx = make_context(c6, nice, forced=frozenset(), banned=frozenset(), k=1)
-    # locate two sibling leaves-or-subtrees to merge
-    node = ctx.root_node
-    c1, c2 = ctx.kids[node]
-    f_x = node_itinerary(ctx, c1)
-    f_y = node_itinerary(ctx, c2)
-    xs, ys = ctx.below[c1], ctx.below[c2]
-    has_back = any(u in ys and v in xs for u, v in c6.edges)
-    if has_back:
-        with pytest.raises(JoinConditionViolated):
-            merge_join(f_x, f_y)
-        merged = merge_guard(f_x, f_y) if len(ys) <= 2 * ctx.w else None
-    else:
-        merged = merge_join(f_x, f_y)
-    if merged is not None:
-        assert merged.node == node
-
-
 def test_itinerary_root_matches_solution():
     c6 = even_cycle(3)
     nice = compute_pmd(c6)
@@ -151,7 +128,6 @@ def test_itinerary_root_matches_solution():
     root = node_itinerary(ctx, ctx.root_node)
     got = root.query([(2, 5)], w_prime)
     assert got  # the path 2-5 exists with both anchors forced
-    assert root.value(min(got), [(2, 5)], w_prime) == 1
 
 
 def test_dapp_solve_examples():
