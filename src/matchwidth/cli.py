@@ -7,6 +7,7 @@ the output to a single JSON object on stdout; `-` reads a graph from stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -445,9 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MatchwidthError as exc:

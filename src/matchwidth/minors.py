@@ -11,9 +11,12 @@ from .bigraph import (
     BipartiteGraph,
     Edge,
     Matching,
+    bicontract,
     check_matching,
+    enumerate_perfect_matchings,
     has_perfect_matching,
     induced_subgraph,
+    is_matching_covered,
     is_perfect,
 )
 from .digraph import Digraph
@@ -23,7 +26,8 @@ from .errors import (
     NotContractible,
     OracleLimitExceeded,
 )
-from .isomorphism import canonical_bipartite, canonical_digraph
+from .isomorphism import bipartite_automorphisms, canonical_bipartite, canonical_digraph
+from .linkage import _solve_full
 from .planarity import planarity_test
 
 MM_ORACLE_LIMIT = 14
@@ -240,8 +244,6 @@ def matching_minor_bruteforce(
                     return True
         # bicontractions
         if g.n > n_h:
-            from .bigraph import bicontract
-
             for v in _bicontract_candidates(g):
                 g2, _, _ = bicontract(g, v)
                 if has_perfect_matching(g2) and search(g2):
@@ -299,7 +301,7 @@ def find_model_bruteforce(
                 return
 
     def paths_between(
-    	src: frozenset[int], dst: frozenset[int], banned: frozenset[int]
+        src: frozenset[int], dst: frozenset[int], banned: frozenset[int]
     ) -> Iterator[tuple[int, ...]]:
         # odd paths from an old vertex of src to an old vertex of dst,
         # internally avoiding banned
@@ -497,8 +499,6 @@ def is_strongly_planar(d: Digraph) -> bool:
 
 
 def _h_automorphism_images(h: BipartiteGraph) -> list[dict[int, int]]:
-    from .isomorphism import bipartite_automorphisms
-
     if h.n <= 12:
         return bipartite_automorphisms(h)
     return [{v: v for v in h.vertices}]
@@ -513,8 +513,6 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     edge paths become terminal pairs of one DAPP instance whose forced set F
     consists of the anchor edges and the conformal-path end edges.
     """
-    from .bigraph import enumerate_perfect_matchings, is_matching_covered
-
     if not is_matching_covered(h):
         raise ModelInvalid("pattern must be matching covered")
     if not has_perfect_matching(b):
@@ -549,6 +547,22 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     return False
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """What the placement search reads for one perfect matching m_h of h:
+    the h-side order and incidences, and the host's candidates per colour
+    class in the order they are tried."""
+
+    h_vertices: list[int]
+    # per non-m_h edge (u, v) in sorted order: u, the edge's place among
+    # u's non-m_h edges (the index into u's slot pattern), v, its place at v
+    edge_slots: list[tuple[int, int, int, int]]
+    m_edges: list[Edge]  # sorted
+    exposed_cands: dict[int, list[tuple[int, int]]]  # class -> (vertex, degree)
+    # class -> (edge, end in the class, other end, degree of the first end)
+    spine_cands: dict[int, list[tuple[Edge, int, int, int]]]
+
+
 def _check_with_mh(
     b: BipartiteGraph,
     h: BipartiteGraph,
@@ -557,22 +571,33 @@ def _check_with_mh(
 ) -> bool:
     h_vertices = sorted(h.vertices)
     non_m_edges = sorted(e for e in h.edges if e not in m_h)
-    mate_h: dict[int, int] = {}
-    for u, v in m_h:
-        mate_h[u] = v
-        mate_h[v] = u
+    incident = {u: [e for e in non_m_edges if u in e] for u in h_vertices}
+    edge_slots = [
+        (u, incident[u].index((u, v)), v, incident[v].index((u, v))) for u, v in non_m_edges
+    ]
+    host_edges = sorted(b.edges)
+    layout = _Layout(
+        h_vertices,
+        edge_slots,
+        sorted(m_h),
+        {c: [(v, b.degree(v)) for v in vs] for c, vs in ((1, b.v1), (2, b.v2))},
+        {
+            1: [(e, e[0], e[1], b.degree(e[0])) for e in host_edges],
+            2: [(e, e[1], e[0], b.degree(e[1])) for e in host_edges],
+        },
+    )
 
     # anchor slot patterns: every non-matching h-edge at u goes to slot 0
     # (the exposed vertex) or to a numbered spine slot
     def slot_patterns(u: int) -> list[tuple[tuple[int, ...], int]]:
-        incident = [e for e in non_m_edges if u in e]
+        count = len(incident[u])
         out: list[tuple[tuple[int, ...], int]] = []
 
         def rec(i: int, assign: list[int], top: int) -> None:
-            if i == len(incident):
+            if i == count:
                 out.append((tuple(assign), top))
                 return
-            for slot in range(0, min(top + 1, len(incident)) + 1):
+            for slot in range(0, min(top + 1, count) + 1):
                 if slot > top + 1:
                     continue
                 assign.append(slot)
@@ -602,15 +627,18 @@ def _check_with_mh(
         rec(1, [])
         return shapes
 
-    def assignments(idx: int, chosen: dict, spine_budget: int) -> Iterator[dict]:
+    shapes_by_size = [tree_shapes(a) for a in range(max(map(len, incident.values())) + 1)]
+
+    def assignments(idx: int, chosen: dict, spine_budget: int) -> Iterator[tuple[dict, int]]:
+        # yields each combo with the vertices it leaves for legs and paths
         if idx == len(h_vertices):
-            yield dict(chosen)
+            yield dict(chosen), spine_budget
             return
         u = h_vertices[idx]
         for pattern, a_u in patterns_by_u[u]:
             if 2 * a_u > spine_budget:
                 continue
-            for shape in tree_shapes(a_u):
+            for shape in shapes_by_size[a_u]:
                 chosen[u] = (pattern, a_u, shape)
                 yield from assignments(idx + 1, chosen, spine_budget - 2 * a_u)
                 del chosen[u]
@@ -620,189 +648,170 @@ def _check_with_mh(
     for flip in (False, True):
         if flip and h.n1 != h.n2:
             continue
-
-        def b_class(u: int) -> int:
-            c = colour_of[u]
-            return c if not flip else 3 - c
-
-        for combo in assignments(0, {}, budget):
-            if _place_and_solve(b, h, m_h, combo, b_class):
+        host_class = {u: 3 - c if flip else c for u, c in colour_of.items()}
+        for combo, slack in assignments(0, {}, budget):
+            if _place_and_solve(b, layout, combo, host_class, slack):
                 return True
     return False
 
 
-def _place_and_solve(b, h, m_h, combo, b_class) -> bool:
+def _place_and_solve(
+    b: BipartiteGraph,
+    layout: _Layout,
+    combo: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]],
+    host_class: dict[int, int],
+    slack: int,
+) -> bool:
     """Choose concrete vertices and edges for the guessed structure, then
-    solve the resulting forced DAPP instance."""
-    from .linkage import _solve_full
+    solve the resulting forced DAPP instance.
 
-    h_vertices = sorted(h.vertices)
-    non_m_edges = sorted(e for e in h.edges if e not in m_h)
-    mate_h: dict[int, int] = {}
-    for u, v in m_h:
-        mate_h[u] = v
-        mate_h[v] = u
+    An anchor is a pair (h-vertex u, slot): slot 0 is u's exposed vertex,
+    slot j >= 1 the end in u's host class of the spine edge of slot j.  Two
+    anchors are linked when an h-edge path or an m_h edge joins them.  Each
+    linked pair placed on non-adjacent host vertices needs at least two
+    spare vertices for its path's interior.  The search carries that path
+    demand as a running total: placing an anchor on x adds 2 for each link
+    whose other anchor is already placed on a vertex not adjacent to x, so
+    at every check it equals twice the number of such placed pairs.  A
+    branch whose demand exceeds the slack (the vertices left after the
+    model's trees) is cut.
+    """
+    n1 = b.n1
+    adj = b.adj
+    h_vertices = layout.h_vertices
 
-    # concrete choices: exposed vertex x_u per h-vertex, spine edges per slot
-    used: set[int] = set()
-    exposed: dict[int, int] = {}
-    spine: dict[tuple[int, int], Edge] = {}  # (u, slot>=1) -> edge
-
-    slack0 = b.n - h.n - sum(2 * combo[u][1] for u in h_vertices)
-    if slack0 < 0:
-        return False
-
-    # anchor slots per (vertex, incident non-matching edge)
-    slot_of: dict[tuple[int, Edge], int] = {}
+    # anchor ids in placement order; `first[u]` is the id of (u, 0)
+    first: dict[int, int] = {}
+    count = 0
     for u in h_vertices:
-        pattern = combo[u][0]
-        incident = [e for e in non_m_edges if u in e]
-        for i, e in enumerate(incident):
-            slot_of[(u, e)] = pattern[i]
+        first[u] = count
+        count += combo[u][1] + 1
+    # degree demand per anchor: its leaving paths and legs, plus the
+    # conformal-path end edge (slot 0) or its spine edge (slot >= 1)
+    need = [1] * count
+    links: list[list[int]] = [[] for _ in range(count)]
+    edge_anchors: list[tuple[int, int]] = []  # per non-m_h edge, in order
+    for u, iu, v, iv in layout.edge_slots:
+        au = first[u] + combo[u][0][iu]
+        av = first[v] + combo[v][0][iv]
+        need[au] += 1
+        need[av] += 1
+        links[au].append(av)
+        links[av].append(au)
+        edge_anchors.append((au, av))
+    for u, v in layout.m_edges:
+        links[first[u]].append(first[v])
+        links[first[v]].append(first[u])
+    legs: list[tuple[int, int]] = []  # (parent anchor, spine anchor)
+    for u in h_vertices:
+        _, a_u, shape = combo[u]
+        for j in range(1, a_u + 1):
+            parent = first[u] + shape[j - 1]
+            need[parent] += 1
+            legs.append((parent, first[u] + j))
 
-    # degree demand per slot: distinct host edges leave every anchor
-    def slot_demand(u: int, slot: int) -> int:
-        pattern, a_u, shape = combo[u]
-        paths = sum(1 for e in non_m_edges if u in e and slot_of[(u, e)] == slot)
-        legs = sum(1 for j in range(1, a_u + 1) if shape[j - 1] == slot)
-        ends = 1 if slot == 0 else 0  # the conformal-path end edge at x_u
-        spine_edge = 0 if slot == 0 else 1
-        return paths + legs + ends + spine_edge
+    # placement state: the host vertex of every placed anchor, and for a
+    # spine anchor its edge and that edge's other end
+    at: list[int | None] = [None] * count
+    spine_edge: list[Edge | None] = [None] * count
+    spine_new: list[int] = [0] * count
+    used: set[int] = set()
 
-    def old_end(e: Edge, u: int) -> int:
-        return e[0] if b_class(u) == 1 else e[1]
-
-    def new_end(e: Edge, u: int) -> int:
-        return e[1] if b_class(u) == 1 else e[0]
-
-    def anchor_vertex(u: int, slot: int) -> int | None:
-        if slot == 0:
-            return exposed.get(u)
-        e = spine.get((u, slot))
-        return None if e is None else old_end(e, u)
-
-    def path_demand() -> int:
+    def added(a: int, x: int) -> int:
+        near = adj[x]
         demand = 0
-        for e in non_m_edges:
-            u, v = e
-            au = anchor_vertex(u, slot_of[(u, e)])
-            av = anchor_vertex(v, slot_of[(v, e)])
-            if au is not None and av is not None and not b.has_edge(au, av):
-                demand += 2
-        for u, v in m_h:
-            xu, xv = exposed.get(u), exposed.get(v)
-            if xu is not None and xv is not None and not b.has_edge(xu, xv):
+        for c in links[a]:
+            y = at[c]
+            if y is not None and y not in near:
                 demand += 2
         return demand
 
-    def place(idx: int) -> bool:
+    def place(idx: int, demand: int) -> bool:
         if idx == len(h_vertices):
             return solve()
         u = h_vertices[idx]
-        pattern, a_u, shape = combo[u]
-        want1 = b_class(u) == 1
-        need = slot_demand(u, 0)
-        candidates = [
-            v for v in (b.v1 if want1 else b.v2)
-            if v not in used and b.degree(v) >= need
-        ]
-        for x in candidates:
-            exposed[u] = x
+        a = first[u]
+        need_a = need[a]
+        for x, deg in layout.exposed_cands[host_class[u]]:
+            if x in used or deg < need_a:
+                continue
+            at[a] = x
             used.add(x)
-            if path_demand() <= slack0 and place_spines(u, 1, a_u, idx):
+            d = demand + added(a, x)
+            if d <= slack and place_spines(u, 1, idx, d):
                 return True
             used.remove(x)
-            del exposed[u]
+            at[a] = None
         return False
 
-    def place_spines(u: int, slot: int, a_u: int, idx: int) -> bool:
-        if slot > a_u:
-            return place(idx + 1)
-        need = slot_demand(u, slot)
-        for e in sorted(b.edges):
+    def place_spines(u: int, slot: int, idx: int, demand: int) -> bool:
+        if slot > combo[u][1]:
+            return place(idx + 1, demand)
+        a = first[u] + slot
+        need_a = need[a]
+        for e, old, new, deg in layout.spine_cands[host_class[u]]:
             if e[0] in used or e[1] in used:
                 continue
-            if b.degree(old_end(e, u)) < need:
+            if deg < need_a:
                 continue
-            spine[(u, slot)] = e
+            at[a], spine_edge[a], spine_new[a] = old, e, new
             used.update(e)
-            if path_demand() <= slack0 and place_spines(u, slot + 1, a_u, idx):
+            d = demand + added(a, old)
+            if d <= slack and place_spines(u, slot + 1, idx, d):
                 return True
             used.difference_update(e)
-            del spine[(u, slot)]
+            at[a] = spine_edge[a] = None
         return False
 
-    def solve() -> bool:
-        leg_pairs: list[tuple[int, int]] = []
-        for u in h_vertices:
-            pattern, a_u, shape = combo[u]
-            for j in range(1, a_u + 1):
-                p = shape[j - 1]
-                a_vertex = exposed[u] if p == 0 else old_end(spine[(u, p)], u)
-                q_vertex = new_end(spine[(u, j)], u)
-                pair = (a_vertex, q_vertex) if a_vertex <= b.n1 else (q_vertex, a_vertex)
-                leg_pairs.append(pair)
-        return mh_rec(sorted(m_h), set(spine.values()), leg_pairs)
+    def ordered(x: int, y: int) -> tuple[int, int]:
+        return (x, y) if x <= n1 else (y, x)
 
-    def mh_rec(edges_left: list[Edge], forced: set[Edge], pairs: list) -> bool:
-        if not edges_left:
-            return run(frozenset(forced), tuple(pairs))
-        u, v = edges_left[0]
-        xu, xv = exposed[u], exposed[v]
+    def solve() -> bool:
+        leg_pairs = [ordered(at[p], spine_new[j]) for p, j in legs]
+        edge_pairs = tuple(ordered(at[au], at[av]) for au, av in edge_anchors)
+        forced = {e for e in spine_edge if e is not None}
+        return mh_rec(0, forced, leg_pairs, edge_pairs)
+
+    def mh_rec(i: int, forced: set[Edge], pairs: list, edge_pairs: tuple) -> bool:
+        if i == len(layout.m_edges):
+            return run(frozenset(forced), tuple(pairs) + edge_pairs)
+        u, v = layout.m_edges[i]
+        xu, xv = at[first[u]], at[first[v]]
         # degenerate realisation: the pattern matching edge maps to a single
         # matching edge of the host
         if b.has_edge(xu, xv):
             e = b.edge(xu, xv)
             forced.add(e)
-            if mh_rec(edges_left[1:], forced, pairs):
+            if mh_rec(i + 1, forced, pairs, edge_pairs):
                 return True
             forced.discard(e)
         # general: pick the two end edges of the conformal path
-        for pu in sorted(b.adj[xu]):
+        for pu in sorted(adj[xu]):
             if pu in used or pu == xv:
                 continue
             eu = b.edge(xu, pu)
-            for pv in sorted(b.adj[xv]):
+            for pv in sorted(adj[xv]):
                 if pv in used or pv == xu or pv == pu:
                     continue
                 ev = b.edge(xv, pv)
                 forced.update((eu, ev))
                 used.update((pu, pv))
-                pair = (pv, pu) if pv <= b.n1 else (pu, pv)
-                pairs.append(pair)
-                if mh_rec(edges_left[1:], forced, pairs):
+                pairs.append(ordered(pv, pu))
+                if mh_rec(i + 1, forced, pairs, edge_pairs):
                     return True
                 pairs.pop()
                 used.difference_update((pu, pv))
                 forced.difference_update((eu, ev))
         return False
 
-    def run(forced: frozenset[Edge], pairs: tuple) -> bool:
-        # edge paths of h join anchors of their endpoints
-        all_pairs = list(pairs)
-        for e in non_m_edges:
-            u, v = e
-            pu_pattern = combo[u][0]
-            pv_pattern = combo[v][0]
-            iu = [x for x in non_m_edges if u in x].index(e)
-            iv = [x for x in non_m_edges if v in x].index(e)
-            slot_u = pu_pattern[iu]
-            slot_v = pv_pattern[iv]
-            au = exposed[u] if slot_u == 0 else (
-                spine[(u, slot_u)][0] if b_class(u) == 1 else spine[(u, slot_u)][1]
-            )
-            av = exposed[v] if slot_v == 0 else (
-                spine[(v, slot_v)][0] if b_class(v) == 1 else spine[(v, slot_v)][1]
-            )
-            pair = (au, av) if au <= b.n1 else (av, au)
-            all_pairs.append(pair)
+    def run(forced: frozenset[Edge], all_pairs: tuple) -> bool:
+        # the legs, the conformal paths and the edge paths of h
+        covered = frozenset(x for f in forced for x in f)
+        if len(covered) != 2 * len(forced):
+            return False
+        if not has_perfect_matching(b, covered):
+            return False
         terminals = {x for p in all_pairs for x in p}
-        banned = frozenset(x for f in forced for x in f) - terminals
-        ok_matching = len({x for f in forced for x in f}) == 2 * len(forced)
-        if not ok_matching:
-            return False
-        if not has_perfect_matching(b, frozenset(x for f in forced for x in f)):
-            return False
-        return _solve_full(b, tuple(all_pairs), banned, frozenset(forced))
+        return _solve_full(b, all_pairs, covered - terminals, forced)
 
-    return place(0)
+    return place(0, 0)

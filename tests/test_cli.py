@@ -215,8 +215,9 @@ def test_cli_ears_and_cops_and_dm():
 def test_cli_minor(tmp_path):
     c6 = write_graph_text(even_cycle(3))
     c4 = write_graph_text(even_cycle(2))
-    code, out, _ = run_cli(["minor", "-", "/dev/stdin"], stdin=c6)
-    # two stdin sources unsupported; write files instead
+    # two stdin sources are unsupported: the first one reads all of stdin
+    code, _, err = run_cli(["minor", "-", "/dev/stdin"], stdin=c6)
+    assert code == 2 and err.strip() == "error: empty input"
     fb = tmp_path / "b.txt"
     fh = tmp_path / "h.txt"
     fb.write_text(c6)
@@ -229,3 +230,25 @@ def test_cli_minor(tmp_path):
     code, out, _ = run_cli(["bminor", fh, fh])
     # bminor expects digraphs: exit 2
     assert code == 2
+
+
+def test_cli_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # `main` reuses one parser within a process; nothing of one call's
+    # arguments may reach the next
+    fb = tmp_path / "b.txt"
+    fh = tmp_path / "h.txt"
+    fb.write_text(write_graph_text(even_cycle(3)))
+    fh.write_text(write_graph_text(even_cycle(2)))
+    fb, fh = str(fb), str(fh)
+    assert main(["--json", "minor", fb, fh, "--oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["contains"] is True
+    assert main(["minor", fb, fh]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "minor", fb])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["minor", fh, fb]) == 1
+    assert capsys.readouterr().out == "no\n"
+    assert main(["minor", fb, fh]) == 0
+    assert capsys.readouterr().out == "yes\n"

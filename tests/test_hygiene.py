@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used where it is imported,
-and every module-level private function or class is referenced somewhere in
-the package."""
+every module-level private function or class is referenced somewhere in
+the package, and no source or test line holds a tab."""
 
 import ast
 from pathlib import Path
@@ -70,3 +70,19 @@ def unreferenced_private_defs(paths: list[Path]) -> list[str]:
 def test_every_private_definition_is_referenced():
     src = Path(matchwidth.__file__).parent
     assert unreferenced_private_defs(sorted(src.glob("*.py"))) == []
+
+
+def tab_lines(paths: list[Path]) -> list[str]:
+    """`file:line` of every line holding a tab character."""
+    return [
+        f"{path.name}:{number}"
+        for path in paths
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "\t" in line
+    ]
+
+
+def test_no_tab_characters():
+    src = Path(matchwidth.__file__).parent
+    tests = Path(__file__).parent
+    assert tab_lines(sorted(src.glob("*.py")) + sorted(tests.glob("*.py"))) == []

@@ -236,3 +236,44 @@ def test_matching_minor_check_agrees_random():
             continue
         assert matching_minor_check(b, h) == matching_minor_bruteforce(b, h)
         checked += 1
+
+
+# `_solve_full` calls per (host, pattern) below.  The placement search's
+# enumeration order fixes them, so a change to that order shows up here.
+PINNED_SOLVE_CALLS = [
+    (72, 0, 0, 0),
+    (32, 0, 0, 0),
+    (1, 2, 0, 0),
+    (7, 0, 0, 0),
+    (56, 0, 0, 0),
+    (140, 6, 0, 0),
+    (9, 24, 0, 0),
+    (124, 0, 0, 0),
+    (5, 0, 0, 0),
+    (73, 84, 0, 0),
+]
+
+
+def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
+    # hosts shaped like the `minor` benchmark's: planted, n1 4-5, 3-4 extra
+    # edges; every benchmark pattern is checked against the closure search
+    import matchwidth.minors as minors
+
+    calls = []
+    solve = minors._solve_full
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(minors, "_solve_full", counted)
+    rng = random.Random(5)
+    targets = [even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)]
+    for pinned in PINNED_SOLVE_CALLS:
+        b = random_bipartite_with_pm(rng, rng.randint(4, 5), rng.randint(3, 4))
+        counts = []
+        for h in targets:
+            calls.clear()
+            assert minors.matching_minor_check(b, h) == matching_minor_bruteforce(b, h)
+            counts.append(len(calls))
+        assert tuple(counts) == pinned, sorted(b.edges)
