@@ -179,6 +179,8 @@ def count_pm_decomp(
 
 def count_pm(b: BipartiteGraph, dec: LeafTree | None = None) -> int:
     """Count perfect matchings through the decomposition pipeline."""
+    if b.n == 0:
+        return 1  # the empty matching
     if dec is None:
         nice = compute_pmd(b)
         dec = nice.tree

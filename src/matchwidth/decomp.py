@@ -26,7 +26,12 @@ from .errors import (
     NotPrepared,
     OracleLimitExceeded,
 )
-from .porosity import cycle_porosity, directed_cycle_hitting_set, matching_porosity
+from .porosity import (
+    cycle_porosity,
+    directed_cycle_hitting_set,
+    matching_porosity,
+    matching_porosity_bound,
+)
 
 DTW_ORACLE_LIMIT = 12
 PMW_ORACLE_LIMIT = 10
@@ -148,20 +153,34 @@ def pmd_width(
 
     extra_edges, when given, are added to the graph before evaluating the
     porosities (used for completion-augmented safety widths).
+
+    Only cuts that can raise the maximum get the exact porosity search.
+    The best value so far starts at the larger of 1 (every perfect matching
+    crosses a leaf edge's cut exactly once) and the most edges that one
+    perfect matching M uses on an inner cut.  Each inner cut has an upper
+    bound from `matching_porosity_bound`.  The cuts are searched in falling
+    order of their bounds until a bound is no larger than the best value:
+    no remaining cut can exceed it, so the maximum is exact.
     """
     dec.validate(b.vertices)
     host = b if not extra_edges else BipartiteGraph(b.n1, b.n2, b.edges | extra_edges)
-    if not some_perfect_matching(host):
+    m = some_perfect_matching(host)
+    if m is None:
         raise NoPerfectMatching("graph has no perfect matching")
     if dec.m == 1:
         return 0
-    # porosity counts crossing edges, so either shore of a tree edge will do;
-    # every perfect matching crosses a leaf edge's cut exactly once
+    # porosity counts crossing edges, so either shore of a tree edge will do
     below = dec.rooted(0).below()
-    return max(
-        1 if len(below[x]) in (1, host.n - 1) else matching_porosity(host, below[x])
-        for x in range(1, dec.m)
+    inner = [s for s in below[1:] if 1 < len(s) < host.n - 1]
+    best = max([1] + [sum((u in s) != (v in s) for u, v in m) for s in inner])
+    bounded = sorted(
+        ((matching_porosity_bound(host, s), s) for s in inner), key=lambda p: -p[0]
     )
+    for bound, shore in bounded:
+        if bound <= best:
+            break
+        best = max(best, matching_porosity(host, shore))
+    return best
 
 
 def cycd_width(d: Digraph, dec: CycleDecomposition) -> int:
@@ -271,7 +290,7 @@ def pmw_exact_small(b: BipartiteGraph, limit: int = PMW_ORACLE_LIMIT) -> tuple[i
     """Exact perfect matching width with witness (brute force, small graphs)."""
     if b.n > limit:
         raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {limit}")
-    if not some_perfect_matching(b):
+    if some_perfect_matching(b) is None:
         raise NoPerfectMatching("graph has no perfect matching")
 
     def f(shore: frozenset[int]) -> int:

@@ -149,17 +149,37 @@ def digraph_isomorphic(d1: Digraph, d2: Digraph) -> bool:
 
 
 def bipartite_automorphisms(b: BipartiteGraph) -> list[dict[int, int]]:
-    """All colour-preserving automorphisms (brute force, tiny graphs only)."""
+    """All colour-preserving automorphisms (tiny graphs only).
+
+    Tries every degree-preserving permutation of V1, then maps V2 in
+    ascending order by backtracking: v may go only to an unused w whose
+    neighbourhood holds the image of N(v).  The list comes out in the
+    lexicographic order of the (V1 image, V2 image) tuples.
+    """
+    v2 = list(b.v2)
     result = []
     for p1 in permutations(b.v1):
         part1 = {u: p1[u - 1] for u in b.v1}
-        # quick degree filter
         if any(b.degree(u) != b.degree(part1[u]) for u in b.v1):
             continue
-        for p2 in permutations(b.v2):
-            full = dict(part1)
-            for v in b.v2:
-                full[v] = p2[v - b.n1 - 1]
-            if all((min(full[u], full[v]), max(full[u], full[v])) in b.edges for u, v in b.edges):
+        # the V2 vertices each v may go to, ascending
+        options = []
+        for v in v2:
+            image = {part1[u] for u in b.adj[v]}
+            options.append([w for w in v2 if image <= b.adj[w]])
+        images: list[int] = []
+
+        def extend(i: int) -> None:
+            if i == len(v2):
+                full = dict(part1)
+                full.update(zip(v2, images))
                 result.append(full)
+                return
+            for w in options[i]:
+                if w not in images:
+                    images.append(w)
+                    extend(i + 1)
+                    images.pop()
+
+        extend(0)
     return result

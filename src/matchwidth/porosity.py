@@ -158,6 +158,34 @@ def matching_porosity(b: BipartiteGraph, shore: Iterable[int]) -> int:
     return k
 
 
+def matching_porosity_bound(b: BipartiteGraph, shore: Iterable[int]) -> int:
+    """Upper bound on `matching_porosity` from one pass over the edges.
+
+    Let d = |shore ∩ V1| - |shore ∩ V2|.  A perfect matching with a cut
+    edges leaving shore ∩ V1 and c leaving shore ∩ V2 has a - c = d, so it
+    crosses 2a - d = 2c + d times.  a is at most the number of shore ∩ V1
+    vertices with a neighbour outside the shore, and at most the number of
+    V2 vertices outside with a neighbour in shore ∩ V1; c likewise.
+    """
+    s = frozenset(shore)
+    d = sum(1 if v <= b.n1 else -1 for v in s)
+    a_in: set[int] = set()
+    a_out: set[int] = set()
+    c_in: set[int] = set()
+    c_out: set[int] = set()
+    for u, v in b.edges:
+        if u in s:
+            if v not in s:
+                a_in.add(u)
+                a_out.add(v)
+        elif v in s:
+            c_in.add(v)
+            c_out.add(u)
+    a = min(len(a_in), len(a_out))
+    c = min(len(c_in), len(c_out))
+    return min(2 * a - d, 2 * c + d)
+
+
 def matching_porosity_bruteforce(b: BipartiteGraph, shore: Iterable[int]) -> int:
     """Porosity by enumerating all perfect matchings (test oracle)."""
     from .bigraph import enumerate_perfect_matchings

@@ -252,3 +252,15 @@ def test_cli_main_keeps_no_state_between_calls(tmp_path, capsys):
     assert capsys.readouterr().out == "no\n"
     assert main(["minor", fb, fh]) == 0
     assert capsys.readouterr().out == "yes\n"
+
+
+def test_cli_empty_graph(tmp_path, capsys):
+    # the empty graph has exactly one perfect matching, the empty one
+    f = tmp_path / "empty.b"
+    f.write_text("b 0 0\n")
+    assert main(["pm", "count", str(f)]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert main(["pm", "count", "--oracle", str(f)]) == 0
+    assert capsys.readouterr().out == "1\n"
+    main(["pm", "width", str(f)])
+    assert "no perfect matching" not in capsys.readouterr().err

@@ -23,7 +23,13 @@ from matchwidth.decomp import (
 from matchwidth.digraph import digraph_from_arcs
 from matchwidth.direction import m_direction
 from matchwidth.errors import OracleLimitExceeded
-from matchwidth.porosity import cycle_porosity, matching_porosity_bruteforce
+import matchwidth.decomp as decomp_module
+from matchwidth.grids import square_grid
+from matchwidth.porosity import (
+    cycle_porosity,
+    matching_porosity,
+    matching_porosity_bruteforce,
+)
 
 from common import (
     bidirected_clique,
@@ -126,6 +132,43 @@ def test_cut_widths_on_random_trees():
                 for s, t in tree_edge_shores(tree)
             )
             assert cycd_width(d, tree) == worst // 2
+    # larger planted graphs, on the pipeline's trees and on random ones,
+    # against the maximum over every tree edge
+    for n1 in (6, 7, 8, 9, 10, 11, 12) * 2:
+        b = random_bipartite_with_pm(rng, n1, rng.randint(n1, 3 * n1))
+        non_edges = [
+            (u, v) for u in b.v1 for v in b.v2 if (u, v) not in b.edges
+        ]
+        extra = frozenset(rng.sample(non_edges, 3))
+        host = graph_from_edges(b.n1, b.n2, b.edges | extra)
+        trees = [compute_pmd(b).tree]
+        trees += [random_cubic_tree(rng, b.vertices, kind) for kind in ROOT_KINDS]
+        for tree in trees:
+            shores = tree_edge_shores(tree)
+            assert pmd_width(b, tree) == max(
+                matching_porosity(b, s) for s, _ in shores
+            )
+            assert pmd_width(b, tree, extra) == max(
+                matching_porosity(host, s) for s, _ in shores
+            )
+
+
+def test_pmd_width_searches_few_cuts(monkeypatch):
+    grid = square_grid(4, 6)
+    tree = compute_pmd(grid).tree
+    inner = [
+        s for s, _ in tree_edge_shores(tree) if 1 < len(s) < grid.n - 1
+    ]
+    searched = []
+
+    def counted(b, shore):
+        searched.append(shore)
+        return matching_porosity(b, shore)
+
+    monkeypatch.setattr(decomp_module, "matching_porosity", counted)
+    assert pmd_width(grid, tree) == 4
+    assert len(inner) == 22
+    assert len(searched) == 1
 
 
 def test_pmd_width_c4():

@@ -24,6 +24,7 @@ from matchwidth.porosity import (
     guarding_set,
     linearise_dm,
     matching_porosity,
+    matching_porosity_bound,
     matching_porosity_bruteforce,
     verify_guard,
     verify_guard_bruteforce,
@@ -78,6 +79,20 @@ def ssp_witness(b, shore):
 
 def crossing(m, shore):
     return sum(1 for u, v in m if (u in shore) != (v in shore))
+
+
+def test_porosity_bound_covers_bruteforce():
+    rng = random.Random(17)
+    tight = 0
+    for _ in range(300):
+        n1 = rng.randint(1, 7)
+        b = random_bipartite_with_pm(rng, n1, rng.randint(0, n1 * (n1 - 1)))
+        shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
+        exact = matching_porosity_bruteforce(b, shore)
+        bound = matching_porosity_bound(b, shore)
+        assert bound >= exact
+        tight += bound == exact
+    assert tight >= 100
 
 
 def test_porosity_ssp_route_matches_subset_route():
