@@ -74,6 +74,16 @@ class BipartiteGraph:
             nbrs[v].add(u)
         return {v: frozenset(s) for v, s in nbrs.items()}
 
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        """Neighbourhood of each vertex as an int mask (vertex v is bit v);
+        entry 0 is unused."""
+        masks = [0] * (self.n + 1)
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -112,6 +112,10 @@ def cmd_pm(args) -> int:
             value = count_pm(b)
         _emit(args, {"count": str(value)}, str(value))
         return 0
+    if b.n == 0:
+        # it has a perfect matching, the empty one, but a decomposition tree
+        # needs at least one leaf
+        raise MatchwidthError("the empty graph has no decomposition")
     if args.what == "width":
         from .decomp import PMW_ORACLE_LIMIT, compute_pmd, pmw_exact_small
 

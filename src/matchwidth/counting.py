@@ -7,7 +7,7 @@ from typing import Iterator
 
 from .bigraph import BipartiteGraph, Graph
 from .decomp import LeafTree, compute_pmd
-from .errors import OracleLimitExceeded
+from .errors import NoPerfectMatching, OracleLimitExceeded
 
 COUNT_ORACLE_LIMIT = 22
 
@@ -182,7 +182,10 @@ def count_pm(b: BipartiteGraph, dec: LeafTree | None = None) -> int:
     if b.n == 0:
         return 1  # the empty matching
     if dec is None:
-        nice = compute_pmd(b)
+        try:
+            nice = compute_pmd(b)
+        except NoPerfectMatching:
+            return 0
         dec = nice.tree
         width = nice.width
     else:

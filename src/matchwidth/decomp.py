@@ -5,6 +5,7 @@ from directed tree decompositions to nice perfect matching decompositions."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
@@ -17,7 +18,15 @@ from .bigraph import (
     is_perfect,
     some_perfect_matching,
 )
-from .digraph import Digraph, is_strongly_connected, reachable_from, strong_components
+from .digraph import (
+    Digraph,
+    mask_members,
+    mask_reach,
+    mask_union,
+    strong_component_masks,
+    strongly_connected_within,
+    vertex_mask,
+)
 from .direction import elementary_parts, m_direction
 from .errors import (
     InvalidDecomposition,
@@ -61,27 +70,29 @@ class LeafTree:
 
     def validate(self, ground: Iterable[int]) -> None:
         ground = set(ground)
-        if self.m == 0:
+        adj, m = self.adj, self.m
+        if m == 0:
             raise InvalidDecomposition("empty tree")
-        if sum(len(a) for a in self.adj) != 2 * (self.m - 1):
+        if sum(len(a) for a in adj) != 2 * (m - 1):
             raise InvalidDecomposition("not a tree (edge count)")
-        for x, nbrs in enumerate(self.adj):
-            if any(not 0 <= y < self.m or x not in self.adj[y] for y in nbrs):
-                raise InvalidDecomposition(f"adjacency of node {x} is not symmetric")
+        for x, nbrs in enumerate(adj):
+            for y in nbrs:
+                if not 0 <= y < m or x not in adj[y]:
+                    raise InvalidDecomposition(f"adjacency of node {x} is not symmetric")
         seen = {0}
         stack = [0]
         while stack:
             x = stack.pop()
-            for y in self.adj[x]:
+            for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        if len(seen) != self.m:
+        if len(seen) != m:
             raise InvalidDecomposition("not connected")
         if set(self.leaf_map.values()) != ground or len(self.leaf_map) != len(ground):
             raise InvalidDecomposition("leaf map is not a bijection onto the ground set")
-        for x in range(self.m):
-            deg = len(self.adj[x])
+        for x in range(m):
+            deg = len(adj[x])
             if x in self.leaf_map:
                 if deg > 1:
                     raise InvalidDecomposition(f"leaf {x} has degree {deg}")
@@ -92,11 +103,12 @@ class LeafTree:
 
     def rooted(self, root: int) -> RootedTree:
         """The tree hung from `root`; children keep adjacency order."""
-        parent: dict[int, int | None] = {root: None}
+        parent = [-1] * self.m
         kids: list[tuple[int, ...]] = [()] * self.m
         order = [root]
         for x in order:
-            kids[x] = tuple(y for y in self.adj[x] if y != parent[x])
+            up = parent[x]
+            kids[x] = tuple(y for y in self.adj[x] if y != up)
             for y in kids[x]:
                 parent[y] = x
             order.extend(kids[x])
@@ -130,16 +142,22 @@ class RootedTree:
     order: list[int]
     kids: list[tuple[int, ...]]
 
-    def below(self) -> list[frozenset[int]]:
-        """Ground elements on the leaves under each node.  The tree edge from
-        x's parent to x cuts off exactly below[x]."""
-        out: list[frozenset[int]] = [frozenset()] * len(self.kids)
+    def below_masks(self) -> list[int]:
+        """Ground elements on the leaves under each node, as masks (element v
+        is bit v).  The tree edge from x's parent to x cuts off exactly
+        below[x]."""
+        out = [0] * len(self.kids)
         for x in reversed(self.order):
             if x in self.leaf_map:
-                out[x] = frozenset({self.leaf_map[x]})
+                out[x] = 1 << self.leaf_map[x]
             else:
-                out[x] = frozenset().union(*(out[y] for y in self.kids[x]))
+                for y in self.kids[x]:
+                    out[x] |= out[y]
         return out
+
+    def below(self) -> list[frozenset[int]]:
+        """`below_masks` as sets."""
+        return [mask_members(s) for s in self.below_masks()]
 
 
 PMDecomposition = LeafTree
@@ -170,16 +188,21 @@ def pmd_width(
     if dec.m == 1:
         return 0
     # porosity counts crossing edges, so either shore of a tree edge will do
-    below = dec.rooted(0).below()
-    inner = [s for s in below[1:] if 1 < len(s) < host.n - 1]
-    best = max([1] + [sum((u in s) != (v in s) for u, v in m) for s in inner])
+    return _cut_width(host, m, dec.rooted(0).below_masks()[1:])
+
+
+def _cut_width(host: BipartiteGraph, m: Matching, shores: list[int]) -> int:
+    """`pmd_width` of a decomposition of host whose tree edges cut off the
+    vertex masks `shores`, given a perfect matching m of host."""
+    inner = [s for s in shores if 1 < s.bit_count() < host.n - 1]
+    best = max([1] + [sum((s >> u ^ s >> v) & 1 for u, v in m) for s in inner])
     bounded = sorted(
         ((matching_porosity_bound(host, s), s) for s in inner), key=lambda p: -p[0]
     )
     for bound, shore in bounded:
         if bound <= best:
             break
-        best = max(best, matching_porosity(host, shore))
+        best = max(best, matching_porosity(host, mask_members(shore)))
     return best
 
 
@@ -340,28 +363,42 @@ class DirectedTreeDecomposition:
     def root(self) -> int:
         return self.parent.index(-1)
 
+    @cached_property
+    def kids(self) -> tuple[tuple[int, ...], ...]:
+        """The children of each node, in ascending order."""
+        out: list[list[int]] = [[] for _ in self.parent]
+        for s, p in enumerate(self.parent):
+            if p != -1:
+                out[p].append(s)
+        return tuple(tuple(c) for c in out)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The nodes a root reaches, parents first: all of them unless the
+        parent pointers contain a cycle."""
+        out = [t for t, p in enumerate(self.parent) if p == -1]
+        for t in out:
+            out.extend(self.kids[t])
+        return tuple(out)
+
+    @cached_property
+    def subtree_masks(self) -> tuple[int, ...]:
+        """The vertices in the bags of each node's subtree, as a mask (vertex
+        v is bit v).  Bags must hold no negative vertex ids."""
+        out = [vertex_mask(bag) for bag in self.bags]
+        for t in reversed(self.order):
+            for s in self.kids[t]:
+                out[t] |= out[s]
+        return tuple(out)
+
     def children(self, t: int) -> list[int]:
-        return [s for s in range(self.m) if self.parent[s] == t]
-
-    def subtree(self, t: int) -> list[int]:
-        out = [t]
-        i = 0
-        while i < len(out):
-            out.extend(self.children(out[i]))
-            i += 1
-        return out
-
-    def subtree_bag(self, t: int) -> frozenset[int]:
-        out: set[int] = set()
-        for s in self.subtree(t):
-            out |= self.bags[s]
-        return frozenset(out)
+        return list(self.kids[t])
 
     def gamma(self, t: int) -> frozenset[int]:
         out = set(self.bags[t])
         if self.parent[t] != -1:
             out |= self.guards[t]
-        for c in self.children(t):
+        for c in self.kids[t]:
             out |= self.guards[c]
         return frozenset(out)
 
@@ -374,17 +411,10 @@ def validate_dtd(
 ) -> tuple[bool, int, str | None]:
     """Check the decomposition axioms; returns (valid, width, reason)."""
     m = dec.m
-    roots = [t for t in range(m) if dec.parent[t] == -1]
-    if len(roots) != 1:
+    if dec.parent.count(-1) != 1:
         return False, 0, "not exactly one root"
-    seen: set[int] = set()
-    for t in range(m):
-        x, steps = t, 0
-        while x != -1 and steps <= m:
-            x = dec.parent[x]
-            steps += 1
-        if steps > m:
-            return False, 0, "parent pointers contain a cycle"
+    if len(dec.order) != m:
+        return False, 0, "parent pointers contain a cycle"
     covered: set[int] = set()
     for t in range(m):
         bag = dec.bags[t]
@@ -395,16 +425,18 @@ def validate_dtd(
         covered |= bag
     if covered != set(d.vertices):
         return False, 0, "bags do not partition the vertex set"
+    out = d.out_masks
     for t in range(m):
         if dec.parent[t] == -1:
             continue
-        below = dec.subtree_bag(t)
-        guard = dec.guards[t]
-        inner = below - guard
+        below = dec.subtree_masks[t]
+        # ids outside the digraph guard nothing
+        guard = vertex_mask(v for v in dec.guards[t] if v >= 0)
+        inner = below & ~guard
         if not inner:
             continue
-        outside = reachable_from(d, inner, guard) - below
-        if outside and (reachable_from(d, outside, guard) & inner):
+        outside = mask_reach(out, inner, ~guard) & ~below
+        if outside and mask_reach(out, outside, ~guard) & inner:
             return False, 0, f"guard of node {t} misses a walk"
     return True, dec.width(), None
 
@@ -414,36 +446,25 @@ def validate_dtd(
 # ---------------------------------------------------------------------------
 
 
-def _bits(vertices: Iterable[int]) -> int:
-    """Vertex set as an int mask: vertex v is bit v."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _members(mask: int) -> frozenset[int]:
-    """The vertex set of a mask made by `_bits`."""
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 class _SccTable(dict):
     """For a banned vertex mask: the strong components of d minus it, as
-    vertex masks in Tarjan's order (`strong_components`), and the component
-    of each vertex by index (0 for a banned vertex).  Filled on first use."""
+    vertex masks in Tarjan's order (`strong_component_masks`), and the
+    component of each vertex by index (0 for a banned vertex).  Filled on
+    first use."""
 
     def __init__(self, d: Digraph) -> None:
         super().__init__()
         self.d = d
 
     def __missing__(self, banned: int) -> tuple[tuple[int, ...], list[int]]:
-        comps: list[int] = []
+        comps = strong_component_masks(self.d, banned)
         owner = [0] * (self.d.n + 1)
-        for comp in strong_components(self.d, _members(banned)):
-            mask = _bits(comp)
-            comps.append(mask)
-            for v in comp:
-                owner[v] = mask
+        for comp in comps:
+            rest = comp
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                owner[bit.bit_length() - 1] = comp
         got = self[banned] = (tuple(comps), owner)
         return got
 
@@ -509,7 +530,7 @@ def cop_number_game_exact(d: Digraph, limit: int = 7) -> int:
     verts = sorted(d.vertices)
     table = _SccTable(d)
     for k in range(1, d.n + 1):
-        cop_sets = [_bits(c) for size in range(0, k + 1) for c in combinations(verts, size)]
+        cop_sets = [vertex_mask(c) for size in range(0, k + 1) for c in combinations(verts, size)]
         positions = [(c, r) for c in cop_sets for r in table[c][0]]
         winning: set[tuple[int, int]] = set()
         changed = True
@@ -546,7 +567,7 @@ def dtw_exact_small(
     verts = sorted(d.vertices)
     moves: list[int] = []
     for number in range(1, d.n + 1):
-        moves += [_bits(c) for c in combinations(verts, number)]
+        moves += [vertex_mask(c) for c in combinations(verts, number)]
         strategy = _monotone_win(table, moves)
         if strategy is not None:
             break
@@ -561,8 +582,8 @@ def dtw_exact_small(
         move = strategy[robber << shift | cops]
         idx = len(parent)
         parent.append(parent_idx)
-        bags.append(_members(move & robber))
-        guards.append(_members(cops))
+        bags.append(mask_members(move & robber))
+        guards.append(mask_members(cops))
         for resp in _responses(table, cops, robber, move):
             build(move, resp, idx)
         return idx
@@ -619,8 +640,8 @@ def cops_play(
 
     def place(cops: frozenset[int], prev: frozenset[int], prev_robber: frozenset[int]) -> frozenset[int] | None:
         transcript.cop_positions.append(cops)
-        options = _responses(table, _bits(prev), _bits(prev_robber), _bits(cops))
-        choice = robber([_members(c) for c in options])
+        options = _responses(table, vertex_mask(prev), vertex_mask(prev_robber), vertex_mask(cops))
+        choice = robber([mask_members(c) for c in options])
         transcript.robber_positions.append(choice)
         return choice
 
@@ -636,7 +657,7 @@ def cops_play(
     v = dec.leaf_map[leaf]
     c0 = frozenset({v})
     transcript.cop_positions.append(c0)
-    opts = [_members(c) for c in table[_bits(c0)][0]]
+    opts = [mask_members(c) for c in table[vertex_mask(c0)][0]]
     r = robber(opts)
     transcript.robber_positions.append(r)
     if r is None:
@@ -707,30 +728,20 @@ def cops_play(
 # ---------------------------------------------------------------------------
 
 
-def _children_topo_order(
-    d: Digraph, dec: DirectedTreeDecomposition, kids: list[int]
-) -> list[int]:
-    """Order children so no arc runs from a later subtree into an earlier one."""
-    sets = {c: dec.subtree_bag(c) for c in kids}
-    succ: dict[int, set[int]] = {c: set() for c in kids}
-    for u, v in d.arcs:
-        for a in kids:
-            if u in sets[a]:
-                for bnode in kids:
-                    if bnode != a and v in sets[bnode]:
-                        succ[a].add(bnode)
+def _children_topo_order(d: Digraph, kids: Sequence[int], below: Sequence[int]) -> list[int]:
+    """Order children so no arc runs from a later subtree into an earlier one;
+    below[c] is the vertex mask of c's subtree, ties go to the lower id."""
+    reach = {c: mask_union(d.out_masks, below[c]) for c in kids}
     order: list[int] = []
-    remaining = set(kids)
+    remaining = sorted(kids)
     while remaining:
-        picked = None
-        for c in sorted(remaining):
-            if all(c not in succ[o] for o in remaining if o != c):
-                picked = c
+        for c in remaining:
+            if not any(reach[o] & below[c] for o in remaining if o != c):
                 break
-        if picked is None:
+        else:
             raise NotNice("children subtrees cannot be ordered without back edges")
-        order.append(picked)
-        remaining.remove(picked)
+        order.append(c)
+        remaining.remove(c)
     return order
 
 
@@ -744,22 +755,20 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
     parent = list(dec.parent)
     bags = list(dec.bags)
     guards = list(dec.guards)
-
-    def children_of(t: int) -> list[int]:
-        return [s for s in range(len(parent)) if parent[s] == t]
+    # children in ascending order and subtree masks, kept up to date; a split
+    # moves whole subtrees, so no other node's subtree changes
+    kids = [list(c) for c in dec.kids]
+    below = list(dec.subtree_masks)
 
     work = list(range(len(parent)))
     while work:
         t = work.pop()
-        kids = children_of(t)
         # a root with a non-empty bag later hangs a bag subtree, so it may
         # keep at most two successors to stay subcubic after conversion
         allowed = 3 if (parent[t] == -1 and not bags[t]) else 2
-        if len(kids) <= allowed:
+        if len(kids[t]) <= allowed:
             continue
-        current = DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
-        ordered = _children_topo_order(d, current, kids)
-        keep, rest = ordered[0], ordered[1:]
+        keep, *rest = _children_topo_order(d, kids[t], below)
         new = len(parent)
         parent.append(t)
         bags.append(frozenset())
@@ -767,6 +776,11 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
         guards.append(frozenset(incoming | bags[t]))
         for c in rest:
             parent[c] = new
+        kids[t] = [keep, new]
+        kids.append(sorted(rest))
+        below.append(0)
+        for c in rest:
+            below[new] |= below[c]
         work.append(t)
         work.append(new)
 
@@ -785,26 +799,24 @@ def is_prepared(d: Digraph, dec: DirectedTreeDecomposition, width: int | None = 
         return False
     if width is None:
         width = w
+    below = dec.subtree_masks
     for t in range(dec.m):
-        kids = dec.children(t)
+        kids = dec.kids[t]
         allowed = 3 if dec.parent[t] == -1 else 2
         if len(kids) > allowed:
             return False
         if len(kids) == 1:
-            below = dec.subtree_bag(kids[0])
-            strong = is_strongly_connected(d, frozenset(d.vertices) - below)
-            if not (strong or len(below) <= width + 1):
+            seta = below[kids[0]]
+            if not (seta.bit_count() <= width + 1 or strongly_connected_within(d, seta)):
                 return False
         elif len(kids) == 2:
-            a, bnode = kids
-            seta = dec.subtree_bag(a)
-            setb = dec.subtree_bag(bnode)
-            sa = is_strongly_connected(d, frozenset(d.vertices) - seta)
-            sb = is_strongly_connected(d, frozenset(d.vertices) - setb)
-            sma = len(seta) <= width + 1
-            smb = len(setb) <= width + 1
-            no_back_ba = not any(u in setb and v in seta for u, v in d.arcs)
-            no_back_ab = not any(u in seta and v in setb for u, v in d.arcs)
+            seta, setb = below[kids[0]], below[kids[1]]
+            sa = strongly_connected_within(d, seta)
+            sb = strongly_connected_within(d, setb)
+            sma = seta.bit_count() <= width + 1
+            smb = setb.bit_count() <= width + 1
+            no_back_ba = not mask_union(d.out_masks, setb) & seta
+            no_back_ab = not mask_union(d.out_masks, seta) & setb
             first_as_t1 = (sma and (smb or sb)) or (sa and no_back_ba)
             second_as_t1 = (smb and (sma or sa)) or (sb and no_back_ab)
             if not (first_as_t1 or second_as_t1):
@@ -903,13 +915,17 @@ def dtd_to_nice_pmd(
         return root
 
     def build(t: int) -> int | None:
-        kids_raw = dec.children(t)
+        kids_raw = dec.kids[t]
         bag = dec.bags[t]
         if not kids_raw:
             if not bag:
                 return None
             return hang_bag(bag)
-        kids = _children_topo_order(d, dec, kids_raw) if len(kids_raw) > 1 else kids_raw
+        kids = (
+            _children_topo_order(d, kids_raw, dec.subtree_masks)
+            if len(kids_raw) > 1
+            else kids_raw
+        )
         built = [x for x in (build(c) for c in kids) if x is not None]
         if not built:
             if not bag:
@@ -966,8 +982,10 @@ def dtd_to_nice_pmd(
     else:
         tree = LeafTree(tuple(frozenset(s) for s in tb.adj), final_leaf_map, root=top)
     tree.validate(b.vertices)
-    width = pmd_width(b, tree)
-    width_host = width if not extra_edges else pmd_width(b, tree, extra_edges)
+    # m is a perfect matching of b and of host; both widths read one rooting
+    shores = tree.rooted(0).below_masks()[1:]
+    width = _cut_width(b, m, shores)
+    width_host = width if not extra_edges else _cut_width(host, m, shores)
     bound = max(width_host, max(type1_sizes), 1)
     nice = NicePMD(tree, width, bound)
     ok, reason = nice_pmd_check(b, nice)
@@ -984,7 +1002,15 @@ def _is_elementary_set(b: BipartiteGraph, xs: frozenset[int]) -> bool:
 
 
 def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
-    """Verify the niceness axioms of a rooted perfect matching decomposition."""
+    """Verify the niceness axioms of a rooted perfect matching decomposition
+    of b (a tree that `LeafTree.validate` accepts for b's vertices).
+
+    The sets tested are the vertex masks below the tree nodes, and each
+    verdict is taken once per node.  Let M0 be one perfect matching of b.
+    When M0 restricts to a set xs, both b[xs] and b - xs have perfect
+    matchings, so xs is conformal, and xs is elementary iff the M0-direction
+    of b[xs] is strongly connected.  Other sets take the general tests.
+    """
     tree = nice.tree
     root = tree.root
     if root is None:
@@ -992,37 +1018,64 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
     k = nice.type1_bound
     view = tree.rooted(root)
     kids = view.kids
-    below = view.below()
+    below = view.below_masks()
+    adj = b.adj_masks
+    mate = [0] * (b.n + 1)  # the M0 partner of each vertex, as a bit
+    for u, v in some_perfect_matching(b) or ():
+        mate[u] = 1 << v
+        mate[v] = 1 << u
+    # The M0-direction of b[xs] is strongly connected iff a walk that leaves
+    # V1 vertices along edges and V2 vertices along M0 reaches all of xs from
+    # one vertex, and so does the walk that swaps the two sides.
+    forward = [adj[v] if v <= b.n1 else mate[v] for v in range(b.n + 1)]
+    backward = [mate[v] if v <= b.n1 else adj[v] for v in range(b.n + 1)]
+    # per node: the V2 neighbours of the V1 vertices below it, and the M0
+    # partners of the vertices below it
+    nbr1 = [0] * len(kids)
+    mates = [0] * len(kids)
+    for x in reversed(view.order):
+        if x in tree.leaf_map:
+            v = tree.leaf_map[x]
+            nbr1[x] = adj[v] if v <= b.n1 else 0
+            mates[x] = mate[v]
+        else:
+            for y in kids[x]:
+                nbr1[x] |= nbr1[y]
+                mates[x] |= mates[y]
 
-    def no_edge_v2_to_v1(a: frozenset[int], c: frozenset[int]) -> bool:
-        for u, v in b.edges:
-            x2, y1 = (v, u)  # v in V2, u in V1
-            if x2 in a and y1 in c:
-                return False
-        return True
+    @cache
+    def conformal(x: int) -> bool:
+        return mates[x] == below[x] or is_conformal(b, mask_members(below[x]))
 
+    @cache
+    def elementary(x: int) -> bool:
+        xs = below[x]
+        if mates[x] != xs:
+            return _is_elementary_set(b, mask_members(xs))
+        start = xs & -xs
+        return mask_reach(forward, start, xs) == xs and mask_reach(backward, start, xs) == xs
+
+    @cache
     def is_join(x: int) -> bool:
         cs = kids[x]
         if len(cs) != 2:
             return False
         for t1, t2 in ((cs[0], cs[1]), (cs[1], cs[0])):
-            if no_edge_v2_to_v1(below[t1], below[t2]) and _is_elementary_set(b, below[t1]):
+            # no edge from a V2 vertex below t1 to a V1 vertex below t2
+            if not nbr1[t2] & below[t1] and elementary(t1):
                 return True
         return False
 
+    @cache
     def is_guard1(x: int) -> bool:
-        xs = below[x]
-        return len(xs) <= 2 * k and is_conformal(b, xs)
+        return below[x].bit_count() <= 2 * k and conformal(x)
 
     def is_guard2(x: int) -> bool:
         cs = kids[x]
         if len(cs) != 2:
             return False
         for t1, t2 in ((cs[0], cs[1]), (cs[1], cs[0])):
-            if is_guard1(t1) and (
-                is_join(t2)
-                or (is_conformal(b, below[t2]) and _is_elementary_set(b, below[t2]))
-            ):
+            if is_guard1(t1) and (is_join(t2) or (conformal(t2) and elementary(t2))):
                 return True
         return False
 
@@ -1042,30 +1095,22 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
     for c in kids[root]:
         if is_guard1(c):
             continue
-        if is_join(c) or (is_conformal(b, below[c]) and _is_elementary_set(b, below[c])):
+        if is_join(c) or (conformal(c) and elementary(c)):
             sortable.append(c)
         else:
             return False, f"root successor {c} of no admissible type"
     if len(sortable) > 3:
         return False, "root has too many ordered successors"
-    ok_order = False
     for perm in permutations(sortable):
-        good = True
-        for i1 in range(len(perm)):
-            for j1 in range(i1 + 1, len(perm)):
-                # no edge from V1 side of the later to V2 side of the earlier
-                a_later = below[perm[j1]]
-                c_earlier = below[perm[i1]]
-                if not all(
-                    not (u in a_later and v in c_earlier) for u, v in b.edges
-                ):
-                    good = False
-        if good:
-            ok_order = True
-            break
-    if not ok_order:
-        return False, "root successors cannot be ordered"
-    return True, None
+        # no edge from the V1 side of a later successor to the V2 side of an
+        # earlier one
+        if not any(
+            nbr1[perm[j]] & below[perm[i]]
+            for i in range(len(perm))
+            for j in range(i + 1, len(perm))
+        ):
+            return True, None
+    return False, "root successors cannot be ordered"
 
 
 def compute_pmd(b: BipartiteGraph, dtd: DirectedTreeDecomposition | None = None) -> NicePMD:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 Arc = tuple[int, int]
 
@@ -37,6 +36,23 @@ class Digraph:
         return {v: frozenset(s) for v, s in out.items()}
 
     @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """Out-neighbourhood of each vertex as an int mask (vertex v is bit
+        v); entry 0 is unused."""
+        out = [0] * (self.n + 1)
+        for u, v in self.arcs:
+            out[u] |= 1 << v
+        return tuple(out)
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """In-neighbourhood of each vertex as an int mask, like `out_masks`."""
+        inn = [0] * (self.n + 1)
+        for u, v in self.arcs:
+            inn[v] |= 1 << u
+        return tuple(inn)
+
+    @cached_property
     def in_adj(self) -> dict[int, frozenset[int]]:
         inn: dict[int, set[int]] = {v: set() for v in self.vertices}
         for u, v in self.arcs:
@@ -51,74 +67,116 @@ def digraph_from_arcs(n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n, frozenset(tuple(p) for p in pairs))
 
 
-def strong_components(d: Digraph, banned: frozenset[int] = frozenset()) -> list[frozenset[int]]:
-    """SCCs of d minus banned, in reverse topological order (Tarjan, iterative)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[frozenset[int]] = []
-    counter = 0
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Vertex set as an int mask: vertex v is bit v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
-    for root in d.vertices:
-        if root in banned or root in index:
-            continue
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(sorted(d.out_adj[root])))]
-        index[root] = low[root] = counter
+
+def mask_members(mask: int) -> frozenset[int]:
+    """The vertex set of a mask made by `vertex_mask`."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def strong_component_masks(d: Digraph, banned: int = 0) -> list[int]:
+    """SCCs of d minus the banned vertex mask, as vertex masks in reverse
+    topological order (Tarjan, iterative; roots and successors are taken in
+    ascending order)."""
+    out = d.out_masks
+    alive = (((1 << d.n) - 1) << 1) & ~banned
+    index = [0] * (d.n + 1)  # preorder number from 1; 0 while unvisited
+    low = [0] * (d.n + 1)
+    on_stack = 0
+    stack: list[int] = []
+    sccs: list[int] = []
+    counter = 0
+    todo = alive
+    while todo:
+        root = (todo & -todo).bit_length() - 1
         counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
-        on_stack.add(root)
+        on_stack |= 1 << root
+        work = [root]
+        rest = [out[root] & alive]  # successors of work[i] still to try
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w in banned:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(d.out_adj[w]))))
-                    advanced = True
+            v = work[-1]
+            succ = rest[-1]
+            while succ:
+                bit = succ & -succ
+                succ ^= bit
+                w = bit.bit_length() - 1
+                if not index[w]:
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+                if on_stack & bit and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                rest.pop()
+                if work and low[v] < low[work[-1]]:
+                    low[work[-1]] = low[v]
+                if low[v] == index[v]:
+                    comp = 0
+                    while True:
+                        w = stack.pop()
+                        comp |= 1 << w
+                        if w == v:
+                            break
+                    on_stack &= ~comp
+                    todo &= ~comp
+                    sccs.append(comp)
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
+            rest[-1] = succ
+            counter += 1
+            index[w] = low[w] = counter
+            stack.append(w)
+            on_stack |= bit
+            work.append(w)
+            rest.append(out[w] & alive)
     return sccs
 
 
+def strong_components(d: Digraph, banned: frozenset[int] = frozenset()) -> list[frozenset[int]]:
+    """SCCs of d minus banned, in reverse topological order (Tarjan)."""
+    return [mask_members(c) for c in strong_component_masks(d, vertex_mask(banned))]
+
+
+def mask_union(nbrs: Sequence[int], mask: int) -> int:
+    """The union of the neighbourhood masks nbrs[v] over the vertices v of
+    mask."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out |= nbrs[bit.bit_length() - 1]
+    return out
+
+
+def mask_reach(nbrs: Sequence[int], sources: int, allowed: int) -> int:
+    """The vertices that the sources inside `allowed` reach without leaving
+    it, as a mask; nbrs[v] is the mask of v's successors."""
+    seen = frontier = sources & allowed
+    while frontier:
+        frontier = mask_union(nbrs, frontier) & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def strongly_connected_within(d: Digraph, keep: int) -> bool:
+    """Whether d restricted to the vertex mask keep is non-empty and strongly
+    connected: one walk forward and one backward from a vertex of keep."""
+    start = keep & -keep
+    return (
+        keep != 0
+        and mask_reach(d.out_masks, start, keep) == keep
+        and mask_reach(d.in_masks, start, keep) == keep
+    )
+
+
 def is_strongly_connected(d: Digraph, banned: frozenset[int] = frozenset()) -> bool:
-    verts = [v for v in d.vertices if v not in banned]
-    if not verts:
-        return False
-    return len(strong_components(d, banned)) == 1
-
-
-def reachable_from(d: Digraph, sources: Iterable[int], banned: frozenset[int] = frozenset()) -> frozenset[int]:
-    seen = {s for s in sources if s not in banned}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for y in d.out_adj[x]:
-            if y not in banned and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    return strongly_connected_within(d, (((1 << d.n) - 1) << 1) & ~vertex_mask(banned))
 
 
 def is_strongly_k_connected(d: Digraph, k: int) -> bool:

@@ -158,8 +158,9 @@ def matching_porosity(b: BipartiteGraph, shore: Iterable[int]) -> int:
     return k
 
 
-def matching_porosity_bound(b: BipartiteGraph, shore: Iterable[int]) -> int:
-    """Upper bound on `matching_porosity` from one pass over the edges.
+def matching_porosity_bound(b: BipartiteGraph, shore: int) -> int:
+    """Upper bound on `matching_porosity` of the shore given as a vertex
+    mask (vertex v is bit v), from the neighbourhoods of its vertices.
 
     Let d = |shore ∩ V1| - |shore ∩ V2|.  A perfect matching with a cut
     edges leaving shore ∩ V1 and c leaving shore ∩ V2 has a - c = d, so it
@@ -167,22 +168,22 @@ def matching_porosity_bound(b: BipartiteGraph, shore: Iterable[int]) -> int:
     vertices with a neighbour outside the shore, and at most the number of
     V2 vertices outside with a neighbour in shore ∩ V1; c likewise.
     """
-    s = frozenset(shore)
-    d = sum(1 if v <= b.n1 else -1 for v in s)
-    a_in: set[int] = set()
-    a_out: set[int] = set()
-    c_in: set[int] = set()
-    c_out: set[int] = set()
-    for u, v in b.edges:
-        if u in s:
-            if v not in s:
-                a_in.add(u)
-                a_out.add(v)
-        elif v in s:
-            c_in.add(v)
-            c_out.add(u)
-    a = min(len(a_in), len(a_out))
-    c = min(len(c_in), len(c_out))
+    adj = b.adj_masks
+    black = ((1 << b.n1) - 1) << 1
+    d = (shore & black).bit_count() - (shore & ~black).bit_count()
+    leaving = [0, 0]  # shore vertices of V1, of V2 with a neighbour outside
+    reached = [0, 0]  # the outside vertices they reach
+    rest = shore
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        out = adj[bit.bit_length() - 1] & ~shore
+        if out:
+            side = 0 if bit & black else 1
+            leaving[side] += 1
+            reached[side] |= out
+    a = min(leaving[0], reached[0].bit_count())
+    c = min(leaving[1], reached[1].bit_count())
     return min(2 * a - d, 2 * c + d)
 
 

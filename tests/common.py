@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from matchwidth.bigraph import BipartiteGraph, graph_from_edges
+from matchwidth.decomp import LeafTree
 from matchwidth.digraph import Digraph, digraph_from_arcs
 
 
@@ -80,3 +81,36 @@ def random_digraph(rng: random.Random, n: int, arc_prob: float) -> Digraph:
         if i != j and rng.random() < arc_prob
     ]
     return digraph_from_arcs(n, arcs)
+
+
+def random_cubic_tree(rng, ground, root_kind):
+    """Random leaf tree over `ground` (three or more elements), grown by
+    hanging each further leaf off a random edge.  root_kind is None, "leaf",
+    "deg3" (an internal node) or "deg2" (a node subdividing a random edge)."""
+    ground = list(ground)
+    adj = [{1}, {0}]
+    leaf_map = {0: ground[0], 1: ground[1]}
+
+    def subdivide():
+        x = rng.randrange(len(adj))
+        y = rng.choice(sorted(adj[x]))
+        adj[x].remove(y)
+        adj[y].remove(x)
+        adj[x].add(len(adj))
+        adj[y].add(len(adj))
+        adj.append({x, y})
+        return len(adj) - 1
+
+    for v in ground[2:]:
+        mid = subdivide()
+        adj[mid].add(len(adj))
+        adj.append({mid})
+        leaf_map[len(adj) - 1] = v
+    root = None
+    if root_kind == "leaf":
+        root = rng.choice(sorted(leaf_map))
+    elif root_kind == "deg3":
+        root = rng.choice([x for x in range(len(adj)) if x not in leaf_map])
+    elif root_kind == "deg2":
+        root = subdivide()
+    return LeafTree(tuple(map(frozenset, adj)), leaf_map, root)

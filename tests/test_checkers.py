@@ -1,0 +1,362 @@
+"""The decomposition checkers against set-based reference copies.
+
+`validate_dtd`, `is_prepared` and `nice_pmd_check` run on vertex masks and
+read conformal structure off one perfect matching.  The `ref_*` functions
+below are the earlier versions of the three checkers, which test every set
+with frozensets, a fresh Hopcroft-Karp run and a fresh strong-component
+pass.  Both must give the same verdict and the same reason on inputs that
+include rejections, and every checker must reject some of them.
+"""
+
+import random
+from itertools import permutations
+
+from matchwidth.bigraph import (
+    has_perfect_matching,
+    induced_subgraph,
+    some_perfect_matching,
+)
+from matchwidth.decomp import (
+    DirectedTreeDecomposition,
+    LeafTree,
+    NicePMD,
+    _SccTable,
+    compute_pmd,
+    dtw_exact_small,
+    is_prepared,
+    nice_pmd_check,
+    prepare_dtd,
+    validate_dtd,
+)
+from matchwidth.digraph import Digraph, mask_members, strong_components, vertex_mask
+from matchwidth.direction import m_direction
+
+from common import random_bipartite_with_pm, random_cubic_tree, random_digraph
+
+
+def ref_strong_components(d, banned=frozenset()):
+    """Tarjan on sets, roots and successors in ascending order."""
+    index, low, on_stack, stack, sccs = {}, {}, set(), [], []
+    counter = 0
+    for root in d.vertices:
+        if root in banned or root in index:
+            continue
+        work = [(root, iter(sorted(d.out_adj[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w in banned:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(d.out_adj[w]))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.remove(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                sccs.append(frozenset(comp))
+    return sccs
+
+
+def ref_strongly_connected(d, banned):
+    if all(v in banned for v in d.vertices):
+        return False
+    return len(ref_strong_components(d, banned)) == 1
+
+
+def ref_reachable(d, sources, banned):
+    seen = {s for s in sources if s not in banned}
+    todo = list(seen)
+    while todo:
+        for y in d.out_adj[todo.pop()]:
+            if y not in banned and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(seen)
+
+
+def ref_children(dec, t):
+    return [s for s in range(dec.m) if dec.parent[s] == t]
+
+
+def ref_subtree_bag(dec, t):
+    nodes = [t]
+    for x in nodes:
+        nodes.extend(ref_children(dec, x))
+    return frozenset().union(*(dec.bags[s] for s in nodes))
+
+
+def ref_validate_dtd(d, dec, proto=False):
+    m = dec.m
+    if len([t for t in range(m) if dec.parent[t] == -1]) != 1:
+        return False, 0, "not exactly one root"
+    for t in range(m):
+        x, steps = t, 0
+        while x != -1 and steps <= m:
+            x = dec.parent[x]
+            steps += 1
+        if steps > m:
+            return False, 0, "parent pointers contain a cycle"
+    covered = set()
+    for t in range(m):
+        bag = dec.bags[t]
+        if not proto and not bag:
+            return False, 0, f"empty bag at node {t}"
+        if covered & bag:
+            return False, 0, "bags overlap"
+        covered |= bag
+    if covered != set(d.vertices):
+        return False, 0, "bags do not partition the vertex set"
+    for t in range(m):
+        if dec.parent[t] == -1:
+            continue
+        below = ref_subtree_bag(dec, t)
+        guard = dec.guards[t]
+        inner = below - guard
+        if not inner:
+            continue
+        outside = ref_reachable(d, inner, guard) - below
+        if outside and (ref_reachable(d, outside, guard) & inner):
+            return False, 0, f"guard of node {t} misses a walk"
+    return True, dec.width(), None
+
+
+def ref_is_prepared(d, dec, width=None):
+    ok, w, _ = ref_validate_dtd(d, dec, proto=True)
+    if not ok:
+        return False
+    if width is None:
+        width = w
+    everything = frozenset(d.vertices)
+    for t in range(dec.m):
+        kids = ref_children(dec, t)
+        if len(kids) > (3 if dec.parent[t] == -1 else 2):
+            return False
+        if len(kids) == 1:
+            below = ref_subtree_bag(dec, kids[0])
+            strong = ref_strongly_connected(d, everything - below)
+            if not (strong or len(below) <= width + 1):
+                return False
+        elif len(kids) == 2:
+            seta, setb = (ref_subtree_bag(dec, c) for c in kids)
+            sa = ref_strongly_connected(d, everything - seta)
+            sb = ref_strongly_connected(d, everything - setb)
+            sma = len(seta) <= width + 1
+            smb = len(setb) <= width + 1
+            no_back_ba = not any(u in setb and v in seta for u, v in d.arcs)
+            no_back_ab = not any(u in seta and v in setb for u, v in d.arcs)
+            first_as_t1 = (sma and (smb or sb)) or (sa and no_back_ba)
+            second_as_t1 = (smb and (sma or sa)) or (sb and no_back_ab)
+            if not (first_as_t1 or second_as_t1):
+                return False
+    return True
+
+
+def ref_elementary(b, xs):
+    sub, _, _ = induced_subgraph(b, xs)
+    m = some_perfect_matching(sub)
+    return m is not None and len(ref_strong_components(m_direction(sub, m)[0])) == 1
+
+
+def ref_nice_pmd_check(b, nice):
+    tree = nice.tree
+    root = tree.root
+    if root is None:
+        return False, "decomposition is not rooted"
+    k = nice.type1_bound
+    view = tree.rooted(root)
+    kids = view.kids
+    below = [frozenset()] * len(kids)
+    for x in reversed(view.order):
+        if x in tree.leaf_map:
+            below[x] = frozenset({tree.leaf_map[x]})
+        else:
+            below[x] = frozenset().union(*(below[y] for y in kids[x]))
+
+    def no_edge_v2_to_v1(a, c):
+        return not any(v in a and u in c for u, v in b.edges)
+
+    def conformal(xs):
+        return has_perfect_matching(b, frozenset(xs))
+
+    def is_join(x):
+        cs = kids[x]
+        if len(cs) != 2:
+            return False
+        return any(
+            no_edge_v2_to_v1(below[t1], below[t2]) and ref_elementary(b, below[t1])
+            for t1, t2 in ((cs[0], cs[1]), (cs[1], cs[0]))
+        )
+
+    def is_guard1(x):
+        return len(below[x]) <= 2 * k and conformal(below[x])
+
+    def is_guard2(x):
+        cs = kids[x]
+        if len(cs) != 2:
+            return False
+        return any(
+            is_guard1(t1)
+            and (is_join(t2) or (conformal(below[t2]) and ref_elementary(b, below[t2])))
+            for t1, t2 in ((cs[0], cs[1]), (cs[1], cs[0]))
+        )
+
+    for x in view.order:
+        if x == root or x in tree.leaf_map:
+            continue
+        cs = kids[x]
+        basic = len(cs) == 2 and all(c in tree.leaf_map for c in cs)
+        if not (basic or is_join(x) or is_guard1(x) or is_guard2(x)):
+            return False, f"node {x} is neither basic, join, nor guard"
+    if root in tree.leaf_map:
+        return True, None
+    sortable = []
+    for c in kids[root]:
+        if is_guard1(c):
+            continue
+        if is_join(c) or (conformal(below[c]) and ref_elementary(b, below[c])):
+            sortable.append(c)
+        else:
+            return False, f"root successor {c} of no admissible type"
+    if len(sortable) > 3:
+        return False, "root has too many ordered successors"
+    for perm in permutations(sortable):
+        if all(
+            not (u in below[perm[j]] and v in below[perm[i]])
+            for i in range(len(perm))
+            for j in range(i + 1, len(perm))
+            for u, v in b.edges
+        ):
+            return True, None
+    return False, "root successors cannot be ordered"
+
+
+def planted(rng, low, high):
+    n1 = rng.randint(low, high)
+    return random_bipartite_with_pm(rng, n1, rng.randint(n1 // 2, 2 * n1))
+
+
+def test_nice_pmd_check_matches_reference():
+    rng = random.Random(61)
+    verdicts = []
+
+    def check(b, nice):
+        got = nice_pmd_check(b, nice)
+        assert got == ref_nice_pmd_check(b, nice)
+        verdicts.append(got[0])
+
+    for _ in range(60):
+        # random cubic trees rooted at a random inner node
+        b = planted(rng, 3, 8)
+        tree = random_cubic_tree(rng, b.vertices, "deg3")
+        check(b, NicePMD(tree, 0, rng.randint(1, 4)))
+        # the pipeline's tree, as built and with two leaves swapped
+        nice = compute_pmd(b)
+        check(b, nice)
+        tree = nice.tree
+        x, y = rng.sample(sorted(tree.leaf_map), 2)
+        swapped = dict(tree.leaf_map)
+        swapped[x], swapped[y] = swapped[y], swapped[x]
+        check(b, NicePMD(LeafTree(tree.adj, swapped, tree.root), nice.width, nice.type1_bound))
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def broken_dtds(rng, dec):
+    """dec with one guard emptied; with more than one node, also dec with one
+    node's bag moved onto another node's, with a vertex of one bag copied into
+    another, and with one parent pointer moved to a random node."""
+    t = rng.randrange(dec.m)
+    guards = list(dec.guards)
+    guards[t] = frozenset()
+    yield DirectedTreeDecomposition(dec.parent, dec.bags, tuple(guards))
+    if dec.m == 1:
+        return
+    s, t = rng.sample(range(dec.m), 2)
+    bags = list(dec.bags)
+    bags[t] |= bags[s]
+    bags[s] = frozenset()
+    yield DirectedTreeDecomposition(dec.parent, tuple(bags), dec.guards)
+    s = rng.choice([x for x in range(dec.m) if dec.bags[x]])
+    t = rng.choice([x for x in range(dec.m) if x != s])
+    bags = list(dec.bags)
+    bags[t] |= {rng.choice(sorted(dec.bags[s]))}
+    yield DirectedTreeDecomposition(dec.parent, tuple(bags), dec.guards)
+    parent = list(dec.parent)
+    parent[rng.choice([x for x in range(dec.m) if parent[x] != -1])] = rng.randrange(dec.m)
+    yield DirectedTreeDecomposition(tuple(parent), dec.bags, dec.guards)
+
+
+def test_validate_dtd_and_is_prepared_match_reference():
+    rng = random.Random(67)
+    valid, prepared = [], []
+
+    def check(d, dec):
+        for proto in (False, True):
+            got = validate_dtd(d, dec, proto)
+            assert got == ref_validate_dtd(d, dec, proto)
+            valid.append(got[0])
+        got = is_prepared(d, dec)
+        assert got == ref_is_prepared(d, dec)
+        prepared.append(got)
+
+    for _ in range(40):
+        if rng.random() < 0.5:
+            b = planted(rng, 3, 8)
+            d, _ = m_direction(b, some_perfect_matching(b))
+        else:
+            d = random_digraph(rng, rng.randint(2, 8), rng.uniform(0.15, 0.6))
+        _, dec = dtw_exact_small(d)
+        for candidate in (dec, prepare_dtd(d, dec)):
+            check(d, candidate)
+            for broken in broken_dtds(rng, candidate):
+                check(d, broken)
+    # a node with four children: not prepared, however the arcs run
+    d = Digraph(5, frozenset({(1, 2), (1, 3), (1, 4), (1, 5)}))
+    star = DirectedTreeDecomposition(
+        (-1, 0, 0, 0, 0),
+        tuple(frozenset({v}) for v in range(1, 6)),
+        (frozenset(),) + (frozenset({1}),) * 4,
+    )
+    check(d, star)
+    assert prepared[-1] is False and valid[-1] is True
+    # guard ids outside the digraph, as a decomposition file may hold them
+    odd_guards = star.guards[:4] + (frozenset({-1, 9}),)
+    check(d, DirectedTreeDecomposition(star.parent, star.bags, odd_guards))
+    assert 0 < valid.count(False) < len(valid)
+    assert 0 < prepared.count(False) < len(prepared)
+
+
+def test_scc_table_matches_strong_components():
+    rng = random.Random(71)
+    for _ in range(400):
+        d = random_digraph(rng, rng.randint(0, 10), rng.uniform(0.05, 0.6))
+        table = _SccTable(d)
+        for _ in range(3):
+            banned = frozenset(v for v in d.vertices if rng.random() < 0.3)
+            expected = ref_strong_components(d, banned)
+            assert strong_components(d, banned) == expected
+            comps, owner = table[vertex_mask(banned)]
+            assert [mask_members(c) for c in comps] == expected
+            for v in d.vertices:
+                assert owner[v] == next((c for c in comps if c >> v & 1), 0)

@@ -262,5 +262,18 @@ def test_cli_empty_graph(tmp_path, capsys):
     assert capsys.readouterr().out == "1\n"
     assert main(["pm", "count", "--oracle", str(f)]) == 0
     assert capsys.readouterr().out == "1\n"
-    main(["pm", "width", str(f)])
-    assert "no perfect matching" not in capsys.readouterr().err
+    for what in ("width", "decomp"):
+        assert main(["pm", what, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the empty graph has no decomposition\n"
+
+
+def test_cli_count_without_perfect_matching(tmp_path, capsys):
+    # a V2 vertex of degree 0, and unbalanced colour classes
+    for text in ("b 2 2\ne 1 3\ne 2 3\n", "b 2 1\ne 1 3\ne 2 3\n"):
+        f = tmp_path / "g.b"
+        f.write_text(text)
+        for flags in ([], ["--oracle"]):
+            assert main(["pm", "count", *flags, str(f)]) == 0
+            assert capsys.readouterr().out == "0\n"

@@ -101,6 +101,23 @@ def test_decomp_count_via_pipeline():
         assert count_pm(b) == count_pm_bruteforce(b)
 
 
+def test_count_pm_random_graphs_with_and_without_perfect_matching():
+    # uniform random bipartite graphs, a quarter of them with unbalanced
+    # colour classes: many have no perfect matching, and count 0
+    rng = random.Random(29)
+    zeros = 0
+    for _ in range(300):
+        n1 = rng.randint(0, 6)
+        n2 = n1 if rng.random() < 0.75 else max(0, n1 + rng.choice((-1, 1)))
+        p = rng.random()
+        edges = [(u, n1 + v) for u in range(1, n1 + 1) for v in range(1, n2 + 1) if rng.random() < p]
+        b = graph_from_edges(n1, n2, edges)
+        expected = count_pm_bruteforce(b)
+        assert count_pm(b) == expected
+        zeros += expected == 0
+    assert 50 <= zeros <= 250
+
+
 def test_decomp_count_nonbipartite():
     k4 = Graph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
     from matchwidth.decomp import LeafTree

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from matchwidth.digraph import digraph_from_arcs
 from matchwidth.direction import m_direction
 from matchwidth.errors import OracleLimitExceeded
 import matchwidth.decomp as decomp_module
-from matchwidth.grids import square_grid
+from matchwidth.grids import cylindrical_grid, square_grid
 from matchwidth.porosity import (
     cycle_porosity,
     matching_porosity,
@@ -39,6 +41,7 @@ from common import (
     even_cycle,
     k2,
     random_bipartite_with_pm,
+    random_cubic_tree,
     random_digraph,
 )
 
@@ -50,39 +53,6 @@ def leaf_tree_from_pairs(pairs, leaf_map, root=None):
         adj[x].add(y)
         adj[y].add(x)
     return LeafTree(tuple(frozenset(a) for a in adj), leaf_map, root)
-
-
-def random_cubic_tree(rng, ground, root_kind):
-    """Random leaf tree over `ground` (three or more elements), grown by
-    hanging each further leaf off a random edge.  root_kind is None, "leaf",
-    "deg3" (an internal node) or "deg2" (a node subdividing a random edge)."""
-    ground = list(ground)
-    adj = [{1}, {0}]
-    leaf_map = {0: ground[0], 1: ground[1]}
-
-    def subdivide():
-        x = rng.randrange(len(adj))
-        y = rng.choice(sorted(adj[x]))
-        adj[x].remove(y)
-        adj[y].remove(x)
-        adj[x].add(len(adj))
-        adj[y].add(len(adj))
-        adj.append({x, y})
-        return len(adj) - 1
-
-    for v in ground[2:]:
-        mid = subdivide()
-        adj[mid].add(len(adj))
-        adj.append({mid})
-        leaf_map[len(adj) - 1] = v
-    root = None
-    if root_kind == "leaf":
-        root = rng.choice(sorted(leaf_map))
-    elif root_kind == "deg3":
-        root = rng.choice([x for x in range(len(adj)) if x not in leaf_map])
-    elif root_kind == "deg2":
-        root = subdivide()
-    return LeafTree(tuple(map(frozenset, adj)), leaf_map, root)
 
 
 def tree_edge_shores(tree):
@@ -374,3 +344,42 @@ def test_width_chain_small():
         _, cert = dtw_exact_small(d)
         width = cert.width()
         assert cycw - 1 <= width <= 18 * cycw * cycw + 36 * cycw - 2
+
+
+def test_compute_pmd_pinned():
+    # (width, type1_bound, tree digest) of each graph, recorded before the
+    # checks and the width moved onto vertex masks; the decomposition must
+    # not change
+    pinned = [
+        ("planted6", 2, 2, "ecdd5e7ef3afcfbf"),
+        ("planted7", 2, 2, "36f04605340c6a29"),
+        ("planted8", 1, 2, "d62cb1174bfa0042"),
+        ("planted9", 2, 2, "9abf0f5c3587e237"),
+        ("planted10", 4, 4, "52fc8c219e41096f"),
+        ("planted11", 2, 2, "d2b845700155c15d"),
+        ("planted12", 2, 2, "6133b862dfe32813"),
+        ("grid3x4", 2, 2, "76d3d5c216c968c2"),
+        ("grid3x6", 2, 2, "dae16763d5e62d96"),
+        ("grid3x8", 2, 2, "757d68bd5eb76c4f"),
+        ("grid4x3", 2, 2, "831aa03865b6806f"),
+        ("grid4x4", 4, 4, "8b13026bf9c40e7f"),
+        ("grid4x5", 4, 4, "a7a22f99f32b9a99"),
+        ("grid4x6", 4, 4, "a17bde5433ebc243"),
+        ("cg2", 4, 4, "bc0e0f189a2d23c1"),
+    ]
+    rng = random.Random(2106)
+    graphs = [
+        (f"planted{n1}", random_bipartite_with_pm(rng, n1, rng.randint(n1, 2 * n1)))
+        for n1 in range(6, 13)
+    ]
+    graphs += [(f"grid3x{k}", square_grid(3, k)) for k in (4, 6, 8)]
+    graphs += [(f"grid4x{k}", square_grid(4, k)) for k in (3, 4, 5, 6)]
+    graphs.append(("cg2", cylindrical_grid(2)[0]))
+    got = []
+    for name, b in graphs:
+        nice = compute_pmd(b)
+        tree = nice.tree
+        data = [[sorted(a) for a in tree.adj], sorted(tree.leaf_map.items()), tree.root]
+        digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
+        got.append((name, nice.width, nice.type1_bound, digest))
+    assert got == pinned

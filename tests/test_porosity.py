@@ -13,6 +13,7 @@ from matchwidth.digraph import (
     digraph_from_arcs,
     has_cycle_crossing,
     simple_directed_cycles,
+    vertex_mask,
 )
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NoPerfectMatching
@@ -89,7 +90,7 @@ def test_porosity_bound_covers_bruteforce():
         b = random_bipartite_with_pm(rng, n1, rng.randint(0, n1 * (n1 - 1)))
         shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
         exact = matching_porosity_bruteforce(b, shore)
-        bound = matching_porosity_bound(b, shore)
+        bound = matching_porosity_bound(b, vertex_mask(shore))
         assert bound >= exact
         tight += bound == exact
     assert tight >= 100
