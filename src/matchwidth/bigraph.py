@@ -267,18 +267,14 @@ def is_perfect(b: BipartiteGraph, m: Iterable[Edge]) -> bool:
     return len(m) * 2 == b.n and len({x for e in m for x in e}) == b.n
 
 
-def enumerate_perfect_matchings(
-    b: BipartiteGraph,
-    cap: int | None = None,
-    limit: int = ORACLE_VERTEX_LIMIT,
-) -> list[Matching]:
+def enumerate_perfect_matchings(b: BipartiteGraph, cap: int | None = None) -> list[Matching]:
     """All perfect matchings, ordered lexicographically by sorted edge list.
 
-    Brute-force oracle; refuses graphs above the vertex limit and raises
-    OracleLimitExceeded when more than cap matchings exist.
+    Brute-force oracle; refuses graphs above ORACLE_VERTEX_LIMIT vertices and
+    raises OracleLimitExceeded when more than cap matchings exist.
     """
-    if b.n > limit:
-        raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {limit}")
+    if b.n > ORACLE_VERTEX_LIMIT:
+        raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {ORACLE_VERTEX_LIMIT}")
     if b.n1 != b.n2:
         return []
     out: list[Matching] = []
@@ -386,37 +382,3 @@ def bicontract(b: BipartiteGraph, v: int) -> tuple[BipartiteGraph, dict[int, int
         a, c = mapping[x], new_vertex
         new_edges.add((min(a, c), max(a, c)))
     return BipartiteGraph(n1_new, n2_new, frozenset(new_edges)), mapping, new_vertex
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive helpers for general graphs (counting module support).
-# ---------------------------------------------------------------------------
-
-
-def plain_has_perfect_matching(g: Graph, banned: frozenset[int] = frozenset()) -> bool:
-    """PM existence in a general graph; memoised recursion, desk scale only."""
-    verts = [v for v in g.vertices if v not in banned]
-    if len(verts) % 2:
-        return False
-    idx = {v: i for i, v in enumerate(verts)}
-    nbrs = [[idx[w] for w in g.adj[v] if w not in banned] for v in verts]
-    full = (1 << len(verts)) - 1
-    memo: dict[int, bool] = {}
-
-    def rec(mask: int) -> bool:
-        if mask == full:
-            return True
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        i = (~mask & -~mask).bit_length() - 1
-        res = False
-        for j in nbrs[i]:
-            if not mask & (1 << j):
-                if rec(mask | (1 << i) | (1 << j)):
-                    res = True
-                    break
-        memo[mask] = res
-        return res
-
-    return rec(0)

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io as mio
 from .bigraph import BipartiteGraph, graph_from_edges, some_perfect_matching
 from .digraph import Digraph
-from .errors import MatchwidthError
+from .errors import InvalidParameter, MatchwidthError
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -88,6 +88,8 @@ def cmd_gen(args) -> int:
     else:  # random
         rng = random.Random(args.seed)
         n = args.n
+        if n < 0:
+            raise InvalidParameter(f"vertex count {n} is negative")
         edges = {(i, n + i) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             for j in range(n + 1, 2 * n + 1):
@@ -99,6 +101,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pm(args) -> int:
+    if args.what != "count" and (args.oracle or args.decomp):
+        flag = "--oracle" if args.oracle else "--decomp"
+        raise MatchwidthError(f"{flag} applies to pm count only")
+    if args.oracle and args.decomp:
+        raise MatchwidthError("--oracle and --decomp exclude each other")
     b = _need_bipartite(mio.parse_graph_file(args.graph))
     if args.what == "count":
         from .counting import count_pm, count_pm_bruteforce, count_pm_decomp
@@ -177,11 +184,15 @@ def cmd_guard(args) -> int:
 def cmd_dapp(args) -> int:
     from .linkage import dapp_bruteforce, dapp_solve, dapp_solve_extending
 
+    if args.oracle and args.extend:
+        raise MatchwidthError("--oracle and --extend exclude each other")
+    if args.witness and not args.oracle:
+        raise MatchwidthError("--witness needs --oracle")
     b = _need_bipartite(mio.parse_graph_file(args.graph))
     pairs = _parse_pairs(args.pairs)
     if args.oracle:
         answer, solution = dapp_bruteforce(b, pairs)
-        if answer and args.witness and solution is not None:
+        if args.witness and solution is not None:
             with open(args.witness, "w") as fh:
                 json.dump(
                     {
@@ -246,6 +257,8 @@ def cmd_strongplanar(args) -> int:
 def cmd_dtw(args) -> int:
     from .decomp import dtw_exact_small, validate_dtd
 
+    if args.proto and not args.dtd:
+        raise MatchwidthError("--proto needs --dtd")
     d = _need_digraph(mio.parse_graph_file(args.graph))
     if args.dtd:
         dec = mio.dtd_from_json(_read_json(args.dtd))

@@ -13,7 +13,8 @@ COUNT_ORACLE_LIMIT = 22
 
 
 def count_pm_bruteforce(g: Graph | BipartiteGraph, limit: int = COUNT_ORACLE_LIMIT) -> int:
-    """Exact number of perfect matchings (exhaustive, arbitrary precision).
+    """Exact number of perfect matchings (exhaustive, arbitrary precision):
+    the oracle for `count_pm` (`pm count --oracle`).
 
     For bipartite inputs this equals the permanent of the biadjacency matrix.
     """
@@ -177,17 +178,12 @@ def count_pm_decomp(
     return memo[root, 0]
 
 
-def count_pm(b: BipartiteGraph, dec: LeafTree | None = None) -> int:
+def count_pm(b: BipartiteGraph) -> int:
     """Count perfect matchings through the decomposition pipeline."""
     if b.n == 0:
         return 1  # the empty matching
-    if dec is None:
-        try:
-            nice = compute_pmd(b)
-        except NoPerfectMatching:
-            return 0
-        dec = nice.tree
-        width = nice.width
-    else:
-        width = None
-    return count_pm_decomp(b, dec, width=width)
+    try:
+        nice = compute_pmd(b)
+    except NoPerfectMatching:
+        return 0
+    return count_pm_decomp(b, nice.tree, width=nice.width)

@@ -44,6 +44,7 @@ from .porosity import (
 
 DTW_ORACLE_LIMIT = 12
 PMW_ORACLE_LIMIT = 10
+COP_GAME_ORACLE_LIMIT = 7
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +165,9 @@ PMDecomposition = LeafTree
 CycleDecomposition = LeafTree
 
 
-def pmd_width(
-    b: BipartiteGraph, dec: PMDecomposition, extra_edges: frozenset[tuple[int, int]] = frozenset()
-) -> int:
-    """Max matching porosity over the tree-edge cuts of the decomposition.
-
-    extra_edges, when given, are added to the graph before evaluating the
-    porosities (used for completion-augmented safety widths).
+def pmd_width(b: BipartiteGraph, dec: PMDecomposition) -> int:
+    """Max matching porosity over the tree-edge cuts of the decomposition:
+    the independent check of the width that `pm decomp` reports.
 
     Only cuts that can raise the maximum get the exact porosity search.
     The best value so far starts at the larger of 1 (every perfect matching
@@ -181,14 +178,13 @@ def pmd_width(
     no remaining cut can exceed it, so the maximum is exact.
     """
     dec.validate(b.vertices)
-    host = b if not extra_edges else BipartiteGraph(b.n1, b.n2, b.edges | extra_edges)
-    m = some_perfect_matching(host)
+    m = some_perfect_matching(b)
     if m is None:
         raise NoPerfectMatching("graph has no perfect matching")
     if dec.m == 1:
         return 0
     # porosity counts crossing edges, so either shore of a tree edge will do
-    return _cut_width(host, m, dec.rooted(0).below_masks()[1:])
+    return _cut_width(b, m, dec.rooted(0).below_masks()[1:])
 
 
 def _cut_width(host: BipartiteGraph, m: Matching, shores: list[int]) -> int:
@@ -207,7 +203,9 @@ def _cut_width(host: BipartiteGraph, m: Matching, shores: list[int]) -> int:
 
 
 def cycd_width(d: Digraph, dec: CycleDecomposition) -> int:
-    """Half the maximum cycle porosity over the tree-edge cuts."""
+    """Half the maximum cycle porosity over the tree-edge cuts: the check of
+    the width `cycw_exact_small` reports with its decomposition, which
+    `matchwidth cops` plays on."""
     dec.validate(d.vertices)
     if dec.m == 1:
         return 0
@@ -309,10 +307,10 @@ def _branch_dp(
     return top, tree
 
 
-def pmw_exact_small(b: BipartiteGraph, limit: int = PMW_ORACLE_LIMIT) -> tuple[int, PMDecomposition]:
+def pmw_exact_small(b: BipartiteGraph) -> tuple[int, PMDecomposition]:
     """Exact perfect matching width with witness (brute force, small graphs)."""
-    if b.n > limit:
-        raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {limit}")
+    if b.n > PMW_ORACLE_LIMIT:
+        raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {PMW_ORACLE_LIMIT}")
     if some_perfect_matching(b) is None:
         raise NoPerfectMatching("graph has no perfect matching")
 
@@ -324,10 +322,10 @@ def pmw_exact_small(b: BipartiteGraph, limit: int = PMW_ORACLE_LIMIT) -> tuple[i
     return width, tree
 
 
-def cycw_exact_small(d: Digraph, limit: int = PMW_ORACLE_LIMIT) -> tuple[int, CycleDecomposition]:
+def cycw_exact_small(d: Digraph) -> tuple[int, CycleDecomposition]:
     """Exact cycle width with witness (brute force, small digraphs)."""
-    if d.n > limit:
-        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {limit}")
+    if d.n > PMW_ORACLE_LIMIT:
+        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {PMW_ORACLE_LIMIT}")
 
     def f(shore: frozenset[int]) -> int:
         return cycle_porosity(d, shore)
@@ -390,9 +388,6 @@ class DirectedTreeDecomposition:
             for s in self.kids[t]:
                 out[t] |= out[s]
         return tuple(out)
-
-    def children(self, t: int) -> list[int]:
-        return list(self.kids[t])
 
     def gamma(self, t: int) -> frozenset[int]:
         out = set(self.bags[t])
@@ -519,14 +514,16 @@ def _monotone_win(table: _SccTable, moves: list[int]) -> dict[int, int] | None:
     return memo
 
 
-def cop_number_game_exact(d: Digraph, limit: int = 7) -> int:
+def cop_number_game_exact(d: Digraph) -> int:
     """True game value with arbitrary (including repositioning) moves.
 
     Least-fixpoint computation over all positions; tiny digraphs only.
-    Used to cross-check the progress-monotone search.
+    The oracle for the progress-monotone search of `dtw_exact_small`.
     """
-    if d.n > limit:
-        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {limit}")
+    if d.n > COP_GAME_ORACLE_LIMIT:
+        raise OracleLimitExceeded(
+            f"{d.n} vertices exceeds oracle limit {COP_GAME_ORACLE_LIMIT}"
+        )
     verts = sorted(d.vertices)
     table = _SccTable(d)
     for k in range(1, d.n + 1):
@@ -553,14 +550,12 @@ def cop_number_game_exact(d: Digraph, limit: int = 7) -> int:
     raise AssertionError("n cops always win")
 
 
-def dtw_exact_small(
-    d: Digraph, limit: int = DTW_ORACLE_LIMIT
-) -> tuple[int, DirectedTreeDecomposition]:
+def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     """Minimum cop number (progress-monotone game) and a certificate
     decomposition of width at most 2k - 1 <= 3k - 2 extracted from the
     winning strategy."""
-    if d.n > limit:
-        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {limit}")
+    if d.n > DTW_ORACLE_LIMIT:
+        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {DTW_ORACLE_LIMIT}")
     if d.n == 0:
         raise InvalidDecomposition("empty digraph")
     table = _SccTable(d)
@@ -616,32 +611,27 @@ class PlayTranscript:
         return max((len(c) for c in self.cop_positions), default=0)
 
 
-def greedy_robber(options: list[frozenset[int]]) -> frozenset[int] | None:
-    """Adversary policy: largest component, ties by smallest minimum vertex."""
-    if not options:
-        return None
-    return max(options, key=lambda c: (len(c), -min(c)))
-
-
-def cops_play(
-    d: Digraph,
-    dec: CycleDecomposition,
-    robber: Callable[[list[frozenset[int]]], frozenset[int] | None] = greedy_robber,
-) -> PlayTranscript:
+def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
     """Execute the guard-set pursuit along the decomposition tree.
 
     Cops occupy, per tree edge, a hitting set for all directed cycles
     crossing the induced cut, then descend towards the robber's subtree.
-    The transcript ends in capture.
+    The robber takes the largest component, ties to the one with the
+    smallest vertex.  The transcript ends in capture.
     """
     dec.validate(d.vertices)
     table = _SccTable(d)
     transcript = PlayTranscript()
 
+    def robber(options: Iterable[int]) -> frozenset[int] | None:
+        best = max(options, key=lambda c: (c.bit_count(), -(c & -c)), default=None)
+        return None if best is None else mask_members(best)
+
     def place(cops: frozenset[int], prev: frozenset[int], prev_robber: frozenset[int]) -> frozenset[int] | None:
         transcript.cop_positions.append(cops)
-        options = _responses(table, vertex_mask(prev), vertex_mask(prev_robber), vertex_mask(cops))
-        choice = robber([mask_members(c) for c in options])
+        choice = robber(
+            _responses(table, vertex_mask(prev), vertex_mask(prev_robber), vertex_mask(cops))
+        )
         transcript.robber_positions.append(choice)
         return choice
 
@@ -657,8 +647,7 @@ def cops_play(
     v = dec.leaf_map[leaf]
     c0 = frozenset({v})
     transcript.cop_positions.append(c0)
-    opts = [mask_members(c) for c in table[vertex_mask(c0)][0]]
-    r = robber(opts)
+    r = robber(table[vertex_mask(c0)][0])
     transcript.robber_positions.append(r)
     if r is None:
         transcript.caught = True
@@ -747,11 +736,11 @@ def _children_topo_order(d: Digraph, kids: Sequence[int], below: Sequence[int]) 
 
 def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecomposition:
     """Split high-degree nodes with empty-bag chain nodes so the tree becomes
-    subcubic, preserving the guard axioms and the width."""
-    ok, _, reason = validate_dtd(d, dec, proto=True)
-    if not ok:
-        raise InvalidDecomposition(f"input decomposition invalid: {reason}")
+    subcubic, preserving the guard axioms and the width.
 
+    dec must be a decomposition of d that `validate_dtd` accepts, such as
+    the output of `dtw_exact_small`; the result is checked where it is used
+    (`is_prepared` in `dtd_to_nice_pmd`)."""
     parent = list(dec.parent)
     bags = list(dec.bags)
     guards = list(dec.guards)
@@ -784,21 +773,15 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
         work.append(t)
         work.append(new)
 
-    out = DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
-    ok, _, reason = validate_dtd(d, out, proto=True)
-    if not ok:
-        raise AssertionError(f"prepared decomposition invalid: {reason}")
-    return out
+    return DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
 
 
-def is_prepared(d: Digraph, dec: DirectedTreeDecomposition, width: int | None = None) -> bool:
+def is_prepared(d: Digraph, dec: DirectedTreeDecomposition) -> bool:
     """Check the prepared axioms (subcubic; strong or small child subtrees;
     two-successor nodes orderable without back edges)."""
-    ok, w, _ = validate_dtd(d, dec, proto=True)
+    ok, width, _ = validate_dtd(d, dec, proto=True)
     if not ok:
         return False
-    if width is None:
-        width = w
     below = dec.subtree_masks
     for t in range(dec.m):
         kids = dec.kids[t]
@@ -1113,19 +1096,14 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
     return False, "root successors cannot be ordered"
 
 
-def compute_pmd(b: BipartiteGraph, dtd: DirectedTreeDecomposition | None = None) -> NicePMD:
+def compute_pmd(b: BipartiteGraph) -> NicePMD:
     """Full pipeline: pick a matching, build the M-direction, find a directed
-    tree decomposition (exact small-scale search unless one is supplied),
-    prepare it, and convert to a nice perfect matching decomposition."""
+    tree decomposition by the exact small-scale search, prepare it, and
+    convert to a nice perfect matching decomposition."""
     m = some_perfect_matching(b)
     if m is None:
         raise NoPerfectMatching("graph has no perfect matching")
     d, _ = m_direction(b, m)
-    if dtd is None:
-        _, dtd = dtw_exact_small(d)
-    else:
-        ok, _, reason = validate_dtd(d, dtd, proto=True)
-        if not ok:
-            raise InvalidDecomposition(f"supplied decomposition invalid: {reason}")
+    _, dtd = dtw_exact_small(d)
     prepared = prepare_dtd(d, dtd)
     return dtd_to_nice_pmd(b, m, frozenset(), prepared)

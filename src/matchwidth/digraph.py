@@ -59,9 +59,6 @@ class Digraph:
             inn[v].add(u)
         return {v: frozenset(s) for v, s in inn.items()}
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
 
 def digraph_from_arcs(n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n, frozenset(tuple(p) for p in pairs))
@@ -175,31 +172,22 @@ def strongly_connected_within(d: Digraph, keep: int) -> bool:
     )
 
 
-def is_strongly_connected(d: Digraph, banned: frozenset[int] = frozenset()) -> bool:
-    return strongly_connected_within(d, (((1 << d.n) - 1) << 1) & ~vertex_mask(banned))
+def is_strongly_connected(d: Digraph) -> bool:
+    return strongly_connected_within(d, ((1 << d.n) - 1) << 1)
 
 
-def is_strongly_k_connected(d: Digraph, k: int) -> bool:
-    """Strong k-connectivity: |V| >= k+1 and no cutset of fewer than k vertices."""
-    if d.n < k + 1:
-        return False
-    from itertools import combinations
+def simple_directed_cycles(d: Digraph) -> list[tuple[int, ...]]:
+    """All simple directed cycles, each rooted at its minimal vertex.
 
-    for size in range(0, k):
-        for cut in combinations(d.vertices, size):
-            if not is_strongly_connected(d, frozenset(cut)):
-                return False
-    return True
-
-
-def simple_directed_cycles(d: Digraph, banned: frozenset[int] = frozenset()) -> list[tuple[int, ...]]:
-    """All simple directed cycles, each rooted at its minimal vertex (test helper)."""
+    Exhaustive oracle for `porosity.directed_cycle_hitting_set`, which
+    places the guards of `decomp.cops_play` (`matchwidth cops`), and for the
+    cycle bijection behind `direction.m_direction`.
+    """
     cycles: list[tuple[int, ...]] = []
-    verts = sorted(v for v in d.vertices if v not in banned)
 
     def dfs(start: int, v: int, path: list[int], visited: set[int]) -> None:
         for w in sorted(d.out_adj[v]):
-            if w in banned or w < start:
+            if w < start:
                 continue
             if w == start:
                 cycles.append(tuple(path))
@@ -210,7 +198,7 @@ def simple_directed_cycles(d: Digraph, banned: frozenset[int] = frozenset()) -> 
                 path.pop()
                 visited.remove(w)
 
-    for s in verts:
+    for s in d.vertices:
         dfs(s, s, [s], {s})
     return cycles
 

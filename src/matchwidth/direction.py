@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .bigraph import (
-    BipartiteGraph,
-    Graph,
-    Matching,
-    VertexSet,
-    check_matching,
-    is_extendable,
-    is_perfect,
-)
-from .digraph import Digraph, is_strongly_k_connected, strong_components
-from .errors import NotPerfect, TooSmall
+from .bigraph import BipartiteGraph, Matching, VertexSet, check_matching, is_perfect
+from .digraph import Digraph, strong_components
+from .errors import NotPerfect
 
 VertexTag = dict[int, tuple[int, int]]
 
@@ -66,45 +56,6 @@ def split(d: Digraph) -> tuple[BipartiteGraph, Matching, VertexTag]:
         edges.add((u, n + v))
     tag: VertexTag = {v: (v, n + v) for v in d.vertices}
     return BipartiteGraph(n, n, frozenset(edges)), matching, tag
-
-
-def biorientation(g: Graph | BipartiteGraph) -> Digraph:
-    """Replace every edge uv by the two arcs (u,v) and (v,u)."""
-    arcs = set()
-    for u, v in g.edges:
-        arcs.add((u, v))
-        arcs.add((v, u))
-    return Digraph(g.n, frozenset(arcs))
-
-
-def is_k_extendable(b: BipartiteGraph, m: Matching, k: int) -> bool:
-    """True iff every matching of size k extends to a perfect matching.
-
-    Decided through strong k-connectivity of the M-direction.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if b.n < 2 * k + 2 or not b.is_connected():
-        raise TooSmall(f"need a connected graph with at least {2 * k + 2} vertices")
-    d, _ = m_direction(b, m)
-    return is_strongly_k_connected(d, k)
-
-
-def is_k_extendable_bruteforce(b: BipartiteGraph, k: int) -> bool:
-    """Definition-level check over all k-matchings (oracle, tiny graphs)."""
-    if b.n < 2 * k + 2 or not b.is_connected():
-        raise TooSmall(f"need a connected graph with at least {2 * k + 2} vertices")
-    for combo in combinations(sorted(b.edges), k):
-        covered: set[int] = set()
-        ok = True
-        for u, v in combo:
-            if u in covered or v in covered:
-                ok = False
-                break
-            covered.update((u, v))
-        if ok and not is_extendable(b, frozenset(combo)):
-            return False
-    return True
 
 
 def conformal_cycles(b: BipartiteGraph, m: Matching) -> list[tuple[int, ...]]:

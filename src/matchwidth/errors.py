@@ -25,10 +25,6 @@ class DegreeNotTwo(MatchwidthError):
     """Bicontraction target must have degree exactly two."""
 
 
-class TooSmall(MatchwidthError):
-    """Graph violates a minimum-size precondition."""
-
-
 class NotAPartialOrder(MatchwidthError):
     """Component order failed antisymmetry; indicates a bug upstream."""
 
@@ -51,6 +47,10 @@ class NotContractible(MatchwidthError):
 
 class NotStronglyConnected(MatchwidthError):
     """Digraph must be strongly connected."""
+
+
+class InvalidParameter(MatchwidthError):
+    """A generator was given an order or arc it cannot build from."""
 
 
 class OddOrder(MatchwidthError):

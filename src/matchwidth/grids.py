@@ -19,6 +19,7 @@ from .bigraph import (
 from .digraph import Digraph, is_strongly_connected
 from .direction import m_direction
 from .errors import (
+    InvalidParameter,
     NotMatchingCovered,
     NotStronglyConnected,
     OddOrder,
@@ -49,7 +50,7 @@ def cylindrical_grid(k: int) -> tuple[BipartiteGraph, Matching, GridCoordinates]
     1 mod 4 (outward) and ring i to i-1 at positions 3 mod 4 (inward).
     """
     if k < 1:
-        raise ValueError("order must be positive")
+        raise InvalidParameter(f"order {k} is not positive")
     length = 4 * k
     blacks = [(i, j) for i in range(1, k + 1) for j in range(1, length + 1, 2)]
     whites = [(i, j) for i in range(1, k + 1) for j in range(2, length + 1, 2)]
@@ -106,10 +107,11 @@ def model_cgq_in_cg3k(k: int) -> MatchingMinorModel:
     Vertex models are five-vertex barycentric paths around host rings
     3l-1; edge models follow the construction's coordinate scheme (ring
     edges and grid edges single host edges, quadrangulation edges
-    seven-edge paths).
+    seven-edge paths).  A check of the statement that the quadrangulation
+    of order k is a matching minor of CG_3k.
     """
     if k < 1:
-        raise ValueError("order must be positive")
+        raise InvalidParameter(f"order {k} is not positive")
     host, host_m, hc = cylindrical_grid(3 * k)
     pattern, _, pc = quadrangulation(k)
 
@@ -218,25 +220,6 @@ def square_grid_coords(rows: int, cols: int) -> dict[tuple[int, int], int]:
     return ids
 
 
-def square_grid_matching(rows: int, cols: int) -> Matching:
-    """Horizontal dominoes when the column count is even, else vertical."""
-    ids = square_grid_coords(rows, cols)
-    out = set()
-    if cols % 2 == 0:
-        for r in range(1, rows + 1):
-            for c in range(1, cols + 1, 2):
-                a, b = ids[(r, c)], ids[(r, c + 1)]
-                out.add((min(a, b), max(a, b)))
-    elif rows % 2 == 0:
-        for c in range(1, cols + 1):
-            for r in range(1, rows + 1, 2):
-                a, b = ids[(r, c)], ids[(r + 1, c)]
-                out.add((min(a, b), max(a, b)))
-    else:
-        raise OddVertexCount("grid needs an even number of vertices")
-    return frozenset(out)
-
-
 def switched_matching(k: int) -> tuple[BipartiteGraph, Matching, GridCoordinates]:
     """The quadrangulation of order k with the canonical matching switched
     along every second concentric cycle."""
@@ -323,7 +306,9 @@ def _grid_model_pieces(k: int) -> tuple[set[tuple[int, int]], set[frozenset[tupl
 
 def square_grid_model(k: int) -> MatchingMinorModel:
     """A matching minor model of the k x k grid inside the quadrangulation
-    of order k, conformal for the switched matching (k even, k >= 4)."""
+    of order k, conformal for the switched matching (k even, k >= 4): a
+    check of the statement that the quadrangulation of order k holds the
+    k x k grid as a matching minor."""
     if k % 2 or k < 4:
         raise OddOrder("order must be even and at least 4")
     host, switched, coords = switched_matching(k)
@@ -554,9 +539,9 @@ def ep_gadget(h: Digraph, arc: tuple[int, int], k: int) -> Digraph:
     if not is_strongly_connected(h):
         raise NotStronglyConnected("pattern digraph must be strongly connected")
     if tuple(arc) not in h.arcs:
-        raise ValueError(f"{arc} is not an arc of the pattern")
+        raise InvalidParameter(f"{tuple(arc)} is not an arc of the pattern")
     if k < 1:
-        raise ValueError("order must be positive")
+        raise InvalidParameter(f"order {k} is not positive")
     grid, outer = cylindrical_grid_digraph(k)
     u, v = arc
     n_grid = grid.n

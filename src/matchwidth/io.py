@@ -41,6 +41,8 @@ def parse_graph_text(text: str) -> BipartiteGraph | Digraph:
                     raise ParseError("malformed header count", lineno)
             else:
                 raise ParseError("expected header `b <n1> <n2>` or `d <n>`", lineno)
+            if min(header) < 0:
+                raise ParseError("negative vertex count", lineno)
             continue
         want = "e" if kind == "b" else "a"
         if parts[0] != want or len(parts) != 3:

@@ -135,6 +135,9 @@ def bipartite_isomorphic(
     m2: Matching | None = None,
     allow_swap: bool = True,
 ) -> bool:
+    """Isomorphism through canonical forms, optionally of graphs with
+    matchings: the oracle that checks the graphs `gen` and `split` build
+    against known families."""
     if (b1.n1, b1.n2, len(b1.edges)) != (b2.n1, b2.n2, len(b2.edges)) and not (
         allow_swap and (b1.n1, b1.n2) == (b2.n2, b2.n1) and len(b1.edges) == len(b2.edges)
     ):
@@ -143,6 +146,8 @@ def bipartite_isomorphic(
 
 
 def digraph_isomorphic(d1: Digraph, d2: Digraph) -> bool:
+    """Isomorphism through canonical forms: the oracle that checks the
+    M-directions `direction` builds against known digraphs."""
     if d1.n != d2.n or len(d1.arcs) != len(d2.arcs):
         return False
     return canonical_digraph(d1) == canonical_digraph(d2)

@@ -39,6 +39,7 @@ from .porosity import matching_porosity
 
 DAPP_VERTEX_LIMIT = 12
 DAPP_PAIR_LIMIT = 2
+LIMITED_ORACLE_LIMIT = 10
 
 TerminalPair = tuple[int, int]
 
@@ -95,14 +96,14 @@ def dapp_bruteforce(
     b: BipartiteGraph,
     pairs: Sequence[TerminalPair],
     limit: int = DAPP_VERTEX_LIMIT,
-    pair_limit: int = DAPP_PAIR_LIMIT,
     banned: frozenset[int] = frozenset(),
 ) -> tuple[bool, Solution | None]:
-    """Exhaustive oracle over perfect matchings and path systems."""
+    """Exhaustive oracle over perfect matchings and path systems; it gates
+    `dapp_solve` and `dapp_solve_extending` (`matchwidth dapp`)."""
     if b.n > limit:
         raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {limit}")
-    if len(pairs) > pair_limit:
-        raise OracleLimitExceeded(f"{len(pairs)} pairs exceed oracle limit {pair_limit}")
+    if len(pairs) > DAPP_PAIR_LIMIT:
+        raise OracleLimitExceeded(f"{len(pairs)} pairs exceed oracle limit {DAPP_PAIR_LIMIT}")
     pairs = [tuple(p) for p in pairs]
     _pairs_ok(b, pairs)
     if any(s in banned or t in banned for s, t in pairs):
@@ -766,15 +767,14 @@ class Itinerary:
 
     ctx: _Ctx
     node: int
-    u_set: frozenset[Edge]
 
     def query(self, pairs: Sequence[TerminalPair], j_set: Iterable[Edge]) -> frozenset[int]:
         return _query(
             self.ctx,
             self.node,
-            self.u_set,
+            frozenset(),
             tuple(sorted(tuple(p) for p in pairs)),
-            frozenset(tuple(e) for e in j_set) | self.u_set,
+            frozenset(tuple(e) for e in j_set),
         )
 
 
@@ -797,10 +797,6 @@ def make_context(
         kids=kids,
         root_node=root,
     )
-
-
-def node_itinerary(ctx: _Ctx, node: int, u_set: Iterable[Edge] = ()) -> Itinerary:
-    return Itinerary(ctx, node, frozenset(tuple(e) for e in u_set))
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +944,7 @@ def _dp_decides(
         k=max(len(pairs), 1),
         w=max(nice.type1_bound, 1),
     )
-    root_it = node_itinerary(ctx, ctx.root_node)
+    root_it = Itinerary(ctx, ctx.root_node)
     return bool(root_it.query(pairs, forced))
 
 
@@ -1009,17 +1005,20 @@ def is_limited(
     xs: Iterable[int],
     k: int,
     w: int,
-    sample: int = 2000,
-    seed: int = 0,
 ) -> bool:
     """Check (k, w)-limitedness: every subset of xs whose cut has matching
     porosity at most w in the completed graph sees at most k + w parts.
 
-    Exhaustive for |xs| <= 10, sampled above.
+    Exhaustive over the subsets of xs, so xs may hold at most
+    LIMITED_ORACLE_LIMIT vertices.  A check of the limitedness statement
+    behind the paper's k-DAPP dynamic program: the linkage of a solution
+    meets such a set in at most k + w parts.
     """
-    import random as _random
-
     xs = sorted(set(xs))
+    if len(xs) > LIMITED_ORACLE_LIMIT:
+        raise OracleLimitExceeded(
+            f"{len(xs)} vertices exceeds oracle limit {LIMITED_ORACLE_LIMIT}"
+        )
     extra = frozenset(
         (min(u, v), max(u, v)) for u, v in completion if not b.has_edge(u, v)
     )
@@ -1030,15 +1029,8 @@ def is_limited(
             return True
         return parts_in(paths, sub) <= k + w
 
-    if len(xs) <= 10:
-        for r in range(len(xs) + 1):
-            for combo in combinations(xs, r):
-                if not check(frozenset(combo)):
-                    return False
-        return True
-    rng = _random.Random(seed)
-    for _ in range(sample):
-        sub = frozenset(v for v in xs if rng.random() < 0.5)
-        if not check(sub):
-            return False
-    return True
+    return all(
+        check(frozenset(combo))
+        for r in range(len(xs) + 1)
+        for combo in combinations(xs, r)
+    )

@@ -161,7 +161,9 @@ def residual_matching(
     """The perfect matching of h induced by a perfect matching of mu(h).
 
     An h-edge is in the residual matching iff its model path is M-conformal
-    (covered ends), as opposed to internally M-conformal.
+    (covered ends), as opposed to internally M-conformal.  A check of the
+    statement that every perfect matching of a model's vertex set induces
+    a perfect matching of h.
     """
     m = frozenset(tuple(e) for e in m)
     model_vertices = mu.total_vertices()
@@ -204,7 +206,8 @@ def _bicontract_candidates(b: BipartiteGraph) -> list[int]:
 def matching_minor_bruteforce(
     b: BipartiteGraph, h: BipartiteGraph, limit: int = MM_ORACLE_LIMIT
 ) -> bool:
-    """Is h a matching minor of b?  Exhaustive closure search.
+    """Is h a matching minor of b?  Exhaustive closure search: the oracle for
+    `matching_minor_check` (`minor --oracle`).
 
     Atomic steps from any graph with a perfect matching: delete an edge
     (keeping a perfect matching), delete the two endpoints of an edge
@@ -253,16 +256,14 @@ def matching_minor_bruteforce(
     return search(b)
 
 
-def find_model_bruteforce(
-    b: BipartiteGraph, h: BipartiteGraph, limit: int = MM_ORACLE_LIMIT
-) -> MatchingMinorModel | None:
+def find_model_bruteforce(b: BipartiteGraph, h: BipartiteGraph) -> MatchingMinorModel | None:
     """Search for a valid matching minor model of h in b by backtracking.
 
-    Independent of the closure search; used to cross-check the equivalence
-    between models and bicontraction sequences.
+    Independent of the closure search; a check of the statement that h is a
+    matching minor of b iff b holds a matching minor model of h.
     """
-    if b.n > limit:
-        raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {limit}")
+    if b.n > MM_ORACLE_LIMIT:
+        raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {MM_ORACLE_LIMIT}")
     h_vertices = sorted(h.vertices, key=lambda v: -h.degree(v))
     h_edge_list = sorted(h.edges)
 
@@ -427,12 +428,10 @@ def _butterfly_children(d: Digraph) -> Iterator[Digraph]:
             yield butterfly_contract(d, arc)
 
 
-def butterfly_minor_bruteforce(
-    d: Digraph, h: Digraph, limit: int = BM_ORACLE_LIMIT
-) -> bool:
+def butterfly_minor_bruteforce(d: Digraph, h: Digraph) -> bool:
     """Is h a butterfly minor of d?  Exhaustive closure with canonical memo."""
-    if d.n > limit:
-        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {limit}")
+    if d.n > BM_ORACLE_LIMIT:
+        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {BM_ORACLE_LIMIT}")
     target = canonical_digraph(h)
     seen: set = set()
 
@@ -450,10 +449,10 @@ def butterfly_minor_bruteforce(
     return search(d)
 
 
-def proper_butterfly_minors(d: Digraph, limit: int = BM_ORACLE_LIMIT) -> list[Digraph]:
+def proper_butterfly_minors(d: Digraph) -> list[Digraph]:
     """All proper butterfly minors up to isomorphism (closure enumeration)."""
-    if d.n > limit:
-        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {limit}")
+    if d.n > BM_ORACLE_LIMIT:
+        raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {BM_ORACLE_LIMIT}")
     seen = {canonical_digraph(d)}
     out: list[Digraph] = []
     queue = deque([d])
@@ -468,7 +467,7 @@ def proper_butterfly_minors(d: Digraph, limit: int = BM_ORACLE_LIMIT) -> list[Di
     return out
 
 
-def antichain_member(j: Digraph, d: Digraph, limit: int = BM_ORACLE_LIMIT) -> bool:
+def antichain_member(j: Digraph, d: Digraph) -> bool:
     """Is j a member of the fundamental anti-chain based on d?
 
     True iff Split(j) contains Split(d) as a matching minor while the split
@@ -476,13 +475,13 @@ def antichain_member(j: Digraph, d: Digraph, limit: int = BM_ORACLE_LIMIT) -> bo
     """
     bj, _, _ = split(j)
     bd, _, _ = split(d)
-    if not matching_minor_bruteforce(bj, bd, limit=2 * limit):
+    if not matching_minor_bruteforce(bj, bd, limit=2 * BM_ORACLE_LIMIT):
         return False
-    for g in proper_butterfly_minors(j, limit=limit):
+    for g in proper_butterfly_minors(j):
         if g.n * 2 < bd.n:
             continue
         bg, _, _ = split(g)
-        if matching_minor_bruteforce(bg, bd, limit=2 * limit):
+        if matching_minor_bruteforce(bg, bd, limit=2 * BM_ORACLE_LIMIT):
             return False
     return True
 

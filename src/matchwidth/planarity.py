@@ -215,7 +215,8 @@ def planarity_test(g: Graph | BipartiteGraph) -> bool:
 
 
 def contains_kuratowski_subdivision(g: Graph | BipartiteGraph) -> bool:
-    """Test oracle: search directly for a K5 or K33 subdivision (tiny graphs)."""
+    """Search directly for a K5 or K33 subdivision (tiny graphs): the oracle
+    for `planarity_test`, which `strongplanar` answers with."""
     from itertools import combinations
 
     verts = list(g.vertices)

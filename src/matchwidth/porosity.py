@@ -188,7 +188,8 @@ def matching_porosity_bound(b: BipartiteGraph, shore: int) -> int:
 
 
 def matching_porosity_bruteforce(b: BipartiteGraph, shore: Iterable[int]) -> int:
-    """Porosity by enumerating all perfect matchings (test oracle)."""
+    """Porosity by enumerating all perfect matchings: the oracle for
+    `matching_porosity`, which `pm width` and `cut porosity` answer with."""
     from .bigraph import enumerate_perfect_matchings
 
     s = frozenset(shore)
@@ -225,12 +226,6 @@ class DMStructure:
 
     def leq(self, i: int, j: int) -> bool:
         return (i, j) in self.order
-
-    def component_of(self, v: int) -> int:
-        for i, comp in enumerate(self.components):
-            if v in comp:
-                return i
-        raise ValueError(f"vertex {v} in no component")
 
 
 def elementary_components(b: BipartiteGraph) -> DMStructure:
@@ -463,7 +458,8 @@ def verify_guard_bruteforce(
     shore: Iterable[int],
     guard: Iterable[Edge],
 ) -> bool:
-    """Guard check against the exhaustive conformal-cycle enumeration."""
+    """Guard check against the exhaustive conformal-cycle enumeration: the
+    oracle for `verify_guard`, which certifies every `guard` answer."""
     from .direction import conformal_cycles
 
     m = check_matching(b, m)

@@ -13,9 +13,7 @@ from matchwidth.bigraph import (
     is_conformal,
     is_extendable,
     is_matching_covered,
-    plain_has_perfect_matching,
     some_perfect_matching,
-    Graph,
     induced_subgraph,
 )
 from matchwidth.decomp import _is_elementary_set
@@ -224,13 +222,3 @@ def test_random_graphs_pm_consistency(n1, data):
     assert (m is not None) == (len(pms) > 0)
     if m is not None:
         assert m in pms
-
-
-def test_plain_pm_matches_bipartite():
-    for b in [even_cycle(2), even_cycle(3), path_graph(3), complete_bipartite(3, 3)]:
-        g = Graph(b.n, b.edges)
-        assert plain_has_perfect_matching(g) == has_perfect_matching(b)
-    triangle = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
-    assert not plain_has_perfect_matching(triangle)
-    k4 = Graph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
-    assert plain_has_perfect_matching(k4)

@@ -142,12 +142,10 @@ def ref_validate_dtd(d, dec, proto=False):
     return True, dec.width(), None
 
 
-def ref_is_prepared(d, dec, width=None):
-    ok, w, _ = ref_validate_dtd(d, dec, proto=True)
+def ref_is_prepared(d, dec):
+    ok, width, _ = ref_validate_dtd(d, dec, proto=True)
     if not ok:
         return False
-    if width is None:
-        width = w
     everything = frozenset(d.vertices)
     for t in range(dec.m):
         kids = ref_children(dec, t)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchwidth.cli import main
 from matchwidth.io import (
@@ -277,3 +282,94 @@ def test_cli_count_without_perfect_matching(tmp_path, capsys):
         for flags in ([], ["--oracle"]):
             assert main(["pm", "count", *flags, str(f)]) == 0
             assert capsys.readouterr().out == "0\n"
+
+
+def test_cli_rejects_ignored_flags(tmp_path, capsys):
+    # each flag here used to be dropped without a word; a missing --decomp
+    # file must not matter, since the flags are checked first
+    c4 = tmp_path / "c4.b"
+    c4.write_text(write_graph_text(even_cycle(2)))
+    d2 = tmp_path / "d2.d"
+    d2.write_text("d 2\na 1 2\na 2 1\n")
+    m = tmp_path / "m.txt"
+    m.write_text("m\ne 1 3\ne 2 4\n")
+    missing = str(tmp_path / "missing.json")
+    witness = tmp_path / "w.json"
+    cases = [
+        (["pm", "width", str(c4), "--oracle"], "--oracle applies to pm count only"),
+        (["pm", "width", str(c4), "--decomp", missing], "--decomp applies to pm count only"),
+        (["pm", "decomp", str(c4), "--decomp", missing], "--decomp applies to pm count only"),
+        (["pm", "count", str(c4), "--oracle", "--decomp", str(c4)], "--oracle and --decomp exclude each other"),
+        (["dapp", str(c4), "--pairs", "1:4", "--oracle", "--extend", str(m)], "--oracle and --extend exclude each other"),
+        (["dapp", str(c4), "--pairs", "1:4", "--witness", str(witness)], "--witness needs --oracle"),
+        (["dtw", str(d2), "--proto"], "--proto needs --dtd"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+    assert not witness.exists()
+
+
+def test_cli_gen_rejects_bad_parameters(tmp_path, capsys):
+    h = tmp_path / "h.d"
+    h.write_text("d 2\na 1 2\na 2 1\n")
+    cases = [
+        (["gen", "cg", "0"], "order 0 is not positive"),
+        (["gen", "cg", "-1"], "order -1 is not positive"),
+        (["gen", "cgq", "0"], "order 0 is not positive"),
+        (["gen", "random", "-3"], "vertex count -3 is negative"),
+        (["gen", "ep-gadget", str(h), "1", "1", "1"], "(1, 1) is not an arc of the pattern"),
+        (["gen", "ep-gadget", str(h), "1", "2", "0"], "order 0 is not positive"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+
+
+_small = st.integers(min_value=-2, max_value=4)
+_token = st.one_of(_small.map(str), st.sampled_from(["", "x", "1.5", "-", "#"]))
+# mostly well-formed lines with small, zero and negative counts and ends
+_line = st.one_of(
+    st.tuples(st.sampled_from(["b", "e", "a"]), _small, _small).map(lambda t: "%s %d %d" % t),
+    st.tuples(st.just("d"), _small).map(lambda t: "%s %d" % t),
+    st.lists(_token, max_size=4).map(" ".join),
+)
+_graph_text = st.lists(_line, min_size=1, max_size=7).map("\n".join)
+_argv_tail = st.one_of(
+    st.tuples(st.sampled_from(["count", "width", "decomp"]), st.sampled_from([[], ["--oracle"]])).map(
+        lambda t: ["pm", t[0], "GRAPH", *t[1]]
+    ),
+    st.lists(_token, max_size=3).map(lambda xs: ["cut", "porosity", "GRAPH", ",".join(xs)]),
+    st.tuples(st.sampled_from(["cg", "cgq", "random"]), _small).map(lambda t: ["gen", t[0], str(t[1])]),
+    st.tuples(_small, _small).map(lambda t: ["gen", "grid", str(t[0]), str(t[1])]),
+    st.tuples(_small, _small, _small).map(lambda t: ["gen", "ep-gadget", "GRAPH", *map(str, t)]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_graph_text, argv=_argv_tail)
+def test_cli_fuzz_keeps_exit_contract(text, argv):
+    # whatever the input, the CLI answers 0, 1 or 2 and raises nothing else
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "g.txt"
+        graph.write_text(text)
+        argv = [str(graph) if a == "GRAPH" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 1, 2), (argv, text)
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error: "), (argv, text)
+
+
+def test_cli_negative_header_count(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    for text in ("b -1 2\n", "d -1\n"):
+        f.write_text(text)
+        assert main(["cut", "porosity", str(f), ""]) == 2
+        assert capsys.readouterr().err == "error: line 1: negative vertex count\n"

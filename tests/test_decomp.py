@@ -91,7 +91,7 @@ def test_cut_widths_on_random_trees():
             assert pmd_width(b, tree) == max(
                 matching_porosity_bruteforce(b, s) for s, _ in shores
             )
-            assert pmd_width(b, tree, extra) == max(
+            assert pmd_width(host, tree) == max(
                 matching_porosity_bruteforce(host, s) for s, _ in shores
             )
         d = random_digraph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.6))
@@ -118,7 +118,7 @@ def test_cut_widths_on_random_trees():
             assert pmd_width(b, tree) == max(
                 matching_porosity(b, s) for s, _ in shores
             )
-            assert pmd_width(b, tree, extra) == max(
+            assert pmd_width(host, tree) == max(
                 matching_porosity(host, s) for s, _ in shores
             )
 
@@ -300,7 +300,7 @@ def test_prepare_dtd():
     assert is_prepared(d, prepared)
     assert validate_dtd(d, prepared, proto=True)[0]
     for t in range(prepared.m):
-        kids = prepared.children(t)
+        kids = prepared.kids[t]
         limit = 3 if prepared.parent[t] == -1 and not prepared.bags[t] else 2
         assert len(kids) <= limit
     # already subcubic input is unchanged

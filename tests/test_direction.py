@@ -1,22 +1,14 @@
-import pytest
-
-from matchwidth.bigraph import enumerate_perfect_matchings, graph_from_edges, Graph
 from matchwidth.digraph import (
     digraph_from_arcs,
     is_strongly_connected,
-    is_strongly_k_connected,
     simple_directed_cycles,
     strong_components,
 )
 from matchwidth.direction import (
-    biorientation,
     conformal_cycles,
-    is_k_extendable,
-    is_k_extendable_bruteforce,
     m_direction,
     split,
 )
-from matchwidth.errors import TooSmall
 from matchwidth.isomorphism import bipartite_isomorphic, digraph_isomorphic
 
 from common import (
@@ -76,13 +68,6 @@ def test_round_trip_small_corpus():
         assert bipartite_isomorphic(b, b2, m, m2, allow_swap=False)
 
 
-def test_biorientation():
-    assert biorientation(k2()).arcs == frozenset({(1, 2), (2, 1)})
-    k3 = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
-    assert len(biorientation(k3).arcs) == 6
-    assert biorientation(Graph(3, frozenset())).arcs == frozenset()
-
-
 def test_cycle_bijection():
     # M-conformal cycles of B correspond to directed cycles of the M-direction
     for k in (2, 3, 4):
@@ -105,40 +90,9 @@ def test_cycle_bijection():
     assert len(conformal_cycles(b, m)) == len(simple_directed_cycles(d))
 
 
-def test_extendability_vs_connectivity():
-    c6 = even_cycle(3)
-    assert is_k_extendable(c6, canonical_cycle_matching(3), 1)
-    k33 = complete_bipartite(3, 3)
-    m = frozenset({(1, 4), (2, 5), (3, 6)})
-    assert is_k_extendable(k33, m, 2)
-    c8 = even_cycle(4)
-    assert not is_k_extendable(c8, canonical_cycle_matching(4), 2)
-
-
-def test_extendability_agrees_with_bruteforce():
-    cases = [
-        (even_cycle(3), canonical_cycle_matching(3)),
-        (even_cycle(4), canonical_cycle_matching(4)),
-        (complete_bipartite(3, 3), frozenset({(1, 4), (2, 5), (3, 6)})),
-        (complete_bipartite(4, 4), frozenset({(i, 4 + i) for i in range(1, 5)})),
-    ]
-    for b, m in cases:
-        for k in (1, 2):
-            if b.n < 2 * k + 2:
-                continue
-            assert is_k_extendable(b, m, k) == is_k_extendable_bruteforce(b, k)
-
-
-def test_k_extendable_too_small():
-    with pytest.raises(TooSmall):
-        is_k_extendable(even_cycle(2), canonical_cycle_matching(2), 2)
-
-
 def test_scc_helpers():
     d = digraph_from_arcs(4, [(1, 2), (2, 1), (3, 4)])
     comps = {frozenset(c) for c in strong_components(d)}
     assert frozenset({1, 2}) in comps and frozenset({3}) in comps
     assert not is_strongly_connected(d)
     assert is_strongly_connected(directed_cycle(5))
-    assert is_strongly_k_connected(bidirected_clique(4), 3)
-    assert not is_strongly_k_connected(directed_cycle(4), 2)

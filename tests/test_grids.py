@@ -19,7 +19,6 @@ from matchwidth.grids import (
     quadrangulation,
     square_grid,
     square_grid_coords,
-    square_grid_matching,
     square_grid_model,
     switched_matching,
 )
@@ -66,6 +65,8 @@ def test_m_direction_of_cg1_is_two_cycle():
 
 
 def test_model_cgq_in_cg3(k=1):
+    """Paper statement: the quadrangulation of order k is a matching minor of
+    the cylindrical matching grid CG_3k, by an explicit model (k = 1)."""
     host, _, _ = cylindrical_grid(3)
     pattern, _, _ = quadrangulation(1)
     mu = model_cgq_in_cg3k(1)
@@ -73,6 +74,8 @@ def test_model_cgq_in_cg3(k=1):
 
 
 def test_model_cgq_edge_paths_internally_conformal():
+    """Paper statement, as above: the model's edge paths are internally
+    conformal for the canonical matching of CG_3k (k = 1)."""
     host, canonical, _ = cylindrical_grid(3)
     mu = model_cgq_in_cg3k(1)
     mate = {}
@@ -87,6 +90,8 @@ def test_model_cgq_edge_paths_internally_conformal():
 
 @pytest.mark.slow
 def test_model_cgq_in_cg6():
+    """Paper statement: the quadrangulation of order 2 is a matching minor
+    of CG_6, by the explicit model."""
     host, _, _ = cylindrical_grid(6)
     pattern, _, _ = quadrangulation(2)
     mu = model_cgq_in_cg3k(2)
@@ -99,11 +104,12 @@ def test_square_grid_basics():
     g = square_grid(4, 4)
     assert g.n == 16 and len(g.edges) == 24
     assert bipartite_isomorphic(square_grid(1, 2), k2())
-    m = square_grid_matching(4, 4)
-    assert is_perfect(g, m) and m <= g.edges
 
 
 def test_square_grid_model_4():
+    """Paper statement: the quadrangulation of order k (k even) holds the
+    k x k grid as a matching minor, by a model conformal for the switched
+    matching whose residual matching is perfect (k = 4)."""
     mu = square_grid_model(4)
     host, switched, _ = switched_matching(4)
     grid = square_grid(4, 4)
@@ -123,6 +129,7 @@ def test_square_grid_model_rejects_odd():
 
 @pytest.mark.slow
 def test_square_grid_model_6():
+    """Paper statement, as above, for k = 6."""
     mu = square_grid_model(6)
     host, switched, _ = switched_matching(6)
     grid = square_grid(6, 6)

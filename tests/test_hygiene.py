@@ -1,8 +1,10 @@
 """Source hygiene: every name a module imports is used where it is imported,
-every module-level private function or class is referenced somewhere in
-the package, and no source or test line holds a tab."""
+every module-level function or class is referenced somewhere else in the
+package unless it is a kept oracle or paper check, and no source or test
+line holds a tab."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import matchwidth
@@ -43,33 +45,69 @@ def test_every_import_is_used():
     assert [msg for path in sorted(src.glob("*.py")) for msg in unused_imports(path)] == []
 
 
-def unreferenced_private_defs(paths: list[Path]) -> list[str]:
-    """Module-level `_name` functions and classes that no module of the
-    package reads by name, as an attribute or in an import."""
+# Public module-level definitions that no package module references, each
+# kept for the production route it gates (an oracle) or for the paper
+# statement it checks.  Any other unreferenced definition is dead code.
+KEPT_UNREFERENCED = {
+    "bipartite_isomorphic": "oracle for the graphs `gen` and `split` build",
+    "digraph_isomorphic": "oracle for the M-directions `direction` builds",
+    "contains_kuratowski_subdivision": "oracle for `planarity_test` (`strongplanar`)",
+    "cop_number_game_exact": "oracle for the cop search of `dtw_exact_small`",
+    "cycd_width": "oracle for the width `cycw_exact_small` gives `cops`",
+    "pmd_width": "oracle for the width `pm decomp` reports",
+    "matching_porosity_bruteforce": "oracle for `matching_porosity` (`pm width`, `cut`)",
+    "verify_guard_bruteforce": "oracle for `verify_guard` (`guard`)",
+    "simple_directed_cycles": "oracle for `directed_cycle_hitting_set` (`cops`)",
+    "find_model_bruteforce": "paper: matching minors are the graphs with a model",
+    "residual_matching": "paper: a model's perfect matching induces one of the pattern",
+    "model_cgq_in_cg3k": "paper: the quadrangulation of order k is a matching minor of CG_3k",
+    "square_grid_model": "paper: the quadrangulation of order k holds the k x k grid",
+    "is_limited": "paper: solution linkages are (k, w)-limited",
+}
+
+
+def unreferenced_defs(paths: list[Path]) -> list[tuple[str, int, str]]:
+    """(file, line, name) of each module-level function or class, dunders
+    aside, that no module of the package reads by name, as an attribute or
+    in an import, outside the definition's own body."""
     trees = {path: ast.parse(path.read_text()) for path in paths}
-    referenced: set[str] = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+
+    def names(root: ast.AST) -> Counter:
+        out: Counter = Counter()
+        for node in ast.walk(root):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                out[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                out[node.attr] += 1
             elif isinstance(node, ast.ImportFrom):
-                referenced |= {alias.name for alias in node.names}
+                out.update(alias.name for alias in node.names)
+        return out
+
+    referenced = sum((names(tree) for tree in trees.values()), Counter())
     out = []
     for path, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("_") and not name.startswith("__") and name not in referenced:
-                out.append(f"{path.name}:{node.lineno}: {name}")
+            if name.startswith("__") or referenced[name] > names(node)[name]:
+                continue
+            out.append((path.name, node.lineno, name))
     return out
 
 
 def test_every_private_definition_is_referenced():
     src = Path(matchwidth.__file__).parent
-    assert unreferenced_private_defs(sorted(src.glob("*.py"))) == []
+    found = unreferenced_defs(sorted(src.glob("*.py")))
+    assert [f"{f}:{line}: {name}" for f, line, name in found if name.startswith("_")] == []
+
+
+def test_every_public_definition_is_referenced_or_kept():
+    src = Path(matchwidth.__file__).parent
+    public = [d for d in unreferenced_defs(sorted(src.glob("*.py"))) if not d[2].startswith("_")]
+    assert [f"{f}:{line}: {name}" for f, line, name in public if name not in KEPT_UNREFERENCED] == []
+    # an entry whose definition is gone or now referenced must go as well
+    assert sorted(set(KEPT_UNREFERENCED) - {name for _, _, name in public}) == []
 
 
 def tab_lines(paths: list[Path]) -> list[str]:

@@ -18,7 +18,6 @@ from matchwidth.linkage import (
     is_limited,
     make_context,
     make_proxies,
-    node_itinerary,
     parts_in,
     w_completion,
 )
@@ -125,7 +124,7 @@ def test_itinerary_root_matches_solution():
     w_prime = frozenset({(2, 4), (3, 5)})
     assert is_extendable(c6, w_prime)
     ctx = make_context(c6, nice, forced=w_prime, banned=frozenset(), k=1)
-    root = node_itinerary(ctx, ctx.root_node)
+    root = Itinerary(ctx, ctx.root_node)
     got = root.query([(2, 5)], w_prime)
     assert got  # the path 2-5 exists with both anchors forced
 
@@ -187,6 +186,8 @@ def test_dapp_extending_can_refuse():
 
 
 def test_is_limited():
+    """The (k, w)-limitedness check itself, on one linkage that is limited
+    and one that is not."""
     c8 = even_cycle(4)
     # single-edge paths give at most k parts
     assert is_limited(c8, [], [(1, 5)], range(1, 9), k=1, w=2)
@@ -199,6 +200,9 @@ def test_is_limited():
 
 
 def test_limited_holds_for_solution_linkages():
+    """Paper statement behind the k-DAPP dynamic program: the linkage of a
+    solution meets every vertex set whose cut has matching porosity at most
+    w in at most k + w parts."""
     rng = random.Random(5)
     for _ in range(25):
         b = random_bipartite_with_pm(rng, rng.randint(2, 4), rng.randint(0, 6))

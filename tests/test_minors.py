@@ -80,6 +80,8 @@ def test_bisubdivision_model_c4_in_c8():
 
 
 def test_find_model_and_bruteforce_agree_basic():
+    """Statement: h is a matching minor of b iff b holds a matching minor
+    model of h (bicontraction sequences against models)."""
     assert matching_minor_bruteforce(even_cycle(3), even_cycle(2))
     assert matching_minor_bruteforce(even_cycle(2), even_cycle(2))
     assert not matching_minor_bruteforce(even_cycle(4), complete_bipartite(3, 3))
@@ -88,6 +90,7 @@ def test_find_model_and_bruteforce_agree_basic():
 
 
 def test_model_existence_equals_minor_relation():
+    """Statement, as above, on random planted graphs."""
     rng = random.Random(11)
     targets = [even_cycle(2), even_cycle(3), complete_bipartite(2, 2)]
     for _ in range(40):
@@ -101,6 +104,8 @@ def test_model_existence_equals_minor_relation():
 
 
 def test_residual_of_identity():
+    """Statement: a perfect matching of a model's vertex set induces a
+    perfect matching of the pattern (its residual matching)."""
     c4 = even_cycle(2)
     m = canonical_cycle_matching(2)
     assert residual_matching(c4, identity_model(c4), m) == m
