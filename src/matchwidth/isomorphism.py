@@ -7,7 +7,7 @@ memoisation of minor-closure searches.  Not intended for large graphs.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bigraph import BipartiteGraph, Matching
 from .digraph import Digraph
@@ -153,38 +153,51 @@ def digraph_isomorphic(d1: Digraph, d2: Digraph) -> bool:
     return canonical_digraph(d1) == canonical_digraph(d2)
 
 
-def bipartite_automorphisms(b: BipartiteGraph) -> list[dict[int, int]]:
-    """All colour-preserving automorphisms (tiny graphs only).
+def bipartite_isomorphisms(b: BipartiteGraph, c: BipartiteGraph) -> Iterator[dict[int, int]]:
+    """The colour-preserving isomorphisms from b to c, one at a time (tiny
+    graphs only).
 
-    Tries every degree-preserving permutation of V1, then maps V2 in
-    ascending order by backtracking: v may go only to an unused w whose
-    neighbourhood holds the image of N(v).  The list comes out in the
+    Tries every degree-preserving map of V1(b) onto V1(c), then maps V2(b)
+    in ascending order by backtracking: v may go only to an unused w whose
+    neighbourhood in c holds the image of N(v).  They come out in the
     lexicographic order of the (V1 image, V2 image) tuples.
     """
+    if (b.n1, b.n2, len(b.edges)) != (c.n1, c.n2, len(c.edges)):
+        return
     v2 = list(b.v2)
-    result = []
-    for p1 in permutations(b.v1):
+    for p1 in permutations(c.v1):
         part1 = {u: p1[u - 1] for u in b.v1}
-        if any(b.degree(u) != b.degree(part1[u]) for u in b.v1):
+        if any(b.degree(u) != c.degree(part1[u]) for u in b.v1):
             continue
-        # the V2 vertices each v may go to, ascending
+        # the V2(c) vertices each v may go to, ascending
         options = []
         for v in v2:
             image = {part1[u] for u in b.adj[v]}
-            options.append([w for w in v2 if image <= b.adj[w]])
+            options.append([w for w in c.v2 if image <= c.adj[w]])
         images: list[int] = []
 
-        def extend(i: int) -> None:
+        def extend(i: int) -> Iterator[dict[int, int]]:
             if i == len(v2):
                 full = dict(part1)
                 full.update(zip(v2, images))
-                result.append(full)
+                yield full
                 return
             for w in options[i]:
                 if w not in images:
                     images.append(w)
-                    extend(i + 1)
+                    yield from extend(i + 1)
                     images.pop()
 
-        extend(0)
-    return result
+        yield from extend(0)
+
+
+def bipartite_automorphisms(b: BipartiteGraph) -> list[dict[int, int]]:
+    """All colour-preserving automorphisms, in the order
+    `bipartite_isomorphisms` gives them."""
+    return list(bipartite_isomorphisms(b, b))
+
+
+def swap_colours(b: BipartiteGraph) -> BipartiteGraph:
+    """b with its colour classes exchanged: V2 vertex n1 + i becomes i and
+    V1 vertex u becomes n2 + u."""
+    return BipartiteGraph(b.n2, b.n1, frozenset((v - b.n1, u + b.n2) for u, v in b.edges))

@@ -1000,14 +1000,13 @@ def parts_in(paths: Sequence[tuple[int, ...]], ys: frozenset[int]) -> int:
 
 def is_limited(
     b: BipartiteGraph,
-    completion: Iterable[tuple[int, int]],
     paths: Sequence[tuple[int, ...]],
     xs: Iterable[int],
     k: int,
     w: int,
 ) -> bool:
     """Check (k, w)-limitedness: every subset of xs whose cut has matching
-    porosity at most w in the completed graph sees at most k + w parts.
+    porosity at most w in b sees at most k + w parts.
 
     Exhaustive over the subsets of xs, so xs may hold at most
     LIMITED_ORACLE_LIMIT vertices.  A check of the limitedness statement
@@ -1019,13 +1018,9 @@ def is_limited(
         raise OracleLimitExceeded(
             f"{len(xs)} vertices exceeds oracle limit {LIMITED_ORACLE_LIMIT}"
         )
-    extra = frozenset(
-        (min(u, v), max(u, v)) for u, v in completion if not b.has_edge(u, v)
-    )
-    host = b if not extra else BipartiteGraph(b.n1, b.n2, b.edges | extra)
 
     def check(sub: frozenset[int]) -> bool:
-        if matching_porosity(host, sub) > w:
+        if matching_porosity(b, sub) > w:
             return True
         return parts_in(paths, sub) <= k + w
 

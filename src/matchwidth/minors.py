@@ -26,7 +26,13 @@ from .errors import (
     NotContractible,
     OracleLimitExceeded,
 )
-from .isomorphism import bipartite_automorphisms, canonical_bipartite, canonical_digraph
+from .isomorphism import (
+    bipartite_automorphisms,
+    bipartite_isomorphisms,
+    canonical_bipartite,
+    canonical_digraph,
+    swap_colours,
+)
 from .linkage import _solve_full
 from .planarity import planarity_test
 
@@ -497,10 +503,13 @@ def is_strongly_planar(d: Digraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _h_automorphism_images(h: BipartiteGraph) -> list[dict[int, int]]:
-    if h.n <= 12:
-        return bipartite_automorphisms(h)
-    return [{v: v for v in h.vertices}]
+def _h_symmetries(h: BipartiteGraph) -> tuple[list[dict[int, int]], bool]:
+    """h's colour-preserving automorphisms, and whether some automorphism
+    swaps its colour classes.  Past 12 vertices: the identity and False."""
+    if h.n > 12:
+        return [{v: v for v in h.vertices}], False
+    swapping = next(bipartite_isomorphisms(h, swap_colours(h)), None)
+    return bipartite_automorphisms(h), swapping is not None
 
 
 def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
@@ -511,6 +520,17 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     vertex plus anchor matching edges joined by even legs; the legs and the
     edge paths become terminal pairs of one DAPP instance whose forced set F
     consists of the anchor edges and the conformal-path end edges.
+
+    Each piece of work is done once, and both skips rest on one premise:
+    relabelling h by an automorphism maps the placement search for one
+    perfect matching m_h onto the search for its image.
+
+    - m_h is tried once per orbit of h's colour-preserving automorphisms.
+    - The pass with h's colour classes placed on the opposite host classes
+      runs only when no automorphism swaps them.  If sigma does, that pass
+      for m_h is the unflipped pass for sigma(m_h), which is tried anyway.
+    - One verdict memo serves the whole call (see `_place_and_solve`), so a
+      DAPP instance that several guesses build is solved once.
     """
     if not is_matching_covered(h):
         raise ModelInvalid("pattern must be matching covered")
@@ -519,29 +539,25 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     if h.n > b.n or len(h.edges) > len(b.edges):
         return False
 
-    h_pms = enumerate_perfect_matchings(h)
-    autos = _h_automorphism_images(h)
+    autos, colour_swapping = _h_symmetries(h)
+    flips = (False,) if colour_swapping else (False, True)
 
-    def orbit_key(m_h: Matching) -> Matching:
-        best = None
-        for a in autos:
-            img = frozenset(
-                (min(a[u], a[v]), max(a[u], a[v])) for u, v in m_h
-            )
-            key = tuple(sorted(img))
-            if best is None or key < best:
-                best = key
-        return frozenset(best)  # type: ignore[arg-type]
+    def orbit_key(m_h: Matching) -> tuple[Edge, ...]:
+        return min(
+            tuple(sorted((min(a[u], a[v]), max(a[u], a[v])) for u, v in m_h))
+            for a in autos
+        )
 
-    seen_mh: set = set()
+    seen_mh: set[tuple[Edge, ...]] = set()
     budget_total = b.n - h.n  # spare vertices for legs, spines, path interiors
+    memo: dict = {}
 
-    for m_h in h_pms:
-        key = frozenset(orbit_key(m_h))
+    for m_h in enumerate_perfect_matchings(h):
+        key = orbit_key(m_h)
         if key in seen_mh:
             continue
         seen_mh.add(key)
-        if _check_with_mh(b, h, m_h, budget_total):
+        if _check_with_mh(b, h, m_h, budget_total, flips, memo):
             return True
     return False
 
@@ -567,6 +583,8 @@ def _check_with_mh(
     h: BipartiteGraph,
     m_h: Matching,
     budget: int,
+    flips: tuple[bool, ...],
+    memo: dict,
 ) -> bool:
     h_vertices = sorted(h.vertices)
     non_m_edges = sorted(e for e in h.edges if e not in m_h)
@@ -644,12 +662,10 @@ def _check_with_mh(
 
     colour_of = {u: (1 if u <= h.n1 else 2) for u in h.vertices}
 
-    for flip in (False, True):
-        if flip and h.n1 != h.n2:
-            continue
+    for flip in flips:
         host_class = {u: 3 - c if flip else c for u, c in colour_of.items()}
         for combo, slack in assignments(0, {}, budget):
-            if _place_and_solve(b, layout, combo, host_class, slack):
+            if _place_and_solve(b, layout, combo, host_class, slack, memo):
                 return True
     return False
 
@@ -660,6 +676,7 @@ def _place_and_solve(
     combo: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]],
     host_class: dict[int, int],
     slack: int,
+    memo: dict,
 ) -> bool:
     """Choose concrete vertices and edges for the guessed structure, then
     solve the resulting forced DAPP instance.
@@ -674,6 +691,11 @@ def _place_and_solve(
     at every check it equals twice the number of such placed pairs.  A
     branch whose demand exceeds the slack (the vertices left after the
     model's trees) is cut.
+
+    `memo` holds, for this `matching_minor_check` call, the verdict of each
+    (forced set, terminal pairs) instance already solved and, keyed on the
+    forced set alone, whether that set extends to a perfect matching of b
+    (see `run`).
     """
     n1 = b.n1
     adj = b.adj
@@ -804,13 +826,37 @@ def _place_and_solve(
         return False
 
     def run(forced: frozenset[Edge], all_pairs: tuple) -> bool:
-        # the legs, the conformal paths and the edge paths of h
-        covered = frozenset(x for f in forced for x in f)
-        if len(covered) != 2 * len(forced):
-            return False
-        if not has_perfect_matching(b, covered):
-            return False
-        terminals = {x for p in all_pairs for x in p}
-        return _solve_full(b, all_pairs, covered - terminals, forced)
+        """Does the instance with forced set `forced` and terminal pairs
+        `all_pairs` (the legs, the conformal paths and the edge paths of h)
+        have a solution?
+
+        For the fixed host b the verdict depends on the two arguments
+        alone, so `memo` keeps it for the rest of the `matching_minor_check`
+        call, and a repeated instance is answered without checking
+        extendability or calling `_solve_full` again.  The key is the exact
+        pair tuple, in order; it is not canonicalised.  The remaining
+        `_solve_full` calls are the ones an unmemoised search makes, in its
+        order, with the repeats dropped.
+        """
+        key = (forced, all_pairs)
+        verdict = memo.get(key)
+        if verdict is None:
+            covered = frozenset(x for f in forced for x in f)
+            terminals = {x for p in all_pairs for x in p}
+            verdict = memo[key] = extends(forced, covered) and _solve_full(
+                b, all_pairs, covered - terminals, forced
+            )
+        return verdict
+
+    def extends(forced: frozenset[Edge], covered: frozenset[int]) -> bool:
+        # is `forced` a matching of b that a perfect matching extends?
+        # Many instances share their forced set; `memo` keys this verdict
+        # on the set alone.
+        ok = memo.get(forced)
+        if ok is None:
+            ok = memo[forced] = len(covered) == 2 * len(forced) and has_perfect_matching(
+                b, covered
+            )
+        return ok
 
     return place(0, 0)

@@ -224,9 +224,6 @@ class DMStructure:
     colour_index: int | None = None
     order: frozenset[tuple[int, int]] = frozenset()  # (i, j) means comp_i <=_i comp_j
 
-    def leq(self, i: int, j: int) -> bool:
-        return (i, j) in self.order
-
 
 def elementary_components(b: BipartiteGraph) -> DMStructure:
     """Elementary components, sorted by their least vertex.

@@ -1,8 +1,15 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from matchwidth.bigraph import graph_from_edges
-from matchwidth.isomorphism import bipartite_automorphisms
+from matchwidth.isomorphism import (
+    bipartite_automorphisms,
+    bipartite_isomorphisms,
+    canonical_bipartite,
+    swap_colours,
+)
 
 from common import complete_bipartite, even_cycle
 
@@ -36,3 +43,68 @@ def test_automorphisms_match_bruteforce():
         assert bipartite_automorphisms(b) == automorphisms_bruteforce(b)
     assert len(bipartite_automorphisms(even_cycle(4))) == 8
     assert len(bipartite_automorphisms(complete_bipartite(3, 3))) == 36
+
+
+def random_bipartite(rng, n1, n2):
+    return graph_from_edges(
+        n1,
+        n2,
+        [(u, n1 + v) for u in range(1, n1 + 1) for v in range(1, n2 + 1) if rng.random() < 0.5],
+    )
+
+
+def is_isomorphism(f, b, c):
+    return sorted(f) == list(b.vertices) and {
+        (min(f[u], f[v]), max(f[u], f[v])) for u, v in b.edges
+    } == c.edges
+
+
+def test_colour_swapping_isomorphisms():
+    asymmetric = graph_from_edges(
+        4, 4, [(1, 5), (1, 6), (1, 7), (1, 8), (2, 5), (2, 6), (3, 5), (3, 7), (4, 6), (4, 8)]
+    )
+    assert next(bipartite_isomorphisms(asymmetric, swap_colours(asymmetric)), None) is None
+    for h in (even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)):
+        c = swap_colours(h)
+        f = next(bipartite_isomorphisms(h, c))
+        assert is_isomorphism(f, h, c)
+    # every isomorphism is one, and there are as many as automorphisms
+    rng = random.Random(31)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        b = random_bipartite(rng, n, n)
+        c = swap_colours(b)
+        found = list(bipartite_isomorphisms(b, c))
+        assert all(is_isomorphism(f, b, c) for f in found)
+        assert len(found) in (0, len(bipartite_automorphisms(b)))
+
+
+def test_isomorphisms_match_networkx():
+    """Colour-swapping isomorphisms, colour-respecting canonical forms and
+    colour-preserving automorphisms against networkx's VF2 matcher."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
+
+    def nx_graph(b, swapped=False):
+        g = nx.Graph()
+        for v in b.vertices:
+            g.add_node(v, colour=(b.colour(v) == 1) != swapped)
+        g.add_edges_from(b.edges)
+        return g
+
+    same_colour = categorical_node_match("colour", None)
+    rng = random.Random(37)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        b = random_bipartite(rng, n, n)
+        # a colour-swapping automorphism of b is a colour-respecting
+        # isomorphism onto b with its colours exchanged
+        swapping = nx.is_isomorphic(nx_graph(b), nx_graph(b, swapped=True), node_match=same_colour)
+        c = swap_colours(b)
+        assert (next(bipartite_isomorphisms(b, c), None) is not None) == swapping
+        assert (
+            canonical_bipartite(b, allow_swap=False) == canonical_bipartite(c, allow_swap=False)
+        ) == swapping
+        g = nx_graph(b)
+        preserving = sum(1 for _ in GraphMatcher(g, g, node_match=same_colour).isomorphisms_iter())
+        assert len(bipartite_automorphisms(b)) == preserving

@@ -190,13 +190,13 @@ def test_is_limited():
     and one that is not."""
     c8 = even_cycle(4)
     # single-edge paths give at most k parts
-    assert is_limited(c8, [], [(1, 5)], range(1, 9), k=1, w=2)
+    assert is_limited(c8, [(1, 5)], range(1, 9), k=1, w=2)
     # adversarial system: on a 12-vertex path the unique perfect matching
     # never crosses the cut around every other matched pair, yet a single
     # path walking the whole graph visits that set in three pieces
     p12 = path_graph(11)
     walk = tuple([1, 7, 2, 8, 3, 9, 4, 10, 5, 11, 6, 12])
-    assert not is_limited(p12, [], [walk], [1, 7, 3, 9, 5, 11], k=1, w=0)
+    assert not is_limited(p12, [walk], [1, 7, 3, 9, 5, 11], k=1, w=0)
 
 
 def test_limited_holds_for_solution_linkages():
@@ -211,4 +211,4 @@ def test_limited_holds_for_solution_linkages():
         if not ok:
             continue
         w = frozenset(e for e in sol.matching if any(x in e for p in pairs for x in p))
-        assert is_limited(b, [], sol.paths, b.vertices, k=1, w=max(2, len(w)))
+        assert is_limited(b, sol.paths, b.vertices, k=1, w=max(2, len(w)))

@@ -245,17 +245,20 @@ def test_matching_minor_check_agrees_random():
 
 # `_solve_full` calls per (host, pattern) below.  The placement search's
 # enumeration order fixes them, so a change to that order shows up here.
+# Each call is a distinct instance of the pass that places h's colour
+# classes on the same host classes: the benchmark patterns all have an
+# automorphism that swaps their classes, so the other pass never runs.
 PINNED_SOLVE_CALLS = [
-    (72, 0, 0, 0),
-    (32, 0, 0, 0),
+    (36, 0, 0, 0),
+    (14, 0, 0, 0),
     (1, 2, 0, 0),
     (7, 0, 0, 0),
+    (28, 0, 0, 0),
+    (44, 3, 0, 0),
+    (9, 12, 0, 0),
     (56, 0, 0, 0),
-    (140, 6, 0, 0),
-    (9, 24, 0, 0),
-    (124, 0, 0, 0),
     (5, 0, 0, 0),
-    (73, 84, 0, 0),
+    (73, 40, 0, 0),
 ]
 
 
@@ -280,5 +283,27 @@ def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
         for h in targets:
             calls.clear()
             assert minors.matching_minor_check(b, h) == matching_minor_bruteforce(b, h)
+            # no instance is solved twice within one check
+            assert len(set(calls)) == len(calls), (sorted(b.edges), h.n)
             counts.append(len(calls))
         assert tuple(counts) == pinned, sorted(b.edges)
+
+
+# A matching-covered pattern on 4 + 4 vertices with V1 degrees 4,2,2,2 and
+# V2 degrees 3,3,2,2: no automorphism swaps its colour classes, so the
+# check still runs the pass that places them on opposite host classes.
+ASYMMETRIC = graph_from_edges(
+    4, 4, [(1, 5), (1, 6), (1, 7), (1, 8), (2, 5), (2, 6), (3, 5), (3, 7), (4, 6), (4, 8)]
+)
+
+
+def test_matching_minor_check_agrees_on_colour_asymmetric_pattern():
+    # on these hosts one "yes" is found only by the flipped pass
+    from matchwidth.minors import matching_minor_check
+
+    rng = random.Random(3)
+    for _ in range(10):
+        b = random_bipartite_with_pm(rng, 5, rng.randint(6, 9))
+        assert matching_minor_check(b, ASYMMETRIC) == matching_minor_bruteforce(
+            b, ASYMMETRIC
+        ), sorted(b.edges)
