@@ -267,11 +267,10 @@ def is_perfect(b: BipartiteGraph, m: Iterable[Edge]) -> bool:
     return len(m) * 2 == b.n and len({x for e in m for x in e}) == b.n
 
 
-def enumerate_perfect_matchings(b: BipartiteGraph, cap: int | None = None) -> list[Matching]:
+def enumerate_perfect_matchings(b: BipartiteGraph) -> list[Matching]:
     """All perfect matchings, ordered lexicographically by sorted edge list.
 
-    Brute-force oracle; refuses graphs above ORACLE_VERTEX_LIMIT vertices and
-    raises OracleLimitExceeded when more than cap matchings exist.
+    Brute-force oracle; refuses graphs above ORACLE_VERTEX_LIMIT vertices.
     """
     if b.n > ORACLE_VERTEX_LIMIT:
         raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {ORACLE_VERTEX_LIMIT}")
@@ -284,8 +283,6 @@ def enumerate_perfect_matchings(b: BipartiteGraph, cap: int | None = None) -> li
     def rec(i: int) -> None:
         if i > b.n1:
             out.append(frozenset(chosen))
-            if cap is not None and len(out) > cap:
-                raise OracleLimitExceeded(f"more than {cap} perfect matchings")
             return
         for v in sorted(b.adj[i]):
             if v not in used:

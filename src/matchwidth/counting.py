@@ -105,9 +105,6 @@ def count_pm_decomp(
 
     if dec.m == 1:
         return 1 if g.n == 0 else 0
-    if dec.m == 2:
-        u, v = sorted(dec.leaf_map.values())
-        return 1 if (min(u, v), max(u, v)) in g.edges else 0
 
     # cuts are bitmasks over the sorted edges; vertex v is bit v
     ends: list[int] = []
@@ -118,7 +115,8 @@ def count_pm_decomp(
         incident[v] |= 1 << i
 
     # A degree-3 root r with children t1, t2, t3 walks as r -> (t1, s) with
-    # the virtual node s = dec.m -> (t2, t3); stats count no entries of r, s.
+    # the virtual node s = dec.m -> (t2, t3), and a two-node tree as
+    # s -> (0, 1); stats count no entries of r, s.
     view = dec.binarised()
     root, kids = view.root, view.kids
     uncounted = (root, dec.m)

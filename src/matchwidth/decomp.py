@@ -120,7 +120,10 @@ class LeafTree:
         root when it is internal, else from the lowest internal node, with two
         children at every internal node.  A degree-3 root keeps its first
         child and gets the virtual node m, whose children are the other two.
-        The tree must have an internal node."""
+        A two-node tree hangs both its leaves from the virtual node m.  The
+        tree must have at least two nodes."""
+        if self.m == 2:
+            return RootedTree(self.leaf_map, 2, [2, 0, 1], [(), (), (0, 1)])
         root = self.root
         if root is None or root in self.leaf_map:
             root = next(x for x in range(self.m) if x not in self.leaf_map)

@@ -27,7 +27,7 @@ from .bigraph import (
     is_extendable,
     some_perfect_matching,
 )
-from .decomp import LeafTree, NicePMD, dtw_exact_small, prepare_dtd, dtd_to_nice_pmd
+from .decomp import NicePMD, dtw_exact_small, prepare_dtd, dtd_to_nice_pmd
 from .direction import m_direction
 from .errors import (
     InvalidPairs,
@@ -96,7 +96,6 @@ def dapp_bruteforce(
     b: BipartiteGraph,
     pairs: Sequence[TerminalPair],
     limit: int = DAPP_VERTEX_LIMIT,
-    banned: frozenset[int] = frozenset(),
 ) -> tuple[bool, Solution | None]:
     """Exhaustive oracle over perfect matchings and path systems; it gates
     `dapp_solve` and `dapp_solve_extending` (`matchwidth dapp`)."""
@@ -106,8 +105,6 @@ def dapp_bruteforce(
         raise OracleLimitExceeded(f"{len(pairs)} pairs exceed oracle limit {DAPP_PAIR_LIMIT}")
     pairs = [tuple(p) for p in pairs]
     _pairs_ok(b, pairs)
-    if any(s in banned or t in banned for s, t in pairs):
-        return False, None
     from .bigraph import enumerate_perfect_matchings
 
     for m in enumerate_perfect_matchings(b):
@@ -129,8 +126,7 @@ def dapp_bruteforce(
             )
             if (frozenset({s, t}) & used) - share:
                 return None
-            blocked = banned | (used - share)
-            for path in _alternating_paths(b, mate, s, t, blocked):
+            for path in _alternating_paths(b, mate, s, t, used - share):
                 got = try_pairs(idx + 1, chosen + [path], used | frozenset(path))
                 if got is not None:
                     return got
@@ -316,20 +312,6 @@ class _Ctx:
             for e in self.b.edges
             if (e[0] in xs and e[1] in ys) or (e[0] in ys and e[1] in xs)
         )
-
-
-def _binarise(tree: LeafTree) -> tuple[list[frozenset[int]], list[tuple[int, ...]], int]:
-    """Below-sets, children lists and root of the binary DP tree."""
-    if len(tree.leaf_map) == tree.m:
-        # a bare matching edge: synthesise the joining node
-        a, bb = (tree.leaf_map[x] for x in sorted(tree.leaf_map))
-        return (
-            [frozenset({a}), frozenset({bb}), frozenset({a, bb})],
-            [(), (), (0, 1)],
-            2,
-        )
-    view = tree.binarised()
-    return view.below(), view.kids, view.root
 
 
 def _query(ctx: _Ctx, node: int, u_set: frozenset[Edge], pairs: tuple[TerminalPair, ...], j_set: frozenset[Edge]) -> frozenset[int]:
@@ -784,18 +766,17 @@ def make_context(
     forced: Iterable[Edge] = (),
     banned: Iterable[int] = (),
     k: int = 1,
-    w: int | None = None,
 ) -> _Ctx:
-    below, kids, root = _binarise(nice.tree)
+    view = nice.tree.binarised()
     return _Ctx(
         b=b,
         forced=frozenset(tuple(e) for e in forced),
         banned=frozenset(banned),
         k=k,
-        w=w if w is not None else max(nice.type1_bound, 1),
-        below=below,
-        kids=kids,
-        root_node=root,
+        w=max(nice.type1_bound, 1),
+        below=view.below(),
+        kids=view.kids,
+        root_node=view.root,
     )
 
 
@@ -810,36 +791,25 @@ def _solve_full(
     banned: frozenset[int],
     forced: Matching,
 ) -> bool:
-    """Branch over direct single-edge routings of adjacent pairs, then run
-    the W/proxy pipeline on the remainder."""
+    """Route adjacent pairs along their own edges, then run the W/proxy loops
+    on the other pairs, with the DP per proxied instance on the host reduced
+    by V(W)."""
     # routing an adjacent pair along its own edge is always safe: any
     # solution reroutes onto the edge since the other paths avoid its
     # terminals already, so a single branch suffices
-    direct = frozenset(i for i, (s, t) in enumerate(pairs) if b.has_edge(s, t))
-    rest = tuple(p for i, p in enumerate(pairs) if i not in direct)
-    direct_terms = {x for i in direct for x in pairs[i]}
-    rest_terms = {x for p in rest for x in p}
-    extra_banned = frozenset(direct_terms - rest_terms)
-    return _solve_on_reduced(b, rest, banned | extra_banned, forced)
-
-
-def _solve_on_reduced(
-    b: BipartiteGraph,
-    pairs: tuple[TerminalPair, ...],
-    banned: frozenset[int],
-    forced_extra: Matching,
-) -> bool:
-    """Inner engine: non-adjacent distinct-or-not pairs; W/proxy loops; the
-    DP per proxied instance on the reduced host."""
-    terminals = [x for p in pairs for x in p]
+    direct_terms = {x for s, t in pairs if b.has_edge(s, t) for x in (s, t)}
+    pairs = tuple((s, t) for s, t in pairs if not b.has_edge(s, t))
+    terminals = {x for p in pairs for x in p}
+    banned = banned | frozenset(direct_terms - terminals)
     if not pairs:
-        return is_extendable(b, forced_extra)
+        return is_extendable(b, forced)
 
     # W candidates: extendable matchings covering all terminals, every edge
-    # covering a terminal, compatible with the forced edges
-    term_set = sorted(set(terminals))
+    # covering a terminal, compatible with the forced edges.  No pair is an
+    # edge of b, so no W edge joins a pair.
+    term_set = sorted(terminals)
     forced_by_vertex: dict[int, Edge] = {}
-    for e in forced_extra:
+    for e in forced:
         for x in e:
             forced_by_vertex[x] = e
 
@@ -853,7 +823,6 @@ def _solve_on_reduced(
             return
         if x in forced_by_vertex:
             e = forced_by_vertex[x]
-            other = e[0] if e[1] == x else e[1]
             chosen[x] = e
             used.update(e)
             yield from w_candidates(idx + 1, chosen, used)
@@ -871,26 +840,18 @@ def _solve_on_reduced(
             del chosen[x]
 
     for w_set in w_candidates(0, {}, set()):
-        if not is_extendable(b, w_set | forced_extra):
+        if not is_extendable(b, w_set | forced):
             continue
-        # pairs solved directly by their own W edge drop out
-        live = tuple(
-            (s, t) for s, t in pairs if (min(s, t), max(s, t)) not in w_set
-        )
-        if not live:
-            return True
+        # a perfect matching of b holds W, so the reduced host has one too
         w_vertices = frozenset(x for e in w_set for x in e)
-        keep = frozenset(b.vertices) - w_vertices
-        reduced, fwd, _ = induced_subgraph(b, keep)
-        if reduced.n1 != reduced.n2 or not has_perfect_matching(reduced):
-            continue
+        reduced, fwd, _ = induced_subgraph(b, frozenset(b.vertices) - w_vertices)
         red_banned = frozenset(fwd[x] for x in banned if x in fwd)
         red_forced = frozenset(
             (min(fwd[e[0]], fwd[e[1]]), max(fwd[e[0]], fwd[e[1]]))
-            for e in forced_extra
+            for e in forced
             if e[0] in fwd and e[1] in fwd
         )
-        for proxy_pairs, w_prime in make_proxies(b, live, w_set, banned):
+        for proxy_pairs, w_prime in make_proxies(b, pairs, w_set, banned):
             red_pairs = tuple(
                 (fwd[s], fwd[t]) if fwd[s] < fwd[t] else (fwd[t], fwd[s])
                 for s, t in proxy_pairs
@@ -915,10 +876,7 @@ def _dp_decides(
     banned: frozenset[int],
 ) -> bool:
     """Build the safe nice decomposition for the instance and run the DP."""
-    m = some_perfect_matching(b, frozenset())
-    if m is None:
-        return False
-    # prefer a matching extending the forced edges
+    # a perfect matching extending the forced edges
     banned_for_m = frozenset(x for e in forced for x in e)
     rest = some_perfect_matching(b, banned_for_m)
     if rest is None:
@@ -936,14 +894,7 @@ def _dp_decides(
     _, dtd = dtw_exact_small(d)
     prepared = prepare_dtd(d, dtd)
     nice = dtd_to_nice_pmd(b, m, extra, prepared)
-    ctx = make_context(
-        b,
-        nice,
-        forced=forced,
-        banned=banned,
-        k=max(len(pairs), 1),
-        w=max(nice.type1_bound, 1),
-    )
+    ctx = make_context(b, nice, forced=forced, banned=banned, k=max(len(pairs), 1))
     root_it = Itinerary(ctx, ctx.root_node)
     return bool(root_it.query(pairs, forced))
 
@@ -966,16 +917,14 @@ def dapp_solve_extending(
     b: BipartiteGraph,
     pairs: Sequence[TerminalPair],
     f_set: Iterable[Edge],
-    banned: frozenset[int] = frozenset(),
 ) -> bool:
-    """Decide existence of an F-extending solution (F forced into M); paths
-    may additionally be required to avoid the banned vertices."""
+    """Decide existence of an F-extending solution (F forced into M)."""
     pairs = tuple(tuple(p) for p in pairs)
     _pairs_ok(b, pairs)
     f_set = check_matching(b, f_set)
     if not is_extendable(b, f_set):
         raise NotExtendable("f is not extendable")
-    return _solve_full(b, pairs, banned, f_set)
+    return _solve_full(b, pairs, frozenset(), f_set)
 
 
 # ---------------------------------------------------------------------------

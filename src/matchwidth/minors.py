@@ -615,8 +615,6 @@ def _check_with_mh(
                 out.append((tuple(assign), top))
                 return
             for slot in range(0, min(top + 1, count) + 1):
-                if slot > top + 1:
-                    continue
                 assign.append(slot)
                 rec(i + 1, assign, max(top, slot))
                 assign.pop()

@@ -171,6 +171,14 @@ def test_row_major_caterpillars():
     assert (stats.table_entries, stats.boundary_sets) == (15025, 23384)
 
 
+def test_decomp_count_two_leaf_tree():
+    # the DP walks the two leaves under the virtual root
+    tree = LeafTree((frozenset({1}), frozenset({0})), {0: 1, 1: 2})
+    assert count_pm_decomp(k2(), tree) == 1
+    assert count_pm_decomp(graph_from_edges(1, 1, []), tree) == 0
+    assert count_pm_decomp(Graph(2, {(1, 2)}), tree) == 1
+
+
 def test_count_invariant_across_decompositions():
     b = even_cycle(3)
     w, d1 = pmw_exact_small(b)

@@ -287,6 +287,17 @@ def test_cops_play_random():
         assert transcript.max_cops() <= 6 * k * k + 12 * k
 
 
+def test_binarised_two_leaf_tree():
+    # both leaves hang from the virtual node m = 2, whose below-set is the
+    # whole ground set
+    tree = LeafTree((frozenset({1}), frozenset({0})), {0: 2, 1: 1})
+    view = tree.binarised()
+    assert view.root == 2
+    assert view.kids == [(), (), (0, 1)]
+    assert view.order == [2, 0, 1]
+    assert view.below() == [frozenset({2}), frozenset({1}), frozenset({1, 2})]
+
+
 def test_prepare_dtd():
     # star-shaped decomposition with four children gets binarised
     d = digraph_from_arcs(5, [(1, 2), (1, 3), (1, 4), (1, 5)])

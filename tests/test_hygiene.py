@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used where it is imported,
 every module-level function or class is referenced somewhere else in the
-package unless it is a kept oracle or paper check, and no source or test
-line holds a tab."""
+package unless it is a kept oracle or paper check, every optional parameter
+is set by some call in the package, and no source or test line holds a
+tab."""
 
 import ast
 from collections import Counter
@@ -108,6 +109,70 @@ def test_every_public_definition_is_referenced_or_kept():
     assert [f"{f}:{line}: {name}" for f, line, name in public if name not in KEPT_UNREFERENCED] == []
     # an entry whose definition is gone or now referenced must go as well
     assert sorted(set(KEPT_UNREFERENCED) - {name for _, _, name in public}) == []
+
+
+# Optional parameters that no package call sets, each kept for the callers
+# outside the package that do.  Any other such parameter is a knob nothing
+# turns.
+KEPT_UNSET = {
+    "bipartite_isomorphic(m1)": "oracle; its tests pass matchings",
+    "bipartite_isomorphic(m2)": "oracle; its tests pass matchings",
+    "bipartite_isomorphic(allow_swap)": "oracle; a test fixes the colour classes",
+    "count_pm_bruteforce(limit)": "the bench checker sets it",
+    "dapp_bruteforce(limit)": "the bench checker sets it",
+    "count_pm_decomp(stats)": "the bench tracer and the tests read it",
+    "main(argv)": "the CLI entry point; the tests and the bench pass argv",
+}
+
+
+def unset_optional_parameters(paths: list[Path]) -> list[str]:
+    """`name(param)` of each defaulted parameter of a function or method,
+    dunders aside, that no call in the given modules sets by position or by
+    keyword.  Calls match definitions by name; a call with `*args` or
+    `**kwargs` counts as setting every parameter."""
+    nodes = [node for path in paths for node in ast.walk(ast.parse(path.read_text()))]
+    parent = {child: node for node in nodes for child in ast.iter_child_nodes(node)}
+    # (function, parameter) -> index among the call's positional arguments,
+    # or None for a keyword-only parameter
+    wanted: dict[tuple[str, str], int | None] = {}
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        # a method's first parameter is bound, not passed in the call
+        bound = isinstance(parent[node], ast.ClassDef) and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        )
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            wanted[node.name, positional[i].arg] = i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                wanted[node.name, arg.arg] = None
+    done = set()
+    for node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        keywords = {k.arg for k in node.keywords}
+        spread = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+        for (fname, param), index in wanted.items():
+            if fname == name and (
+                spread or param in keywords or (index is not None and index < len(node.args))
+            ):
+                done.add((fname, param))
+    return sorted(f"{f}({p})" for f, p in set(wanted) - done)
+
+
+def test_every_optional_parameter_is_set():
+    src = Path(matchwidth.__file__).parent
+    unset = unset_optional_parameters(sorted(src.glob("*.py")))
+    assert [name for name in unset if name not in KEPT_UNSET] == []
+    # an entry whose parameter is gone or now set must go as well
+    assert sorted(set(KEPT_UNSET) - set(unset)) == []
 
 
 def tab_lines(paths: list[Path]) -> list[str]:

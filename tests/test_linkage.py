@@ -26,6 +26,7 @@ from common import (
     canonical_cycle_matching,
     complete_bipartite,
     even_cycle,
+    k2,
     path_graph,
     random_bipartite_with_pm,
 )
@@ -127,6 +128,15 @@ def test_itinerary_root_matches_solution():
     root = Itinerary(ctx, ctx.root_node)
     got = root.query([(2, 5)], w_prime)
     assert got  # the path 2-5 exists with both anchors forced
+
+
+def test_make_context_on_a_two_leaf_tree():
+    # K2's decomposition has no inner node: the DP joins its two leaves at
+    # the virtual node 2
+    ctx = make_context(k2(), compute_pmd(k2()))
+    assert ctx.below == [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+    assert ctx.kids == [(), (), (0, 1)]
+    assert ctx.root_node == 2
 
 
 def test_dapp_solve_examples():

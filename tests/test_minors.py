@@ -261,32 +261,60 @@ PINNED_SOLVE_CALLS = [
     (73, 40, 0, 0),
 ]
 
+# Hopcroft-Karp runs (`bigraph.max_matching`) per check on the same hosts:
+# a perfect-matching test whose outcome is already known shows up here.
+PINNED_MATCHING_CALLS = [
+    (58, 2, 2, 2),
+    (28, 2, 2, 2),
+    (8, 6, 2, 2),
+    (14, 2, 2, 2),
+    (47, 2, 2, 2),
+    (77, 8, 2, 2),
+    (22, 18, 2, 2),
+    (84, 2, 2, 2),
+    (16, 2, 2, 2),
+    (122, 56, 2, 2),
+]
+
 
 def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
     # hosts shaped like the `minor` benchmark's: planted, n1 4-5, 3-4 extra
     # edges; every benchmark pattern is checked against the closure search
+    import matchwidth.bigraph as bigraph
     import matchwidth.minors as minors
 
     calls = []
     solve = minors._solve_full
+    matchings = [0]
+    max_matching = bigraph.max_matching
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
+    def counted_matching(*args):
+        matchings[0] += 1
+        return max_matching(*args)
+
     monkeypatch.setattr(minors, "_solve_full", counted)
+    monkeypatch.setattr(bigraph, "max_matching", counted_matching)
     rng = random.Random(5)
     targets = [even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)]
-    for pinned in PINNED_SOLVE_CALLS:
+    for pinned, pinned_matchings in zip(PINNED_SOLVE_CALLS, PINNED_MATCHING_CALLS):
         b = random_bipartite_with_pm(rng, rng.randint(4, 5), rng.randint(3, 4))
         counts = []
+        matching_counts = []
         for h in targets:
             calls.clear()
-            assert minors.matching_minor_check(b, h) == matching_minor_bruteforce(b, h)
+            matchings[0] = 0
+            got = minors.matching_minor_check(b, h)
+            matching_counts.append(matchings[0])
+            assert got == matching_minor_bruteforce(b, h)
             # no instance is solved twice within one check
             assert len(set(calls)) == len(calls), (sorted(b.edges), h.n)
             counts.append(len(calls))
         assert tuple(counts) == pinned, sorted(b.edges)
+        assert tuple(matching_counts) == pinned_matchings, sorted(b.edges)
 
 
 # A matching-covered pattern on 4 + 4 vertices with V1 degrees 4,2,2,2 and
