@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bigraph import BipartiteGraph, Graph
+from .bigraph import BipartiteGraph, Graph, induced_subgraph, some_perfect_matching
 from .decomp import LeafTree, compute_pmd
-from .errors import NoPerfectMatching, OracleLimitExceeded
+from .direction import elementary_parts
+from .errors import OracleLimitExceeded
 
 COUNT_ORACLE_LIMIT = 22
 
@@ -73,15 +74,17 @@ class CountStats:
     boundary_sets: int = 0
 
 
-def _matchings(mask: int, ends: list[int], cap: int) -> list[tuple[int, int]]:
-    """Matchings inside the edge set `mask` with at most `cap` edges, each as
-    an (edge mask, vertex mask) pair; `ends[i]` is the vertex mask of edge i."""
-    out = [(0, 0)]
+def _matchings(mask: int, ends: list[int], cap: int) -> list[int]:
+    """The matchings inside the edge set `mask` with at most `cap` edges, one
+    vertex mask per matching (two matchings may cover the same vertices);
+    `ends[i]` is the vertex mask of edge i."""
+    out = [0]
+    most = 2 * cap
     while mask:
         low = mask & -mask
         mask ^= low
         ev = ends[low.bit_length() - 1]
-        out += [(m | low, v | ev) for m, v in out if not v & ev and m.bit_count() < cap]
+        out += [v | ev for v in out if not v & ev and v.bit_count() < most]
     return out
 
 
@@ -93,11 +96,13 @@ def count_pm_decomp(
 ) -> int:
     """Number of perfect matchings via the decomposition dynamic program.
 
-    mu(t, F) counts the perfect matchings of the graph induced by the leaves
-    below t together with the endpoints of the boundary matching F that
-    contain F; joins sum over matchings in the shared middle cut.  Works for
-    general graphs (desk scale).  Tables are keyed on (node, edge bitmask) and
-    filled by a walk on an explicit stack, so any tree depth is fine.
+    mu(t, S) counts the perfect matchings of the graph induced by the leaves
+    below t minus S, where S is the set of vertices below t that a perfect
+    matching of g matches across t's cut; joins sum over matchings in the
+    shared middle cut.  mu depends on a boundary matching only through its
+    endpoints below t, so tables are keyed on (node, vertex bitmask), and
+    filled by a walk on an explicit stack, so any tree depth is fine.  Works
+    for general graphs (desk scale).
     """
     dec.validate(g.vertices)
     if stats is None:
@@ -120,6 +125,7 @@ def count_pm_decomp(
     view = dec.binarised()
     root, kids = view.root, view.kids
     uncounted = (root, dec.m)
+    below = view.below_masks()
 
     # an inner node's cut is the symmetric difference of its children's cuts
     cut = [0] * len(kids)
@@ -129,59 +135,75 @@ def count_pm_decomp(
             c ^= cut[y]
         cut[x] = c
 
+    # each middle matching of x as (its vertices, those below x's first
+    # child, those below its second)
     cap = g.n // 2 if width is None else width
-    mids = {x: _matchings(cut[ys[0]] & cut[ys[1]], ends, cap) for x, ys in enumerate(kids) if ys}
+    mids: dict[int, list[tuple[int, int, int]]] = {}
+    for x, ys in enumerate(kids):
+        if ys:
+            b1 = below[ys[0]]
+            ws = _matchings(cut[ys[0]] & cut[ys[1]], ends, cap)
+            mids[x] = [(w, w & b1, w & ~b1) for w in ws]
 
-    memo: dict[tuple[int, int], int] = {}
+    memo: list[dict[int, int]] = [{} for _ in kids]
 
-    def entry(t: int, f: int, covered: int) -> Iterator[tuple[int, int, int]]:
-        """Evaluate mu(t, f) into memo.  Each missing child entry is yielded
-        as (node, f, covered); it is in memo when the walk resumes."""
+    def entry(t: int, s: int) -> Iterator[tuple[int, int]]:
+        """Evaluate mu(t, s) into memo.  Each missing child entry is yielded
+        as (node, s); it is in memo when the walk resumes."""
         t1, t2 = kids[t]
-        f1 = f & cut[t1]
-        f2 = f & cut[t2]
-        # covered may also hold vertices outside t, which no middle matching
-        # of t touches
-        ws = [w for w in mids[t] if not w[1] & covered]
+        memo1, memo2 = memo[t1], memo[t2]
+        s1 = s & below[t1]
+        s2 = s ^ s1
+        ws = [w for w in mids[t] if not w[0] & s]
         if t not in uncounted:
             stats.table_entries += 1
             stats.boundary_sets += len(ws)
         total = 0
-        for wm, wv in ws:
-            left = memo.get((t1, f1 | wm))
+        for _, w1, w2 in ws:
+            left = memo1.get(s1 | w1)
             if left is None:
-                yield t1, f1 | wm, covered | wv
-                left = memo[t1, f1 | wm]
+                yield t1, s1 | w1
+                left = memo1[s1 | w1]
             if left:
-                right = memo.get((t2, f2 | wm))
+                right = memo2.get(s2 | w2)
                 if right is None:
-                    yield t2, f2 | wm, covered | wv
-                    right = memo[t2, f2 | wm]
+                    yield t2, s2 | w2
+                    right = memo2[s2 | w2]
                 total += left * right
-        memo[t, f] = total
+        memo[t][s] = total
 
     # the walk: suspended entries on an explicit stack, deepest on top
-    stack = [entry(root, 0, 0)]
+    stack = [entry(root, 0)]
     while stack:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
         elif child[0] in dec.leaf_map:
-            # f lies in the leaf's cut: its vertex is matched iff f has one edge
-            t, f, _ = child
-            memo[t, f] = 1 if f.bit_count() == 1 else 0
+            # the leaf's one vertex is matched iff it is in s
+            t, s = child
+            memo[t][s] = 1 if s else 0
             stats.table_entries += 1
         else:
             stack.append(entry(*child))
-    return memo[root, 0]
+    return memo[root][0]
 
 
 def count_pm(b: BipartiteGraph) -> int:
-    """Count perfect matchings through the decomposition pipeline."""
-    if b.n == 0:
-        return 1  # the empty matching
-    try:
-        nice = compute_pmd(b)
-    except NoPerfectMatching:
+    """Count perfect matchings through the decomposition pipeline.
+
+    Every perfect matching uses admissible edges only, so it is one perfect
+    matching per elementary component, and the count of b is the product of
+    the components' counts.  Each component with more than two vertices is
+    counted by the DP over its own `compute_pmd` decomposition; a K2 adds a
+    factor of 1.
+    """
+    m = some_perfect_matching(b)
+    if m is None:
         return 0
-    return count_pm_decomp(b, nice.tree, width=nice.width)
+    total = 1
+    for part in elementary_parts(b, m):
+        if len(part) > 2:
+            sub, _, _ = induced_subgraph(b, part)
+            nice = compute_pmd(sub)
+            total *= count_pm_decomp(sub, nice.tree, width=nice.width)
+    return total

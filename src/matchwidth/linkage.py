@@ -409,9 +409,7 @@ def _merge(
     pairs: tuple[TerminalPair, ...],
     j_set: frozenset[Edge],
 ) -> frozenset[int]:
-    b = ctx.b
     xs, ys = ctx.below[c1], ctx.below[c2]
-    both = xs | ys
     xy_edges = ctx.edges_between(xs, ys)
 
     u_x_base = frozenset(e for e in u_set if (e[0] in xs) != (e[1] in xs))
@@ -424,8 +422,6 @@ def _merge(
         e for e in ctx.forced if ((e[0] in xs) and (e[1] in ys)) or ((e[0] in ys) and (e[1] in xs))
     )
     must_r = j_cross | forced_cross
-    terminals = frozenset(x for p in pairs for x in p)
-    blocked_v = {x for e in (j_set | ctx.forced) for x in e}
 
     results: set[int] = set()
     cap_r = ctx.w - max(len(u_x_base), len(u_y_base))
@@ -557,7 +553,6 @@ def _assemble(
     wiring arcs (terminal starts/landings and bounces through R endpoints)
     consume their vertex at this level.
     """
-    b = ctx.b
     xs, ys = ctx.below[c1], ctx.below[c2]
     terminals = frozenset(x for p in pairs for x in p)
 

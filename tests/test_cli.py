@@ -274,6 +274,23 @@ def test_cli_empty_graph(tmp_path, capsys):
         assert captured.err == "error: the empty graph has no decomposition\n"
 
 
+def test_cli_count_beyond_the_search_limit_by_components(tmp_path, capsys):
+    # five C6 copies chained by one edge from copy i's V1 to copy i+1's V2:
+    # no chain edge is admissible, so n1 = 15 splits into five C6 components,
+    # each within the exact decomposition search
+    edges = []
+    for i in range(5):
+        a, b = 3 * i, 15 + 3 * i
+        edges += [(a + k, b + k) for k in (1, 2, 3)]
+        edges += [(a + 1, b + 2), (a + 2, b + 3), (a + 3, b + 1)]
+        if i < 4:
+            edges.append((a + 1, b + 4))
+    f = tmp_path / "chain.b"
+    f.write_text("".join(["b 15 15\n"] + [f"e {u} {v}\n" for u, v in edges]))
+    assert main(["pm", "count", str(f)]) == 0
+    assert capsys.readouterr().out == "32\n"
+
+
 def test_cli_count_without_perfect_matching(tmp_path, capsys):
     # a V2 vertex of degree 0, and unbalanced colour classes
     for text in ("b 2 2\ne 1 3\ne 2 3\n", "b 2 1\ne 1 3\ne 2 3\n"):

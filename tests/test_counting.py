@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from matchwidth.bigraph import Graph, graph_from_edges
+from matchwidth.bigraph import Graph, graph_from_edges, induced_subgraph, some_perfect_matching
 from matchwidth.counting import CountStats, count_pm, count_pm_bruteforce, count_pm_decomp
 from matchwidth.decomp import LeafTree, _TreeBuilder, compute_pmd, pmw_exact_small
+from matchwidth.direction import elementary_parts
 from matchwidth.errors import OracleLimitExceeded
 from matchwidth.grids import cylindrical_grid, square_grid, square_grid_coords
 
@@ -118,6 +119,25 @@ def test_count_pm_random_graphs_with_and_without_perfect_matching():
     assert 50 <= zeros <= 250
 
 
+def test_count_pm_is_the_product_over_elementary_components():
+    # planted graphs with few extra edges split into several elementary
+    # components, some of them K2
+    rng = random.Random(31)
+    split = 0
+    for _ in range(80):
+        n1 = rng.randint(3, 6)
+        b = random_bipartite_with_pm(rng, n1, rng.randint(2, 2 * n1))
+        parts = elementary_parts(b, some_perfect_matching(b))
+        if len(parts) < 2 or all(len(p) == 2 for p in parts):
+            continue
+        split += 1
+        product = 1
+        for part in parts:
+            product *= count_pm_bruteforce(induced_subgraph(b, part)[0])
+        assert count_pm(b) == count_pm_bruteforce(b) == product
+    assert split >= 30
+
+
 def test_decomp_count_nonbipartite():
     k4 = Graph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
     from matchwidth.decomp import LeafTree
@@ -168,7 +188,7 @@ def test_row_major_caterpillars():
     g, tree = row_major_caterpillar(8, 8)
     stats = CountStats()
     assert count_pm_decomp(g, tree, stats=stats) == domino_tilings(8, 8) == 12988816
-    assert (stats.table_entries, stats.boundary_sets) == (15025, 23384)
+    assert (stats.table_entries, stats.boundary_sets) == (12284, 20803)
 
 
 def test_decomp_count_two_leaf_tree():
