@@ -11,6 +11,7 @@ from .bigraph import (
     BipartiteGraph,
     Edge,
     Matching,
+    admissible_edges,
     bicontract,
     check_matching,
     enumerate_perfect_matchings,
@@ -18,6 +19,7 @@ from .bigraph import (
     induced_subgraph,
     is_matching_covered,
     is_perfect,
+    some_perfect_matching,
 )
 from .digraph import Digraph
 from .direction import split
@@ -531,13 +533,20 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
       for m_h is the unflipped pass for sigma(m_h), which is tried anyway.
     - One verdict memo serves the whole call (see `_place_and_solve`), so a
       DAPP instance that several guesses build is solved once.
+
+    Every edge of a model's bisubdivision lies in a perfect matching of b,
+    so only admissible edges of b are ever forced.  One perfect matching of
+    b, found after the size exits, gives them all
+    (`bigraph.admissible_edges`).
     """
     if not is_matching_covered(h):
         raise ModelInvalid("pattern must be matching covered")
-    if not has_perfect_matching(b):
-        return False
     if h.n > b.n or len(h.edges) > len(b.edges):
         return False
+    m = some_perfect_matching(b)
+    if m is None:
+        return False
+    admissible = admissible_edges(b, m)
 
     autos, colour_swapping = _h_symmetries(h)
     flips = (False,) if colour_swapping else (False, True)
@@ -557,7 +566,7 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
         if key in seen_mh:
             continue
         seen_mh.add(key)
-        if _check_with_mh(b, h, m_h, budget_total, flips, memo):
+        if _check_with_mh(b, h, m_h, admissible, budget_total, flips, memo):
             return True
     return False
 
@@ -565,16 +574,18 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
 @dataclass(frozen=True)
 class _Layout:
     """What the placement search reads for one perfect matching m_h of h:
-    the h-side order and incidences, and the host's candidates per colour
-    class in the order they are tried."""
+    the h-side order and incidences, the host's admissible edges, and its
+    candidates per colour class in the order they are tried."""
 
     h_vertices: list[int]
     # per non-m_h edge (u, v) in sorted order: u, the edge's place among
     # u's non-m_h edges (the index into u's slot pattern), v, its place at v
     edge_slots: list[tuple[int, int, int, int]]
     m_edges: list[Edge]  # sorted
+    admissible: frozenset[Edge]
     exposed_cands: dict[int, list[tuple[int, int]]]  # class -> (vertex, degree)
-    # class -> (edge, end in the class, other end, degree of the first end)
+    # class -> (admissible edge, end in the class, other end, degree of
+    # the first end)
     spine_cands: dict[int, list[tuple[Edge, int, int, int]]]
 
 
@@ -582,6 +593,7 @@ def _check_with_mh(
     b: BipartiteGraph,
     h: BipartiteGraph,
     m_h: Matching,
+    admissible: frozenset[Edge],
     budget: int,
     flips: tuple[bool, ...],
     memo: dict,
@@ -592,11 +604,12 @@ def _check_with_mh(
     edge_slots = [
         (u, incident[u].index((u, v)), v, incident[v].index((u, v))) for u, v in non_m_edges
     ]
-    host_edges = sorted(b.edges)
+    host_edges = sorted(admissible)
     layout = _Layout(
         h_vertices,
         edge_slots,
         sorted(m_h),
+        admissible,
         {c: [(v, b.degree(v)) for v in vs] for c, vs in ((1, b.v1), (2, b.v2))},
         {
             1: [(e, e[0], e[1], b.degree(e[0])) for e in host_edges],
@@ -690,13 +703,20 @@ def _place_and_solve(
     branch whose demand exceeds the slack (the vertices left after the
     model's trees) is cut.
 
+    Every forced edge is admissible: the spine candidates are the
+    admissible edges, and `mh_rec` skips a degenerate or end edge that is
+    not.  A forced set with any other edge extends to no perfect matching,
+    so each instance skipped is one that `run` would refuse before it
+    reaches `_solve_full`.
+
     `memo` holds, for this `matching_minor_check` call, the verdict of each
-    (forced set, terminal pairs) instance already solved and, keyed on the
-    forced set alone, whether that set extends to a perfect matching of b
-    (see `run`).
+    (forced set, set of terminal pairs) instance already solved and, keyed
+    on the forced set alone, whether that set extends to a perfect matching
+    of b (see `run`).
     """
     n1 = b.n1
     adj = b.adj
+    admissible = layout.admissible
     h_vertices = layout.h_vertices
 
     # anchor ids in placement order; `first[u]` is the id of (u, 0)
@@ -798,8 +818,8 @@ def _place_and_solve(
         xu, xv = at[first[u]], at[first[v]]
         # degenerate realisation: the pattern matching edge maps to a single
         # matching edge of the host
-        if b.has_edge(xu, xv):
-            e = b.edge(xu, xv)
+        e = ordered(xu, xv)
+        if e in admissible:
             forced.add(e)
             if mh_rec(i + 1, forced, pairs, edge_pairs):
                 return True
@@ -808,11 +828,15 @@ def _place_and_solve(
         for pu in sorted(adj[xu]):
             if pu in used or pu == xv:
                 continue
-            eu = b.edge(xu, pu)
+            eu = ordered(xu, pu)
+            if eu not in admissible:
+                continue
             for pv in sorted(adj[xv]):
                 if pv in used or pv == xu or pv == pu:
                     continue
-                ev = b.edge(xv, pv)
+                ev = ordered(xv, pv)
+                if ev not in admissible:
+                    continue
                 forced.update((eu, ev))
                 used.update((pu, pv))
                 pairs.append(ordered(pv, pu))
@@ -828,15 +852,17 @@ def _place_and_solve(
         `all_pairs` (the legs, the conformal paths and the edge paths of h)
         have a solution?
 
-        For the fixed host b the verdict depends on the two arguments
-        alone, so `memo` keeps it for the rest of the `matching_minor_check`
-        call, and a repeated instance is answered without checking
-        extendability or calling `_solve_full` again.  The key is the exact
-        pair tuple, in order; it is not canonicalised.  The remaining
+        For the fixed host b the verdict depends on the forced set and the
+        set of pairs alone: the order of the pairs does not change the
+        instance, and `ordered` already puts each pair's V1 end first.  So
+        `memo` keys the verdict on `(forced, sorted pairs)` for the rest of
+        the `matching_minor_check` call, and a repeated instance is answered
+        without checking extendability or calling `_solve_full` again.  The
+        first-seen pair order is the one `_solve_full` gets.  The remaining
         `_solve_full` calls are the ones an unmemoised search makes, in its
         order, with the repeats dropped.
         """
-        key = (forced, all_pairs)
+        key = (forced, tuple(sorted(all_pairs)))
         verdict = memo.get(key)
         if verdict is None:
             covered = frozenset(x for f in forced for x in f)

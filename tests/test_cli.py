@@ -354,6 +354,13 @@ _line = st.one_of(
     st.lists(_token, max_size=4).map(" ".join),
 )
 _graph_text = st.lists(_line, min_size=1, max_size=7).map("\n".join)
+# well-formed bipartite graphs on n + n vertices, so that questions such as
+# `minor` get past the parser and its size exits
+_bipartite_text = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(1, n), st.integers(n + 1, 2 * n)), max_size=3 * n
+    ).map(lambda es: "".join([f"b {n} {n}\n"] + [f"e {u} {v}\n" for u, v in es]))
+)
 _argv_tail = st.one_of(
     st.tuples(st.sampled_from(["count", "width", "decomp"]), st.sampled_from([[], ["--oracle"]])).map(
         lambda t: ["pm", t[0], "GRAPH", *t[1]]
@@ -362,17 +369,21 @@ _argv_tail = st.one_of(
     st.tuples(st.sampled_from(["cg", "cgq", "random"]), _small).map(lambda t: ["gen", t[0], str(t[1])]),
     st.tuples(_small, _small).map(lambda t: ["gen", "grid", str(t[0]), str(t[1])]),
     st.tuples(_small, _small, _small).map(lambda t: ["gen", "ep-gadget", "GRAPH", *map(str, t)]),
+    st.sampled_from([["minor", "GRAPH", "GRAPH"], ["minor", "GRAPH", "C4"]]),
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=_graph_text, argv=_argv_tail)
+@given(text=st.one_of(_graph_text, _bipartite_text), argv=_argv_tail)
 def test_cli_fuzz_keeps_exit_contract(text, argv):
     # whatever the input, the CLI answers 0, 1 or 2 and raises nothing else
     with tempfile.TemporaryDirectory() as tmp:
         graph = Path(tmp) / "g.txt"
         graph.write_text(text)
-        argv = [str(graph) if a == "GRAPH" else a for a in argv]
+        c4 = Path(tmp) / "c4.txt"
+        c4.write_text(write_graph_text(even_cycle(2)))
+        files = {"GRAPH": str(graph), "C4": str(c4)}
+        argv = [files.get(a, a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
