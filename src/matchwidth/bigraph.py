@@ -308,20 +308,18 @@ def is_conformal(b: BipartiteGraph, x: Iterable[int]) -> bool:
     return has_perfect_matching(b, frozenset(x))
 
 
-def admissible_edges(b: BipartiteGraph, m: Matching | None = None) -> frozenset[Edge]:
+def admissible_edges(b: BipartiteGraph) -> frozenset[Edge]:
     """Edges contained in at least one perfect matching (empty if no PM).
 
     One perfect matching M and one strong-component pass over its
     M-direction decide every edge: an edge is admissible iff both its ends
-    lie in one elementary part (`direction.elementary_parts`).  A caller
-    that already holds a perfect matching of b passes it as m.
+    lie in one elementary part (`direction.elementary_parts`).
     """
     from .direction import elementary_parts
 
+    m = some_perfect_matching(b)
     if m is None:
-        m = some_perfect_matching(b)
-        if m is None:
-            return frozenset()
+        return frozenset()
     part_of = {v: i for i, part in enumerate(elementary_parts(b, m)) for v in part}
     return frozenset(e for e in b.edges if part_of[e[0]] == part_of[e[1]])
 

@@ -19,7 +19,6 @@ from .bigraph import (
     induced_subgraph,
     is_matching_covered,
     is_perfect,
-    some_perfect_matching,
 )
 from .digraph import Digraph
 from .direction import split
@@ -535,18 +534,18 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
       DAPP instance that several guesses build is solved once.
 
     Every edge of a model's bisubdivision lies in a perfect matching of b,
-    so only admissible edges of b are ever forced.  One perfect matching of
-    b, found after the size exits, gives them all
-    (`bigraph.admissible_edges`).
+    so only admissible edges of b are ever forced.  `bigraph.admissible_edges`
+    finds them all from one perfect matching of b, after the size exits.
+    Past those exits b is not empty, so the set is empty exactly when b has
+    no perfect matching.
     """
     if not is_matching_covered(h):
         raise ModelInvalid("pattern must be matching covered")
     if h.n > b.n or len(h.edges) > len(b.edges):
         return False
-    m = some_perfect_matching(b)
-    if m is None:
+    admissible = admissible_edges(b)
+    if not admissible:
         return False
-    admissible = admissible_edges(b, m)
 
     autos, colour_swapping = _h_symmetries(h)
     flips = (False,) if colour_swapping else (False, True)
@@ -861,6 +860,13 @@ def _place_and_solve(
         first-seen pair order is the one `_solve_full` gets.  The remaining
         `_solve_full` calls are the ones an unmemoised search makes, in its
         order, with the repeats dropped.
+
+        The key is exact only while `_solve_full` itself ignores the pair
+        order.  That holds for the problem, but the DP behind it is known
+        to fail on some instances (ROADMAP item 1), and the order
+        independence is checked only on hosts shaped like the benchmark's
+        (`tests/test_minors.py`).  Where an order-dependent fault would
+        answer "no" first, the memo repeats that "no" for every other order.
         """
         key = (forced, tuple(sorted(all_pairs)))
         verdict = memo.get(key)

@@ -354,13 +354,6 @@ _line = st.one_of(
     st.lists(_token, max_size=4).map(" ".join),
 )
 _graph_text = st.lists(_line, min_size=1, max_size=7).map("\n".join)
-# well-formed bipartite graphs on n + n vertices, so that questions such as
-# `minor` get past the parser and its size exits
-_bipartite_text = st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.lists(
-        st.tuples(st.integers(1, n), st.integers(n + 1, 2 * n)), max_size=3 * n
-    ).map(lambda es: "".join([f"b {n} {n}\n"] + [f"e {u} {v}\n" for u, v in es]))
-)
 _argv_tail = st.one_of(
     st.tuples(st.sampled_from(["count", "width", "decomp"]), st.sampled_from([[], ["--oracle"]])).map(
         lambda t: ["pm", t[0], "GRAPH", *t[1]]
@@ -369,14 +362,19 @@ _argv_tail = st.one_of(
     st.tuples(st.sampled_from(["cg", "cgq", "random"]), _small).map(lambda t: ["gen", t[0], str(t[1])]),
     st.tuples(_small, _small).map(lambda t: ["gen", "grid", str(t[0]), str(t[1])]),
     st.tuples(_small, _small, _small).map(lambda t: ["gen", "ep-gadget", "GRAPH", *map(str, t)]),
-    st.sampled_from([["minor", "GRAPH", "GRAPH"], ["minor", "GRAPH", "C4"]]),
+)
+# well-formed bipartite graphs on n + n vertices, so that questions such as
+# `minor` get past the parser and its size exits
+_bipartite_text = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(1, n), st.integers(n + 1, 2 * n)), max_size=3 * n
+    ).map(lambda es: "".join([f"b {n} {n}\n"] + [f"e {u} {v}\n" for u, v in es]))
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(text=st.one_of(_graph_text, _bipartite_text), argv=_argv_tail)
-def test_cli_fuzz_keeps_exit_contract(text, argv):
-    # whatever the input, the CLI answers 0, 1 or 2 and raises nothing else
+def _assert_exit_contract(text, argv):
+    # whatever the input, the CLI answers 0, 1 or 2 and raises nothing else;
+    # GRAPH in argv stands for a file holding text, C4 for one holding C4
     with tempfile.TemporaryDirectory() as tmp:
         graph = Path(tmp) / "g.txt"
         graph.write_text(text)
@@ -393,6 +391,21 @@ def test_cli_fuzz_keeps_exit_contract(text, argv):
     assert code in (0, 1, 2), (argv, text)
     if code == 2 and not err.getvalue().startswith("usage:"):
         assert err.getvalue().startswith("error: "), (argv, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_graph_text, argv=_argv_tail)
+def test_cli_fuzz_keeps_exit_contract(text, argv):
+    _assert_exit_contract(text, argv)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    text=st.one_of(_graph_text, _bipartite_text),
+    argv=st.sampled_from([["minor", "GRAPH", "GRAPH"], ["minor", "GRAPH", "C4"]]),
+)
+def test_cli_fuzz_minor_keeps_exit_contract(text, argv):
+    _assert_exit_contract(text, argv)
 
 
 def test_cli_negative_header_count(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matchwidth.bigraph import admissible_edges, graph_from_edges
+from matchwidth.bigraph import graph_from_edges
 from matchwidth.digraph import digraph_from_arcs
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NotContractible, NotNice
@@ -323,11 +323,34 @@ def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
         assert tuple(matching_counts) == pinned_matchings, sorted(b.edges)
 
 
-def test_matching_minor_check_forces_admissible_edges_and_ignores_pair_order(monkeypatch):
+def test_matching_minor_check_builds_only_extendable_forced_sets(monkeypatch):
     # on hosts shaped like the benchmark's, every forced set the search
-    # hands to `_solve_full` holds admissible edges only, and reordering the
-    # terminal pairs of such an instance does not change its verdict: the
-    # memo keys each instance on its set of pairs
+    # checks for extendability extends: the search forces admissible edges
+    # only.  Forcing any edge of b, it built 120 sets here that do not.
+    import matchwidth.minors as minors
+
+    tests = []
+    has_pm = minors.has_perfect_matching
+
+    def recorded(b, banned=frozenset()):
+        ok = has_pm(b, banned)
+        tests.append(ok)
+        return ok
+
+    monkeypatch.setattr(minors, "has_perfect_matching", recorded)
+    rng = random.Random(8)
+    targets = [even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)]
+    for _ in range(10):
+        b = random_bipartite_with_pm(rng, rng.randint(4, 5), rng.randint(3, 4))
+        for h in targets:
+            minors.matching_minor_check(b, h)
+    assert tests and all(tests), tests.count(False)
+
+
+def test_matching_minor_check_instances_ignore_pair_order(monkeypatch):
+    # reordering the terminal pairs of an instance the search builds does
+    # not change its verdict: the memo keys each instance on its set of
+    # pairs.  Checked on hosts shaped like the benchmark's only.
     import matchwidth.minors as minors
 
     calls = []
@@ -342,20 +365,15 @@ def test_matching_minor_check_forces_admissible_edges_and_ignores_pair_order(mon
     rng = random.Random(8)
     shuffler = random.Random(0)
     targets = [even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)]
-    instances = 0
     for _ in range(10):
         b = random_bipartite_with_pm(rng, rng.randint(4, 5), rng.randint(3, 4))
-        admissible = admissible_edges(b)
-        calls.clear()
         for h in targets:
             minors.matching_minor_check(b, h)
-        for (host, pairs, banned, forced), verdict in calls:
-            assert forced <= admissible, (sorted(b.edges), sorted(forced))
-            orders = {pairs[::-1]} | {tuple(shuffler.sample(pairs, len(pairs))) for _ in range(2)}
-            for order in orders - {pairs}:
-                assert solve(host, order, banned, forced) == verdict, (sorted(b.edges), pairs)
-        instances += len(calls)
-    assert instances > 0
+    assert calls
+    for (host, pairs, banned, forced), verdict in calls:
+        orders = {pairs[::-1]} | {tuple(shuffler.sample(pairs, len(pairs))) for _ in range(2)}
+        for order in orders - {pairs}:
+            assert solve(host, order, banned, forced) == verdict, (sorted(host.edges), pairs)
 
 
 @pytest.mark.xfail(strict=True, raises=NotNice, reason="the k-DAPP DP raises NotNice on this host")
