@@ -90,6 +90,8 @@ def cmd_gen(args) -> int:
         n = args.n
         if n < 0:
             raise InvalidParameter(f"vertex count {n} is negative")
+        if not 0 <= args.p <= 1:
+            raise InvalidParameter(f"edge probability {args.p} is not in [0, 1]")
         edges = {(i, n + i) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             for j in range(n + 1, 2 * n + 1):

@@ -12,10 +12,8 @@ from typing import Callable, Iterable, Sequence
 from .bigraph import (
     BipartiteGraph,
     Matching,
-    check_matching,
     induced_subgraph,
     is_conformal,
-    is_perfect,
     some_perfect_matching,
 )
 from .digraph import (
@@ -27,7 +25,7 @@ from .digraph import (
     strongly_connected_within,
     vertex_mask,
 )
-from .direction import elementary_parts, m_direction
+from .direction import VertexTag, elementary_parts, m_direction
 from .errors import (
     InvalidDecomposition,
     NoPerfectMatching,
@@ -870,23 +868,21 @@ class _TreeBuilder:
 
 def dtd_to_nice_pmd(
     b: BipartiteGraph,
-    m: Matching,
-    extra_edges: frozenset[tuple[int, int]],
+    host: BipartiteGraph,
+    d: Digraph,
+    tag: VertexTag,
     dec: DirectedTreeDecomposition,
 ) -> NicePMD:
     """Translate a prepared proto directed tree decomposition of the
-    M-direction of b (+extra edges) into a nice perfect matching
-    decomposition of b.
+    M-direction of host into a nice perfect matching decomposition of b.
+
+    host is b or b plus extra edges; d and tag are the M-direction of host
+    (`direction.m_direction`), built from a perfect matching M of b.
 
     Leaves with bags, single-successor and two-successor nodes each hang a
     cubic subtree holding their bag; every digraph leaf then expands into the
     two endpoints of its matching edge.
     """
-    m = check_matching(b, m)
-    host = b if not extra_edges else BipartiteGraph(b.n1, b.n2, b.edges | extra_edges)
-    if not is_perfect(host, m):
-        raise NoPerfectMatching("m is not a perfect matching")
-    d, tag = m_direction(host, m)
     if not is_prepared(d, dec):
         raise NotPrepared("input is not a prepared proto decomposition")
 
@@ -968,10 +964,11 @@ def dtd_to_nice_pmd(
     else:
         tree = LeafTree(tuple(frozenset(s) for s in tb.adj), final_leaf_map, root=top)
     tree.validate(b.vertices)
-    # m is a perfect matching of b and of host; both widths read one rooting
+    # M is a perfect matching of b and of host; both widths read one rooting
+    m = frozenset(tag.values())
     shores = tree.rooted(0).below_masks()[1:]
     width = _cut_width(b, m, shores)
-    width_host = width if not extra_edges else _cut_width(host, m, shores)
+    width_host = width if host is b else _cut_width(host, m, shores)
     bound = max(width_host, max(type1_sizes), 1)
     nice = NicePMD(tree, width, bound)
     ok, reason = nice_pmd_check(b, nice)
@@ -1106,7 +1103,7 @@ def compute_pmd(b: BipartiteGraph) -> NicePMD:
     m = some_perfect_matching(b)
     if m is None:
         raise NoPerfectMatching("graph has no perfect matching")
-    d, _ = m_direction(b, m)
+    d, tag = m_direction(b, m)
     _, dtd = dtw_exact_small(d)
     prepared = prepare_dtd(d, dtd)
-    return dtd_to_nice_pmd(b, m, frozenset(), prepared)
+    return dtd_to_nice_pmd(b, b, d, tag, prepared)

@@ -788,7 +788,12 @@ def _solve_full(
 ) -> bool:
     """Route adjacent pairs along their own edges, then run the W/proxy loops
     on the other pairs, with the DP per proxied instance on the host reduced
-    by V(W)."""
+    by V(W).
+
+    Precondition: `forced` extends to a perfect matching of b, as its callers
+    `dapp_solve`, `dapp_solve_extending` and `minors._place_and_solve.run`
+    establish.  So an instance without pairs, or with W inside `forced`, needs
+    no extendability test."""
     # routing an adjacent pair along its own edge is always safe: any
     # solution reroutes onto the edge since the other paths avoid its
     # terminals already, so a single branch suffices
@@ -797,7 +802,7 @@ def _solve_full(
     terminals = {x for p in pairs for x in p}
     banned = banned | frozenset(direct_terms - terminals)
     if not pairs:
-        return is_extendable(b, forced)
+        return True
 
     # W candidates: extendable matchings covering all terminals, every edge
     # covering a terminal, compatible with the forced edges.  No pair is an
@@ -835,7 +840,7 @@ def _solve_full(
             del chosen[x]
 
     for w_set in w_candidates(0, {}, set()):
-        if not is_extendable(b, w_set | forced):
+        if not w_set <= forced and not is_extendable(b, w_set | forced):
             continue
         # a perfect matching of b holds W, so the reduced host has one too
         w_vertices = frozenset(x for e in w_set for x in e)
@@ -855,11 +860,13 @@ def _solve_full(
                 (min(fwd[e[0]], fwd[e[1]]), max(fwd[e[0]], fwd[e[1]])) for e in w_prime
             )
             union = red_wprime | red_forced
-            if len({x for e in union for x in e}) != 2 * len(union):
+            covered = frozenset(x for e in union for x in e)
+            if len(covered) != 2 * len(union):
                 continue  # forced edges collide with the proxy cover
-            if not is_extendable(reduced, union):
+            rest = some_perfect_matching(reduced, covered)
+            if rest is None:
                 continue
-            if _dp_decides(reduced, red_pairs, red_wprime | red_forced, red_banned):
+            if _dp_decides(reduced, red_pairs, union, red_banned, union | rest):
                 return True
     return False
 
@@ -869,26 +876,18 @@ def _dp_decides(
     pairs: tuple[TerminalPair, ...],
     forced: Matching,
     banned: frozenset[int],
+    m: Matching,
 ) -> bool:
-    """Build the safe nice decomposition for the instance and run the DP."""
-    # a perfect matching extending the forced edges
-    banned_for_m = frozenset(x for e in forced for x in e)
-    rest = some_perfect_matching(b, banned_for_m)
-    if rest is None:
-        return False
-    m = frozenset(forced) | rest
+    """Build the safe nice decomposition for the instance and run the DP; m
+    is a perfect matching of b that holds the forced edges."""
     terminals = {x for p in pairs for x in p}
     covers = frozenset(e for e in forced if e[0] in terminals or e[1] in terminals)
     completion = w_completion(pairs, covers) if pairs and covers else frozenset()
-    extra = frozenset(
-        e for e in completion if not b.has_edge(*e)
-    )
-    d, _ = m_direction(
-        b if not extra else BipartiteGraph(b.n1, b.n2, b.edges | extra), m
-    )
+    host = b if completion <= b.edges else BipartiteGraph(b.n1, b.n2, b.edges | completion)
+    d, tag = m_direction(host, m)
     _, dtd = dtw_exact_small(d)
     prepared = prepare_dtd(d, dtd)
-    nice = dtd_to_nice_pmd(b, m, extra, prepared)
+    nice = dtd_to_nice_pmd(b, host, d, tag, prepared)
     ctx = make_context(b, nice, forced=forced, banned=banned, k=max(len(pairs), 1))
     root_it = Itinerary(ctx, ctx.root_node)
     return bool(root_it.query(pairs, forced))

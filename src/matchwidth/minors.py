@@ -879,14 +879,13 @@ def _place_and_solve(
         return verdict
 
     def extends(forced: frozenset[Edge], covered: frozenset[int]) -> bool:
-        # is `forced` a matching of b that a perfect matching extends?
-        # Many instances share their forced set; `memo` keys this verdict
-        # on the set alone.
+        # does a perfect matching of b extend `forced`?  The set is always
+        # a matching: `place`, `place_spines` and `mh_rec` mark every end
+        # of a forced edge in `used` and skip used vertices.  Many instances
+        # share their forced set; `memo` keys this verdict on the set alone.
         ok = memo.get(forced)
         if ok is None:
-            ok = memo[forced] = len(covered) == 2 * len(forced) and has_perfect_matching(
-                b, covered
-            )
+            ok = memo[forced] = has_perfect_matching(b, covered)
         return ok
 
     return place(0, 0)

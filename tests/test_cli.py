@@ -336,6 +336,8 @@ def test_cli_gen_rejects_bad_parameters(tmp_path, capsys):
         (["gen", "cg", "-1"], "order -1 is not positive"),
         (["gen", "cgq", "0"], "order 0 is not positive"),
         (["gen", "random", "-3"], "vertex count -3 is negative"),
+        (["gen", "random", "2", "--p", "5"], "edge probability 5.0 is not in [0, 1]"),
+        (["gen", "random", "2", "--p", "-0.5"], "edge probability -0.5 is not in [0, 1]"),
         (["gen", "ep-gadget", str(h), "1", "1", "1"], "(1, 1) is not an arc of the pattern"),
         (["gen", "ep-gadget", str(h), "1", "2", "0"], "order 0 is not positive"),
     ]

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from matchwidth.bigraph import (
+    check_matching,
     enumerate_perfect_matchings,
     graph_from_edges,
     has_perfect_matching,
     is_extendable,
+    is_perfect,
 )
 from matchwidth.decomp import compute_pmd
 from matchwidth.errors import InvalidW, NotExtendable, OracleLimitExceeded
@@ -148,7 +150,20 @@ def test_dapp_solve_examples():
     assert dapp_solve(c8, [(1, 6), (3, 8)]) == dapp_bruteforce(c8, [(1, 6), (3, 8)])[0]
 
 
-def test_dapp_solve_agrees_with_oracle_random():
+def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
+    # every DP run also receives a perfect matching of its host that holds
+    # the instance's forced edges
+    import matchwidth.linkage as linkage
+
+    dp_decides = linkage._dp_decides
+    dp_runs = [0]
+
+    def checked_dp(b, pairs, forced, banned, m):
+        assert is_perfect(b, check_matching(b, m)) and forced <= m, (sorted(b.edges), sorted(m))
+        dp_runs[0] += 1
+        return dp_decides(b, pairs, forced, banned, m)
+
+    monkeypatch.setattr(linkage, "_dp_decides", checked_dp)
     rng = random.Random(20240)
     checked = 0
     while checked < 120:
@@ -165,6 +180,28 @@ def test_dapp_solve_agrees_with_oracle_random():
         pairs = [(rng.randint(1, n1), rng.randint(n1 + 1, 2 * n1)) for _ in range(k)]
         assert dapp_solve(b, pairs) == dapp_bruteforce(b, pairs)[0]
         checked += 1
+    assert dp_runs[0]
+
+
+def test_solve_full_trusts_its_forced_set(monkeypatch):
+    # an instance whose pairs are all edges of b is solved by routing them
+    # along those edges; the caller has already shown that the forced set
+    # extends, so no Hopcroft-Karp run is needed
+    import matchwidth.bigraph as bigraph
+    import matchwidth.linkage as linkage
+
+    runs = [0]
+    max_matching = bigraph.max_matching
+
+    def counted(*args):
+        runs[0] += 1
+        return max_matching(*args)
+
+    monkeypatch.setattr(bigraph, "max_matching", counted)
+    c6 = even_cycle(3)
+    pairs = ((1, 4), (2, 5))
+    assert linkage._solve_full(c6, pairs, frozenset(), frozenset())
+    assert runs[0] == 0
 
 
 def test_dapp_extending():

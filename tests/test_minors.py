@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matchwidth.bigraph import graph_from_edges
+from matchwidth.bigraph import check_matching, graph_from_edges
 from matchwidth.digraph import digraph_from_arcs
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NotContractible, NotNice
@@ -266,18 +266,22 @@ PINNED_SOLVE_CALLS = [
 # a perfect-matching test whose outcome is already known shows up here.
 # A check that ends at its size exits runs one, the pattern's
 # matching-covered test; past them it runs one more for a perfect matching
-# of the host, which also gives the host's admissible edges.
+# of the host, which also gives the host's admissible edges.  Then come
+# one extendability test per distinct forced set, one per proxy family
+# `make_proxies` completes, and one perfect matching per proxied instance
+# that reaches the DP.  Every terminal is covered by a forced edge, so no
+# W candidate of `_solve_full` needs a test of its own.
 PINNED_MATCHING_CALLS = [
-    (24, 2, 2, 2),
-    (11, 2, 2, 1),
-    (8, 6, 2, 1),
-    (10, 2, 2, 1),
-    (20, 2, 2, 1),
-    (26, 4, 2, 2),
-    (18, 8, 2, 1),
-    (32, 2, 2, 2),
-    (12, 2, 2, 2),
-    (70, 20, 2, 2),
+    (6, 2, 2, 2),
+    (5, 2, 2, 1),
+    (6, 4, 2, 1),
+    (5, 2, 2, 1),
+    (6, 2, 2, 1),
+    (12, 3, 2, 2),
+    (9, 4, 2, 1),
+    (9, 2, 2, 2),
+    (7, 2, 2, 2),
+    (25, 8, 2, 2),
 ]
 
 
@@ -318,6 +322,9 @@ def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
             # order: `_solve_full(b, pairs, banned, forced)`
             keys = [(frozenset(forced), tuple(sorted(pairs))) for _, pairs, _, forced in calls]
             assert len(set(keys)) == len(keys), (sorted(b.edges), h.n)
+            # every forced set is a matching of b
+            for _, _, _, forced in calls:
+                assert check_matching(b, forced) == forced, (sorted(b.edges), sorted(forced))
             counts.append(len(calls))
         assert tuple(counts) == pinned, sorted(b.edges)
         assert tuple(matching_counts) == pinned_matchings, sorted(b.edges)
