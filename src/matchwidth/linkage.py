@@ -791,7 +791,7 @@ def _solve_full(
     by V(W).
 
     Precondition: `forced` extends to a perfect matching of b, as its callers
-    `dapp_solve`, `dapp_solve_extending` and `minors._place_and_solve.run`
+    `dapp_solve`, `dapp_solve_extending` and `minors._check_with_mh.run`
     establish.  So an instance without pairs, or with W inside `forced`, needs
     no extendability test."""
     # routing an adjacent pair along its own edge is always safe: any

@@ -530,7 +530,7 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     - The pass with h's colour classes placed on the opposite host classes
       runs only when no automorphism swaps them.  If sigma does, that pass
       for m_h is the unflipped pass for sigma(m_h), which is tried anyway.
-    - One verdict memo serves the whole call (see `_place_and_solve`), so a
+    - One verdict memo serves the whole call (see `_check_with_mh`), so a
       DAPP instance that several guesses build is solved once.
 
     Every edge of a model's bisubdivision lies in a perfect matching of b,
@@ -570,22 +570,42 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """What the placement search reads for one perfect matching m_h of h:
-    the h-side order and incidences, the host's admissible edges, and its
-    candidates per colour class in the order they are tried."""
+def _slot_patterns(count: int) -> list[tuple[tuple[int, ...], int]]:
+    """Anchor slot patterns for a pattern vertex with `count` non-m_h edges:
+    each edge goes to slot 0 (the exposed vertex) or to a numbered spine
+    slot, the slots numbered in order of first use.  Each pattern comes
+    with its number of spine slots."""
+    out: list[tuple[tuple[int, ...], int]] = []
 
-    h_vertices: list[int]
-    # per non-m_h edge (u, v) in sorted order: u, the edge's place among
-    # u's non-m_h edges (the index into u's slot pattern), v, its place at v
-    edge_slots: list[tuple[int, int, int, int]]
-    m_edges: list[Edge]  # sorted
-    admissible: frozenset[Edge]
-    exposed_cands: dict[int, list[tuple[int, int]]]  # class -> (vertex, degree)
-    # class -> (admissible edge, end in the class, other end, degree of
-    # the first end)
-    spine_cands: dict[int, list[tuple[Edge, int, int, int]]]
+    def rec(i: int, assign: list[int], top: int) -> None:
+        if i == count:
+            out.append((tuple(assign), top))
+            return
+        for slot in range(0, min(top + 1, count) + 1):
+            assign.append(slot)
+            rec(i + 1, assign, max(top, slot))
+            assign.pop()
+
+    rec(0, [], 0)
+    return out
+
+
+def _tree_shapes(a_u: int) -> list[tuple[int, ...]]:
+    """Spine trees on slots 0..a_u rooted at slot 0: parent[j - 1] < j is
+    the parent of spine slot j."""
+    shapes: list[tuple[int, ...]] = []
+
+    def rec(j: int, parents: list[int]) -> None:
+        if j > a_u:
+            shapes.append(tuple(parents))
+            return
+        for p in range(0, j):
+            parents.append(p)
+            rec(j + 1, parents)
+            parents.pop()
+
+    rec(1, [])
+    return shapes
 
 
 def _check_with_mh(
@@ -597,110 +617,30 @@ def _check_with_mh(
     flips: tuple[bool, ...],
     memo: dict,
 ) -> bool:
-    h_vertices = sorted(h.vertices)
-    non_m_edges = sorted(e for e in h.edges if e not in m_h)
-    incident = {u: [e for e in non_m_edges if u in e] for u in h_vertices}
-    edge_slots = [
-        (u, incident[u].index((u, v)), v, incident[v].index((u, v))) for u, v in non_m_edges
-    ]
-    host_edges = sorted(admissible)
-    layout = _Layout(
-        h_vertices,
-        edge_slots,
-        sorted(m_h),
-        admissible,
-        {c: [(v, b.degree(v)) for v in vs] for c, vs in ((1, b.v1), (2, b.v2))},
-        {
-            1: [(e, e[0], e[1], b.degree(e[0])) for e in host_edges],
-            2: [(e, e[1], e[0], b.degree(e[1])) for e in host_edges],
-        },
-    )
+    """Guess, pattern vertex by pattern vertex, how a model of h with
+    perfect matching m_h sits in b, and solve the forced DAPP instance of
+    each complete placement.
 
-    # anchor slot patterns: every non-matching h-edge at u goes to slot 0
-    # (the exposed vertex) or to a numbered spine slot
-    def slot_patterns(u: int) -> list[tuple[tuple[int, ...], int]]:
-        count = len(incident[u])
-        out: list[tuple[tuple[int, ...], int]] = []
-
-        def rec(i: int, assign: list[int], top: int) -> None:
-            if i == count:
-                out.append((tuple(assign), top))
-                return
-            for slot in range(0, min(top + 1, count) + 1):
-                assign.append(slot)
-                rec(i + 1, assign, max(top, slot))
-                assign.pop()
-
-        rec(0, [], 0)
-        return out
-
-    patterns_by_u = {u: slot_patterns(u) for u in h_vertices}
-
-    def tree_shapes(a_u: int) -> list[tuple[int, ...]]:
-        # parent[j] for spine slots 1..a_u, parent < j (rooted at slot 0)
-        if a_u == 0:
-            return [()]
-        shapes: list[tuple[int, ...]] = []
-
-        def rec(j: int, parents: list[int]) -> None:
-            if j > a_u:
-                shapes.append(tuple(parents))
-                return
-            for p in range(0, j):
-                parents.append(p)
-                rec(j + 1, parents)
-                parents.pop()
-
-        rec(1, [])
-        return shapes
-
-    shapes_by_size = [tree_shapes(a) for a in range(max(map(len, incident.values())) + 1)]
-
-    def assignments(idx: int, chosen: dict, spine_budget: int) -> Iterator[tuple[dict, int]]:
-        # yields each combo with the vertices it leaves for legs and paths
-        if idx == len(h_vertices):
-            yield dict(chosen), spine_budget
-            return
-        u = h_vertices[idx]
-        for pattern, a_u in patterns_by_u[u]:
-            if 2 * a_u > spine_budget:
-                continue
-            for shape in shapes_by_size[a_u]:
-                chosen[u] = (pattern, a_u, shape)
-                yield from assignments(idx + 1, chosen, spine_budget - 2 * a_u)
-                del chosen[u]
-
-    colour_of = {u: (1 if u <= h.n1 else 2) for u in h.vertices}
-
-    for flip in flips:
-        host_class = {u: 3 - c if flip else c for u, c in colour_of.items()}
-        for combo, slack in assignments(0, {}, budget):
-            if _place_and_solve(b, layout, combo, host_class, slack, memo):
-                return True
-    return False
-
-
-def _place_and_solve(
-    b: BipartiteGraph,
-    layout: _Layout,
-    combo: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]],
-    host_class: dict[int, int],
-    slack: int,
-    memo: dict,
-) -> bool:
-    """Choose concrete vertices and edges for the guessed structure, then
-    solve the resulting forced DAPP instance.
+    One recursion takes the pattern vertices u in sorted order.  For u it
+    guesses a slot pattern (which of u's non-m_h edges leave from which
+    anchor) and a spine tree, then places u's exposed vertex and spines
+    on host vertices and edges, and recurses.
 
     An anchor is a pair (h-vertex u, slot): slot 0 is u's exposed vertex,
-    slot j >= 1 the end in u's host class of the spine edge of slot j.  Two
-    anchors are linked when an h-edge path or an m_h edge joins them.  Each
-    linked pair placed on non-adjacent host vertices needs at least two
-    spare vertices for its path's interior.  The search carries that path
-    demand as a running total: placing an anchor on x adds 2 for each link
-    whose other anchor is already placed on a vertex not adjacent to x, so
-    at every check it equals twice the number of such placed pairs.  A
-    branch whose demand exceeds the slack (the vertices left after the
-    model's trees) is cut.
+    slot j >= 1 the end in u's host class of the spine edge of slot j.  An
+    anchor's degree demand is its leaving paths and legs, plus the
+    conformal-path end edge (slot 0) or its spine edge (slot >= 1); u's
+    guess alone fixes it.  Two anchors are linked when an h-edge path or
+    an m_h edge joins them.  Each linked pair placed on non-adjacent host
+    vertices needs at least two spare vertices for its path's interior.
+    The search carries that path demand as a running total: placing an
+    anchor on x adds 2 for each link whose other anchor is already placed
+    on a vertex not adjacent to x.  The slack is `budget` less two
+    vertices per spine guessed so far, and a branch whose demand exceeds
+    it is cut.  Demand only grows and slack only shrinks down a branch, so
+    a complete placement is reached exactly when it meets the bound of
+    its whole structure: a "no" check builds the same instances in
+    whatever order the guesses and placements come.
 
     Every forced edge is admissible: the spine candidates are the
     admissible edges, and `mh_rec` skips a degenerate or end edge that is
@@ -715,106 +655,125 @@ def _place_and_solve(
     """
     n1 = b.n1
     adj = b.adj
-    admissible = layout.admissible
-    h_vertices = layout.h_vertices
+    h_vertices = sorted(h.vertices)
+    non_m_edges = sorted(e for e in h.edges if e not in m_h)
+    m_edges = sorted(m_h)
+    incident = {u: [e for e in non_m_edges if u in e] for u in h_vertices}
+    # per non-m_h edge (u, v) in sorted order: u, the edge's place among
+    # u's non-m_h edges (the index into u's slot pattern), v, its place at v
+    edge_slots = [
+        (u, incident[u].index((u, v)), v, incident[v].index((u, v))) for u, v in non_m_edges
+    ]
+    # per u: (u's place, other end v, v's place) of each non-m_h edge whose
+    # other end is placed before u; an edge's first end is its V1 end
+    earlier ={u: [(iw, v, iv) for v, iv, w, iw in edge_slots if w == u] for u in h_vertices}
+    mate = {u: v for e in m_h for u, v in (e, e[::-1])}
+    patterns_by_u = {u: _slot_patterns(len(incident[u])) for u in h_vertices}
+    shapes_by_size = [_tree_shapes(a) for a in range(max(map(len, incident.values())) + 1)]
+    # host candidates per colour class, in the order they are tried:
+    # (vertex, degree) for an exposed vertex, and (admissible edge, end in
+    # the class, other end, degree of the first end) for a spine
+    exposed_cands = {c: [(v, b.degree(v)) for v in vs] for c, vs in ((1, b.v1), (2, b.v2))}
+    host_edges = sorted(admissible)
+    spine_cands = {
+        1: [(e, e[0], e[1], b.degree(e[0])) for e in host_edges],
+        2: [(e, e[1], e[0], b.degree(e[1])) for e in host_edges],
+    }
+    colour_of = {u: (1 if u <= h.n1 else 2) for u in h.vertices}
 
-    # anchor ids in placement order; `first[u]` is the id of (u, 0)
-    first: dict[int, int] = {}
-    count = 0
-    for u in h_vertices:
-        first[u] = count
-        count += combo[u][1] + 1
-    # degree demand per anchor: its leaving paths and legs, plus the
-    # conformal-path end edge (slot 0) or its spine edge (slot >= 1)
-    need = [1] * count
-    links: list[list[int]] = [[] for _ in range(count)]
-    edge_anchors: list[tuple[int, int]] = []  # per non-m_h edge, in order
-    for u, iu, v, iv in layout.edge_slots:
-        au = first[u] + combo[u][0][iu]
-        av = first[v] + combo[v][0][iv]
-        need[au] += 1
-        need[av] += 1
-        links[au].append(av)
-        links[av].append(au)
-        edge_anchors.append((au, av))
-    for u, v in layout.m_edges:
-        links[first[u]].append(first[v])
-        links[first[v]].append(first[u])
-    legs: list[tuple[int, int]] = []  # (parent anchor, spine anchor)
-    for u in h_vertices:
-        _, a_u, shape = combo[u]
-        for j in range(1, a_u + 1):
-            parent = first[u] + shape[j - 1]
-            need[parent] += 1
-            legs.append((parent, first[u] + j))
-
-    # placement state: the host vertex of every placed anchor, and for a
-    # spine anchor its edge and that edge's other end
-    at: list[int | None] = [None] * count
-    spine_edge: list[Edge | None] = [None] * count
-    spine_new: list[int] = [0] * count
+    # placement state per placed u: its guess (slot pattern, spine tree),
+    # the host vertex of each anchor, and its spine edges with their other
+    # ends
+    guessed: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    at: dict[int, list[int]] = {u: [] for u in h_vertices}
+    spines: dict[int, list[tuple[Edge, int]]] = {u: [] for u in h_vertices}
     used: set[int] = set()
 
-    def added(a: int, x: int) -> int:
-        near = adj[x]
-        demand = 0
-        for c in links[a]:
-            y = at[c]
-            if y is not None and y not in near:
-                demand += 2
-        return demand
-
-    def place(idx: int, demand: int) -> bool:
-        if idx == len(h_vertices):
+    def guess(i: int, slack: int, demand: int) -> bool:
+        if i == len(h_vertices):
             return solve()
-        u = h_vertices[idx]
-        a = first[u]
-        need_a = need[a]
-        for x, deg in layout.exposed_cands[host_class[u]]:
-            if x in used or deg < need_a:
+        u = h_vertices[i]
+        for pattern, a_u in patterns_by_u[u]:
+            if demand > slack - 2 * a_u:
                 continue
-            at[a] = x
-            used.add(x)
-            d = demand + added(a, x)
-            if d <= slack and place_spines(u, 1, idx, d):
-                return True
-            used.remove(x)
-            at[a] = None
+            # host vertices of the placed anchors linked to each anchor
+            linked: list[list[int]] = [[] for _ in range(a_u + 1)]
+            for iu, v, iv in earlier[u]:
+                linked[pattern[iu]].append(at[v][guessed[v][0][iv]])
+            if mate[u] < u:
+                linked[0].append(at[mate[u]][0])
+            for shape in shapes_by_size[a_u]:
+                need = [1] * (a_u + 1)
+                for j in pattern + shape:
+                    need[j] += 1
+                guessed[u] = (pattern, shape)
+                if place(i, u, 0, need, linked, slack - 2 * a_u, demand):
+                    return True
         return False
 
-    def place_spines(u: int, slot: int, idx: int, demand: int) -> bool:
-        if slot > combo[u][1]:
-            return place(idx + 1, demand)
-        a = first[u] + slot
-        need_a = need[a]
-        for e, old, new, deg in layout.spine_cands[host_class[u]]:
-            if e[0] in used or e[1] in used:
+    def place(
+        i: int, u: int, slot: int, need: list[int], linked: list[list[int]], slack: int, demand: int
+    ) -> bool:
+        # place anchor (u, slot), then the next; past u's last, the next u
+        if slot == len(need):
+            return guess(i + 1, slack, demand)
+        cls = host_class[u]
+        anchors = at[u]
+        if slot == 0:
+            for x, deg in exposed_cands[cls]:
+                if x in used or deg < need[0]:
+                    continue
+                d = demand + added(linked[0], x)
+                if d > slack:
+                    continue
+                anchors.append(x)
+                used.add(x)
+                if place(i, u, 1, need, linked, slack, d):
+                    return True
+                used.remove(x)
+                anchors.pop()
+            return False
+        for e, old, new, deg in spine_cands[cls]:
+            if e[0] in used or e[1] in used or deg < need[slot]:
                 continue
-            if deg < need_a:
+            d = demand + added(linked[slot], old)
+            if d > slack:
                 continue
-            at[a], spine_edge[a], spine_new[a] = old, e, new
+            anchors.append(old)
+            spines[u].append((e, new))
             used.update(e)
-            d = demand + added(a, old)
-            if d <= slack and place_spines(u, slot + 1, idx, d):
+            if place(i, u, slot + 1, need, linked, slack, d):
                 return True
             used.difference_update(e)
-            at[a] = spine_edge[a] = None
+            spines[u].pop()
+            anchors.pop()
         return False
+
+    def added(linked: list[int], x: int) -> int:
+        near = adj[x]
+        return 2 * sum(1 for y in linked if y not in near)
 
     def ordered(x: int, y: int) -> tuple[int, int]:
         return (x, y) if x <= n1 else (y, x)
 
     def solve() -> bool:
-        leg_pairs = [ordered(at[p], spine_new[j]) for p, j in legs]
-        edge_pairs = tuple(ordered(at[au], at[av]) for au, av in edge_anchors)
-        forced = {e for e in spine_edge if e is not None}
+        leg_pairs = [
+            ordered(at[u][p], new)
+            for u in h_vertices
+            for p, (_, new) in zip(guessed[u][1], spines[u])
+        ]
+        edge_pairs = tuple(
+            ordered(at[u][guessed[u][0][iu]], at[v][guessed[v][0][iv]])
+            for u, iu, v, iv in edge_slots
+        )
+        forced = {e for u in h_vertices for e, _ in spines[u]}
         return mh_rec(0, forced, leg_pairs, edge_pairs)
 
     def mh_rec(i: int, forced: set[Edge], pairs: list, edge_pairs: tuple) -> bool:
-        if i == len(layout.m_edges):
+        if i == len(m_edges):
             return run(frozenset(forced), tuple(pairs) + edge_pairs)
-        u, v = layout.m_edges[i]
-        xu, xv = at[first[u]], at[first[v]]
+        u, v = m_edges[i]
+        xu, xv = at[u][0], at[v][0]
         # degenerate realisation: the pattern matching edge maps to a single
         # matching edge of the host
         e = ordered(xu, xv)
@@ -880,7 +839,7 @@ def _place_and_solve(
 
     def extends(forced: frozenset[Edge], covered: frozenset[int]) -> bool:
         # does a perfect matching of b extend `forced`?  The set is always
-        # a matching: `place`, `place_spines` and `mh_rec` mark every end
+        # a matching: `place` and `mh_rec` mark every end
         # of a forced edge in `used` and skip used vertices.  Many instances
         # share their forced set; `memo` keys this verdict on the set alone.
         ok = memo.get(forced)
@@ -888,4 +847,8 @@ def _place_and_solve(
             ok = memo[forced] = has_perfect_matching(b, covered)
         return ok
 
-    return place(0, 0)
+    for flip in flips:
+        host_class = {u: 3 - c if flip else c for u, c in colour_of.items()}
+        if guess(0, budget, 0):
+            return True
+    return False

@@ -373,6 +373,58 @@ _bipartite_text = st.integers(min_value=1, max_value=4).flatmap(
     ).map(lambda es: "".join([f"b {n} {n}\n"] + [f"e {u} {v}\n" for u, v in es]))
 )
 
+# digraphs on 2-4 vertices without loops, for the digraph questions
+_digraph_text = st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n - 1)).map(
+            lambda t: (t[0], t[1] + (t[1] >= t[0]))
+        ),
+        max_size=2 * n,
+    ).map(lambda arcs: "".join([f"d {n}\n"] + [f"a {u} {v}\n" for u, v in arcs]))
+)
+_pairs = st.one_of(
+    st.lists(st.tuples(_small, _small), max_size=3).map(
+        lambda ps: ",".join(f"{s}:{t}" for s, t in ps)
+    ),
+    st.lists(_token, max_size=3).map(",".join),
+)
+# the other subcommands, each with the kind of graph text it reads
+_other_questions = st.one_of(
+    st.tuples(
+        st.one_of(_graph_text, _bipartite_text),
+        st.one_of(
+            st.tuples(_pairs, st.sampled_from([[], ["--oracle"], ["--extend", "GRAPH"]])).map(
+                lambda t: ["dapp", "GRAPH", "--pairs", t[0], *t[1]]
+            ),
+            st.tuples(
+                st.lists(_token, max_size=3), st.sampled_from([[], ["--matching", "GRAPH"]])
+            ).map(lambda t: ["guard", "GRAPH", ",".join(t[0]), *t[1]]),
+            st.sampled_from(
+                [
+                    ["pm", "count", "GRAPH", "--decomp", "GRAPH"],
+                    ["direction", "GRAPH"],
+                    ["dm", "GRAPH"],
+                    ["ears", "GRAPH"],
+                ]
+            ),
+        ),
+    ),
+    st.tuples(
+        st.one_of(_graph_text, _digraph_text),
+        st.sampled_from(
+            [
+                ["dtw", "GRAPH"],
+                ["dtw", "GRAPH", "--dtd", "GRAPH"],
+                ["cops", "GRAPH"],
+                ["split", "GRAPH"],
+                ["bminor", "GRAPH", "GRAPH"],
+                ["antichain", "GRAPH", "GRAPH"],
+                ["strongplanar", "GRAPH"],
+            ]
+        ),
+    ),
+)
+
 
 def _assert_exit_contract(text, argv):
     # whatever the input, the CLI answers 0, 1 or 2 and raises nothing else;
@@ -408,6 +460,12 @@ def test_cli_fuzz_keeps_exit_contract(text, argv):
 )
 def test_cli_fuzz_minor_keeps_exit_contract(text, argv):
     _assert_exit_contract(text, argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(question=_other_questions)
+def test_cli_fuzz_other_subcommands_keep_exit_contract(question):
+    _assert_exit_contract(*question)
 
 
 def test_cli_negative_header_count(tmp_path, capsys):

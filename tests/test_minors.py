@@ -243,8 +243,11 @@ def test_matching_minor_check_agrees_random():
         checked += 1
 
 
-# `_solve_full` calls per (host, pattern) below.  The placement search's
-# enumeration order fixes them, so a change to that order shows up here.
+# `_solve_full` calls per (host, pattern) below.  The order in which the
+# search guesses each pattern vertex's slots and spines and places them
+# fixes the count of a "yes" check, which stops at its first solvable
+# instance, so a change to that order shows up here.  A "no" check solves
+# every instance its complete placements build, in any order.
 # Each call is a distinct instance, up to the order of its terminal pairs,
 # of the pass that places h's colour classes on the same host classes: the
 # benchmark patterns all have an automorphism that swaps their classes, so
@@ -256,10 +259,10 @@ PINNED_SOLVE_CALLS = [
     (5, 0, 0, 0),
     (14, 0, 0, 0),
     (13, 1, 0, 0),
-    (9, 4, 0, 0),
+    (11, 4, 0, 0),
     (23, 0, 0, 0),
     (5, 0, 0, 0),
-    (45, 12, 0, 0),
+    (65, 12, 0, 0),
 ]
 
 # Hopcroft-Karp runs (`bigraph.max_matching`) per check on the same hosts:
@@ -281,7 +284,7 @@ PINNED_MATCHING_CALLS = [
     (9, 4, 2, 1),
     (9, 2, 2, 2),
     (7, 2, 2, 2),
-    (25, 8, 2, 2),
+    (27, 8, 2, 2),
 ]
 
 
@@ -421,3 +424,23 @@ def test_matching_minor_check_agrees_on_colour_asymmetric_pattern():
         assert matching_minor_check(b, ASYMMETRIC) == matching_minor_bruteforce(
             b, ASYMMETRIC
         ), sorted(b.edges)
+
+
+def test_matching_minor_check_places_spines():
+    # ASYMMETRIC with vertex 1 split in two, joined through a new vertex
+    # 10: 1 keeps the edges to 6 and 7 (old 5 and 6), the new V1 vertex 5
+    # takes 8 and 9 (old 7 and 8).  No host vertex has degree 4, so the
+    # model of the degree-4 vertex is the path 1-10-5 and needs a spine.
+    from matchwidth.minors import matching_minor_check
+
+    host = graph_from_edges(
+        5,
+        5,
+        [
+            (1, 6), (1, 7), (1, 10), (2, 6), (2, 7), (3, 6),
+            (3, 8), (4, 7), (4, 9), (5, 8), (5, 9), (5, 10),
+        ],
+    )
+    assert max(host.degree(v) for v in host.vertices) == 3
+    assert matching_minor_check(host, ASYMMETRIC)
+    assert matching_minor_bruteforce(host, ASYMMETRIC)
