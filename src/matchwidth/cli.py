@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from . import io as mio
-from .bigraph import BipartiteGraph, graph_from_edges, some_perfect_matching
+from .bigraph import BipartiteGraph, Matching, graph_from_edges, some_perfect_matching
 from .digraph import Digraph
-from .errors import InvalidParameter, MatchwidthError
+from .errors import InvalidParameter, MatchwidthError, NoPerfectMatching
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -48,6 +48,17 @@ def _parse_shore(spec: str, g) -> frozenset[int]:
     if outside:
         raise MatchwidthError(f"shore vertices {outside} are not in the graph")
     return shore
+
+
+def _perfect_matching(b: BipartiteGraph, path: str | None) -> Matching:
+    """The perfect matching a question works with: the matching file at
+    path when one is given, else one that Hopcroft-Karp finds."""
+    if path:
+        return mio.parse_matching_text(mio.read_text(path), b)
+    m = some_perfect_matching(b)
+    if m is None:
+        raise NoPerfectMatching("graph has no perfect matching")
+    return m
 
 
 def _read_json(path: str):
@@ -132,14 +143,14 @@ def cmd_pm(args) -> int:
             width, _ = pmw_exact_small(b)
             exact = True
         else:
-            width = compute_pmd(b).width
+            width = compute_pmd(b, _perfect_matching(b, None)).width
             exact = False
         _emit(args, {"width": width, "exact": exact}, str(width))
         return 0
     # decomp
     from .decomp import compute_pmd
 
-    nice = compute_pmd(b)
+    nice = compute_pmd(b, _perfect_matching(b, None))
     payload = mio.leaf_tree_to_json(nice.tree)
     payload["width"] = nice.width
     print(json.dumps(payload, sort_keys=True))
@@ -165,13 +176,7 @@ def cmd_guard(args) -> int:
     from .porosity import guarding_set, verify_guard
 
     b = _need_bipartite(mio.parse_graph_file(args.graph))
-    if args.matching:
-        m = mio.parse_matching_text(mio.read_text(args.matching), b)
-    else:
-        found = some_perfect_matching(b)
-        if found is None:
-            raise MatchwidthError("graph has no perfect matching")
-        m = found
+    m = _perfect_matching(b, args.matching)
     shore = _parse_shore(args.shore, b)
     g = guarding_set(b, m, shore)
     if not verify_guard(b, m, shore, g.edges):
@@ -280,13 +285,7 @@ def cmd_direction(args) -> int:
     from .direction import m_direction
 
     b = _need_bipartite(mio.parse_graph_file(args.graph))
-    if args.matching:
-        m = mio.parse_matching_text(mio.read_text(args.matching), b)
-    else:
-        found = some_perfect_matching(b)
-        if found is None:
-            raise MatchwidthError("graph has no perfect matching")
-        m = found
+    m = _perfect_matching(b, args.matching)
     d, tag = m_direction(b, m)
     sys.stdout.write(mio.write_graph_text(d))
     return 0

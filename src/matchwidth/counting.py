@@ -194,8 +194,9 @@ def count_pm(b: BipartiteGraph) -> int:
     Every perfect matching uses admissible edges only, so it is one perfect
     matching per elementary component, and the count of b is the product of
     the components' counts.  Each component with more than two vertices is
-    counted by the DP over its own `compute_pmd` decomposition; a K2 adds a
-    factor of 1.
+    counted by the DP over its own `compute_pmd` decomposition, built on the
+    restriction of the one perfect matching of b found here, which is a
+    perfect matching of the component; a K2 adds a factor of 1.
     """
     m = some_perfect_matching(b)
     if m is None:
@@ -203,7 +204,8 @@ def count_pm(b: BipartiteGraph) -> int:
     total = 1
     for part in elementary_parts(b, m):
         if len(part) > 2:
-            sub, _, _ = induced_subgraph(b, part)
-            nice = compute_pmd(sub)
+            sub, fwd, _ = induced_subgraph(b, part)
+            m_sub = frozenset((fwd[u], fwd[v]) for u, v in m if u in part)
+            nice = compute_pmd(sub, m_sub)
             total *= count_pm_decomp(sub, nice.tree, width=nice.width)
     return total

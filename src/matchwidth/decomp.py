@@ -971,7 +971,7 @@ def dtd_to_nice_pmd(
     width_host = width if host is b else _cut_width(host, m, shores)
     bound = max(width_host, max(type1_sizes), 1)
     nice = NicePMD(tree, width, bound)
-    ok, reason = nice_pmd_check(b, nice)
+    ok, reason = nice_pmd_check(b, nice, m)
     if not ok:
         raise NotNice(f"conversion produced a non-nice decomposition: {reason}")
     return nice
@@ -984,14 +984,15 @@ def _is_elementary_set(b: BipartiteGraph, xs: frozenset[int]) -> bool:
     return m is not None and len(elementary_parts(sub, m)) == 1
 
 
-def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
+def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool, str | None]:
     """Verify the niceness axioms of a rooted perfect matching decomposition
     of b (a tree that `LeafTree.validate` accepts for b's vertices).
 
-    The sets tested are the vertex masks below the tree nodes, and each
-    verdict is taken once per node.  Let M0 be one perfect matching of b.
-    When M0 restricts to a set xs, both b[xs] and b - xs have perfect
-    matchings, so xs is conformal, and xs is elementary iff the M0-direction
+    m0 must be a perfect matching of b; the caller supplies it, and the
+    verdict does not depend on which one it is.  The sets tested are the
+    vertex masks below the tree nodes, and each verdict is taken once per
+    node.  When m0 restricts to a set xs, both b[xs] and b - xs have perfect
+    matchings, so xs is conformal, and xs is elementary iff the m0-direction
     of b[xs] is strongly connected.  Other sets take the general tests.
     """
     tree = nice.tree
@@ -1003,16 +1004,16 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
     kids = view.kids
     below = view.below_masks()
     adj = b.adj_masks
-    mate = [0] * (b.n + 1)  # the M0 partner of each vertex, as a bit
-    for u, v in some_perfect_matching(b) or ():
+    mate = [0] * (b.n + 1)  # the m0 partner of each vertex, as a bit
+    for u, v in m0:
         mate[u] = 1 << v
         mate[v] = 1 << u
-    # The M0-direction of b[xs] is strongly connected iff a walk that leaves
-    # V1 vertices along edges and V2 vertices along M0 reaches all of xs from
+    # The m0-direction of b[xs] is strongly connected iff a walk that leaves
+    # V1 vertices along edges and V2 vertices along m0 reaches all of xs from
     # one vertex, and so does the walk that swaps the two sides.
     forward = [adj[v] if v <= b.n1 else mate[v] for v in range(b.n + 1)]
     backward = [mate[v] if v <= b.n1 else adj[v] for v in range(b.n + 1)]
-    # per node: the V2 neighbours of the V1 vertices below it, and the M0
+    # per node: the V2 neighbours of the V1 vertices below it, and the m0
     # partners of the vertices below it
     nbr1 = [0] * len(kids)
     mates = [0] * len(kids)
@@ -1096,13 +1097,13 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD) -> tuple[bool, str | None]:
     return False, "root successors cannot be ordered"
 
 
-def compute_pmd(b: BipartiteGraph) -> NicePMD:
-    """Full pipeline: pick a matching, build the M-direction, find a directed
-    tree decomposition by the exact small-scale search, prepare it, and
-    convert to a nice perfect matching decomposition."""
-    m = some_perfect_matching(b)
-    if m is None:
-        raise NoPerfectMatching("graph has no perfect matching")
+def compute_pmd(b: BipartiteGraph, m: Matching) -> NicePMD:
+    """Full pipeline: build the M-direction, find a directed tree
+    decomposition by the exact small-scale search, prepare it, and convert
+    to a nice perfect matching decomposition.
+
+    m must be a perfect matching of b; the caller supplies it, and the
+    decomposition depends on which one it is."""
     d, tag = m_direction(b, m)
     _, dtd = dtw_exact_small(d)
     prepared = prepare_dtd(d, dtd)

@@ -222,7 +222,10 @@ def make_proxies(
     w: Matching,
     banned: frozenset[int] = frozenset(),
 ) -> Iterator[tuple[tuple[TerminalPair, ...], Matching]]:
-    """All (proxy pair family, W') choices satisfying the proxy axioms."""
+    """All (proxy pair family, W') choices that satisfy the proxy axioms
+    other than extendability.  Whether W | W' extends to a perfect matching
+    of b is the caller's test: `_solve_full` asks for a perfect matching of
+    b - V(W) that holds W' and the forced edges."""
     pairs = [tuple(p) for p in pairs]
     w = frozenset(tuple(e) for e in w)
     w_vertices = frozenset(x for e in w for x in e)
@@ -253,8 +256,7 @@ def make_proxies(
 
     def rec(idx: int, proxy: list[TerminalPair], wprime: set[Edge], used: set[int]) -> Iterator:
         if idx == len(pairs):
-            if is_extendable(b, w | frozenset(wprime)):
-                yield tuple(proxy), frozenset(wprime)
+            yield tuple(proxy), frozenset(wprime)
             return
         s, t = pairs[idx]
         for z, y in choices_s(s):
@@ -729,32 +731,6 @@ def _assemble(
                 yield lx + ly + extra
 
 
-# ---------------------------------------------------------------------------
-# Public itinerary surface.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Itinerary:
-    """Sparse lazy itinerary: entries are computed on demand and memoised.
-
-    query(pairs, J) holds every total size ell of a linkage with a local
-    matching certificate for the node's vertex set.
-    """
-
-    ctx: _Ctx
-    node: int
-
-    def query(self, pairs: Sequence[TerminalPair], j_set: Iterable[Edge]) -> frozenset[int]:
-        return _query(
-            self.ctx,
-            self.node,
-            frozenset(),
-            tuple(sorted(tuple(p) for p in pairs)),
-            frozenset(tuple(e) for e in j_set),
-        )
-
-
 def make_context(
     b: BipartiteGraph,
     nice: NicePMD,
@@ -793,7 +769,14 @@ def _solve_full(
     Precondition: `forced` extends to a perfect matching of b, as its callers
     `dapp_solve`, `dapp_solve_extending` and `minors._check_with_mh.run`
     establish.  So an instance without pairs, or with W inside `forced`, needs
-    no extendability test."""
+    no extendability test.
+
+    Each proxied instance takes one perfect matching of the reduced host
+    that holds W' and the forced edges there.  It is the instance's only
+    extendability test: every forced edge lies in W or avoids V(W), so it
+    exists iff W, W' and the forced edges extend together in b.  It is also
+    the matching the instance's decomposition is built on, which
+    `_dp_decides` takes from here."""
     # routing an adjacent pair along its own edge is always safe: any
     # solution reroutes onto the edge since the other paths avoid its
     # terminals already, so a single branch suffices
@@ -879,7 +862,15 @@ def _dp_decides(
     m: Matching,
 ) -> bool:
     """Build the safe nice decomposition for the instance and run the DP; m
-    is a perfect matching of b that holds the forced edges."""
+    is a perfect matching of b that holds the forced edges.
+
+    The pipeline is spelled out here rather than run through
+    `decomp.compute_pmd`: the decomposition is one of the M-direction of
+    host, b plus the completion edges, and `bench/test_bench.py` checks that
+    this module binds `dtw_exact_small` itself.
+
+    The root query takes the pairs sorted, as the `_query` memo and
+    `minors`' verdict memo both assume one pair order."""
     terminals = {x for p in pairs for x in p}
     covers = frozenset(e for e in forced if e[0] in terminals or e[1] in terminals)
     completion = w_completion(pairs, covers) if pairs and covers else frozenset()
@@ -889,8 +880,7 @@ def _dp_decides(
     prepared = prepare_dtd(d, dtd)
     nice = dtd_to_nice_pmd(b, host, d, tag, prepared)
     ctx = make_context(b, nice, forced=forced, banned=banned, k=max(len(pairs), 1))
-    root_it = Itinerary(ctx, ctx.root_node)
-    return bool(root_it.query(pairs, forced))
+    return bool(_query(ctx, ctx.root_node, frozenset(), tuple(sorted(pairs)), forced))
 
 
 def dapp_solve(b: BipartiteGraph, pairs: Sequence[TerminalPair]) -> bool:

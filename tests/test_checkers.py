@@ -12,6 +12,7 @@ import random
 from itertools import permutations
 
 from matchwidth.bigraph import (
+    enumerate_perfect_matchings,
     has_perfect_matching,
     induced_subgraph,
     some_perfect_matching,
@@ -260,9 +261,11 @@ def test_nice_pmd_check_matches_reference():
     verdicts = []
 
     def check(b, nice):
-        got = nice_pmd_check(b, nice)
-        assert got == ref_nice_pmd_check(b, nice)
-        verdicts.append(got[0])
+        # the same verdict and reason with every perfect matching of b
+        want = ref_nice_pmd_check(b, nice)
+        for m in enumerate_perfect_matchings(b):
+            assert nice_pmd_check(b, nice, m) == want
+        verdicts.append(want[0])
 
     for _ in range(60):
         # random cubic trees rooted at a random inner node
@@ -270,7 +273,7 @@ def test_nice_pmd_check_matches_reference():
         tree = random_cubic_tree(rng, b.vertices, "deg3")
         check(b, NicePMD(tree, 0, rng.randint(1, 4)))
         # the pipeline's tree, as built and with two leaves swapped
-        nice = compute_pmd(b)
+        nice = compute_pmd(b, some_perfect_matching(b))
         check(b, nice)
         tree = nice.tree
         x, y = rng.sample(sorted(tree.leaf_map), 2)

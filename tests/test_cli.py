@@ -20,6 +20,7 @@ from matchwidth.io import (
     write_graph_text,
 )
 from matchwidth.errors import ParseError
+from matchwidth.grids import square_grid
 from matchwidth.isomorphism import bipartite_isomorphic, digraph_isomorphic
 
 from common import even_cycle
@@ -299,6 +300,40 @@ def test_cli_count_without_perfect_matching(tmp_path, capsys):
         for flags in ([], ["--oracle"]):
             assert main(["pm", "count", *flags, str(f)]) == 0
             assert capsys.readouterr().out == "0\n"
+
+
+def test_cli_questions_on_a_matching_refuse_a_graph_without_one(tmp_path, capsys):
+    # K_{6,5} plus an isolated V2 vertex: 12 vertices, past the exact width
+    # search, and no perfect matching
+    path = tmp_path / "g.b"
+    path.write_text("".join(["b 6 6\n"] + [f"e {u} {v}\n" for u in range(1, 7) for v in range(7, 12)]))
+    f = str(path)
+    for argv in (["pm", "width", f], ["pm", "decomp", f], ["guard", f, "1"], ["direction", f]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: graph has no perfect matching\n")
+
+
+def test_cli_pm_runs_hopcroft_karp_once_per_question(tmp_path, capsys, monkeypatch):
+    # the 3 x 4 grid has 12 vertices, past the exact width search; each
+    # question finds one perfect matching, and the decomposition, its
+    # niceness check and the count all use that one
+    import matchwidth.bigraph as bigraph
+
+    runs = [0]
+    max_matching = bigraph.max_matching
+
+    def counted(*args):
+        runs[0] += 1
+        return max_matching(*args)
+
+    monkeypatch.setattr(bigraph, "max_matching", counted)
+    f = tmp_path / "grid.b"
+    f.write_text(write_graph_text(square_grid(3, 4)))
+    for what in ("count", "width", "decomp"):
+        runs[0] = 0
+        assert main(["pm", what, str(f)]) == 0
+        capsys.readouterr()
+        assert runs[0] == 1, what
 
 
 def test_cli_rejects_ignored_flags(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_decomp_count_random_agreement():
     rng = random.Random(19)
     for _ in range(40):
         b = random_bipartite_with_pm(rng, rng.randint(1, 5), rng.randint(0, 9))
-        nice = compute_pmd(b)
+        nice = compute_pmd(b, some_perfect_matching(b))
         assert count_pm_decomp(b, nice.tree, width=nice.width) == count_pm_bruteforce(b)
 
 
@@ -170,7 +170,7 @@ def test_decomp_count_random_agreement_larger():
         for _ in range(4):
             b = random_bipartite_with_pm(rng, n1, rng.randint(n1, 2 * n1))
             expected = count_pm_bruteforce(b)
-            nice = compute_pmd(b)
+            nice = compute_pmd(b, some_perfect_matching(b))
             assert count_pm_decomp(b, nice.tree, width=nice.width) == expected
             for root_degree in (2, 3):
                 tree = random_leaf_tree(rng, b.vertices, root_degree)
@@ -202,7 +202,7 @@ def test_decomp_count_two_leaf_tree():
 def test_count_invariant_across_decompositions():
     b = even_cycle(3)
     w, d1 = pmw_exact_small(b)
-    nice = compute_pmd(b)
+    nice = compute_pmd(b, some_perfect_matching(b))
     assert count_pm_decomp(b, d1, width=w) == count_pm_decomp(b, nice.tree, width=nice.width)
 
 

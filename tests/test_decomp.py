@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from matchwidth.bigraph import graph_from_edges
+from matchwidth.bigraph import graph_from_edges, some_perfect_matching
 from matchwidth.decomp import (
     CycleDecomposition,
     DirectedTreeDecomposition,
@@ -111,7 +111,7 @@ def test_cut_widths_on_random_trees():
         ]
         extra = frozenset(rng.sample(non_edges, 3))
         host = graph_from_edges(b.n1, b.n2, b.edges | extra)
-        trees = [compute_pmd(b).tree]
+        trees = [compute_pmd(b, some_perfect_matching(b)).tree]
         trees += [random_cubic_tree(rng, b.vertices, kind) for kind in ROOT_KINDS]
         for tree in trees:
             shores = tree_edge_shores(tree)
@@ -125,7 +125,7 @@ def test_cut_widths_on_random_trees():
 
 def test_pmd_width_searches_few_cuts(monkeypatch):
     grid = square_grid(4, 6)
-    tree = compute_pmd(grid).tree
+    tree = compute_pmd(grid, some_perfect_matching(grid)).tree
     inner = [
         s for s, _ in tree_edge_shores(tree) if 1 < len(s) < grid.n - 1
     ]
@@ -320,24 +320,28 @@ def test_prepare_dtd():
 
 
 def test_convert_c4():
-    nice = compute_pmd(even_cycle(2))
+    b = even_cycle(2)
+    m = some_perfect_matching(b)
+    nice = compute_pmd(b, m)
     assert nice.width <= 2
-    assert nice_pmd_check(even_cycle(2), nice)[0]
+    assert nice_pmd_check(b, nice, m)[0]
 
 
 def test_convert_c6_c8():
     for k in (3, 4):
         b = even_cycle(k)
-        nice = compute_pmd(b)
-        assert nice_pmd_check(b, nice)[0]
+        m = some_perfect_matching(b)
+        nice = compute_pmd(b, m)
+        assert nice_pmd_check(b, nice, m)[0]
         exact, _ = pmw_exact_small(b)
         assert nice.width <= 2 * exact
 
 
 def test_convert_k33():
     b = complete_bipartite(3, 3)
-    nice = compute_pmd(b)
-    assert nice_pmd_check(b, nice)[0]
+    m = some_perfect_matching(b)
+    nice = compute_pmd(b, m)
+    assert nice_pmd_check(b, nice, m)[0]
     assert pmd_width(b, nice.tree) == nice.width
 
 
@@ -388,7 +392,7 @@ def test_compute_pmd_pinned():
     graphs.append(("cg2", cylindrical_grid(2)[0]))
     got = []
     for name, b in graphs:
-        nice = compute_pmd(b)
+        nice = compute_pmd(b, some_perfect_matching(b))
         tree = nice.tree
         data = [[sorted(a) for a in tree.adj], sorted(tree.leaf_map.items()), tree.root]
         digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]

@@ -270,17 +270,17 @@ PINNED_SOLVE_CALLS = [
 # A check that ends at its size exits runs one, the pattern's
 # matching-covered test; past them it runs one more for a perfect matching
 # of the host, which also gives the host's admissible edges.  Then come
-# one extendability test per distinct forced set, one per proxy family
-# `make_proxies` completes, and one perfect matching per proxied instance
-# that reaches the DP.  Every terminal is covered by a forced edge, so no
-# W candidate of `_solve_full` needs a test of its own.
+# one extendability test per distinct forced set and one perfect matching
+# per proxied instance, which is both that instance's extendability test
+# and the matching its DP is built on.  Every terminal is covered by a
+# forced edge, so no W candidate of `_solve_full` needs a test of its own.
 PINNED_MATCHING_CALLS = [
     (6, 2, 2, 2),
     (5, 2, 2, 1),
-    (6, 4, 2, 1),
+    (4, 4, 2, 1),
     (5, 2, 2, 1),
     (6, 2, 2, 1),
-    (12, 3, 2, 2),
+    (10, 3, 2, 2),
     (9, 4, 2, 1),
     (9, 2, 2, 2),
     (7, 2, 2, 2),
