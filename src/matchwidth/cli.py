@@ -286,7 +286,7 @@ def cmd_direction(args) -> int:
 
     b = _need_bipartite(mio.parse_graph_file(args.graph))
     m = _perfect_matching(b, args.matching)
-    d, tag = m_direction(b, m)
+    d, _ = m_direction(b, m)
     sys.stdout.write(mio.write_graph_text(d))
     return 0
 
@@ -295,7 +295,7 @@ def cmd_split(args) -> int:
     from .direction import split
 
     d = _need_digraph(mio.parse_graph_file(args.graph))
-    b, m, _ = split(d)
+    b, _, _ = split(d)
     sys.stdout.write(mio.write_graph_text(b))
     return 0
 

@@ -591,7 +591,7 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
         # the extra children of the root get guard = empty cop set, which
         # strongly guards a strong component of d
     dec = DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
-    ok, width, reason = validate_dtd(d, dec)
+    ok, _, reason = validate_dtd(d, dec)
     if not ok:
         raise AssertionError(f"extracted decomposition invalid: {reason}")
     return number, dec

@@ -112,7 +112,7 @@ def model_cgq_in_cg3k(k: int) -> MatchingMinorModel:
     """
     if k < 1:
         raise InvalidParameter(f"order {k} is not positive")
-    host, host_m, hc = cylindrical_grid(3 * k)
+    _, _, hc = cylindrical_grid(3 * k)
     pattern, _, pc = quadrangulation(k)
 
     def pat(level: int, j: int, name: str) -> int:
@@ -223,7 +223,7 @@ def square_grid_coords(rows: int, cols: int) -> dict[tuple[int, int], int]:
 def switched_matching(k: int) -> tuple[BipartiteGraph, Matching, GridCoordinates]:
     """The quadrangulation of order k with the canonical matching switched
     along every second concentric cycle."""
-    b, m, coords = quadrangulation(k)
+    b, _, coords = quadrangulation(k)
     out = set()
     for i in range(1, k + 1):
         if i % 2 == 1:
@@ -311,7 +311,7 @@ def square_grid_model(k: int) -> MatchingMinorModel:
     k x k grid as a matching minor."""
     if k % 2 or k < 4:
         raise OddOrder("order must be even and at least 4")
-    host, switched, coords = switched_matching(k)
+    host, _, coords = switched_matching(k)
     verts, edges = _grid_model_pieces(k)
 
     host_edges = set()

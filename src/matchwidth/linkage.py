@@ -21,6 +21,7 @@ from .bigraph import (
     BipartiteGraph,
     Edge,
     Matching,
+    admissible_edges,
     check_matching,
     has_perfect_matching,
     induced_subgraph,
@@ -789,12 +790,17 @@ def _solve_full(
 
     # W candidates: extendable matchings covering all terminals, every edge
     # covering a terminal, compatible with the forced edges.  No pair is an
-    # edge of b, so no W edge joins a pair.
+    # edge of b, so no W edge joins a pair.  An edge in no perfect matching
+    # of b extends to none with W, so a terminal without a forced edge takes
+    # its W edge from b's admissible edges, found once and only when such a
+    # terminal exists.
     term_set = sorted(terminals)
     forced_by_vertex: dict[int, Edge] = {}
     for e in forced:
         for x in e:
             forced_by_vertex[x] = e
+    free = any(x not in forced_by_vertex for x in term_set)
+    admissible = admissible_edges(b) if free else frozenset()
 
     def w_candidates(idx: int, chosen: dict[int, Edge], used: set[int]) -> Iterator[frozenset[Edge]]:
         if idx == len(term_set):
@@ -816,6 +822,8 @@ def _solve_full(
             if y in used or y in forced_by_vertex:
                 continue
             e = (min(x, y), max(x, y))
+            if e not in admissible:
+                continue
             chosen[x] = e
             used.update(e)
             yield from w_candidates(idx + 1, chosen, used)

@@ -136,7 +136,7 @@ def validate_model(
     if set(mu.edge_models) != set(h.edges):
         return False
     internal_used: set[int] = set()
-    for e, path in mu.edge_models.items():
+    for path in mu.edge_models.values():
         if len(path) < 2 or len(path) % 2 != 0:
             return False  # odd number of edges means even number of vertices
         if len(set(path)) != len(path):
@@ -574,7 +574,34 @@ def _slot_patterns(count: int) -> list[tuple[tuple[int, ...], int]]:
     """Anchor slot patterns for a pattern vertex with `count` non-m_h edges:
     each edge goes to slot 0 (the exposed vertex) or to a numbered spine
     slot, the slots numbered in order of first use.  Each pattern comes
-    with its number of spine slots."""
+    with its number of spine slots.
+
+    A pattern vertex u of degree at most 3 (`count <= 2`) gets the
+    all-zero pattern alone: every edge leaves from the exposed vertex and
+    no spine is guessed.  Why no model is lost, for a model with a perfect
+    matching M whose residual matching is m_h:
+
+    - Trim u's vertex model T to the tree spanned by the old vertices its
+      paths leave from.  A dropped leaf and its neighbour are an M edge,
+      which b minus the model then holds, so the model stays valid.
+    - T now has at most three leaves, so at most one branch vertex, which
+      is old.  Let r be that vertex.  When T is a path, let r be the
+      middle one of u's three path starts along T, or, when u has degree
+      2, the exposed vertex x, where the conformal path of u's m_h edge
+      leaves.
+    - M matches every vertex of T but x inside T, so the tree path from x
+      to r is M-alternating and, read from r, starts with a matching
+      edge.  Joined to the conformal path at x, it is a conformal path
+      from r.
+    - Each other leg of T, from r to a leaf, joined to the edge path that
+      leaves the leaf, is an internally M-conformal odd path.
+
+    The re-rooted model has {r} as u's vertex model, the same vertex set
+    and the same M, so condition (vi) still holds, and the search places
+    u's exposed vertex on r.  The rule is per vertex: a vertex of degree 4
+    or more keeps every pattern."""
+    if count <= 2:
+        return [((0,) * count, 0)]
     out: list[tuple[tuple[int, ...], int]] = []
 
     def rec(i: int, assign: list[int], top: int) -> None:
@@ -642,6 +669,14 @@ def _check_with_mh(
     its whole structure: a "no" check builds the same instances in
     whatever order the guesses and placements come.
 
+    A pattern vertex of degree at most 3 is guessed with no spine: its
+    vertex model re-roots at one old vertex, its branch vertex if it has
+    one, with the tree path from the exposed vertex absorbed into the conformal
+    path and every other leg into its edge path (`_slot_patterns`).  The
+    re-rooted model has the same vertex set, so condition (vi) still
+    holds.  A "no" check therefore builds a subset of the instances that
+    guessing spines for those vertices as well would build.
+
     Every forced edge is admissible: the spine candidates are the
     admissible edges, and `mh_rec` skips a degenerate or end edge that is
     not.  A forced set with any other edge extends to no perfect matching,
@@ -669,7 +704,8 @@ def _check_with_mh(
     earlier ={u: [(iw, v, iv) for v, iv, w, iw in edge_slots if w == u] for u in h_vertices}
     mate = {u: v for e in m_h for u, v in (e, e[::-1])}
     patterns_by_u = {u: _slot_patterns(len(incident[u])) for u in h_vertices}
-    shapes_by_size = [_tree_shapes(a) for a in range(max(map(len, incident.values())) + 1)]
+    most_spines = max(a for patterns in patterns_by_u.values() for _, a in patterns)
+    shapes_by_size = [_tree_shapes(a) for a in range(most_spines + 1)]
     # host candidates per colour class, in the order they are tried:
     # (vertex, degree) for an exposed vertex, and (admissible edge, end in
     # the class, other end, degree of the first end) for a spine

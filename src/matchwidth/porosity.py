@@ -206,7 +206,7 @@ def cycle_porosity(d: Digraph, shore: Iterable[int]) -> int:
     the split of d.
     """
     s = frozenset(shore)
-    b, m, tag = split(d)
+    b, _, tag = split(d)
     y = frozenset(x for v in s for x in tag[v])
     return matching_porosity(b, y)
 
@@ -373,7 +373,7 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
 
     # elementary components of b0 - V(W) in the lambda order of <=_2
     keep1 = frozenset(b0.vertices) - w_vertices
-    b1, fwd1, back1 = induced_subgraph(b0, keep1)
+    b1, _, back1 = induced_subgraph(b0, keep1)
     structure = dm_order(b1, 2)
     lam = linearise_dm(structure)
     comps_b0 = [frozenset(back1[v] for v in structure.components[i]) for i in lam]

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used where it is imported,
-every module-level function or class is referenced somewhere else in the
-package unless it is a kept oracle or paper check, every optional parameter
-is set by some call in the package, and no source or test line holds a
-tab."""
+every name a function binds is read, every module-level function or class
+is referenced somewhere else in the package unless it is a kept oracle or
+paper check, every optional parameter is set by some call in the package,
+and no source or test line holds a tab."""
 
 import ast
 from collections import Counter
@@ -44,6 +44,53 @@ def unused_imports(path: Path) -> list[str]:
 def test_every_import_is_used():
     src = Path(matchwidth.__file__).parent
     assert [msg for path in sorted(src.glob("*.py")) for msg in unused_imports(path)] == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(fn: ast.AST) -> list[ast.AST]:
+    """The nodes of a function's body outside its nested functions, lambdas
+    and classes (those nodes themselves included)."""
+    out = []
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not isinstance(node, FUNCTIONS + (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unread_locals(path: Path) -> list[str]:
+    """Names a function binds that neither it nor a function nested in it
+    ever reads; `_`-prefixed names and names declared `global` or
+    `nonlocal` are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        outer: set[str] = set()
+        bound: dict[str, int] = {}
+        for node in own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+        read = {
+            n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        out += [
+            f"{path.name}:{line}: {fn.name} {name}"
+            for name, line in bound.items()
+            if name not in read and name not in outer and not name.startswith("_")
+        ]
+    return out
+
+
+def test_every_local_is_read():
+    src = Path(matchwidth.__file__).parent
+    assert [msg for path in sorted(src.glob("*.py")) for msg in unread_locals(path)] == []
 
 
 # Public module-level definitions that no package module references, each

@@ -247,22 +247,24 @@ def test_matching_minor_check_agrees_random():
 # search guesses each pattern vertex's slots and spines and places them
 # fixes the count of a "yes" check, which stops at its first solvable
 # instance, so a change to that order shows up here.  A "no" check solves
-# every instance its complete placements build, in any order.
+# every instance its complete placements build, in any order.  Every
+# benchmark pattern is cubic, and a pattern vertex of degree at most 3 is
+# guessed with no spine, so every path leaves from an exposed vertex.
 # Each call is a distinct instance, up to the order of its terminal pairs,
 # of the pass that places h's colour classes on the same host classes: the
 # benchmark patterns all have an automorphism that swaps their classes, so
 # the other pass never runs.
 PINNED_SOLVE_CALLS = [
-    (18, 0, 0, 0),
     (6, 0, 0, 0),
+    (4, 0, 0, 0),
     (1, 2, 0, 0),
     (5, 0, 0, 0),
-    (14, 0, 0, 0),
-    (13, 1, 0, 0),
-    (11, 4, 0, 0),
-    (23, 0, 0, 0),
+    (6, 0, 0, 0),
+    (11, 1, 0, 0),
+    (9, 4, 0, 0),
+    (9, 0, 0, 0),
     (5, 0, 0, 0),
-    (65, 12, 0, 0),
+    (45, 10, 0, 0),
 ]
 
 # Hopcroft-Karp runs (`bigraph.max_matching`) per check on the same hosts:
@@ -275,16 +277,16 @@ PINNED_SOLVE_CALLS = [
 # and the matching its DP is built on.  Every terminal is covered by a
 # forced edge, so no W candidate of `_solve_full` needs a test of its own.
 PINNED_MATCHING_CALLS = [
-    (6, 2, 2, 2),
+    (5, 2, 2, 2),
     (5, 2, 2, 1),
     (4, 4, 2, 1),
     (5, 2, 2, 1),
-    (6, 2, 2, 1),
+    (5, 2, 2, 1),
     (10, 3, 2, 2),
     (9, 4, 2, 1),
-    (9, 2, 2, 2),
+    (8, 2, 2, 2),
     (7, 2, 2, 2),
-    (27, 8, 2, 2),
+    (25, 8, 2, 2),
 ]
 
 
@@ -444,3 +446,71 @@ def test_matching_minor_check_places_spines():
     assert max(host.degree(v) for v in host.vertices) == 3
     assert matching_minor_check(host, ASYMMETRIC)
     assert matching_minor_bruteforce(host, ASYMMETRIC)
+
+
+# K3,3 with vertex 1 replaced by a spider: centre 1, new vertices 10-12,
+# leaves 4-6, each leaf joined to one old neighbour (7-9).
+K33_SPIDER = graph_from_edges(
+    6,
+    6,
+    [
+        (1, 10), (1, 11), (1, 12), (4, 10), (5, 11), (6, 12), (4, 7), (5, 8),
+        (6, 9), (2, 7), (2, 8), (2, 9), (3, 7), (3, 8), (3, 9),
+    ],
+)
+# K3,3 with vertex 1 replaced by the path 4-9-1-10-5: the leaves 4 and 5
+# join old neighbours 6 and 7, and the third edge leaves the middle, 1-8.
+K33_PATH = graph_from_edges(
+    5,
+    5,
+    [
+        (4, 9), (1, 9), (1, 10), (5, 10), (4, 6), (5, 7), (1, 8),
+        (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8),
+    ],
+)
+
+
+@pytest.mark.parametrize("host", [K33_SPIDER, K33_PATH], ids=["spider", "path"])
+def test_matching_minor_check_re_roots_cubic_vertex_models(host):
+    # the split vertex's model has three leaves or a path with a middle
+    # exit; re-rooted at its branch vertex, it is found with no spine
+    from matchwidth.minors import matching_minor_check
+
+    assert max(host.degree(v) for v in host.vertices) == 3
+    assert matching_minor_check(host, complete_bipartite(3, 3))
+    assert matching_minor_bruteforce(host, complete_bipartite(3, 3))
+
+
+def cube():
+    """Q3: V1 the bit strings of even weight, V2 those of odd weight."""
+    even = [0b000, 0b011, 0b101, 0b110]
+    odd = [0b001, 0b010, 0b100, 0b111]
+    return graph_from_edges(
+        4,
+        4,
+        [
+            (i + 1, 5 + j)
+            for i, x in enumerate(even)
+            for j, y in enumerate(odd)
+            if bin(x ^ y).count("1") == 1
+        ],
+    )
+
+
+def test_matching_minor_check_agrees_on_cubic_patterns():
+    # every vertex of these patterns is guessed with no spine; each host
+    # has a vertex of degree 4 or more, where a spine could have sat
+    from matchwidth.minors import matching_minor_check
+
+    rng = random.Random(1)
+    targets = [even_cycle(3), even_cycle(4), complete_bipartite(3, 3), cube()]
+    answers = []
+    while len(answers) < 8 * len(targets):
+        b = random_bipartite_with_pm(rng, rng.randint(4, 5), rng.randint(6, 12))
+        if max(b.degree(v) for v in b.vertices) < 4:
+            continue
+        for h in targets:
+            got = matching_minor_check(b, h)
+            assert got == matching_minor_bruteforce(b, h), (sorted(b.edges), h.n)
+            answers.append(got)
+    assert 0 < sum(answers) < len(answers)
