@@ -1,6 +1,7 @@
 """Width decompositions: pmw/cycle width, desk-scale directed treewidth via
-the cops-and-robber game, prepared proto-decompositions, and the conversion
-from directed tree decompositions to nice perfect matching decompositions."""
+the cops-and-robber game, and the conversion from directed tree
+decompositions to nice perfect matching decompositions, which
+`nice_pmd_check` certifies."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .digraph import (
     mask_reach,
     mask_union,
     strong_component_masks,
-    strongly_connected_within,
     vertex_mask,
 )
 from .direction import VertexTag, elementary_parts, m_direction
@@ -30,7 +30,6 @@ from .errors import (
     InvalidDecomposition,
     NoPerfectMatching,
     NotNice,
-    NotPrepared,
     OracleLimitExceeded,
 )
 from .porosity import (
@@ -347,7 +346,9 @@ class DirectedTreeDecomposition:
 
     parent[t] is -1 exactly for the root; guards[t] guards the arc into t
     (empty at the root).  Empty bags are permitted only for proto
-    decompositions.
+    decompositions (`validate_dtd` with proto=True): `dtw_exact_small`
+    gives every node a non-empty bag, and only the chain nodes that
+    `prepare_dtd` adds have empty ones.
     """
 
     parent: tuple[int, ...]
@@ -736,12 +737,13 @@ def _children_topo_order(d: Digraph, kids: Sequence[int], below: Sequence[int]) 
 
 
 def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecomposition:
-    """Split high-degree nodes with empty-bag chain nodes so the tree becomes
-    subcubic, preserving the guard axioms and the width.
+    """Split nodes with more than two children with empty-bag chain nodes
+    so the tree becomes subcubic, preserving the guard axioms and the width.
 
     dec must be a decomposition of d that `validate_dtd` accepts, such as
-    the output of `dtw_exact_small`; the result is checked where it is used
-    (`is_prepared` in `dtd_to_nice_pmd`)."""
+    the output of `dtw_exact_small`.  `dtd_to_nice_pmd` orders and folds
+    each node's children itself and builds the same tree from dec as from
+    the result, so this step is kept only while the benchmark traces it."""
     parent = list(dec.parent)
     bags = list(dec.bags)
     guards = list(dec.guards)
@@ -753,10 +755,7 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
     work = list(range(len(parent)))
     while work:
         t = work.pop()
-        # a root with a non-empty bag later hangs a bag subtree, so it may
-        # keep at most two successors to stay subcubic after conversion
-        allowed = 3 if (parent[t] == -1 and not bags[t]) else 2
-        if len(kids[t]) <= allowed:
+        if len(kids[t]) <= 2:
             continue
         keep, *rest = _children_topo_order(d, kids[t], below)
         new = len(parent)
@@ -777,39 +776,8 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
     return DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
 
 
-def is_prepared(d: Digraph, dec: DirectedTreeDecomposition) -> bool:
-    """Check the prepared axioms (subcubic; strong or small child subtrees;
-    two-successor nodes orderable without back edges)."""
-    ok, width, _ = validate_dtd(d, dec, proto=True)
-    if not ok:
-        return False
-    below = dec.subtree_masks
-    for t in range(dec.m):
-        kids = dec.kids[t]
-        allowed = 3 if dec.parent[t] == -1 else 2
-        if len(kids) > allowed:
-            return False
-        if len(kids) == 1:
-            seta = below[kids[0]]
-            if not (seta.bit_count() <= width + 1 or strongly_connected_within(d, seta)):
-                return False
-        elif len(kids) == 2:
-            seta, setb = below[kids[0]], below[kids[1]]
-            sa = strongly_connected_within(d, seta)
-            sb = strongly_connected_within(d, setb)
-            sma = seta.bit_count() <= width + 1
-            smb = setb.bit_count() <= width + 1
-            no_back_ba = not mask_union(d.out_masks, setb) & seta
-            no_back_ab = not mask_union(d.out_masks, seta) & setb
-            first_as_t1 = (sma and (smb or sb)) or (sa and no_back_ba)
-            second_as_t1 = (smb and (sma or sa)) or (sb and no_back_ab)
-            if not (first_as_t1 or second_as_t1):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# From prepared proto decompositions to nice perfect matching decompositions.
+# From directed tree decompositions to nice perfect matching decompositions.
 # ---------------------------------------------------------------------------
 
 
@@ -873,19 +841,22 @@ def dtd_to_nice_pmd(
     tag: VertexTag,
     dec: DirectedTreeDecomposition,
 ) -> NicePMD:
-    """Translate a prepared proto directed tree decomposition of the
-    M-direction of host into a nice perfect matching decomposition of b.
+    """Translate a directed tree decomposition of the M-direction of host
+    into a nice perfect matching decomposition of b.
 
-    host is b or b plus extra edges; d and tag are the M-direction of host
-    (`direction.m_direction`), built from a perfect matching M of b.
+    dec must be a decomposition of d that `validate_dtd` accepts, with
+    proto=True allowed only for the empty-bag chain nodes of `prepare_dtd`,
+    each of which has at least two children.  host is b or b plus extra
+    edges; d and tag are the M-direction of host (`direction.m_direction`),
+    built from a perfect matching M of b.
 
-    Leaves with bags, single-successor and two-successor nodes each hang a
-    cubic subtree holding their bag; every digraph leaf then expands into the
-    two endpoints of its matching edge.
+    Each node's children are taken in `_children_topo_order` and
+    right-folded into binary joins, and a node with a bag joins that fold
+    with a caterpillar holding its bag; every digraph leaf then expands
+    into the two endpoints of its matching edge.  `nice_pmd_check` is the
+    one certificate of the output: a tree it refuses raises NotNice, as
+    does a node whose children cannot be ordered.
     """
-    if not is_prepared(d, dec):
-        raise NotPrepared("input is not a prepared proto decomposition")
-
     tb = _TreeBuilder()
     leaf_of: dict[int, int] = {}  # tree leaf -> digraph vertex
     type1_sizes: list[int] = [0]
@@ -896,52 +867,25 @@ def dtd_to_nice_pmd(
         type1_sizes.append(2 * len(bag))
         return root
 
-    def build(t: int) -> int | None:
-        kids_raw = dec.kids[t]
+    def build(t: int) -> int:
         bag = dec.bags[t]
-        if not kids_raw:
-            if not bag:
-                return None
-            return hang_bag(bag)
-        kids = (
-            _children_topo_order(d, kids_raw, dec.subtree_masks)
-            if len(kids_raw) > 1
-            else kids_raw
-        )
-        built = [x for x in (build(c) for c in kids) if x is not None]
+        built = [build(c) for c in _children_topo_order(d, dec.kids[t], dec.subtree_masks)]
         if not built:
-            if not bag:
-                return None
             return hang_bag(bag)
-        if len(built) == 1:
-            if not bag:
-                return built[0]
-            node = tb.node()
-            tb.link(node, built[0])
-            tb.link(node, hang_bag(bag))
-            return node
-        if t == dec.root and not bag and len(built) == 3:
-            node = tb.node()
-            for x in built:
-                tb.link(node, x)
-            return node
-        # right-fold the (topologically ordered) children into binary joins
         acc = built[-1]
         for x in reversed(built[:-1]):
             node = tb.node()
             tb.link(node, x)
             tb.link(node, acc)
             acc = node
-        if not bag:
-            return acc
-        upper = tb.node()
-        tb.link(upper, acc)
-        tb.link(upper, hang_bag(bag))
-        return upper
+        if bag:
+            upper = tb.node()
+            tb.link(upper, acc)
+            tb.link(upper, hang_bag(bag))
+            acc = upper
+        return acc
 
     top = build(dec.root)
-    if top is None:
-        raise InvalidDecomposition("decomposition carries no vertices")
 
     # expand each digraph leaf into the endpoints of its matching edge
     final_leaf_map: dict[int, int] = {}

@@ -25,20 +25,12 @@ class DegreeNotTwo(MatchwidthError):
     """Bicontraction target must have degree exactly two."""
 
 
-class NotAPartialOrder(MatchwidthError):
-    """Component order failed antisymmetry; indicates a bug upstream."""
-
-
 class InvalidDecomposition(MatchwidthError):
     """Decomposition fails its structural axioms."""
 
 
 class NotNice(MatchwidthError):
     """Directed tree decomposition lacks the niceness properties."""
-
-
-class NotPrepared(MatchwidthError):
-    """Proto decomposition lacks the prepared properties."""
 
 
 class NotContractible(MatchwidthError):

@@ -23,7 +23,6 @@ from .bigraph import (
     Matching,
     admissible_edges,
     check_matching,
-    has_perfect_matching,
     induced_subgraph,
     is_extendable,
     some_perfect_matching,
@@ -762,12 +761,14 @@ def _solve_full(
     pairs: tuple[TerminalPair, ...],
     banned: frozenset[int],
     forced: Matching,
+    admissible: frozenset[Edge],
 ) -> bool:
     """Route adjacent pairs along their own edges, then run the W/proxy loops
     on the other pairs, with the DP per proxied instance on the host reduced
     by V(W).
 
-    Precondition: `forced` extends to a perfect matching of b, as its callers
+    Precondition: `forced` extends to a perfect matching of b, and
+    `admissible` is `bigraph.admissible_edges(b)`, as its callers
     `dapp_solve`, `dapp_solve_extending` and `minors._check_with_mh.run`
     establish.  So an instance without pairs, or with W inside `forced`, needs
     no extendability test.
@@ -792,15 +793,12 @@ def _solve_full(
     # covering a terminal, compatible with the forced edges.  No pair is an
     # edge of b, so no W edge joins a pair.  An edge in no perfect matching
     # of b extends to none with W, so a terminal without a forced edge takes
-    # its W edge from b's admissible edges, found once and only when such a
-    # terminal exists.
+    # its W edge from b's admissible edges.
     term_set = sorted(terminals)
     forced_by_vertex: dict[int, Edge] = {}
     for e in forced:
         for x in e:
             forced_by_vertex[x] = e
-    free = any(x not in forced_by_vertex for x in term_set)
-    admissible = admissible_edges(b) if free else frozenset()
 
     def w_candidates(idx: int, chosen: dict[int, Edge], used: set[int]) -> Iterator[frozenset[Edge]]:
         if idx == len(term_set):
@@ -900,9 +898,12 @@ def dapp_solve(b: BipartiteGraph, pairs: Sequence[TerminalPair]) -> bool:
     """
     pairs = tuple(tuple(p) for p in pairs)
     _pairs_ok(b, pairs)
-    if not has_perfect_matching(b):
+    # one perfect matching of b gives its admissible edges; a non-empty b
+    # without one has none
+    admissible = admissible_edges(b)
+    if b.n and not admissible:
         return False
-    return _solve_full(b, pairs, frozenset(), frozenset())
+    return _solve_full(b, pairs, frozenset(), frozenset(), admissible)
 
 
 def dapp_solve_extending(
@@ -916,7 +917,7 @@ def dapp_solve_extending(
     f_set = check_matching(b, f_set)
     if not is_extendable(b, f_set):
         raise NotExtendable("f is not extendable")
-    return _solve_full(b, pairs, frozenset(), f_set)
+    return _solve_full(b, pairs, frozenset(), f_set, admissible_edges(b))
 
 
 # ---------------------------------------------------------------------------

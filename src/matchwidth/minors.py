@@ -550,21 +550,15 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     autos, colour_swapping = _h_symmetries(h)
     flips = (False,) if colour_swapping else (False, True)
 
-    def orbit_key(m_h: Matching) -> tuple[Edge, ...]:
-        return min(
-            tuple(sorted((min(a[u], a[v]), max(a[u], a[v])) for u, v in m_h))
-            for a in autos
-        )
-
-    seen_mh: set[tuple[Edge, ...]] = set()
+    # every perfect matching of h in the orbit of one already tried
+    seen_mh: set[Matching] = set()
     budget_total = b.n - h.n  # spare vertices for legs, spines, path interiors
     memo: dict = {}
 
     for m_h in enumerate_perfect_matchings(h):
-        key = orbit_key(m_h)
-        if key in seen_mh:
+        if m_h in seen_mh:
             continue
-        seen_mh.add(key)
+        seen_mh.update(frozenset((a[u], a[v]) for u, v in m_h) for a in autos)
         if _check_with_mh(b, h, m_h, admissible, budget_total, flips, memo):
             return True
     return False
@@ -869,7 +863,7 @@ def _check_with_mh(
             covered = frozenset(x for f in forced for x in f)
             terminals = {x for p in all_pairs for x in p}
             verdict = memo[key] = extends(forced, covered) and _solve_full(
-                b, all_pairs, covered - terminals, forced
+                b, all_pairs, covered - terminals, forced, admissible
             )
         return verdict
 

@@ -17,7 +17,7 @@ from .bigraph import (
 )
 from .digraph import Digraph, has_cycle_crossing
 from .direction import elementary_parts, m_direction, split
-from .errors import NoPerfectMatching, NotAPartialOrder, NotPerfect
+from .errors import NoPerfectMatching, NotPerfect
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,16 @@ def elementary_components(b: BipartiteGraph) -> DMStructure:
 def dm_order(b: BipartiteGraph, colour: int) -> DMStructure:
     """Transitive-reflexive closure of the one-step order <=°_colour.
 
-    K1 <=°_i K2 when some edge joins V_i ∩ V(K2) to V(K1) \\ V_i.  Validated
-    to be antisymmetric.
+    K1 <=°_i K2 when some edge joins V_i ∩ V(K2) to V(K1) \\ V_i.
+
+    The closure is always a partial order.  The elementary components are
+    the strong components of the M-direction of one perfect matching M
+    (`elementary_components`), and an edge between two components is never
+    in M.  So K1 <=°_2 K2, for K1 != K2, holds exactly when an edge joins
+    the V1 end of a matching edge in K1 to the V2 end of one in K2, that
+    is, when an arc of that M-direction runs from K1 to K2; for colour 1
+    the arc runs from K2 to K1.  The closure is reachability in the
+    condensation, which is acyclic, or its reverse.
     """
     if colour not in (1, 2):
         raise ValueError("colour index must be 1 or 2")
@@ -276,9 +284,6 @@ def dm_order(b: BipartiteGraph, colour: int) -> DMStructure:
                     if row_k[j]:
                         row_i[j] = True
     closure = frozenset((i, j) for i in range(n) for j in range(n) if reach[i][j])
-    for i, j in closure:
-        if i != j and (j, i) in closure:
-            raise NotAPartialOrder(f"components {i} and {j} are mutually comparable")
     return DMStructure(comps, colour, closure)
 
 

@@ -1,11 +1,18 @@
 """The decomposition checkers against set-based reference copies.
 
-`validate_dtd`, `is_prepared` and `nice_pmd_check` run on vertex masks and
-read conformal structure off one perfect matching.  The `ref_*` functions
-below are the earlier versions of the three checkers, which test every set
-with frozensets, a fresh Hopcroft-Karp run and a fresh strong-component
-pass.  Both must give the same verdict and the same reason on inputs that
-include rejections, and every checker must reject some of them.
+`validate_dtd` and `nice_pmd_check` run on vertex masks and read conformal
+structure off one perfect matching.  The `ref_*` functions below are the
+earlier versions of the two checkers, which test every set with frozensets,
+a fresh Hopcroft-Karp run and a fresh strong-component pass.  Both must
+give the same verdict and the same reason on inputs that include
+rejections, and every checker must reject some of them.
+
+`ref_is_prepared` checks the prepared axioms of a proto decomposition
+(subcubic; strong or small child subtrees; two children orderable without
+back edges).  `dtd_to_nice_pmd` takes any decomposition that `validate_dtd`
+accepts and leaves its output to `nice_pmd_check`; the tests at the end
+show that every valid decomposition those axioms refuse converts to a
+certified tree or raises NotNice.
 """
 
 import random
@@ -23,14 +30,15 @@ from matchwidth.decomp import (
     NicePMD,
     _SccTable,
     compute_pmd,
+    dtd_to_nice_pmd,
     dtw_exact_small,
-    is_prepared,
     nice_pmd_check,
     prepare_dtd,
     validate_dtd,
 )
 from matchwidth.digraph import Digraph, mask_members, strong_components, vertex_mask
-from matchwidth.direction import m_direction
+from matchwidth.direction import m_direction, split
+from matchwidth.errors import NotNice
 
 from common import random_bipartite_with_pm, random_cubic_tree, random_digraph
 
@@ -308,18 +316,15 @@ def broken_dtds(rng, dec):
     yield DirectedTreeDecomposition(tuple(parent), dec.bags, dec.guards)
 
 
-def test_validate_dtd_and_is_prepared_match_reference():
+def test_validate_dtd_matches_reference():
     rng = random.Random(67)
-    valid, prepared = [], []
+    valid = []
 
     def check(d, dec):
         for proto in (False, True):
             got = validate_dtd(d, dec, proto)
             assert got == ref_validate_dtd(d, dec, proto)
             valid.append(got[0])
-        got = is_prepared(d, dec)
-        assert got == ref_is_prepared(d, dec)
-        prepared.append(got)
 
     for _ in range(40):
         if rng.random() < 0.5:
@@ -332,7 +337,7 @@ def test_validate_dtd_and_is_prepared_match_reference():
             check(d, candidate)
             for broken in broken_dtds(rng, candidate):
                 check(d, broken)
-    # a node with four children: not prepared, however the arcs run
+    # a node with four children
     d = Digraph(5, frozenset({(1, 2), (1, 3), (1, 4), (1, 5)}))
     star = DirectedTreeDecomposition(
         (-1, 0, 0, 0, 0),
@@ -340,12 +345,11 @@ def test_validate_dtd_and_is_prepared_match_reference():
         (frozenset(),) + (frozenset({1}),) * 4,
     )
     check(d, star)
-    assert prepared[-1] is False and valid[-1] is True
+    assert valid[-1] is True
     # guard ids outside the digraph, as a decomposition file may hold them
     odd_guards = star.guards[:4] + (frozenset({-1, 9}),)
     check(d, DirectedTreeDecomposition(star.parent, star.bags, odd_guards))
     assert 0 < valid.count(False) < len(valid)
-    assert 0 < prepared.count(False) < len(prepared)
 
 
 def test_scc_table_matches_strong_components():
@@ -361,3 +365,86 @@ def test_scc_table_matches_strong_components():
             assert [mask_members(c) for c in comps] == expected
             for v in d.vertices:
                 assert owner[v] == next((c for c in comps if c >> v & 1), 0)
+
+
+def conversion_inputs(rng):
+    """b, and the M-direction d of b with its tag: of a planted graph, or of
+    the split of a random digraph, whose M-direction is that digraph."""
+    if rng.random() < 0.5:
+        b = planted(rng, 3, 7)
+        d, tag = m_direction(b, some_perfect_matching(b))
+    else:
+        d = random_digraph(rng, rng.randint(1, 7), rng.uniform(0.15, 0.6))
+        b, _, tag = split(d)
+    return b, d, tag
+
+
+def random_valid_dtd(rng, d):
+    """A random bushy tree with non-empty bags whose guards are random parts
+    of the vertices outside their subtrees, or None when `validate_dtd`
+    refuses it.  Node t hangs from a node of the first half of 0..t-1."""
+    verts = sorted(d.vertices)
+    rng.shuffle(verts)
+    size = rng.randint(1, len(verts))
+    parent = (-1,) + tuple(rng.randrange((t + 1) // 2) for t in range(1, size))
+    owner = list(range(size)) + [rng.randrange(size) for _ in verts[size:]]
+    bags = tuple(frozenset(v for v, o in zip(verts, owner) if o == t) for t in range(size))
+    below = DirectedTreeDecomposition(parent, bags, (frozenset(),) * size).subtree_masks
+    keep = rng.random()
+    guards = (frozenset(),) + tuple(
+        frozenset(v for v in d.vertices if not below[t] >> v & 1 and rng.random() < keep)
+        for t in range(1, size)
+    )
+    dec = DirectedTreeDecomposition(parent, bags, guards)
+    return dec if validate_dtd(d, dec)[0] else None
+
+
+def convert(b, d, tag, dec):
+    """The NicePMD `dtd_to_nice_pmd` builds from dec, or the message of the
+    NotNice it raises."""
+    try:
+        return dtd_to_nice_pmd(b, b, d, tag, dec)
+    except NotNice as exc:
+        return str(exc)
+
+
+def test_prepare_dtd_does_not_change_the_conversion():
+    # the search's decomposition and prepare_dtd's output of it convert to
+    # the same NicePMD, or raise the same NotNice; so do random valid
+    # decompositions
+    rng = random.Random(73)
+    split_some = []
+    for _ in range(150):
+        b, d, tag = conversion_inputs(rng)
+        _, dec = dtw_exact_small(d)
+        for candidate in (dec, *(random_valid_dtd(rng, d) for _ in range(3))):
+            if candidate is None:
+                continue
+            try:
+                prepared = prepare_dtd(d, candidate)
+            except NotNice as exc:
+                # prepare_dtd orders a node's children as the conversion does
+                assert convert(b, d, tag, candidate) == str(exc)
+                continue
+            assert convert(b, d, tag, prepared) == convert(b, d, tag, candidate)
+            split_some.append(prepared.m > candidate.m)
+    assert any(split_some)
+
+
+def test_conversion_certifies_what_the_prepared_check_refused():
+    # a decomposition that validate_dtd accepts and the prepared axioms
+    # refuse converts to a tree the reference niceness check accepts, or
+    # raises NotNice
+    rng = random.Random(79)
+    converted = []
+    for _ in range(150):
+        b, d, tag = conversion_inputs(rng)
+        _, dec = dtw_exact_small(d)
+        for candidate in (dec, *(random_valid_dtd(rng, d) for _ in range(3))):
+            if candidate is None or ref_is_prepared(d, candidate):
+                continue
+            got = convert(b, d, tag, candidate)
+            if isinstance(got, NicePMD):
+                assert ref_nice_pmd_check(b, got) == (True, None)
+            converted.append(isinstance(got, NicePMD))
+    assert 0 < converted.count(True) < len(converted)

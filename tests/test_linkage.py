@@ -185,10 +185,13 @@ def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
 def test_solve_full_trusts_its_forced_set(monkeypatch):
     # an instance whose pairs are all edges of b is solved by routing them
     # along those edges; the caller has already shown that the forced set
-    # extends, so no Hopcroft-Karp run is needed
+    # extends and found b's admissible edges, so no Hopcroft-Karp run is
+    # needed
     import matchwidth.bigraph as bigraph
     import matchwidth.linkage as linkage
 
+    c6 = even_cycle(3)
+    admissible = bigraph.admissible_edges(c6)
     runs = [0]
     max_matching = bigraph.max_matching
 
@@ -197,9 +200,8 @@ def test_solve_full_trusts_its_forced_set(monkeypatch):
         return max_matching(*args)
 
     monkeypatch.setattr(bigraph, "max_matching", counted)
-    c6 = even_cycle(3)
     pairs = ((1, 4), (2, 5))
-    assert linkage._solve_full(c6, pairs, frozenset(), frozenset())
+    assert linkage._solve_full(c6, pairs, frozenset(), frozenset(), admissible)
     assert runs[0] == 0
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matchwidth.bigraph import check_matching, graph_from_edges
+from matchwidth.bigraph import admissible_edges, check_matching, graph_from_edges
 from matchwidth.digraph import digraph_from_arcs
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NotContractible, NotNice
@@ -315,6 +315,7 @@ def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
     targets = [even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)]
     for pinned, pinned_matchings in zip(PINNED_SOLVE_CALLS, PINNED_MATCHING_CALLS):
         b = random_bipartite_with_pm(rng, rng.randint(4, 5), rng.randint(3, 4))
+        want_admissible = admissible_edges(b)
         counts = []
         matching_counts = []
         for h in targets:
@@ -324,12 +325,14 @@ def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
             matching_counts.append(matchings[0])
             assert got == matching_minor_bruteforce(b, h)
             # no instance is solved twice within one check, in any pair
-            # order: `_solve_full(b, pairs, banned, forced)`
-            keys = [(frozenset(forced), tuple(sorted(pairs))) for _, pairs, _, forced in calls]
+            # order: `_solve_full(b, pairs, banned, forced, admissible)`
+            keys = [(frozenset(forced), tuple(sorted(pairs))) for _, pairs, _, forced, _ in calls]
             assert len(set(keys)) == len(keys), (sorted(b.edges), h.n)
-            # every forced set is a matching of b
-            for _, _, _, forced in calls:
+            # every forced set is a matching of b, and every call gets b's
+            # admissible edges
+            for _, _, _, forced, admissible in calls:
                 assert check_matching(b, forced) == forced, (sorted(b.edges), sorted(forced))
+                assert admissible == want_admissible, sorted(b.edges)
             counts.append(len(calls))
         assert tuple(counts) == pinned, sorted(b.edges)
         assert tuple(matching_counts) == pinned_matchings, sorted(b.edges)
@@ -382,10 +385,13 @@ def test_matching_minor_check_instances_ignore_pair_order(monkeypatch):
         for h in targets:
             minors.matching_minor_check(b, h)
     assert calls
-    for (host, pairs, banned, forced), verdict in calls:
+    for (host, pairs, banned, forced, admissible), verdict in calls:
         orders = {pairs[::-1]} | {tuple(shuffler.sample(pairs, len(pairs))) for _ in range(2)}
         for order in orders - {pairs}:
-            assert solve(host, order, banned, forced) == verdict, (sorted(host.edges), pairs)
+            assert solve(host, order, banned, forced, admissible) == verdict, (
+                sorted(host.edges),
+                pairs,
+            )
 
 
 @pytest.mark.xfail(strict=True, raises=NotNice, reason="the k-DAPP DP raises NotNice on this host")

@@ -18,6 +18,7 @@ from matchwidth.digraph import (
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NoPerfectMatching
 from matchwidth.porosity import (
+    DMStructure,
     cycle_porosity,
     directed_cycle_hitting_set,
     dm_order,
@@ -194,6 +195,34 @@ def test_dm_order_chain():
 def test_dm_order_trivial_when_matching_covered():
     s = dm_order(even_cycle(3), 2)
     assert len(s.components) == 1
+
+
+def test_dm_order_is_reachability_between_components():
+    # <=_2 is reachability between the strong components of an M-direction,
+    # for any perfect matching M, and <=_1 its reverse; so it is a partial
+    # order
+    rng = random.Random(83)
+    strict = 0
+    for _ in range(300):
+        n1 = rng.randint(1, 7)
+        b = random_bipartite_with_pm(rng, n1, rng.randint(0, n1 + 2))
+        d, tag = m_direction(b, rng.choice(enumerate_perfect_matchings(b)))
+        comps = dm_order(b, 2).components
+        comp_of = {x: next(i for i, c in enumerate(comps) if tag[x][0] in c) for x in d.vertices}
+        reach = set()
+        for x in d.vertices:
+            seen, todo = {x}, [x]
+            while todo:
+                for y in d.out_adj[todo.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            reach |= {(comp_of[x], comp_of[y]) for y in seen}
+        assert dm_order(b, 2) == DMStructure(comps, 2, frozenset(reach))
+        assert dm_order(b, 1) == DMStructure(comps, 1, frozenset((j, i) for i, j in reach))
+        assert not any(i != j and (j, i) in reach for i, j in reach)
+        strict += len(reach) - len(comps)
+    assert strict
 
 
 def test_guard_examples():
