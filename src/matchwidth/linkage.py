@@ -3,12 +3,14 @@ W-completions, proxies, itineraries, and the merge DP over decompositions.
 
 A solution for terminal pairs (s_i, t_i) is a perfect matching M together
 with pairwise disjoint (shared endpoints allowed only at shared terminals)
-internally M-conformal paths joining the pairs.  The dynamic program works
-bottom-up over a rooted perfect matching decomposition; partial certificates
-are local matchings M_loc with prescribed cut behaviour plus path segments,
-merged at every internal node by enumerating the interface structure
-(matching crossings R, path crossings H with their anchor edges, bounces,
-terminal landings).
+internally M-conformal paths joining the pairs.  The dynamic program
+decides whether one exists.  It works top-down with a memo over a rooted
+perfect matching decomposition: an itinerary entry asks whether a local
+matching M_loc with prescribed cut behaviour and path segments exists below
+a node, and is true or false.  An internal node enumerates the interface
+structure between its two children (matching crossings R, path crossings H
+with their anchor edges, bounces, terminal landings) and is true at the
+first structure whose two child entries are both true.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def make_proxies(
     b: BipartiteGraph,
     pairs: Sequence[TerminalPair],
     w: Matching,
-    banned: frozenset[int] = frozenset(),
+    banned: frozenset[int],
 ) -> Iterator[tuple[tuple[TerminalPair, ...], Matching]]:
     """All (proxy pair family, W') choices that satisfy the proxy axioms
     other than extendability.  Whether W | W' extends to a perfect matching
@@ -316,25 +318,22 @@ class _Ctx:
         )
 
 
-def _query(ctx: _Ctx, node: int, u_set: frozenset[Edge], pairs: tuple[TerminalPair, ...], j_set: frozenset[Edge]) -> frozenset[int]:
-    """Achievable linkage sizes for the itinerary entry (node, U, pairs, J).
+def _query(ctx: _Ctx, node: int, u_set: frozenset[Edge], pairs: tuple[TerminalPair, ...], j_set: frozenset[Edge]) -> bool:
+    """Is the itinerary entry (node, U, pairs, J) achievable?
 
-    Semantics: a perfect matching M_loc of the subgraph induced by the node's
-    vertex set plus the outer endpoints of U, with M_loc crossing the cut
-    exactly at U and containing J (and the forced edges), together with
-    disjoint pair-joining paths inside the node's vertex set, internally
-    M_loc-conformal, avoiding banned vertices and J-endpoints (terminals
-    excepted).
+    It is when there is a perfect matching M_loc of the subgraph induced by
+    the node's vertex set plus the outer endpoints of U, with M_loc crossing
+    the cut exactly at U and containing J (and the forced edges), together
+    with disjoint pair-joining paths inside the node's vertex set,
+    internally M_loc-conformal, avoiding banned vertices and J-endpoints
+    (terminals excepted).
     """
     key = (node, u_set, pairs, j_set)
     got = ctx.memo.get(key)
     if got is not None:
         return got
-    ctx.memo[key] = frozenset()  # progress marker; recursion is acyclic
 
     xs = ctx.below[node]
-    result: set[int] = set()
-
     terminals = [x for p in pairs for x in p]
     ok = (
         len(set(terminals)) == len(terminals)
@@ -357,23 +356,17 @@ def _query(ctx: _Ctx, node: int, u_set: frozenset[Edge], pairs: tuple[TerminalPa
             if inside and e not in j_set:
                 ok = False
                 break
+
     if not ok:
-        ctx.memo[key] = frozenset()
-        return frozenset()
-
-    if not ctx.kids[node]:
+        got = False
+    elif not ctx.kids[node]:
         (v,) = xs
-        if not pairs and len(u_set) == 1 and j_set == u_set:
-            (e,) = u_set
-            if v in e:
-                result.add(0)
-        ctx.memo[key] = frozenset(result)
-        return frozenset(result)
-
-    c1, c2 = ctx.kids[node]
-    out = _merge(ctx, c1, c2, u_set, pairs, j_set)
-    ctx.memo[key] = out
-    return out
+        got = not pairs and len(u_set) == 1 and j_set == u_set and v in next(iter(u_set))
+    else:
+        c1, c2 = ctx.kids[node]
+        got = _merge(ctx, c1, c2, u_set, pairs, j_set)
+    ctx.memo[key] = got
+    return got
 
 
 def _matchings_within(
@@ -410,7 +403,7 @@ def _merge(
     u_set: frozenset[Edge],
     pairs: tuple[TerminalPair, ...],
     j_set: frozenset[Edge],
-) -> frozenset[int]:
+) -> bool:
     xs, ys = ctx.below[c1], ctx.below[c2]
     xy_edges = ctx.edges_between(xs, ys)
 
@@ -425,38 +418,35 @@ def _merge(
     )
     must_r = j_cross | forced_cross
 
-    results: set[int] = set()
     cap_r = ctx.w - max(len(u_x_base), len(u_y_base))
     if cap_r < len(must_r):
-        return frozenset()
+        return False
 
     avoid_for_r = frozenset(
         x for e in (u_set | j_set | ctx.forced) for x in e
     ) - {x for e in must_r for x in e}
 
     for r_set in _matchings_within(xy_edges, must_r, avoid_for_r, ctx.w):
-        if len(u_x_base | r_set) > ctx.w or len(u_y_base | r_set) > ctx.w:
-            continue
-        u_x = u_x_base | r_set
-        u_y = u_y_base | r_set
-        for ell in _routes(ctx, c1, c2, u_x, u_y, r_set, pairs, j_set):
-            results.add(ell)
-    return frozenset(results)
+        u_x, u_y = u_x_base | r_set, u_y_base | r_set
+        if len(u_x) <= ctx.w and len(u_y) <= ctx.w and _routes(ctx, c1, c2, xy_edges, u_x, u_y, r_set, pairs, j_set):
+            return True
+    return False
 
 
 def _routes(
     ctx: _Ctx,
     c1: int,
     c2: int,
+    xy_edges: list[Edge],
     u_x: frozenset[Edge],
     u_y: frozenset[Edge],
     r_set: frozenset[Edge],
     pairs: tuple[TerminalPair, ...],
     j_set: frozenset[Edge],
-) -> Iterator[int]:
+) -> bool:
     """Enumerate interface structures (path crossings with anchors and the
-    routes of every pair through them), query the children, and yield the
-    achievable total linkage sizes."""
+    routes of every pair through them) until one has both child entries
+    achievable; xy_edges are the edges of b between the two children."""
     b = ctx.b
     xs, ys = ctx.below[c1], ctx.below[c2]
     side_of = {}
@@ -471,7 +461,7 @@ def _routes(
 
     xy_free = [
         e
-        for e in ctx.edges_between(xs, ys)
+        for e in xy_edges
         if e not in r_set
         and e[0] not in ctx.banned
         and e[1] not in ctx.banned
@@ -532,12 +522,14 @@ def _routes(
                     used_v.difference_update(added)
                     chosen.pop()
 
-    for h_struct in enumerate_h(0, [], set()):
-        yield from _assemble(ctx, c1, c2, u_x, u_y, r_set, pairs, j_set, h_struct)
+    return any(
+        _assemble(ctx, c1, c2, u_x, u_y, r_set, pairs, j_set, h_struct)
+        for h_struct in enumerate_h(0, [], set())
+    )
 
 
 def _assemble(
-    ctx,
+    ctx: _Ctx,
     c1: int,
     c2: int,
     u_x: frozenset[Edge],
@@ -546,7 +538,7 @@ def _assemble(
     pairs: tuple[TerminalPair, ...],
     j_set: frozenset[Edge],
     h_struct: list[tuple[Edge, Edge | None, Edge | None]],
-) -> Iterator[int]:
+) -> bool:
     """Route every pair through the chosen interface structure.
 
     Aux nodes are sources S_i, sinks T_i, matching crossings R_e, and path
@@ -617,7 +609,7 @@ def _assemble(
             ok = False
             break
     if not ok:
-        return
+        return False
 
     direct_edge: dict[int, Edge] = {}
     for i, (s, t) in enumerate(pairs):
@@ -633,7 +625,6 @@ def _assemble(
     used_verts: set[int] = set()
     seg_x: list[TerminalPair] = []
     seg_y: list[TerminalPair] = []
-    extra_holder = [0]
 
     def advance(cur: tuple, tnode: tuple) -> Iterator[None]:
         if cur == tnode:
@@ -680,9 +671,7 @@ def _assemble(
             if node not in used_nodes and not (set(e) & used_verts):
                 used_nodes.add(node)
                 used_verts.update(e)
-                extra_holder[0] += 2
                 yield None
-                extra_holder[0] -= 2
                 used_verts.difference_update(e)
                 used_nodes.discard(node)
         used_nodes.add(snode)
@@ -713,30 +702,19 @@ def _assemble(
         if a is not None and a[0] in ys and a[1] in ys
     )
 
-    seen: set[tuple] = set()
-    for _ in route_all(0):
-        sig = (tuple(sorted(seg_x)), tuple(sorted(seg_y)), extra_holder[0])
-        if sig in seen:
-            continue
-        seen.add(sig)
-        qx = _query(ctx, c1, u_x, sig[0], j_x | anchors_x | u_x)
-        if not qx:
-            continue
-        qy = _query(ctx, c2, u_y, sig[1], j_y | anchors_y | u_y)
-        if not qy:
-            continue
-        extra = extra_holder[0] + 2 * len(h_struct)
-        for lx in qx:
-            for ly in qy:
-                yield lx + ly + extra
+    return any(
+        _query(ctx, c1, u_x, tuple(sorted(seg_x)), j_x | anchors_x | u_x)
+        and _query(ctx, c2, u_y, tuple(sorted(seg_y)), j_y | anchors_y | u_y)
+        for _ in route_all(0)
+    )
 
 
 def make_context(
     b: BipartiteGraph,
     nice: NicePMD,
-    forced: Iterable[Edge] = (),
-    banned: Iterable[int] = (),
-    k: int = 1,
+    forced: Iterable[Edge],
+    banned: Iterable[int],
+    k: int,
 ) -> _Ctx:
     view = nice.tree.binarised()
     return _Ctx(
@@ -886,7 +864,7 @@ def _dp_decides(
     prepared = prepare_dtd(d, dtd)
     nice = dtd_to_nice_pmd(b, host, d, tag, prepared)
     ctx = make_context(b, nice, forced=forced, banned=banned, k=max(len(pairs), 1))
-    return bool(_query(ctx, ctx.root_node, frozenset(), tuple(sorted(pairs)), forced))
+    return _query(ctx, ctx.root_node, frozenset(), tuple(sorted(pairs)), forced)
 
 
 def dapp_solve(b: BipartiteGraph, pairs: Sequence[TerminalPair]) -> bool:

@@ -15,7 +15,7 @@ from .bigraph import (
     is_perfect,
     some_perfect_matching,
 )
-from .digraph import Digraph, has_cycle_crossing
+from .digraph import Digraph, has_cycle_crossing, mask_members, mask_reach
 from .direction import elementary_parts, m_direction, split
 from .errors import NoPerfectMatching, NotPerfect
 
@@ -261,29 +261,19 @@ def dm_order(b: BipartiteGraph, colour: int) -> DMStructure:
             idx[v] = i
     in_colour = (lambda v: v <= b.n1) if colour == 1 else (lambda v: v > b.n1)
 
-    step: set[tuple[int, int]] = {(i, i) for i in range(len(comps))}
+    # succ[j] holds every component K2 with K_j <=° K2 in one step
+    n = len(comps)
+    succ = [0] * n
     for u, v in b.edges:
-        cu, cv = idx[u], idx[v]
-        if cu == cv:
-            continue
         for x, y in ((u, v), (v, u)):
             # x in V_i ∩ K2, y in V(K1) minus V_i:  K1 <=° K2
             if in_colour(x) and not in_colour(y):
-                step.add((idx[y], idx[x]))
-    # transitive closure (Floyd-Warshall style over the small component set)
-    n = len(comps)
-    reach = [[False] * n for _ in range(n)]
-    for i, j in step:
-        reach[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                row_k = reach[k]
-                row_i = reach[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    closure = frozenset((i, j) for i in range(n) for j in range(n) if reach[i][j])
+                succ[idx[y]] |= 1 << idx[x]
+    closure = frozenset(
+        (i, j)
+        for i in range(n)
+        for j in mask_members(mask_reach(succ, 1 << i, (1 << n) - 1))
+    )
     return DMStructure(comps, colour, closure)
 
 

@@ -102,7 +102,7 @@ def test_make_proxies_axioms():
     pairs = [(1, 6)]
     w = frozenset({(1, 5), (2, 6)})
     assert is_extendable(c8, w)
-    found = list(make_proxies(c8, pairs, w))
+    found = list(make_proxies(c8, pairs, w, frozenset()))
     assert found
     for proxy, wprime in found:
         terms = [x for p in proxy for x in p]
@@ -117,7 +117,7 @@ def test_make_proxies_empty_when_blocked():
     # no admissible W' exists when every neighbour is consumed by W
     c4 = even_cycle(2)
     w = frozenset({(1, 3), (2, 4)})
-    assert list(make_proxies(c4, [(1, 4)], w)) == []
+    assert list(make_proxies(c4, [(1, 4)], w, frozenset())) == []
 
 
 def test_itinerary_root_matches_solution():
@@ -127,14 +127,16 @@ def test_itinerary_root_matches_solution():
     w_prime = frozenset({(2, 4), (3, 5)})
     assert is_extendable(c6, w_prime)
     ctx = make_context(c6, nice, forced=w_prime, banned=frozenset(), k=1)
-    got = _query(ctx, ctx.root_node, frozenset(), ((2, 5),), w_prime)
-    assert got  # the path 2-5 exists with both anchors forced
+    # the path 2-5 exists with both anchors forced
+    assert _query(ctx, ctx.root_node, frozenset(), ((2, 5),), w_prime) is True
+    # an empty J leaves the terminals uncovered, so the entry is refused
+    assert _query(ctx, ctx.root_node, frozenset(), ((2, 5),), frozenset()) is False
 
 
 def test_make_context_on_a_two_leaf_tree():
     # K2's decomposition has no inner node: the DP joins its two leaves at
     # the virtual node 2
-    ctx = make_context(k2(), compute_pmd(k2(), some_perfect_matching(k2())))
+    ctx = make_context(k2(), compute_pmd(k2(), some_perfect_matching(k2())), (), (), 1)
     assert ctx.below == [frozenset({1}), frozenset({2}), frozenset({1, 2})]
     assert ctx.kids == [(), (), (0, 1)]
     assert ctx.root_node == 2
@@ -147,6 +149,54 @@ def test_dapp_solve_examples():
     assert not dapp_solve(two, [(1, 7)])
     c8 = even_cycle(4)
     assert dapp_solve(c8, [(1, 6), (3, 8)]) == dapp_bruteforce(c8, [(1, 6), (3, 8)])[0]
+
+
+# Known-wrong answers of the k-DAPP DP.  Each test asserts the right answer,
+# so it passes, and the strict marker fails it, once the DP is fixed.
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the k-DAPP DP answers no")
+def test_dp_decides_on_the_minimal_repro():
+    # M holds the forced covers 3-6 and 4-8 of the terminals, and
+    # 4-7-1-9-2-10-5-6 is an internally M-conformal path joining them
+    import matchwidth.linkage as linkage
+
+    b = graph_from_edges(
+        5, 5, [(1, 7), (1, 9), (2, 9), (2, 10), (3, 6), (3, 9), (4, 7), (4, 8), (5, 6), (5, 10)]
+    )
+    forced = frozenset({(3, 6), (4, 8)})
+    m = frozenset({(1, 7), (2, 9), (3, 6), (4, 8), (5, 10)})
+    assert linkage._dp_decides(b, ((4, 6),), forced, frozenset(), m) is True
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the k-DAPP DP answers no")
+def test_dapp_solve_on_the_n1_7_design_instance():
+    # the oracle routes 3-11-6-10-1-12-4-13-7-9
+    b = graph_from_edges(
+        7,
+        7,
+        [
+            (1, 10), (1, 12), (2, 8), (2, 9), (2, 13), (3, 11), (3, 14), (4, 12), (4, 13),
+            (5, 8), (5, 9), (5, 12), (6, 10), (6, 11), (7, 8), (7, 9), (7, 13),
+        ],
+    )
+    assert dapp_solve(b, [(3, 9)]) == dapp_bruteforce(b, [(3, 9)], limit=14)[0]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the k-DAPP DP answers no")
+def test_dapp_solve_on_the_n1_6_design_instance():
+    # with M = {1-8, 2-11, 3-12, 4-10, 5-7, 6-9} the paths 6-7-5-12-3-10-4-8
+    # and 1-11-2-9 are disjoint and M-alternating
+    b = graph_from_edges(
+        6,
+        6,
+        [
+            (1, 7), (1, 8), (1, 11), (2, 7), (2, 9), (2, 11), (3, 10), (3, 12),
+            (4, 8), (4, 10), (5, 7), (5, 12), (6, 7), (6, 9),
+        ],
+    )
+    pairs = [(6, 8), (1, 9)]
+    assert dapp_solve(b, pairs) == dapp_bruteforce(b, pairs)[0]
 
 
 def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
