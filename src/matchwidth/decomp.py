@@ -785,6 +785,9 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
 class NicePMD:
     """Rooted perfect matching decomposition with its width data.
 
+    width is the tree's width over host, the graph whose M-direction was
+    decomposed: b itself on the pm route, b plus completion edges in k-DAPP.
+    Host holds every edge of b, so it is never below the width over b.
     type1_bound is the budget used by the Type-1 guard classification and by
     the linkage dynamic program (at least the width, at least the size of the
     largest hung bag subtree).
@@ -908,13 +911,10 @@ def dtd_to_nice_pmd(
     else:
         tree = LeafTree(tuple(frozenset(s) for s in tb.adj), final_leaf_map, root=top)
     tree.validate(b.vertices)
-    # M is a perfect matching of b and of host; both widths read one rooting
+    # M is a perfect matching of b and of host
     m = frozenset(tag.values())
-    shores = tree.rooted(0).below_masks()[1:]
-    width = _cut_width(b, m, shores)
-    width_host = width if host is b else _cut_width(host, m, shores)
-    bound = max(width_host, max(type1_sizes), 1)
-    nice = NicePMD(tree, width, bound)
+    width = _cut_width(host, m, tree.rooted(0).below_masks()[1:])
+    nice = NicePMD(tree, width, max(width, max(type1_sizes), 1))
     ok, reason = nice_pmd_check(b, nice, m)
     if not ok:
         raise NotNice(f"conversion produced a non-nice decomposition: {reason}")

@@ -11,6 +11,13 @@ a node, and is true or false.  An internal node enumerates the interface
 structure between its two children (matching crossings R, path crossings H
 with their anchor edges, bounces, terminal landings) and is true at the
 first structure whose two child entries are both true.
+
+Every terminal pair, at the root and in every child entry, joins a V1
+vertex to a V2 vertex.  `_merge` enumerates the matching crossings R.
+`_routes` builds what one R fixes once (the source, sink and R nodes with
+their ports, and the J edges inside each child), and decides how each end
+of a path crossing is covered as it enumerates H.  The step per structure
+only adds H's ports and wiring, routes the pairs and asks the two children.
 """
 
 from __future__ import annotations
@@ -229,39 +236,28 @@ def make_proxies(
     of b is the caller's test: `_solve_full` asks for a perfect matching of
     b - V(W) that holds W' and the forced edges."""
     pairs = [tuple(p) for p in pairs]
-    w = frozenset(tuple(e) for e in w)
-    w_vertices = frozenset(x for e in w for x in e)
+    avoid = banned | {x for e in w for x in e}
     s_terms = {s for s, _ in pairs}
     t_terms = {t for _, t in pairs}
 
-    def choices_s(s: int) -> list[tuple[int, int]]:
-        out = []
-        for y in sorted(b.adj[s]):
-            if y in w_vertices or y in banned:
-                continue
-            for z in sorted(b.adj[y]):
-                if z == s or z in w_vertices or z in banned or z in s_terms:
-                    continue
-                out.append((z, y))  # proxy terminal z covered by edge (z, y)
-        return out
-
-    def choices_t(t: int) -> list[tuple[int, int]]:
-        out = []
-        for v in sorted(b.adj[t]):
-            if v in w_vertices or v in banned:
-                continue
-            for q in sorted(b.adj[v]):
-                if q == t or q in w_vertices or q in banned or q in t_terms:
-                    continue
-                out.append((q, v))  # proxy terminal q covered by edge (v, q)
-        return out
+    def choices(x: int, terms: set[int]) -> list[tuple[int, int]]:
+        """Proxy terminals p two steps from x along x-y-p, each with y, the
+        other end of the edge that covers it; no path vertex lies in W or
+        is banned."""
+        return [
+            (p, y)
+            for y in sorted(b.adj[x])
+            if y not in avoid
+            for p in sorted(b.adj[y])
+            if p != x and p not in avoid and p not in terms
+        ]
 
     def rec(idx: int, proxy: list[TerminalPair], wprime: set[Edge], used: set[int]) -> Iterator:
         if idx == len(pairs):
             yield tuple(proxy), frozenset(wprime)
             return
         s, t = pairs[idx]
-        for z, y in choices_s(s):
+        for z, y in choices(s, s_terms):
             if z in used or y in used:
                 continue
             e1 = (min(z, y), max(z, y))
@@ -275,7 +271,7 @@ def make_proxies(
                 used.difference_update((z, y))
                 wprime.discard(e1)
                 proxy.pop()
-            for q, v in choices_t(t):
+            for q, v in choices(t, t_terms):
                 if q in used or v in used or len({z, y, q, v}) < 4:
                     continue
                 e2 = (min(v, q), max(v, q))
@@ -444,269 +440,189 @@ def _routes(
     pairs: tuple[TerminalPair, ...],
     j_set: frozenset[Edge],
 ) -> bool:
-    """Enumerate interface structures (path crossings with anchors and the
-    routes of every pair through them) until one has both child entries
-    achievable; xy_edges are the edges of b between the two children."""
+    """Enumerate interface structures (path crossings H with their anchors)
+    and the routes of every pair through them, until one has both child
+    entries achievable; xy_edges are the edges of b between the two children.
+
+    Every pair joins a V1 vertex to a V2 vertex: the root pairs do
+    (`_pairs_ok`), and so does every segment, from an out-port (a V1 vertex)
+    to an in-port (a V2 vertex).  So a V1 terminal is a source and a V2
+    terminal a sink.
+
+    Aux nodes are sources S_i, sinks T_i, matching crossings R_e and path
+    crossings H.  Fixed per r_set: the S, T and R nodes with their ports,
+    the pairs that take their own R edge, and the J edges inside each child.
+    Each end of a path crossing is decided once, when it is enumerated: it
+    is anchored by a matching edge on its side, whose other end is the
+    crossing's port there, or it is wired to the S, T or R node it passes
+    through.  An end on an R edge that touches a terminal has no option.
+    Per structure, segment arcs between an out-port and an in-port on the
+    same side become child terminal pairs; wiring arcs (terminal starts and
+    landings, bounces through R endpoints) consume their vertex here.
+    """
     b = ctx.b
     xs, ys = ctx.below[c1], ctx.below[c2]
-    side_of = {}
-    for x in xs:
-        side_of[x] = 0
-    for y in ys:
-        side_of[y] = 1
-    terminals = frozenset(x for p in pairs for x in p)
+
+    def side(v: int) -> int:
+        return 0 if v in xs else 1
+
     j_vertices = frozenset(x for e in (j_set | ctx.forced | r_set) for x in e)
-    r_v1 = {e[0]: e for e in r_set}
-    r_v2 = {e[1]: e for e in r_set}
+    out_port: dict[tuple, tuple[int, int]] = {}
+    in_port: dict[tuple, tuple[int, int]] = {}
+    wire_node: dict[int, tuple] = {}  # the node an unanchored crossing end wires to
+    for i, (s, t) in enumerate(pairs):
+        out_port["s", i] = (side(s), s)
+        in_port["t", i] = (side(t), t)
+        wire_node[s] = ("s", i)
+        wire_node[t] = ("t", i)
+    terminals = frozenset(x for p in pairs for x in p)
+    for e in sorted(r_set):
+        if not set(e) & terminals:
+            out_port["r", e] = (side(e[0]), e[0])
+            in_port["r", e] = (side(e[1]), e[1])
+            wire_node[e[0]] = wire_node[e[1]] = ("r", e)
+    sinks_base = ([], [])
+    for node, (sd, _) in in_port.items():
+        sinks_base[sd].append(node)
+    direct_edge = {i: p for i, p in enumerate(pairs) if p in r_set and p in j_set}
+    j_internal = j_set - u_x - u_y - r_set
+    j_x = frozenset(e for e in j_internal if e[0] in xs and e[1] in xs) | u_x
+    j_y = frozenset(e for e in j_internal if e[0] in ys and e[1] in ys) | u_y
 
-    xy_free = [
-        e
-        for e in xy_edges
-        if e not in r_set
-        and e[0] not in ctx.banned
-        and e[1] not in ctx.banned
-        and (e[0] in terminals or e[0] in r_v1 or e[0] not in j_vertices)
-        and (e[1] in terminals or e[1] in r_v2 or e[1] not in j_vertices)
-    ]
+    def end_options(v: int) -> list[int | tuple]:
+        """The node a crossing end at v wires to, or the port vertices of
+        its possible anchors (ints)."""
+        if v in wire_node:
+            return [wire_node[v]]
+        if v in j_vertices:
+            return []
+        pool = xs if v in xs else ys
+        return [
+            u for u in sorted(b.adj[v]) if u in pool and u not in j_vertices and u not in ctx.banned
+        ]
 
+    crossings = [e for e in xy_edges if e not in r_set and not set(e) & ctx.banned]
+    options = {v: end_options(v) for e in crossings for v in e}
     # crossing usage is bounded: every crossing ends a part on each side
     max_h = ctx.k + ctx.w
 
-    def anchor_options(vertex: int, want_v1_end: bool) -> list[Edge | None]:
-        """Anchor matching edges covering an H endpoint, or None markers for
-        terminal/bounce covers."""
-        side = side_of[vertex]
-        opts: list[Edge | None] = []
-        if vertex in terminals:
-            opts.append(None)
-            return opts
-        if want_v1_end and vertex in r_v1:
-            opts.append(None)
-            return opts
-        if not want_v1_end and vertex in r_v2:
-            opts.append(None)
-            return opts
-        if vertex in j_vertices:
-            return []
-        pool = xs if side == 0 else ys
-        for other in sorted(b.adj[vertex]):
-            if other not in pool or other in j_vertices or other in ctx.banned:
-                continue
-            e = (min(vertex, other), max(vertex, other))
-            opts.append(e)
-        return opts
-
-    h_candidates = xy_free
-
-    def enumerate_h(idx: int, chosen: list[tuple[Edge, Edge | None, Edge | None]], used_v: set[int]) -> Iterator:
+    def enumerate_h(idx: int, chosen: list[tuple], used_v: set[int]) -> Iterator[list[tuple]]:
         yield list(chosen)
         if len(chosen) >= max_h:
             return
-        for i in range(idx, len(h_candidates)):
-            h = h_candidates[i]
-            w_end, z_end = h  # V1 endpoint, V2 endpoint
+        for i in range(idx, len(crossings)):
+            w_end, z_end = crossings[i]  # V1 endpoint, V2 endpoint
             if w_end in used_v or z_end in used_v:
                 continue
-            for ta in anchor_options(w_end, want_v1_end=True):
-                ta_vs = set(ta) - {w_end} if ta else set()
-                if ta_vs & used_v:
+            for w_to in options[w_end]:
+                if w_to in used_v:
                     continue
-                for ha in anchor_options(z_end, want_v1_end=False):
-                    ha_vs = set(ha) - {z_end} if ha else set()
-                    if ha_vs & used_v or (ta and ha and set(ta) & set(ha)):
+                for z_to in options[z_end]:
+                    if z_to in used_v:
                         continue
-                    chosen.append((h, ta, ha))
-                    added = {w_end, z_end} | ta_vs | ha_vs
+                    chosen.append((w_end, z_end, w_to, z_to))
+                    added = {x for x in (w_end, z_end, w_to, z_to) if type(x) is int}
                     used_v.update(added)
                     yield from enumerate_h(i + 1, chosen, used_v)
                     used_v.difference_update(added)
                     chosen.pop()
 
-    return any(
-        _assemble(ctx, c1, c2, u_x, u_y, r_set, pairs, j_set, h_struct)
-        for h_struct in enumerate_h(0, [], set())
-    )
+    def assemble(h_struct: list[tuple]) -> bool:
+        """Route every pair through one structure, a list of crossings
+        (V1 end, V2 end, how the V1 end is covered, how the V2 end is
+        covered), and ask both children."""
+        outs, ins = dict(out_port), dict(in_port)
+        sinks = (list(sinks_base[0]), list(sinks_base[1]))
+        wiring: dict[tuple, list[tuple[tuple, int]]] = {}  # node -> [(target, consumed vertex)]
+        anchors: tuple[set[Edge], set[Edge]] = (set(), set())
+        for idx, (w_end, z_end, w_to, z_to) in enumerate(h_struct):
+            node = ("h", idx)
+            if type(w_to) is int:
+                sd = side(w_end)
+                ins[node] = (sd, w_to)
+                sinks[sd].append(node)
+                anchors[sd].add((w_end, w_to))
+            else:
+                wiring.setdefault(w_to, []).append((node, w_end))
+            if type(z_to) is int:
+                sd = side(z_end)
+                outs[node] = (sd, z_to)
+                anchors[sd].add((z_to, z_end))
+            else:
+                wiring.setdefault(node, []).append((z_to, z_end))
+        h_nodes = {("h", idx) for idx in range(len(h_struct))}
 
+        used_nodes: set[tuple] = set()
+        used_verts: set[int] = set()
+        segs: tuple[list[TerminalPair], list[TerminalPair]] = ([], [])
 
-def _assemble(
-    ctx: _Ctx,
-    c1: int,
-    c2: int,
-    u_x: frozenset[Edge],
-    u_y: frozenset[Edge],
-    r_set: frozenset[Edge],
-    pairs: tuple[TerminalPair, ...],
-    j_set: frozenset[Edge],
-    h_struct: list[tuple[Edge, Edge | None, Edge | None]],
-) -> bool:
-    """Route every pair through the chosen interface structure.
-
-    Aux nodes are sources S_i, sinks T_i, matching crossings R_e, and path
-    crossings H.  Segment arcs between an out-port (a V1 vertex) and an
-    in-port (a V2 vertex) on the same side become child terminal pairs;
-    wiring arcs (terminal starts/landings and bounces through R endpoints)
-    consume their vertex at this level.
-    """
-    xs, ys = ctx.below[c1], ctx.below[c2]
-    terminals = frozenset(x for p in pairs for x in p)
-
-    def side(v: int) -> int:
-        return 0 if v in xs else 1
-
-    S = [("s", i) for i in range(len(pairs))]
-    T = [("t", i) for i in range(len(pairs))]
-    R = {e: ("r", e) for e in sorted(r_set)}
-    H = {idx: ("h", idx) for idx in range(len(h_struct))}
-    h_nodes = set(H.values())
-
-    out_port: dict[tuple, tuple[int, int]] = {}
-    in_port: dict[tuple, tuple[int, int]] = {}
-    wiring: dict[tuple, list[tuple[tuple, int]]] = {}  # node -> [(target, consumed vertex)]
-
-    terminal_node: dict[int, tuple] = {}
-    for i, (s, t) in enumerate(pairs):
-        out_port[S[i]] = (side(s), s)
-        in_port[T[i]] = (side(t), t)
-        terminal_node[s] = S[i]
-        terminal_node[t] = T[i]
-
-    for e, node in R.items():
-        v1e, v2e = e
-        if v1e not in terminals and v2e not in terminals:
-            out_port[node] = (side(v1e), v1e)
-            in_port[node] = (side(v2e), v2e)
-
-    ok = True
-    for idx, (h, ta, ha) in enumerate(h_struct):
-        node = H[idx]
-        w_end, z_end = h
-        if ta is not None:
-            u_anchor = ta[1] if ta[0] == w_end else ta[0]
-            in_port[node] = (side(w_end), u_anchor)
-        elif w_end in terminal_node and terminal_node[w_end][0] == "s":
-            wiring.setdefault(terminal_node[w_end], []).append((node, w_end))
-        elif w_end in {e[0] for e in r_set}:
-            e = next(e for e in r_set if e[0] == w_end)
-            if e[0] in terminals or e[1] in terminals:
-                ok = False
-                break
-            wiring.setdefault(R[e], []).append((node, w_end))
-        else:
-            ok = False
-            break
-        if ha is not None:
-            v_anchor = ha[0] if ha[1] == z_end else ha[1]
-            out_port[node] = (side(z_end), v_anchor)
-        elif z_end in terminal_node and terminal_node[z_end][0] == "t":
-            wiring.setdefault(node, []).append((terminal_node[z_end], z_end))
-        elif z_end in {e[1] for e in r_set}:
-            e = next(e for e in r_set if e[1] == z_end)
-            if e[0] in terminals or e[1] in terminals:
-                ok = False
-                break
-            wiring.setdefault(node, []).append((R[e], z_end))
-        else:
-            ok = False
-            break
-    if not ok:
-        return False
-
-    direct_edge: dict[int, Edge] = {}
-    for i, (s, t) in enumerate(pairs):
-        e = (min(s, t), max(s, t))
-        if e in r_set and e in j_set:
-            direct_edge[i] = e
-
-    sinks_by_side: dict[int, list[tuple]] = {0: [], 1: []}
-    for node, ip in in_port.items():
-        sinks_by_side[ip[0]].append(node)
-
-    used_nodes: set[tuple] = set()
-    used_verts: set[int] = set()
-    seg_x: list[TerminalPair] = []
-    seg_y: list[TerminalPair] = []
-
-    def advance(cur: tuple, tnode: tuple) -> Iterator[None]:
-        if cur == tnode:
-            yield None
-            return
-        op = out_port.get(cur)
-        if op is not None:
-            sd, a = op
-            if a not in used_verts and a not in ctx.banned:
-                seg_list = seg_x if sd == 0 else seg_y
-                for nxt in sinks_by_side[sd]:
-                    if nxt[0] == "t" and nxt != tnode:
-                        continue
-                    if nxt in used_nodes:
-                        continue
-                    bvert = in_port[nxt][1]
-                    if bvert in used_verts or bvert in ctx.banned:
-                        continue
-                    if len(seg_list) >= ctx.k + ctx.w:
-                        continue
-                    used_nodes.add(nxt)
-                    used_verts.update((a, bvert))
-                    seg_list.append((a, bvert))
-                    yield from advance(nxt, tnode)
-                    seg_list.pop()
-                    used_verts.difference_update((a, bvert))
-                    used_nodes.discard(nxt)
-        for nxt, consumed in wiring.get(cur, ()):  # terminal starts/landings, bounces
-            if nxt in used_nodes or consumed in used_verts or consumed in ctx.banned:
-                continue
-            if nxt[0] == "t" and nxt != tnode:
-                continue
-            used_nodes.add(nxt)
-            used_verts.add(consumed)
-            yield from advance(nxt, tnode)
-            used_verts.discard(consumed)
-            used_nodes.discard(nxt)
-
-    def route_pair(i: int) -> Iterator[None]:
-        snode, tnode = S[i], T[i]
-        if i in direct_edge:
-            e = direct_edge[i]
-            node = R[e]
-            if node not in used_nodes and not (set(e) & used_verts):
-                used_nodes.add(node)
-                used_verts.update(e)
+        def advance(cur: tuple, tnode: tuple) -> Iterator[None]:
+            if cur == tnode:
                 yield None
-                used_verts.difference_update(e)
-                used_nodes.discard(node)
-        used_nodes.add(snode)
-        yield from advance(snode, tnode)
-        used_nodes.discard(snode)
+                return
+            op = outs.get(cur)
+            if op is not None:
+                sd, a = op
+                if a not in used_verts and a not in ctx.banned:
+                    seg_list = segs[sd]
+                    for nxt in sinks[sd]:
+                        if nxt[0] == "t" and nxt != tnode:
+                            continue
+                        if nxt in used_nodes:
+                            continue
+                        bvert = ins[nxt][1]
+                        if bvert in used_verts or bvert in ctx.banned:
+                            continue
+                        if len(seg_list) >= ctx.k + ctx.w:
+                            continue
+                        used_nodes.add(nxt)
+                        used_verts.update((a, bvert))
+                        seg_list.append((a, bvert))
+                        yield from advance(nxt, tnode)
+                        seg_list.pop()
+                        used_verts.difference_update((a, bvert))
+                        used_nodes.discard(nxt)
+            for nxt, consumed in wiring.get(cur, ()):  # terminal starts/landings, bounces
+                if nxt in used_nodes or consumed in used_verts or consumed in ctx.banned:
+                    continue
+                if nxt[0] == "t" and nxt != tnode:
+                    continue
+                used_nodes.add(nxt)
+                used_verts.add(consumed)
+                yield from advance(nxt, tnode)
+                used_verts.discard(consumed)
+                used_nodes.discard(nxt)
 
-    def route_all(i: int) -> Iterator[None]:
-        if i == len(pairs):
-            if h_nodes <= used_nodes:
-                yield None
-            return
-        for _ in route_pair(i):
-            yield from route_all(i + 1)
+        def route_pair(i: int) -> Iterator[None]:
+            snode, tnode = ("s", i), ("t", i)
+            if i in direct_edge:
+                e = direct_edge[i]
+                node = ("r", e)
+                if node not in used_nodes and not (set(e) & used_verts):
+                    used_nodes.add(node)
+                    used_verts.update(e)
+                    yield None
+                    used_verts.difference_update(e)
+                    used_nodes.discard(node)
+            used_nodes.add(snode)
+            yield from advance(snode, tnode)
+            used_nodes.discard(snode)
 
-    j_internal = j_set - u_x - u_y - r_set
-    j_x = frozenset(e for e in j_internal if e[0] in xs and e[1] in xs)
-    j_y = frozenset(e for e in j_internal if e[0] in ys and e[1] in ys)
-    anchors_x = frozenset(
-        a
-        for (h, ta, ha) in h_struct
-        for a in (ta, ha)
-        if a is not None and a[0] in xs and a[1] in xs
-    )
-    anchors_y = frozenset(
-        a
-        for (h, ta, ha) in h_struct
-        for a in (ta, ha)
-        if a is not None and a[0] in ys and a[1] in ys
-    )
+        def route_all(i: int) -> Iterator[None]:
+            if i == len(pairs):
+                if h_nodes <= used_nodes:
+                    yield None
+                return
+            for _ in route_pair(i):
+                yield from route_all(i + 1)
 
-    return any(
-        _query(ctx, c1, u_x, tuple(sorted(seg_x)), j_x | anchors_x | u_x)
-        and _query(ctx, c2, u_y, tuple(sorted(seg_y)), j_y | anchors_y | u_y)
-        for _ in route_all(0)
-    )
+        return any(
+            _query(ctx, c1, u_x, tuple(sorted(segs[0])), j_x | anchors[0])
+            and _query(ctx, c2, u_y, tuple(sorted(segs[1])), j_y | anchors[1])
+            for _ in route_all(0)
+        )
+
+    return any(assemble(h_struct) for h_struct in enumerate_h(0, [], set()))
 
 
 def make_context(

@@ -14,6 +14,7 @@ from matchwidth.decomp import (
     cops_play,
     cycd_width,
     cycw_exact_small,
+    dtd_to_nice_pmd,
     dtw_exact_small,
     nice_pmd_check,
     pmd_width,
@@ -339,6 +340,19 @@ def test_convert_k33():
     nice = compute_pmd(b, m)
     assert nice_pmd_check(b, nice, m)[0]
     assert pmd_width(b, nice.tree) == nice.width
+
+
+def test_conversion_width_is_over_the_host():
+    # a k-DAPP host: b plus the completion edge 3-6; M is a perfect matching
+    # of both, and the converted tree is wider over host than over b
+    b = graph_from_edges(3, 3, [(1, 4), (2, 5), (2, 6), (3, 5)])
+    host = graph_from_edges(3, 3, sorted(b.edges | {(3, 6)}))
+    d, tag = m_direction(host, frozenset({(1, 4), (2, 6), (3, 5)}))
+    _, dtd = dtw_exact_small(d)
+    nice = dtd_to_nice_pmd(b, host, d, tag, prepare_dtd(d, dtd))
+    assert pmd_width(b, nice.tree) < pmd_width(host, nice.tree)
+    assert nice.width == pmd_width(host, nice.tree)
+    assert nice.type1_bound >= nice.width
 
 
 def test_width_chain_small():

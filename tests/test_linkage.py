@@ -12,7 +12,7 @@ from matchwidth.bigraph import (
     some_perfect_matching,
 )
 from matchwidth.decomp import compute_pmd
-from matchwidth.errors import InvalidW, NotExtendable, OracleLimitExceeded
+from matchwidth.errors import InvalidW, NotExtendable, NotNice, OracleLimitExceeded
 from matchwidth.linkage import (
     _query,
     dapp_bruteforce,
@@ -197,6 +197,27 @@ def test_dapp_solve_on_the_n1_6_design_instance():
     )
     pairs = [(6, 8), (1, 9)]
     assert dapp_solve(b, pairs) == dapp_bruteforce(b, pairs)[0]
+
+
+@pytest.mark.xfail(strict=True, raises=NotNice, reason="the k-DAPP DP depends on the pair order")
+def test_dapp_solve_ignores_the_pair_order():
+    # the oracle routes 6-12-5-13-7-8 and 4-9-1-10-2-14; the proxy families
+    # are enumerated in pair order, and one order meets a conversion that
+    # raises NotNice before it meets a "yes"
+    b = graph_from_edges(
+        7,
+        7,
+        [
+            (1, 9), (1, 10), (2, 8), (2, 10), (2, 12), (2, 14), (3, 10), (3, 11), (4, 8),
+            (4, 9), (4, 11), (5, 10), (5, 12), (5, 13), (6, 9), (6, 10), (6, 12), (6, 14),
+            (7, 8), (7, 10), (7, 12), (7, 13),
+        ],
+    )
+    pairs = [(6, 8), (4, 14)]
+    expected = dapp_bruteforce(b, pairs, limit=14)[0]
+    assert expected is True
+    assert dapp_solve(b, pairs[::-1]) == expected
+    assert dapp_solve(b, pairs) == expected
 
 
 def test_dapp_solve_agrees_with_oracle_random(monkeypatch):

@@ -1,12 +1,13 @@
 """One-line digest of every answer the `matchwidth` CLI gives on a benchmark
 pool, for checking that a change leaves the answers byte-identical.
 
-    python3 tools/answer_digest.py --src <checkout>/src --workload W --seed N
+    python3 tools/answer_digest.py --src <checkout>/src --workload W --seed N [N ...]
 
-It builds the workload's seeded pool with `bench/workloads.py`, asks
-`matchwidth.cli.main(argv)` from the package under `--src` each question
-in-process, and prints the exit-code counts and a sha256 over each
-question's exit code, stdout and stderr.  The pool directory is a fresh
+For each seed, in order, it builds the workload's seeded pool with
+`bench/workloads.py`, asks `matchwidth.cli.main(argv)` from the package
+under `--src` each question in-process, and prints one line: the
+exit-code counts and a sha256 over each question's exit code, stdout and
+stderr.  The pool directory is a fresh
 temporary directory, so its path is replaced by a fixed token before
 hashing.  Run it on two checkouts and compare the lines.
 """
@@ -40,12 +41,9 @@ def ask(cli, argv: list[str]) -> tuple[str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(src: Path, workload: str, seed: int) -> str:
-    sys.path.insert(0, str(BENCH_DIR))
-    import program
+def digest(cli, workload: str, seed: int) -> str:
     import workloads
 
-    cli = program.load(src)
     questions = workloads.build_questions(workload, seed)
     codes: Counter[str] = Counter()
     sha = hashlib.sha256()
@@ -65,9 +63,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True, help="the checkout's src directory")
     parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True, help="one line per seed")
     args = parser.parse_args(argv)
-    print(digest(args.src, args.workload, args.seed))
+    sys.path.insert(0, str(BENCH_DIR))
+    import program
+
+    cli = program.load(args.src)
+    for seed in args.seed:
+        print(digest(cli, args.workload, seed), flush=True)
     return 0
 
 
