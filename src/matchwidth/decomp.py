@@ -406,7 +406,10 @@ class DirectedTreeDecomposition:
 def validate_dtd(
     d: Digraph, dec: DirectedTreeDecomposition, proto: bool = False
 ) -> tuple[bool, int, str | None]:
-    """Check the decomposition axioms; returns (valid, width, reason)."""
+    """Check the decomposition axioms; returns (valid, width, reason).
+
+    proto=True also accepts empty bags, as `matchwidth dtw --dtd FILE
+    --proto` asks."""
     m = dec.m
     if dec.parent.count(-1) != 1:
         return False, 0, "not exactly one root"
@@ -785,9 +788,8 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
 class NicePMD:
     """Rooted perfect matching decomposition with its width data.
 
-    width is the tree's width over host, the graph whose M-direction was
-    decomposed: b itself on the pm route, b plus completion edges in k-DAPP.
-    Host holds every edge of b, so it is never below the width over b.
+    width is the tree's width over the graph it decomposes: b itself on the
+    pm route, b plus completion edges in k-DAPP.
     type1_bound is the budget used by the Type-1 guard classification and by
     the linkage dynamic program (at least the width, at least the size of the
     largest hung bag subtree).
@@ -814,44 +816,32 @@ class _TreeBuilder:
 
     def caterpillar(self, items: list[int]) -> tuple[int, dict[int, int]]:
         """Left-leaning binary caterpillar; returns (root, leaf -> item)."""
-        assert items
-        if len(items) == 1:
-            n = self.node()
-            return n, {n: items[0]}
-        leaves: dict[int, int] = {}
-        first = self.node()
-        leaves[first] = items[0]
-        spine = first
-        for x in items[1:-1]:
+        spine = self.node()
+        leaves = {spine: items[0]}
+        for x in items[1:]:
             up = self.node()
             leaf = self.node()
             leaves[leaf] = x
             self.link(up, spine)
             self.link(up, leaf)
             spine = up
-        top = self.node()
-        last = self.node()
-        leaves[last] = items[-1]
-        self.link(top, spine)
-        self.link(top, last)
-        return top, leaves
+        return spine, leaves
 
 
 def dtd_to_nice_pmd(
-    b: BipartiteGraph,
     host: BipartiteGraph,
     d: Digraph,
     tag: VertexTag,
     dec: DirectedTreeDecomposition,
 ) -> NicePMD:
     """Translate a directed tree decomposition of the M-direction of host
-    into a nice perfect matching decomposition of b.
+    into a nice perfect matching decomposition of host.
 
     dec must be a decomposition of d that `validate_dtd` accepts, with
-    proto=True allowed only for the empty-bag chain nodes of `prepare_dtd`,
-    each of which has at least two children.  host is b or b plus extra
-    edges; d and tag are the M-direction of host (`direction.m_direction`),
-    built from a perfect matching M of b.
+    proto=True allowed only for empty-bag nodes with at least two children,
+    such as the chain nodes of `prepare_dtd`.  d and tag are the M-direction
+    of host (`direction.m_direction`) for a perfect matching M of host: b on
+    the pm route, b plus completion edges in k-DAPP.
 
     Each node's children are taken in `_children_topo_order` and
     right-folded into binary joins, and a node with a bag joins that fold
@@ -910,12 +900,11 @@ def dtd_to_nice_pmd(
         )
     else:
         tree = LeafTree(tuple(frozenset(s) for s in tb.adj), final_leaf_map, root=top)
-    tree.validate(b.vertices)
-    # M is a perfect matching of b and of host
+    tree.validate(host.vertices)
     m = frozenset(tag.values())
     width = _cut_width(host, m, tree.rooted(0).below_masks()[1:])
     nice = NicePMD(tree, width, max(width, max(type1_sizes), 1))
-    ok, reason = nice_pmd_check(b, nice, m)
+    ok, reason = nice_pmd_check(host, nice, m)
     if not ok:
         raise NotNice(f"conversion produced a non-nice decomposition: {reason}")
     return nice
@@ -1044,11 +1033,10 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
 def compute_pmd(b: BipartiteGraph, m: Matching) -> NicePMD:
     """Full pipeline: build the M-direction, find a directed tree
     decomposition by the exact small-scale search, prepare it, and convert
-    to a nice perfect matching decomposition.
+    it to a nice perfect matching decomposition of b.
 
     m must be a perfect matching of b; the caller supplies it, and the
     decomposition depends on which one it is."""
     d, tag = m_direction(b, m)
     _, dtd = dtw_exact_small(d)
-    prepared = prepare_dtd(d, dtd)
-    return dtd_to_nice_pmd(b, b, d, tag, prepared)
+    return dtd_to_nice_pmd(b, d, tag, prepare_dtd(d, dtd))

@@ -36,7 +36,7 @@ from .bigraph import (
     is_extendable,
     some_perfect_matching,
 )
-from .decomp import NicePMD, dtw_exact_small, prepare_dtd, dtd_to_nice_pmd
+from .decomp import NicePMD, dtw_exact_small, dtd_to_nice_pmd
 from .direction import m_direction
 from .errors import (
     InvalidPairs,
@@ -257,6 +257,7 @@ def make_proxies(
             yield tuple(proxy), frozenset(wprime)
             return
         s, t = pairs[idx]
+        t_choices = choices(t, t_terms)
         for z, y in choices(s, s_terms):
             if z in used or y in used:
                 continue
@@ -271,7 +272,7 @@ def make_proxies(
                 used.difference_update((z, y))
                 wprime.discard(e1)
                 proxy.pop()
-            for q, v in choices(t, t_terms):
+            for q, v in t_choices:
                 if q in used or v in used or len({z, y, q, v}) < 4:
                     continue
                 e2 = (min(v, q), max(v, q))
@@ -455,7 +456,10 @@ def _routes(
     Each end of a path crossing is decided once, when it is enumerated: it
     is anchored by a matching edge on its side, whose other end is the
     crossing's port there, or it is wired to the S, T or R node it passes
-    through.  An end on an R edge that touches a terminal has no option.
+    through.  An end on an R edge that touches a terminal has no option, and
+    an end on the open port of an earlier crossing links to that crossing:
+    the path takes one crossing, their shared anchor edge and the other,
+    and neither end gets a port.
     Per structure, segment arcs between an out-port and an in-port on the
     same side become child terminal pairs; wiring arcs (terminal starts and
     landings, bounces through R endpoints) consume their vertex here.
@@ -510,18 +514,28 @@ def _routes(
         yield list(chosen)
         if len(chosen) >= max_h:
             return
+        # an end on the open port of a chosen crossing links to that crossing,
+        # which closes the port: the two share its anchor edge
+        ends = {v for c in chosen for v in c[:2]}
+        open_port = {
+            x: ("h", k)
+            for k, c in enumerate(chosen)
+            for x in c[2:]
+            if type(x) is int and x not in ends
+        }
         for i in range(idx, len(crossings)):
             w_end, z_end = crossings[i]  # V1 endpoint, V2 endpoint
-            if w_end in used_v or z_end in used_v:
+            fresh = {v for v in (w_end, z_end) if v not in open_port}
+            if fresh & used_v:
                 continue
-            for w_to in options[w_end]:
+            for w_to in [open_port[w_end]] if w_end in open_port else options[w_end]:
                 if w_to in used_v:
                     continue
-                for z_to in options[z_end]:
+                for z_to in [open_port[z_end]] if z_end in open_port else options[z_end]:
                     if z_to in used_v:
                         continue
                     chosen.append((w_end, z_end, w_to, z_to))
-                    added = {x for x in (w_end, z_end, w_to, z_to) if type(x) is int}
+                    added = fresh | {x for x in (w_to, z_to) if type(x) is int}
                     used_v.update(added)
                     yield from enumerate_h(i + 1, chosen, used_v)
                     used_v.difference_update(added)
@@ -543,12 +557,17 @@ def _routes(
                 sinks[sd].append(node)
                 anchors[sd].add((w_end, w_to))
             else:
+                if w_to[0] == "h":  # w_end is the out-port of crossing w_to
+                    del outs[w_to]
                 wiring.setdefault(w_to, []).append((node, w_end))
             if type(z_to) is int:
                 sd = side(z_end)
                 outs[node] = (sd, z_to)
                 anchors[sd].add((z_to, z_end))
             else:
+                if z_to[0] == "h":  # z_end is the in-port of crossing z_to
+                    del ins[z_to]
+                    sinks[side(z_end)].remove(z_to)
                 wiring.setdefault(node, []).append((z_to, z_end))
         h_nodes = {("h", idx) for idx in range(len(h_struct))}
 
@@ -761,13 +780,15 @@ def _dp_decides(
     banned: frozenset[int],
     m: Matching,
 ) -> bool:
-    """Build the safe nice decomposition for the instance and run the DP; m
-    is a perfect matching of b that holds the forced edges.
+    """Build a nice decomposition of host, b plus the completion edges of
+    the forced terminal covers, and run the DP over it on b; m is a perfect
+    matching of b that holds the forced edges, so of host too.
 
     The pipeline is spelled out here rather than run through
-    `decomp.compute_pmd`: the decomposition is one of the M-direction of
-    host, b plus the completion edges, and `bench/test_bench.py` checks that
-    this module binds `dtw_exact_small` itself.
+    `decomp.compute_pmd`: its graph is host, and `bench/test_bench.py`
+    checks that this module binds `dtw_exact_small` itself.  Host has b's
+    vertices, so the tree is one of b's vertex set, and its width counts the
+    completion edges.
 
     The root query takes the pairs sorted, as the `_query` memo and
     `minors`' verdict memo both assume one pair order."""
@@ -777,8 +798,7 @@ def _dp_decides(
     host = b if completion <= b.edges else BipartiteGraph(b.n1, b.n2, b.edges | completion)
     d, tag = m_direction(host, m)
     _, dtd = dtw_exact_small(d)
-    prepared = prepare_dtd(d, dtd)
-    nice = dtd_to_nice_pmd(b, host, d, tag, prepared)
+    nice = dtd_to_nice_pmd(host, d, tag, dtd)
     ctx = make_context(b, nice, forced=forced, banned=banned, k=max(len(pairs), 1))
     return _query(ctx, ctx.root_node, frozenset(), tuple(sorted(pairs)), forced)
 

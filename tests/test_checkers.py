@@ -403,7 +403,7 @@ def convert(b, d, tag, dec):
     """The NicePMD `dtd_to_nice_pmd` builds from dec, or the message of the
     NotNice it raises."""
     try:
-        return dtd_to_nice_pmd(b, b, d, tag, dec)
+        return dtd_to_nice_pmd(b, d, tag, dec)
     except NotNice as exc:
         return str(exc)
 

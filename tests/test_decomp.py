@@ -347,11 +347,12 @@ def test_conversion_width_is_over_the_host():
     # of both, and the converted tree is wider over host than over b
     b = graph_from_edges(3, 3, [(1, 4), (2, 5), (2, 6), (3, 5)])
     host = graph_from_edges(3, 3, sorted(b.edges | {(3, 6)}))
-    d, tag = m_direction(host, frozenset({(1, 4), (2, 6), (3, 5)}))
+    m = frozenset({(1, 4), (2, 6), (3, 5)})
+    d, tag = m_direction(host, m)
     _, dtd = dtw_exact_small(d)
-    nice = dtd_to_nice_pmd(b, host, d, tag, prepare_dtd(d, dtd))
-    assert pmd_width(b, nice.tree) < pmd_width(host, nice.tree)
-    assert nice.width == pmd_width(host, nice.tree)
+    nice = dtd_to_nice_pmd(host, d, tag, dtd)
+    assert nice_pmd_check(host, nice, m) == (True, None)
+    assert nice.width == pmd_width(host, nice.tree) > pmd_width(b, nice.tree)
     assert nice.type1_bound >= nice.width
 
 

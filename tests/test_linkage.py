@@ -12,7 +12,7 @@ from matchwidth.bigraph import (
     some_perfect_matching,
 )
 from matchwidth.decomp import compute_pmd
-from matchwidth.errors import InvalidW, NotExtendable, NotNice, OracleLimitExceeded
+from matchwidth.errors import InvalidW, NotExtendable, OracleLimitExceeded
 from matchwidth.linkage import (
     _query,
     dapp_bruteforce,
@@ -151,11 +151,11 @@ def test_dapp_solve_examples():
     assert dapp_solve(c8, [(1, 6), (3, 8)]) == dapp_bruteforce(c8, [(1, 6), (3, 8)])[0]
 
 
-# Known-wrong answers of the k-DAPP DP.  Each test asserts the right answer,
-# so it passes, and the strict marker fails it, once the DP is fixed.
+# In the next three instances a path crosses into a child over one crossing,
+# takes one matching edge there and leaves over a second crossing: the two
+# crossings share their anchor edge, and the join must link them.
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the k-DAPP DP answers no")
 def test_dp_decides_on_the_minimal_repro():
     # M holds the forced covers 3-6 and 4-8 of the terminals, and
     # 4-7-1-9-2-10-5-6 is an internally M-conformal path joining them
@@ -169,7 +169,6 @@ def test_dp_decides_on_the_minimal_repro():
     assert linkage._dp_decides(b, ((4, 6),), forced, frozenset(), m) is True
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the k-DAPP DP answers no")
 def test_dapp_solve_on_the_n1_7_design_instance():
     # the oracle routes 3-11-6-10-1-12-4-13-7-9
     b = graph_from_edges(
@@ -183,7 +182,6 @@ def test_dapp_solve_on_the_n1_7_design_instance():
     assert dapp_solve(b, [(3, 9)]) == dapp_bruteforce(b, [(3, 9)], limit=14)[0]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the k-DAPP DP answers no")
 def test_dapp_solve_on_the_n1_6_design_instance():
     # with M = {1-8, 2-11, 3-12, 4-10, 5-7, 6-9} the paths 6-7-5-12-3-10-4-8
     # and 1-11-2-9 are disjoint and M-alternating
@@ -199,11 +197,10 @@ def test_dapp_solve_on_the_n1_6_design_instance():
     assert dapp_solve(b, pairs) == dapp_bruteforce(b, pairs)[0]
 
 
-@pytest.mark.xfail(strict=True, raises=NotNice, reason="the k-DAPP DP depends on the pair order")
 def test_dapp_solve_ignores_the_pair_order():
     # the oracle routes 6-12-5-13-7-8 and 4-9-1-10-2-14; the proxy families
-    # are enumerated in pair order, and one order meets a conversion that
-    # raises NotNice before it meets a "yes"
+    # are enumerated in pair order, and one order meets the conversion of a
+    # host with a completion edge before it meets a "yes"
     b = graph_from_edges(
         7,
         7,
@@ -250,6 +247,27 @@ def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
         pairs = [(rng.randint(1, n1), rng.randint(n1 + 1, 2 * n1)) for _ in range(k)]
         assert dapp_solve(b, pairs) == dapp_bruteforce(b, pairs)[0]
         checked += 1
+    # planted graphs up to n1 = 7 with 1-2 pairs that are not edges and share
+    # no terminal: both pair orders get the oracle's answer
+    rng = random.Random(20240)
+    for _ in range(400):
+        n1 = rng.randint(3, 7)
+        b = random_bipartite_with_pm(rng, n1, rng.randint(n1 // 2, 2 * n1))
+        pairs = []
+        for _ in range(rng.randint(1, 2)):
+            free = [
+                (s, t)
+                for s in range(1, n1 + 1)
+                for t in range(n1 + 1, 2 * n1 + 1)
+                if not b.has_edge(s, t) and all(s != p and t != q for p, q in pairs)
+            ]
+            if free:
+                pairs.append(rng.choice(free))
+        if not pairs:
+            continue
+        expected = dapp_bruteforce(b, pairs, limit=2 * n1)[0]
+        for order in (pairs, pairs[::-1]):
+            assert dapp_solve(b, order) == expected, (sorted(b.edges), order)
     assert dp_runs[0]
 
 

@@ -5,7 +5,7 @@ import pytest
 from matchwidth.bigraph import admissible_edges, check_matching, graph_from_edges
 from matchwidth.digraph import digraph_from_arcs
 from matchwidth.direction import m_direction, split
-from matchwidth.errors import NotContractible, NotNice
+from matchwidth.errors import NotContractible
 from matchwidth.isomorphism import digraph_isomorphic
 from matchwidth.minors import (
     MatchingMinorModel,
@@ -394,12 +394,10 @@ def test_matching_minor_check_instances_ignore_pair_order(monkeypatch):
             )
 
 
-@pytest.mark.xfail(strict=True, raises=NotNice, reason="the k-DAPP DP raises NotNice on this host")
 def test_matching_minor_check_on_a_larger_non_pfaffian_host():
     # This host (n1 = 6) is not Pfaffian, so by Little's theorem it holds
-    # K3,3 as a matching minor; the k-DAPP DP fails on it with `NotNice`
-    # (the defect of `linkage._dp_decides`).  Strict, so a change that
-    # stops the search from reaching the defect shows up here, as a fix does.
+    # K3,3 as a matching minor; its k-DAPP instances convert decompositions
+    # of hosts with completion edges.
     from matchwidth.minors import matching_minor_check
 
     host = graph_from_edges(
