@@ -346,9 +346,9 @@ class DirectedTreeDecomposition:
 
     parent[t] is -1 exactly for the root; guards[t] guards the arc into t
     (empty at the root).  Empty bags are permitted only for proto
-    decompositions (`validate_dtd` with proto=True): `dtw_exact_small`
-    gives every node a non-empty bag, and only the chain nodes that
-    `prepare_dtd` adds have empty ones.
+    decompositions (`validate_dtd` with proto=True, as `dtw --dtd FILE
+    --proto` reads them): `dtw_exact_small` gives every node a non-empty
+    bag, and `prepare_dtd`'s chain nodes have empty ones.
     """
 
     parent: tuple[int, ...]
@@ -744,9 +744,10 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
     so the tree becomes subcubic, preserving the guard axioms and the width.
 
     dec must be a decomposition of d that `validate_dtd` accepts, such as
-    the output of `dtw_exact_small`.  `dtd_to_nice_pmd` orders and folds
-    each node's children itself and builds the same tree from dec as from
-    the result, so this step is kept only while the benchmark traces it."""
+    the output of `dtw_exact_small`.  Nothing in the package calls it:
+    `dtd_to_nice_pmd` orders and folds each node's children itself and
+    builds the same tree from dec as from the result.  It stays only while
+    the benchmark names it as a trace target."""
     parent = list(dec.parent)
     bags = list(dec.bags)
     guards = list(dec.guards)
@@ -816,6 +817,7 @@ class _TreeBuilder:
 
     def caterpillar(self, items: list[int]) -> tuple[int, dict[int, int]]:
         """Left-leaning binary caterpillar; returns (root, leaf -> item)."""
+        assert items, "a caterpillar needs at least one item"
         spine = self.node()
         leaves = {spine: items[0]}
         for x in items[1:]:
@@ -1032,11 +1034,11 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
 
 def compute_pmd(b: BipartiteGraph, m: Matching) -> NicePMD:
     """Full pipeline: build the M-direction, find a directed tree
-    decomposition by the exact small-scale search, prepare it, and convert
-    it to a nice perfect matching decomposition of b.
+    decomposition by the exact small-scale search, and convert it to a nice
+    perfect matching decomposition of b.
 
     m must be a perfect matching of b; the caller supplies it, and the
     decomposition depends on which one it is."""
     d, tag = m_direction(b, m)
     _, dtd = dtw_exact_small(d)
-    return dtd_to_nice_pmd(b, d, tag, prepare_dtd(d, dtd))
+    return dtd_to_nice_pmd(b, d, tag, dtd)

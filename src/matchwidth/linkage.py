@@ -507,7 +507,8 @@ def _routes(
 
     crossings = [e for e in xy_edges if e not in r_set and not set(e) & ctx.banned]
     options = {v: end_options(v) for e in crossings for v in e}
-    # crossing usage is bounded: every crossing ends a part on each side
+    # vertex-disjoint crossings, a matching across the cut; k + w caps them as
+    # it caps segments below (a linked crossing ends no part on its side)
     max_h = ctx.k + ctx.w
 
     def enumerate_h(idx: int, chosen: list[tuple], used_v: set[int]) -> Iterator[list[tuple]]:

@@ -111,6 +111,7 @@ KEPT_UNREFERENCED = {
     "model_cgq_in_cg3k": "paper: the quadrangulation of order k is a matching minor of CG_3k",
     "square_grid_model": "paper: the quadrangulation of order k holds the k x k grid",
     "is_limited": "paper: solution linkages are (k, w)-limited",
+    "prepare_dtd": "bench/layers.py still names it as a trace target",
 }
 
 

@@ -217,6 +217,70 @@ def test_dapp_solve_ignores_the_pair_order():
     assert dapp_solve(b, pairs) == expected
 
 
+# dapp-pool questions (bench/workloads.py, seeds 1-10 and 821972149) whose
+# "yes" needs the join to link two crossings that share an anchor edge:
+# with the links switched off, the DP answers "no" on each of them
+LINKED_CROSSINGS = [
+    (6, [(6, 8), (1, 9)], (
+        "1-7 1-8 1-11 2-7 2-9 2-11 3-10 3-12 4-8 4-10 5-7 5-12 6-7 6-9"
+    )),
+    (7, [(1, 9)], (
+        "1-10 1-11 2-8 2-13 2-14 3-8 3-10 3-11 3-14 4-8 5-9 5-13 6-9 6-13 7-12"
+    )),
+    (7, [(3, 14)], (
+        "1-11 1-13 2-13 2-14 3-9 3-12 4-8 4-10 4-13 4-14 5-10 6-13 6-14 7-9 7-10 7-11 "
+        "7-12"
+    )),
+    (6, [(4, 10), (2, 11)], (
+        "1-7 1-9 1-12 2-8 2-10 3-9 3-10 3-11 4-7 4-9 4-11 4-12 5-8 5-12 6-7 6-8 6-9 6-10"
+    )),
+    (7, [(4, 8)], (
+        "1-9 1-10 2-8 2-10 3-9 3-11 3-14 4-11 4-12 4-13 4-14 5-12 6-8 6-10 7-9 7-11 7-12 "
+        "7-14"
+    )),
+    (9, [(9, 13)], (
+        "1-10 2-10 2-15 2-17 3-13 3-15 4-10 4-11 5-13 5-14 6-10 6-12 6-16 6-17 7-18 8-10 "
+        "8-14 9-12 9-16"
+    )),
+    (8, [(3, 10), (8, 15)], (
+        "1-11 1-12 1-14 2-9 2-11 2-15 3-9 3-15 3-16 4-10 4-14 5-11 5-12 5-15 6-12 6-13 "
+        "7-10 7-14 8-13 8-16"
+    )),
+    (9, [(9, 15)], (
+        "1-11 1-16 1-17 2-10 2-12 2-18 3-11 3-15 4-10 4-13 4-14 4-18 5-15 6-13 7-17 7-18 "
+        "8-16 8-18 9-12 9-18"
+    )),
+    (9, [(5, 17)], (
+        "1-12 1-15 2-10 2-11 2-13 2-15 3-12 3-17 4-11 4-14 5-13 5-16 6-14 6-17 7-13 7-15 "
+        "8-15 8-16 8-17 8-18 9-11 9-14"
+    )),
+    (8, [(1, 10), (8, 12)], (
+        "1-9 1-12 1-15 2-11 2-14 2-16 3-10 3-11 3-13 4-9 4-11 4-12 4-14 5-11 6-9 6-12 "
+        "6-15 6-16 7-13 7-16 8-10 8-15 8-16"
+    )),
+    (9, [(3, 18), (7, 11)], (
+        "1-12 1-14 1-15 1-16 2-12 2-13 2-17 3-11 3-13 4-11 4-13 4-14 4-15 5-13 5-15 5-17 "
+        "6-10 6-13 7-15 7-18 8-11 8-12 9-16 9-18"
+    )),
+    (9, [(5, 13), (1, 17)], (
+        "1-12 1-13 1-14 2-12 2-13 2-18 3-12 3-15 3-16 4-11 4-12 4-13 4-16 4-17 5-12 5-18 "
+        "6-13 6-15 6-17 7-10 7-15 8-14 8-16 9-12 9-17"
+    )),
+    (9, [(2, 14), (8, 18)], (
+        "1-15 1-17 2-10 2-11 2-12 2-13 2-17 3-11 3-15 3-18 4-12 4-13 5-10 5-13 5-17 6-18 "
+        "7-10 7-16 8-10 8-13 8-14 9-10 9-12 9-14 9-15 9-18"
+    )),
+    (9, [(7, 14)], (
+        "1-11 1-12 1-16 2-10 2-15 2-16 2-17 3-14 3-15 3-17 4-12 4-15 5-12 5-15 5-17 6-12 "
+        "6-17 7-13 7-15 7-18 8-10 8-11 8-12 8-14 9-13 9-16"
+    )),
+    (9, [(8, 12), (6, 17)], (
+        "1-15 1-18 2-11 2-13 2-16 2-17 3-14 3-15 3-16 4-11 4-12 4-17 4-18 5-13 5-16 6-12 "
+        "6-14 7-10 7-12 7-16 8-10 8-13 8-16 9-12 9-17 9-18"
+    )),
+]
+
+
 def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
     # every DP run also receives a perfect matching of its host that holds
     # the instance's forced edges
@@ -268,6 +332,11 @@ def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
         expected = dapp_bruteforce(b, pairs, limit=2 * n1)[0]
         for order in (pairs, pairs[::-1]):
             assert dapp_solve(b, order) == expected, (sorted(b.edges), order)
+    for n1, pairs, edges in LINKED_CROSSINGS:
+        b = graph_from_edges(n1, n1, [tuple(map(int, e.split("-"))) for e in edges.split()])
+        expected = dapp_bruteforce(b, pairs, limit=2 * n1)[0]
+        for order in (pairs, pairs[::-1]):
+            assert dapp_solve(b, order) == expected, (n1, edges, order)
     assert dp_runs[0]
 
 
