@@ -14,6 +14,7 @@ from matchwidth.bigraph import (
 from matchwidth.decomp import compute_pmd
 from matchwidth.errors import InvalidW, NotExtendable, OracleLimitExceeded
 from matchwidth.linkage import (
+    _alternating_paths,
     _query,
     dapp_bruteforce,
     dapp_solve,
@@ -340,6 +341,120 @@ def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
     assert dp_runs[0]
 
 
+def perfect_matchings_on(b, free):
+    """Every perfect matching of b[free], by brute force."""
+    if not free:
+        yield frozenset()
+        return
+    v = min(free)
+    for y in sorted(b.adj[v] & free):
+        e = (min(v, y), max(v, y))
+        for rest in perfect_matchings_on(b, free - {v, y}):
+            yield rest | {e}
+
+
+def entry_oracle(b, forced, banned, xs, u_set, pairs, j_set):
+    """One itinerary entry by brute force, as the `_query` docstring defines
+    it: a perfect matching M of b[xs - V(U)], plus U, that holds J's edges
+    inside xs, with every forced edge that touches xs in J, and disjoint pair
+    paths inside xs, internally M-conformal, that avoid banned vertices and
+    J's non-terminal vertices."""
+    if any(e not in j_set for e in forced if e[0] in xs or e[1] in xs):
+        return False
+    inner = {e for e in j_set if e[0] in xs and e[1] in xs}
+    terminals = {x for p in pairs for x in p}
+    blocked = (
+        frozenset(b.vertices) - xs
+        | banned
+        | ({x for e in j_set for x in e} - terminals)
+    )
+    free = xs - {x for e in u_set for x in e}
+    for m in perfect_matchings_on(b, free):
+        if not inner <= m:
+            continue
+        mate = {}
+        for u, v in m | u_set:
+            mate[u] = v
+            mate[v] = u
+
+        def route(idx, used):
+            if idx == len(pairs):
+                return True
+            s, t = pairs[idx]
+            others = terminals - {s, t}
+            return any(
+                route(idx + 1, used | set(path))
+                for path in _alternating_paths(b, mate, s, t, blocked | others | used)
+            )
+
+        if route(0, frozenset()):
+            return True
+    return False
+
+
+def edge_set(ctx, edges):
+    """The edges of an edge set of one DP run."""
+    return edges
+
+
+def memo_entries(ctx):
+    """Each memo entry of one DP run as (vertex set, U, pairs, J, answer),
+    decoded through the context."""
+    for (node, u_set, pairs, j_set), got in ctx.memo.items():
+        yield ctx.below[node], edge_set(ctx, u_set), pairs, edge_set(ctx, j_set), got
+
+
+def test_every_itinerary_entry_agrees_with_the_entry_oracle(monkeypatch):
+    # every entry the DP settles while deciding seeded planted questions and
+    # the linked-crossing questions, in both pair orders, is checked against
+    # its definition
+    import matchwidth.linkage as linkage
+
+    contexts = []
+
+    def recorded(*args, **kwargs):
+        contexts.append(linkage_make_context(*args, **kwargs))
+        return contexts[-1]
+
+    linkage_make_context = linkage.make_context
+    monkeypatch.setattr(linkage, "make_context", recorded)
+
+    def check(b, pairs):
+        contexts.clear()
+        dapp_solve(b, pairs)
+        for ctx in contexts:
+            forced = edge_set(ctx, ctx.forced)
+            for xs, u_set, entry_pairs, j_set, got in memo_entries(ctx):
+                want = entry_oracle(ctx.b, forced, ctx.banned, xs, u_set, entry_pairs, j_set)
+                assert got == want, (sorted(ctx.b.edges), sorted(xs), u_set, entry_pairs, j_set)
+                answers.append(got)
+
+    answers = []
+    rng = random.Random(31)
+    for _ in range(400):
+        n1 = rng.randint(3, 6)
+        b = random_bipartite_with_pm(rng, n1, rng.randint(n1 // 2, 2 * n1))
+        pairs = []
+        for _ in range(rng.randint(1, 2)):
+            free = [
+                (s, t)
+                for s in range(1, n1 + 1)
+                for t in range(n1 + 1, 2 * n1 + 1)
+                if not b.has_edge(s, t) and all(s != p and t != q for p, q in pairs)
+            ]
+            if free:
+                pairs.append(rng.choice(free))
+        if pairs:
+            check(b, pairs)
+    assert len(answers) > 500 and True in answers and False in answers
+    answers.clear()
+    for n1, pairs, edges in LINKED_CROSSINGS:
+        b = graph_from_edges(n1, n1, [tuple(map(int, e.split("-"))) for e in edges.split()])
+        for order in (pairs, pairs[::-1]):
+            check(b, order)
+    assert len(answers) > 500 and True in answers and False in answers
+
+
 def test_solve_full_trusts_its_forced_set(monkeypatch):
     # an instance whose pairs are all edges of b is solved by routing them
     # along those edges; the caller has already shown that the forced set
@@ -381,7 +496,6 @@ def test_dapp_extending_can_refuse():
     c8 = even_cycle(4)
     other = frozenset({(2, 5), (3, 6), (4, 7), (1, 8)})
     want = False
-    from matchwidth.linkage import _alternating_paths
 
     mate = {}
     for u, v in other:
