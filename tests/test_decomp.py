@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -16,6 +18,7 @@ from matchwidth.decomp import (
     cycw_exact_small,
     dtd_to_nice_pmd,
     dtw_exact_small,
+    matchings_in,
     nice_pmd_check,
     pmd_width,
     pmw_exact_small,
@@ -296,6 +299,44 @@ def test_binarised_two_leaf_tree():
     assert view.kids == [(), (), (0, 1)]
     assert view.order == [2, 0, 1]
     assert view.below() == [frozenset({2}), frozenset({1}), frozenset({1, 2})]
+
+
+def test_cut_masks_hold_the_edges_with_one_end_below():
+    rng = random.Random(23)
+    cases = [(k2(), LeafTree((frozenset({1}), frozenset({0})), {0: 2, 1: 1}).binarised())]
+    for _ in range(20):
+        b = random_bipartite_with_pm(rng, rng.randint(2, 6), rng.randint(0, 10))
+        for kind in ROOT_KINDS:
+            tree = random_cubic_tree(rng, b.vertices, kind)
+            cases.append((b, tree.binarised()))
+            if kind == "deg3":
+                # the degree-3 root's view adds the virtual node m
+                assert len(cases[-1][1].kids) == tree.m + 1
+    for b, view in cases:
+        edges = sorted(b.edges)
+        below = view.below_masks()
+        cut = view.cut_masks(edges)
+        for x in view.order:
+            assert cut[x] == sum(
+                1 << i for i, (u, v) in enumerate(edges) if (below[x] >> u & 1) != (below[x] >> v & 1)
+            )
+
+
+def test_matchings_in_lists_every_small_matching_of_its_mask_once():
+    rng = random.Random(29)
+    for _ in range(30):
+        b = random_bipartite_with_pm(rng, rng.randint(2, 4), rng.randint(0, 6))
+        ends = [1 << u | 1 << v for u, v in sorted(b.edges)]
+        mask = rng.getrandbits(len(ends))
+        cap = rng.randint(0, 3)
+        want = []
+        for sub in range(1 << len(ends)):
+            chosen = [ev for i, ev in enumerate(ends) if sub >> i & 1]
+            covered = reduce(or_, chosen, 0)
+            if not sub & ~mask and len(chosen) <= cap and covered.bit_count() == 2 * len(chosen):
+                want.append((sub, covered))
+        got = matchings_in(mask, ends, cap)
+        assert got[0] == (0, 0) and sorted(got) == sorted(want)
 
 
 def test_prepare_dtd():

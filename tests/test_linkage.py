@@ -12,6 +12,7 @@ from matchwidth.bigraph import (
     some_perfect_matching,
 )
 from matchwidth.decomp import compute_pmd
+from matchwidth.digraph import mask_members
 from matchwidth.errors import InvalidW, NotExtendable, OracleLimitExceeded
 from matchwidth.linkage import (
     _alternating_paths,
@@ -128,17 +129,19 @@ def test_itinerary_root_matches_solution():
     w_prime = frozenset({(2, 4), (3, 5)})
     assert is_extendable(c6, w_prime)
     ctx = make_context(c6, nice, forced=w_prime, banned=frozenset(), k=1)
+    j_set = ctx.index[2, 4] | ctx.index[3, 5]
     # the path 2-5 exists with both anchors forced
-    assert _query(ctx, ctx.root_node, frozenset(), ((2, 5),), w_prime) is True
+    assert _query(ctx, ctx.root_node, 0, ((2, 5),), j_set) is True
     # an empty J leaves the terminals uncovered, so the entry is refused
-    assert _query(ctx, ctx.root_node, frozenset(), ((2, 5),), frozenset()) is False
+    assert _query(ctx, ctx.root_node, 0, ((2, 5),), 0) is False
 
 
 def test_make_context_on_a_two_leaf_tree():
     # K2's decomposition has no inner node: the DP joins its two leaves at
-    # the virtual node 2
+    # the virtual node 2, over the one edge that each leaf's cut holds
     ctx = make_context(k2(), compute_pmd(k2(), some_perfect_matching(k2())), (), (), 1)
-    assert ctx.below == [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+    assert ctx.below == [0b010, 0b100, 0b110]
+    assert ctx.edges == [(1, 2)] and ctx.cut == [1, 1, 0]
     assert ctx.kids == [(), (), (0, 1)]
     assert ctx.root_node == 2
 
@@ -282,6 +285,23 @@ LINKED_CROSSINGS = [
 ]
 
 
+def planted_question(rng, n1):
+    """A planted graph on (n1, n1) and 1-2 terminal pairs that are not edges
+    and share no terminal (fewer when no such pair is left)."""
+    b = random_bipartite_with_pm(rng, n1, rng.randint(n1 // 2, 2 * n1))
+    pairs = []
+    for _ in range(rng.randint(1, 2)):
+        free = [
+            (s, t)
+            for s in range(1, n1 + 1)
+            for t in range(n1 + 1, 2 * n1 + 1)
+            if not b.has_edge(s, t) and all(s != p and t != q for p, q in pairs)
+        ]
+        if free:
+            pairs.append(rng.choice(free))
+    return b, pairs
+
+
 def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
     # every DP run also receives a perfect matching of its host that holds
     # the instance's forced edges
@@ -317,17 +337,7 @@ def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
     rng = random.Random(20240)
     for _ in range(400):
         n1 = rng.randint(3, 7)
-        b = random_bipartite_with_pm(rng, n1, rng.randint(n1 // 2, 2 * n1))
-        pairs = []
-        for _ in range(rng.randint(1, 2)):
-            free = [
-                (s, t)
-                for s in range(1, n1 + 1)
-                for t in range(n1 + 1, 2 * n1 + 1)
-                if not b.has_edge(s, t) and all(s != p and t != q for p, q in pairs)
-            ]
-            if free:
-                pairs.append(rng.choice(free))
+        b, pairs = planted_question(rng, n1)
         if not pairs:
             continue
         expected = dapp_bruteforce(b, pairs, limit=2 * n1)[0]
@@ -392,16 +402,16 @@ def entry_oracle(b, forced, banned, xs, u_set, pairs, j_set):
     return False
 
 
-def edge_set(ctx, edges):
-    """The edges of an edge set of one DP run."""
-    return edges
+def edge_set(ctx, mask):
+    """The edges of an edge mask of one DP run."""
+    return frozenset(ctx.edges[i] for i in mask_members(mask))
 
 
 def memo_entries(ctx):
     """Each memo entry of one DP run as (vertex set, U, pairs, J, answer),
     decoded through the context."""
     for (node, u_set, pairs, j_set), got in ctx.memo.items():
-        yield ctx.below[node], edge_set(ctx, u_set), pairs, edge_set(ctx, j_set), got
+        yield mask_members(ctx.below[node]), edge_set(ctx, u_set), pairs, edge_set(ctx, j_set), got
 
 
 def test_every_itinerary_entry_agrees_with_the_entry_oracle(monkeypatch):
@@ -410,13 +420,13 @@ def test_every_itinerary_entry_agrees_with_the_entry_oracle(monkeypatch):
     # its definition
     import matchwidth.linkage as linkage
 
+    make_context = linkage.make_context
     contexts = []
 
     def recorded(*args, **kwargs):
-        contexts.append(linkage_make_context(*args, **kwargs))
+        contexts.append(make_context(*args, **kwargs))
         return contexts[-1]
 
-    linkage_make_context = linkage.make_context
     monkeypatch.setattr(linkage, "make_context", recorded)
 
     def check(b, pairs):
@@ -432,18 +442,7 @@ def test_every_itinerary_entry_agrees_with_the_entry_oracle(monkeypatch):
     answers = []
     rng = random.Random(31)
     for _ in range(400):
-        n1 = rng.randint(3, 6)
-        b = random_bipartite_with_pm(rng, n1, rng.randint(n1 // 2, 2 * n1))
-        pairs = []
-        for _ in range(rng.randint(1, 2)):
-            free = [
-                (s, t)
-                for s in range(1, n1 + 1)
-                for t in range(n1 + 1, 2 * n1 + 1)
-                if not b.has_edge(s, t) and all(s != p and t != q for p, q in pairs)
-            ]
-            if free:
-                pairs.append(rng.choice(free))
+        b, pairs = planted_question(rng, rng.randint(3, 6))
         if pairs:
             check(b, pairs)
     assert len(answers) > 500 and True in answers and False in answers
