@@ -509,14 +509,27 @@ def _responses(table: _SccTable, cops: int, robber: int, move: int) -> list[int]
     return [c for c in table[move][0] if c & region]
 
 
-def _monotone_win(table: _SccTable, moves: list[int]) -> dict[int, int] | None:
+def _monotone_win(table: _SccTable, moves: list[int], upto: list[int]) -> dict[int, int] | None:
     """The first winning move, in the order of `moves`, of each position the
-    progress-monotone game reaches, keyed on `robber << (n + 1) | cops`, with
-    0 where the cops lose; None if they lose from the start.
+    progress-monotone game with k = len(upto) - 1 cops reaches, keyed on
+    `robber << (n + 1) | cops`, with 0 where the cops lose; None if they
+    lose from the start.  `moves` lists vertex masks by size, then in
+    combination order, and its first `upto[s]` entries are those of at most
+    s vertices.
 
-    Moves place at least one cop inside the robber component and must shrink
-    the territory; the search is therefore acyclic and memoisable.
+    A move places at least one cop inside the robber component and must
+    shrink the territory, so the search is acyclic and memoisable.  Only
+    such moves are listed.  A move keeps some cops `hold` and adds cops y
+    outside `cops`; it shrinks the territory iff the component of d - hold
+    around the robber lies inside robber | move.  That component holds the
+    robber component, and any lifted cop in it lies outside the move; if it
+    holds no cop, it is strongly connected in d - cops and so lies inside
+    the robber component.  So the move is monotone iff that component is
+    the robber component itself.
     """
+    k = len(upto) - 1
+    within = [moves[:end] for end in upto]  # the moves of at most s vertices
+    rank = {move: i for i, move in enumerate(within[k])}
     shift = table.d.n + 1
     memo: dict[int, int] = {}  # 0: the position is lost
 
@@ -527,16 +540,19 @@ def _monotone_win(table: _SccTable, moves: list[int]) -> dict[int, int] | None:
             return result
         result = 0
         low = (robber & -robber).bit_length() - 1
-        for move in moves:
-            if not move & robber:
-                continue
-            # No response equals the robber component, which `move` meets.
-            # A response leaves it iff the component of d - hold around the
-            # robber, opened up by the cops that lift, has a vertex outside
-            # robber | move.
-            hold = cops & move
-            if hold != cops and table[hold][1][low] & ~(robber | move):
-                continue
+        legal: list[int] = []
+        hold = cops
+        while True:  # the submasks of cops, cops first
+            room = k - hold.bit_count()
+            if room and table[hold][1][low] == robber:
+                legal += [hold | y for y in within[room] if y & robber and not y & cops]
+            if not hold:
+                break
+            hold = (hold - 1) & cops
+        # each hold's moves come in `moves` order, as adding one disjoint set
+        # keeps combination order; sorting merges the holds
+        legal.sort(key=rank.__getitem__)
+        for move in legal:
             for c in table[move][0]:
                 if c & robber and not win(move, c):
                     break
@@ -590,7 +606,13 @@ def cop_number_game_exact(d: Digraph) -> int:
 def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     """Minimum cop number (progress-monotone game) and a certificate
     decomposition of width at most 2k - 1 <= 3k - 2 extracted from the
-    winning strategy."""
+    winning strategy.
+
+    One cop wins exactly when d is acyclic, so a cyclic d starts at two:
+    once the cop sits at v in the robber's component S, every next move
+    {w} lifts v, and the component of d around the robber is S, which
+    still holds v, so no monotone move exists.
+    """
     if d.n > DTW_ORACLE_LIMIT:
         raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {DTW_ORACLE_LIMIT}")
     if d.n == 0:
@@ -598,9 +620,14 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     table = _SccTable(d)
     verts = sorted(d.vertices)
     moves: list[int] = []
+    upto = [0]
+    first = 2 if any(c & (c - 1) for c in table[0][0]) else 1
     for number in range(1, d.n + 1):
         moves += [vertex_mask(c) for c in combinations(verts, number)]
-        strategy = _monotone_win(table, moves)
+        upto.append(len(moves))
+        if number < first:
+            continue
+        strategy = _monotone_win(table, moves, upto)
         if strategy is not None:
             break
     assert strategy is not None

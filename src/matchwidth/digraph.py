@@ -74,7 +74,12 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 def mask_members(mask: int) -> frozenset[int]:
     """The vertex set of a mask made by `vertex_mask`."""
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    members = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        members.append(bit.bit_length() - 1)
+    return frozenset(members)
 
 
 def strong_component_masks(d: Digraph, banned: int = 0) -> list[int]:

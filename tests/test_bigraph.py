@@ -13,6 +13,7 @@ from matchwidth.bigraph import (
     is_conformal,
     is_extendable,
     is_matching_covered,
+    max_matching,
     some_perfect_matching,
     induced_subgraph,
 )
@@ -220,3 +221,23 @@ def test_random_graphs_pm_consistency(n1, data):
     assert (m is not None) == (len(pms) > 0)
     if m is not None:
         assert m in pms
+
+
+def test_max_matching_size_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    for _ in range(150):
+        n1, n2 = rng.randint(0, 9), rng.randint(0, 9)
+        p = rng.uniform(0.05, 0.6)
+        b = graph_from_edges(
+            n1, n2, [(u, v) for u in range(1, n1 + 1) for v in range(n1 + 1, n1 + n2 + 1) if rng.random() < p]
+        )
+        banned = frozenset(v for v in b.vertices if rng.random() < 0.2)
+        got = max_matching(b, banned)
+        assert all(v in b.adj[u] and u not in banned and v not in banned for u, v in got.items())
+        assert len(set(got.values())) == len(got)
+        g = nx.Graph()
+        g.add_nodes_from(v for v in b.vertices if v not in banned)
+        g.add_edges_from((u, v) for u, v in b.edges if u not in banned and v not in banned)
+        top = [u for u in b.v1 if u not in banned]
+        assert len(got) == len(nx.bipartite.hopcroft_karp_matching(g, top)) // 2

@@ -7,6 +7,11 @@ a fresh Hopcroft-Karp run and a fresh strong-component pass.  Both must
 give the same verdict and the same reason on inputs that include
 rejections, and every checker must reject some of them.
 
+`ref_monotone_win` is the earlier cop search, which scans every cop set of
+at most k vertices at each position and rejects the moves that are not
+monotone.  `_monotone_win`, which lists only the monotone moves, must try
+them in the same order and so fill the same memo.
+
 `ref_is_prepared` checks the prepared axioms of a proto decomposition
 (subcubic; strong or small child subtrees; two children orderable without
 back edges).  `dtd_to_nice_pmd` takes any decomposition that `validate_dtd`
@@ -16,7 +21,7 @@ certified tree or raises NotNice.
 """
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from matchwidth.bigraph import (
     enumerate_perfect_matchings,
@@ -29,6 +34,7 @@ from matchwidth.decomp import (
     LeafTree,
     NicePMD,
     _SccTable,
+    _monotone_win,
     compute_pmd,
     dtd_to_nice_pmd,
     dtw_exact_small,
@@ -40,7 +46,13 @@ from matchwidth.digraph import Digraph, mask_members, strong_components, vertex_
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NotNice
 
-from common import random_bipartite_with_pm, random_cubic_tree, random_digraph
+from common import (
+    bidirected_clique,
+    directed_cycle,
+    random_bipartite_with_pm,
+    random_cubic_tree,
+    random_digraph,
+)
 
 
 def ref_strong_components(d, banned=frozenset()):
@@ -149,6 +161,39 @@ def ref_validate_dtd(d, dec, proto=False):
         if outside and (ref_reachable(d, outside, guard) & inner):
             return False, 0, f"guard of node {t} misses a walk"
     return True, dec.width(), None
+
+
+def ref_monotone_win(table, moves):
+    """The first winning move of each reached position, by a scan of every
+    move in `moves` (all cop sets of at most k vertices)."""
+    shift = table.d.n + 1
+    memo = {}
+
+    def win(cops, robber):
+        key = robber << shift | cops
+        result = memo.get(key)
+        if result is not None:
+            return result
+        result = 0
+        low = (robber & -robber).bit_length() - 1
+        for move in moves:
+            if not move & robber:
+                continue
+            hold = cops & move
+            if hold != cops and table[hold][1][low] & ~(robber | move):
+                continue
+            for c in table[move][0]:
+                if c & robber and not win(move, c):
+                    break
+            else:
+                result = move
+                break
+        memo[key] = result
+        return result
+
+    if not all(win(0, c) for c in table[0][0]):
+        return None
+    return memo
 
 
 def ref_is_prepared(d, dec):
@@ -365,6 +410,43 @@ def test_scc_table_matches_strong_components():
             assert [mask_members(c) for c in comps] == expected
             for v in d.vertices:
                 assert owner[v] == next((c for c in comps if c >> v & 1), 0)
+
+
+def random_dag(rng, n):
+    """Arcs only go forward along a shuffled order of the vertices."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    p = rng.uniform(0.2, 0.8)
+    return Digraph(
+        n, frozenset((order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+    )
+
+
+def test_monotone_win_matches_the_full_scan():
+    # every k up to the cop number: the same None, or the same memo
+    rng = random.Random(83)
+    digraphs = [random_dag(rng, rng.randint(1, 10)) for _ in range(20)]
+    digraphs += [directed_cycle(n) for n in range(2, 9)]
+    digraphs += [bidirected_clique(n) for n in range(1, 6)]
+    digraphs += [random_digraph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.6)) for _ in range(120)]
+    for _ in range(40):
+        b = planted(rng, 3, 10)
+        digraphs.append(m_direction(b, some_perfect_matching(b))[0])
+    lost = won = 0
+    for d in digraphs:
+        table = _SccTable(d)
+        verts = sorted(d.vertices)
+        moves, upto = [], [0]
+        for k in range(1, d.n + 1):
+            moves += [vertex_mask(c) for c in combinations(verts, k)]
+            upto.append(len(moves))
+            want = ref_monotone_win(table, moves)
+            assert _monotone_win(table, moves, upto) == want
+            if want is not None:
+                won += len(want)
+                break
+            lost += 1
+    assert lost > 100 and won > 1000
 
 
 def conversion_inputs(rng):

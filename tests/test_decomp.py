@@ -236,6 +236,32 @@ def test_cop_number_matches_true_game():
         assert dtw_exact_small(d)[0] == cop_number_game_exact(d)
 
 
+def acyclic(d):
+    """Kahn's algorithm: every vertex gets removed."""
+    indeg = {v: len(d.in_adj[v]) for v in d.vertices}
+    todo = [v for v in d.vertices if not indeg[v]]
+    for v in todo:
+        for w in d.out_adj[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                todo.append(w)
+    return len(todo) == d.n
+
+
+def test_one_cop_wins_exactly_on_acyclic_digraphs():
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        d = random_digraph(rng, n, rng.uniform(0.05, 0.5))
+        want = acyclic(d)
+        assert (dtw_exact_small(d)[0] == 1) == want
+        if n <= 6:
+            assert (cop_number_game_exact(d) == 1) == want
+        verdicts.append(want)
+    assert 50 < verdicts.count(True) < 250
+
+
 def test_dtw_exact_small_at_workload_size():
     # M-directions of planted graphs as large as the pm-dense benchmark's;
     # (cop number, width, nodes) as the frozenset search found them

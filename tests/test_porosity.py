@@ -353,3 +353,27 @@ def test_hitting_set_random():
             )
             if crosses:
                 assert set(cyc) & set(s)
+
+
+def test_porosity_matches_linear_sum_assignment():
+    # crossing edges weigh 1, the others 0, and non-edges are forbidden; n1
+    # above 14 takes the successive-shortest-path route
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(37)
+    for n1 in [rng.randint(1, 8) for _ in range(80)] + [15, 16, 17, 18]:
+        b = random_bipartite_with_pm(rng, n1, rng.randint(0, 3 * n1))
+        if rng.random() < 0.2:
+            drop = rng.choice(sorted(b.edges))
+            b = graph_from_edges(n1, n1, b.edges - {drop})
+        shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
+        cost = np.full((n1, n1), np.inf)
+        for u, v in b.edges:
+            cost[u - 1, v - n1 - 1] = -1.0 if (u in shore) != (v in shore) else 0.0
+        try:
+            rows, cols = optimize.linear_sum_assignment(cost)
+        except ValueError:  # no perfect matching
+            with pytest.raises(NoPerfectMatching):
+                matching_porosity(b, shore)
+            continue
+        assert matching_porosity(b, shore) == -int(cost[rows, cols].sum())
