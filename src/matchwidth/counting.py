@@ -68,7 +68,9 @@ def count_pm_bruteforce(g: Graph | BipartiteGraph, limit: int = COUNT_ORACLE_LIM
 
 @dataclass
 class CountStats:
-    """Operation counters backing the runtime-envelope assertions."""
+    """Operation counters backing the runtime-envelope assertions: the DP
+    table entries the walk visits, and the middle matchings those entries
+    sum over."""
 
     table_entries: int = 0
     boundary_sets: int = 0
@@ -89,6 +91,15 @@ def count_pm_decomp(
     endpoints below t, so tables are keyed on (node, vertex bitmask), and
     filled by a walk on an explicit stack, so any tree depth is fine.  Works
     for general graphs (desk scale).
+
+    A bipartite graph has no perfect matching unless it holds as many V1 as
+    V2 vertices, so mu(t, S) = 0 unless below(t) - S is colour-balanced.
+    With tilt(X) = |X & V1| - |X & V2|, the term of a middle matching w of t
+    is 0 unless tilt(w1) = tilt(below(t1) - S1) for its part w1 below the
+    first child t1; each node's middle matchings are grouped by tilt(w1)
+    and only that group is read, which skips only zero terms.  Every middle
+    matching has tilt 0, so from a balanced entry the DP asks only for
+    balanced child entries.  For a general graph the tilt is 0 throughout.
     """
     dec.validate(g.vertices)
     if stats is None:
@@ -109,15 +120,28 @@ def count_pm_decomp(
     ends = [1 << u | 1 << v for u, v in edges]
     cut = view.cut_masks(edges)
 
+    if isinstance(g, BipartiteGraph):
+        white = (1 << g.n1 + 1) - 2
+
+        def tilt(mask: int) -> int:
+            return 2 * (mask & white).bit_count() - mask.bit_count()
+
+    else:
+
+        def tilt(mask: int) -> int:
+            return 0
+
     # each middle matching of x as (its vertices, those below x's first
-    # child, those below its second)
+    # child, those below its second), grouped by the tilt of those below
+    # the first child
     cap = g.n // 2 if width is None else width
-    mids: dict[int, list[tuple[int, int, int]]] = {}
+    mids: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     for x, ys in enumerate(kids):
         if ys:
             b1 = below[ys[0]]
-            ws = matchings_in(cut[ys[0]] & cut[ys[1]], ends, cap)
-            mids[x] = [(w, w & b1, w & ~b1) for _, w in ws]
+            groups = mids[x] = {}
+            for _, w in matchings_in(cut[ys[0]] & cut[ys[1]], ends, cap):
+                groups.setdefault(tilt(w & b1), []).append((w, w & b1, w & ~b1))
 
     memo: list[dict[int, int]] = [{} for _ in kids]
 
@@ -128,7 +152,8 @@ def count_pm_decomp(
         memo1, memo2 = memo[t1], memo[t2]
         s1 = s & below[t1]
         s2 = s ^ s1
-        ws = [w for w in mids[t] if not w[0] & s]
+        # only the group that balances what is left below t1 counts
+        ws = [w for w in mids[t].get(tilt(below[t1] ^ s1), ()) if not w[0] & s]
         if t not in uncounted:
             stats.table_entries += 1
             stats.boundary_sets += len(ws)

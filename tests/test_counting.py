@@ -4,7 +4,7 @@ import pytest
 
 from matchwidth.bigraph import Graph, graph_from_edges, induced_subgraph, some_perfect_matching
 from matchwidth.counting import CountStats, count_pm, count_pm_bruteforce, count_pm_decomp
-from matchwidth.decomp import LeafTree, _TreeBuilder, compute_pmd, pmw_exact_small
+from matchwidth.decomp import LeafTree, _TreeBuilder, compute_pmd, matchings_in, pmw_exact_small
 from matchwidth.direction import elementary_parts
 from matchwidth.errors import OracleLimitExceeded
 from matchwidth.grids import cylindrical_grid, square_grid, square_grid_coords
@@ -65,6 +65,126 @@ def random_leaf_tree(rng: random.Random, ground, root_degree: int) -> LeafTree:
     for x in parts:
         tb.link(root, x)
     return LeafTree(tuple(map(frozenset, tb.adj)), leaf_map, root)
+
+
+def unpruned_count_pm_decomp(g, dec, width=None, stats=None):
+    """The decomposition DP before colour balance pruned it: every entry
+    sums over all middle matchings that avoid S, zero terms included."""
+    dec.validate(g.vertices)
+    if stats is None:
+        stats = CountStats()
+    if dec.m == 1:
+        return 1 if g.n == 0 else 0
+    view = dec.binarised()
+    root, kids = view.root, view.kids
+    uncounted = (root, dec.m)
+    below = view.below_masks()
+    edges = sorted(g.edges)
+    ends = [1 << u | 1 << v for u, v in edges]
+    cut = view.cut_masks(edges)
+    cap = g.n // 2 if width is None else width
+    mids = {}
+    for x, ys in enumerate(kids):
+        if ys:
+            b1 = below[ys[0]]
+            ws = matchings_in(cut[ys[0]] & cut[ys[1]], ends, cap)
+            mids[x] = [(w, w & b1, w & ~b1) for _, w in ws]
+    memo = [{} for _ in kids]
+
+    def entry(t, s):
+        t1, t2 = kids[t]
+        memo1, memo2 = memo[t1], memo[t2]
+        s1 = s & below[t1]
+        s2 = s ^ s1
+        ws = [w for w in mids[t] if not w[0] & s]
+        if t not in uncounted:
+            stats.table_entries += 1
+            stats.boundary_sets += len(ws)
+        total = 0
+        for _, w1, w2 in ws:
+            left = memo1.get(s1 | w1)
+            if left is None:
+                yield t1, s1 | w1
+                left = memo1[s1 | w1]
+            if left:
+                right = memo2.get(s2 | w2)
+                if right is None:
+                    yield t2, s2 | w2
+                    right = memo2[s2 | w2]
+                total += left * right
+        memo[t][s] = total
+
+    stack = [entry(root, 0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif child[0] in dec.leaf_map:
+            t, s = child
+            memo[t][s] = 1 if s else 0
+            stats.table_entries += 1
+        else:
+            stack.append(entry(*child))
+    return memo[root][0]
+
+
+def assert_pruning_is_exact(g, tree, width=None) -> int:
+    """Both DPs give the same count, and the pruned one visits no more
+    entries; returns the count."""
+    new, old = CountStats(), CountStats()
+    got = count_pm_decomp(g, tree, width=width, stats=new)
+    assert got == unpruned_count_pm_decomp(g, tree, width=width, stats=old)
+    assert new.table_entries <= old.table_entries
+    assert new.boundary_sets <= old.boundary_sets
+    return got
+
+
+def test_balanced_entries_agree_with_the_unpruned_dp():
+    rng = random.Random(37)
+    for _ in range(60):
+        n1 = rng.randint(1, 7)
+        b = random_bipartite_with_pm(rng, n1, rng.randint(0, 2 * n1))
+        expected = count_pm_bruteforce(b)
+        nice = compute_pmd(b, some_perfect_matching(b))
+        assert assert_pruning_is_exact(b, nice.tree, width=nice.width) == expected
+        for root_degree in (2, 3):
+            tree = random_leaf_tree(rng, b.vertices, root_degree)
+            assert assert_pruning_is_exact(b, tree) == expected
+    # unbalanced colour classes, and balanced ones without a perfect matching
+    unbalanced = no_pm = 0
+    for _ in range(200):
+        n1 = rng.randint(1, 6)
+        n2 = n1 + rng.choice((-2, -1, 0, 0, 1, 2))
+        if n2 < 1 or n1 + n2 < 2:
+            continue
+        p = rng.random()
+        edges = [(u, n1 + v) for u in range(1, n1 + 1) for v in range(1, n2 + 1) if rng.random() < p]
+        b = graph_from_edges(n1, n2, edges)
+        if n1 == n2 and some_perfect_matching(b) is not None:
+            continue
+        unbalanced += n1 != n2
+        no_pm += n1 == n2
+        tree = random_leaf_tree(rng, b.vertices, rng.choice((2, 3)))
+        assert assert_pruning_is_exact(b, tree) == 0
+    assert unbalanced >= 50 and no_pm >= 20
+    # general graphs: no colour classes, so nothing is pruned
+    k4 = Graph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
+    k4_tree = LeafTree(
+        (
+            frozenset({4}),
+            frozenset({4}),
+            frozenset({5}),
+            frozenset({5}),
+            frozenset({0, 1, 5}),
+            frozenset({2, 3, 4}),
+        ),
+        {0: 1, 1: 2, 2: 3, 3: 4},
+    )
+    assert assert_pruning_is_exact(k4, k4_tree) == 3
+    two_leaves = LeafTree((frozenset({1}), frozenset({0})), {0: 1, 1: 2})
+    assert assert_pruning_is_exact(Graph(2, {(1, 2)}), two_leaves) == 1
+    assert assert_pruning_is_exact(k2(), two_leaves) == 1
+    assert assert_pruning_is_exact(graph_from_edges(1, 1, []), two_leaves) == 0
 
 
 def test_bruteforce_counts():
@@ -188,7 +308,7 @@ def test_row_major_caterpillars():
     g, tree = row_major_caterpillar(8, 8)
     stats = CountStats()
     assert count_pm_decomp(g, tree, stats=stats) == domino_tilings(8, 8) == 12988816
-    assert (stats.table_entries, stats.boundary_sets) == (12284, 20803)
+    assert (stats.table_entries, stats.boundary_sets) == (3422, 4168)
 
 
 def test_decomp_count_two_leaf_tree():
