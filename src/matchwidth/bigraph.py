@@ -140,36 +140,6 @@ def induced_subgraph(
     return BipartiteGraph(len(blacks), len(whites), edges), fwd, back
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices [1..n], not necessarily bipartite."""
-
-    n: int
-    edges: frozenset[Edge] = frozenset()
-
-    def __post_init__(self) -> None:
-        norm = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    @property
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
-
-    @cached_property
-    def adj(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
-
-
 # ---------------------------------------------------------------------------
 # Maximum matching (augmenting-path / Hopcroft-Karp) -- the single primitive
 # behind all perfect-matching existence and extendability checks.
@@ -251,7 +221,7 @@ def some_perfect_matching(b: BipartiteGraph, banned: frozenset[int] = frozenset(
 
 def check_matching(b: BipartiteGraph, f: Iterable[Edge]) -> Matching:
     """Validate that f is a matching in b; returns it normalised."""
-    edges = frozenset(_norm_edge(u, v, b.n1) for u, v in f)
+    edges = frozenset((min(u, v), max(u, v)) for u, v in f)
     covered: set[int] = set()
     for u, v in edges:
         if (u, v) not in b.edges:

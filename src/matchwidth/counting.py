@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bigraph import BipartiteGraph, Graph, induced_subgraph, some_perfect_matching
+from .bigraph import BipartiteGraph, induced_subgraph, some_perfect_matching
 from .decomp import LeafTree, compute_pmd, matchings_in
 from .direction import elementary_parts
 from .errors import OracleLimitExceeded
@@ -13,57 +13,32 @@ from .errors import OracleLimitExceeded
 COUNT_ORACLE_LIMIT = 22
 
 
-def count_pm_bruteforce(g: Graph | BipartiteGraph, limit: int = COUNT_ORACLE_LIMIT) -> int:
+def count_pm_bruteforce(b: BipartiteGraph, limit: int = COUNT_ORACLE_LIMIT) -> int:
     """Exact number of perfect matchings (exhaustive, arbitrary precision):
-    the oracle for `count_pm` (`pm count --oracle`).
-
-    For bipartite inputs this equals the permanent of the biadjacency matrix.
+    the permanent of the biadjacency matrix, by a DP over subsets of the
+    white class.  The oracle for `count_pm` (`pm count --oracle`).
     """
-    if g.n > limit:
-        raise OracleLimitExceeded(f"{g.n} vertices exceeds oracle limit {limit}")
-    if g.n % 2:
+    if b.n > limit:
+        raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {limit}")
+    if b.n1 != b.n2:
         return 0
-    if isinstance(g, BipartiteGraph):
-        if g.n1 != g.n2:
-            return 0
-        # permanent by DP over subsets of the white class
-        n = g.n1
-        masks = [0] * (n + 1)
-        for u, v in g.edges:
-            masks[u] |= 1 << (v - g.n1 - 1)
-        counts = {0: 1}
-        for u in range(1, n + 1):
-            nxt: dict[int, int] = {}
-            row = masks[u]
-            for mask, c in counts.items():
-                free = row & ~mask
-                while free:
-                    bit = free & -free
-                    free ^= bit
-                    key = mask | bit
-                    nxt[key] = nxt.get(key, 0) + c
-            counts = nxt
-        return counts.get((1 << n) - 1, 0)
-
-    verts = list(g.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    nbrs = [[idx[w] for w in g.adj[v]] for v in verts]
-    full = (1 << len(verts)) - 1
-    memo: dict[int, int] = {full: 1}
-
-    def rec(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        i = (~mask & -~mask).bit_length() - 1
-        total = 0
-        for j in nbrs[i]:
-            if not mask & (1 << j):
-                total += rec(mask | (1 << i) | (1 << j))
-        memo[mask] = total
-        return total
-
-    return rec(0)
+    n = b.n1
+    masks = [0] * (n + 1)
+    for u, v in b.edges:
+        masks[u] |= 1 << (v - b.n1 - 1)
+    counts = {0: 1}
+    for u in range(1, n + 1):
+        nxt: dict[int, int] = {}
+        row = masks[u]
+        for mask, c in counts.items():
+            free = row & ~mask
+            while free:
+                bit = free & -free
+                free ^= bit
+                key = mask | bit
+                nxt[key] = nxt.get(key, 0) + c
+        counts = nxt
+    return counts.get((1 << n) - 1, 0)
 
 
 @dataclass
@@ -77,7 +52,7 @@ class CountStats:
 
 
 def count_pm_decomp(
-    g: Graph | BipartiteGraph,
+    g: BipartiteGraph,
     dec: LeafTree,
     width: int | None = None,
     stats: CountStats | None = None,
@@ -89,8 +64,7 @@ def count_pm_decomp(
     matching of g matches across t's cut; joins sum over matchings in the
     shared middle cut.  mu depends on a boundary matching only through its
     endpoints below t, so tables are keyed on (node, vertex bitmask), and
-    filled by a walk on an explicit stack, so any tree depth is fine.  Works
-    for general graphs (desk scale).
+    filled by a walk on an explicit stack, so any tree depth is fine.
 
     A bipartite graph has no perfect matching unless it holds as many V1 as
     V2 vertices, so mu(t, S) = 0 unless below(t) - S is colour-balanced.
@@ -99,14 +73,15 @@ def count_pm_decomp(
     first child t1; each node's middle matchings are grouped by tilt(w1)
     and only that group is read, which skips only zero terms.  Every middle
     matching has tilt 0, so from a balanced entry the DP asks only for
-    balanced child entries.  For a general graph the tilt is 0 throughout.
+    balanced child entries.
     """
     dec.validate(g.vertices)
     if stats is None:
         stats = CountStats()
 
     if dec.m == 1:
-        return 1 if g.n == 0 else 0
+        # the tree validated, so g is one vertex
+        return 0
 
     # A degree-3 root r with children t1, t2, t3 walks as r -> (t1, s) with
     # the virtual node s = dec.m -> (t2, t3), and a two-node tree as
@@ -120,16 +95,10 @@ def count_pm_decomp(
     ends = [1 << u | 1 << v for u, v in edges]
     cut = view.cut_masks(edges)
 
-    if isinstance(g, BipartiteGraph):
-        white = (1 << g.n1 + 1) - 2
+    black = (1 << g.n1 + 1) - 2  # V1 = [1..n1]
 
-        def tilt(mask: int) -> int:
-            return 2 * (mask & white).bit_count() - mask.bit_count()
-
-    else:
-
-        def tilt(mask: int) -> int:
-            return 0
+    def tilt(mask: int) -> int:
+        return 2 * (mask & black).bit_count() - mask.bit_count()
 
     # each middle matching of x as (its vertices, those below x's first
     # child, those below its second), grouped by the tilt of those below

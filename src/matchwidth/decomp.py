@@ -72,6 +72,8 @@ class LeafTree:
         adj, m = self.adj, self.m
         if m == 0:
             raise InvalidDecomposition("empty tree")
+        if self.root is not None and not 0 <= self.root < m:
+            raise InvalidDecomposition(f"root {self.root} is not a node")
         if sum(len(a) for a in adj) != 2 * (m - 1):
             raise InvalidDecomposition("not a tree (edge count)")
         for x, nbrs in enumerate(adj):

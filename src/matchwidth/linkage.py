@@ -718,19 +718,11 @@ def _solve_full(
         w_vertices = frozenset(x for e in w_set for x in e)
         reduced, fwd, _ = induced_subgraph(b, frozenset(b.vertices) - w_vertices)
         red_banned = frozenset(fwd[x] for x in banned if x in fwd)
-        red_forced = frozenset(
-            (min(fwd[e[0]], fwd[e[1]]), max(fwd[e[0]], fwd[e[1]]))
-            for e in forced
-            if e[0] in fwd and e[1] in fwd
-        )
+        # induced_subgraph numbers V1 before V2, so edges and pairs stay V1-first
+        red_forced = frozenset((fwd[u], fwd[v]) for u, v in forced if u in fwd and v in fwd)
         for proxy_pairs, w_prime in make_proxies(b, pairs, w_set, banned):
-            red_pairs = tuple(
-                (fwd[s], fwd[t]) if fwd[s] < fwd[t] else (fwd[t], fwd[s])
-                for s, t in proxy_pairs
-            )
-            red_wprime = frozenset(
-                (min(fwd[e[0]], fwd[e[1]]), max(fwd[e[0]], fwd[e[1]])) for e in w_prime
-            )
+            red_pairs = tuple((fwd[s], fwd[t]) for s, t in proxy_pairs)
+            red_wprime = frozenset((fwd[u], fwd[v]) for u, v in w_prime)
             union = red_wprime | red_forced
             covered = frozenset(x for e in union for x in e)
             if len(covered) != 2 * len(union):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .bigraph import BipartiteGraph, Graph
+from .bigraph import BipartiteGraph
 
 
 def _blocks(n: int, adj: dict[int, set[int]]) -> list[set[int]]:
@@ -202,7 +202,7 @@ def _planar_block(adj_full: dict[int, set[int]], verts: set[int]) -> bool:
         embedded_v.update(path)
 
 
-def planarity_test(g: Graph | BipartiteGraph) -> bool:
+def planarity_test(g: BipartiteGraph) -> bool:
     """Standard graph planarity (desk scale)."""
     n = g.n
     adj = {v: set(g.adj[v]) for v in range(1, n + 1)}
@@ -214,7 +214,7 @@ def planarity_test(g: Graph | BipartiteGraph) -> bool:
     return True
 
 
-def contains_kuratowski_subdivision(g: Graph | BipartiteGraph) -> bool:
+def contains_kuratowski_subdivision(g: BipartiteGraph) -> bool:
     """Search directly for a K5 or K33 subdivision (tiny graphs): the oracle
     for `planarity_test`, which `strongplanar` answers with."""
     from itertools import combinations

@@ -23,7 +23,7 @@ from matchwidth.errors import ParseError
 from matchwidth.grids import square_grid
 from matchwidth.isomorphism import bipartite_isomorphic, digraph_isomorphic
 
-from common import even_cycle
+from common import even_cycle, random_cubic_tree
 
 
 def run_cli(args, stdin="", flags=()):
@@ -161,6 +161,23 @@ def test_cli_decomp_json_roundtrip(tmp_path):
             code, out, err = run_cli(cmd)
             assert code == 2 and out == "" and err.startswith("error:")
             assert "Traceback" not in err
+    # a valid cubic tree with four leaves over the 2 x 2 grid, its root id in
+    # range, then out of range
+    grid_file = tmp_path / "grid.b"
+    grid_file.write_text(write_graph_text(square_grid(2, 2)))
+    tree = {
+        "tree": [[1, 2, 3], [0, 4, 5], [0], [0], [1], [1]],
+        "leaf_map": {"2": 1, "3": 3, "4": 2, "5": 4},
+    }
+    rooted = tmp_path / "rooted.json"
+    for root, want in ((0, 0), (99, 2), (-1, 2), (-3, 2)):
+        rooted.write_text(json.dumps({**tree, "root": root}))
+        code, out, err = run_cli(["pm", "count", str(grid_file), "--decomp", str(rooted)])
+        assert code == want and "Traceback" not in err, (root, err)
+        if want == 0:
+            assert out == "2\n"
+        else:
+            assert out == "" and err.startswith("error:"), root
 
 
 # the first 64 bytes of an x86-64 ELF executable; byte 40 (0xf0) is no UTF-8
@@ -195,7 +212,11 @@ def test_cli_malformed_matching_file(tmp_path):
     bad_endpoint.write_text("m\ne x 3\ne 2 4\n")
     binary = tmp_path / "elf"
     binary.write_bytes(ELF_HEAD)
-    for matching in (bad_endpoint, binary):
+    # pairs that are no edge of C4: inside V1, a zero end, a negative end
+    no_edges = [tmp_path / f"no_edge{i}.txt" for i in range(3)]
+    for f, pair in zip(no_edges, ("1 2", "0 3", "-1 3")):
+        f.write_text(f"m\ne {pair}\n")
+    for matching in (bad_endpoint, binary, *no_edges):
         for cmd in (
             ["guard", str(graph), "1", "--matching", str(matching)],
             ["direction", str(graph), "--matching", str(matching)],
@@ -461,15 +482,18 @@ _other_questions = st.one_of(
 )
 
 
-def _assert_exit_contract(text, argv):
+def _assert_exit_contract(text, argv, second=""):
     # whatever the input, the CLI answers 0, 1 or 2 and raises nothing else;
-    # GRAPH in argv stands for a file holding text, C4 for one holding C4
+    # GRAPH in argv stands for a file holding text, SECOND for one holding
+    # second, C4 for one holding C4
     with tempfile.TemporaryDirectory() as tmp:
         graph = Path(tmp) / "g.txt"
         graph.write_text(text)
+        other = Path(tmp) / "second.txt"
+        other.write_text(second)
         c4 = Path(tmp) / "c4.txt"
         c4.write_text(write_graph_text(even_cycle(2)))
-        files = {"GRAPH": str(graph), "C4": str(c4)}
+        files = {"GRAPH": str(graph), "SECOND": str(other), "C4": str(c4)}
         argv = [files.get(a, a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -477,9 +501,9 @@ def _assert_exit_contract(text, argv):
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects the arguments
                 code = exc.code
-    assert code in (0, 1, 2), (argv, text)
+    assert code in (0, 1, 2), (argv, text, second)
     if code == 2 and not err.getvalue().startswith("usage:"):
-        assert err.getvalue().startswith("error: "), (argv, text)
+        assert err.getvalue().startswith("error: "), (argv, text, second)
 
 
 @settings(max_examples=100, deadline=None)
@@ -500,6 +524,58 @@ def test_cli_fuzz_minor_keeps_exit_contract(text, argv):
 @settings(max_examples=100, deadline=None)
 @given(question=_other_questions)
 def test_cli_fuzz_other_subcommands_keep_exit_contract(question):
+    _assert_exit_contract(*question)
+
+
+# well-formed matching files whose ends are small, zero, negative or in one
+# colour class, for the questions that read a matching
+_matching_question = st.tuples(
+    st.one_of(st.just(write_graph_text(even_cycle(2))), _bipartite_text),
+    st.sampled_from(
+        [
+            ["direction", "GRAPH", "--matching", "SECOND"],
+            ["guard", "GRAPH", "1", "--matching", "SECOND"],
+            ["dapp", "GRAPH", "--pairs", "1:3", "--extend", "SECOND"],
+        ]
+    ),
+    st.lists(st.tuples(_small, st.integers(-1, 6)), max_size=3).map(
+        lambda es: "".join(["m\n"] + [f"e {u} {v}\n" for u, v in es])
+    ),
+)
+
+
+@st.composite
+def _decomp_question(draw):
+    """A bipartite graph on n + n vertices and decomposition JSON for it: a
+    cubic tree over its vertices or rows of small node ids, with leaf and
+    root ids in and out of range."""
+    text = draw(_bipartite_text)
+    n = int(text.split()[1])
+    if draw(st.booleans()):
+        tree = random_cubic_tree(draw(st.randoms(use_true_random=False)), range(1, 2 * n + 1), None)
+        rows = [sorted(nbrs) for nbrs in tree.adj]
+        leaf_map = {str(x): v for x, v in tree.leaf_map.items()}
+    else:
+        m = draw(st.integers(min_value=1, max_value=6))
+        ids = st.integers(min_value=-1, max_value=m)
+        rows = draw(st.lists(st.lists(ids, max_size=3), min_size=m, max_size=m))
+        leaf_map = draw(st.dictionaries(ids.map(str), st.integers(-1, 2 * n + 1), max_size=m))
+    data = {"tree": rows, "leaf_map": leaf_map}
+    root = draw(st.one_of(st.none(), st.integers(min_value=-3, max_value=len(rows) + 2)))
+    if root is not None:
+        data["root"] = root
+    return text, ["pm", "count", "GRAPH", "--decomp", "SECOND"], json.dumps(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(question=_matching_question)
+def test_cli_fuzz_matching_files_keep_exit_contract(question):
+    _assert_exit_contract(*question)
+
+
+@settings(max_examples=100, deadline=None)
+@given(question=_decomp_question())
+def test_cli_fuzz_decomposition_json_keeps_exit_contract(question):
     _assert_exit_contract(*question)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matchwidth.bigraph import Graph, graph_from_edges, induced_subgraph, some_perfect_matching
+from matchwidth.bigraph import graph_from_edges, induced_subgraph, some_perfect_matching
 from matchwidth.counting import CountStats, count_pm, count_pm_bruteforce, count_pm_decomp
 from matchwidth.decomp import LeafTree, _TreeBuilder, compute_pmd, matchings_in, pmw_exact_small
 from matchwidth.direction import elementary_parts
@@ -167,22 +167,7 @@ def test_balanced_entries_agree_with_the_unpruned_dp():
         tree = random_leaf_tree(rng, b.vertices, rng.choice((2, 3)))
         assert assert_pruning_is_exact(b, tree) == 0
     assert unbalanced >= 50 and no_pm >= 20
-    # general graphs: no colour classes, so nothing is pruned
-    k4 = Graph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
-    k4_tree = LeafTree(
-        (
-            frozenset({4}),
-            frozenset({4}),
-            frozenset({5}),
-            frozenset({5}),
-            frozenset({0, 1, 5}),
-            frozenset({2, 3, 4}),
-        ),
-        {0: 1, 1: 2, 2: 3, 3: 4},
-    )
-    assert assert_pruning_is_exact(k4, k4_tree) == 3
     two_leaves = LeafTree((frozenset({1}), frozenset({0})), {0: 1, 1: 2})
-    assert assert_pruning_is_exact(Graph(2, {(1, 2)}), two_leaves) == 1
     assert assert_pruning_is_exact(k2(), two_leaves) == 1
     assert assert_pruning_is_exact(graph_from_edges(1, 1, []), two_leaves) == 0
 
@@ -193,10 +178,6 @@ def test_bruteforce_counts():
     assert count_pm_bruteforce(complete_bipartite(3, 3)) == 6
     assert count_pm_bruteforce(k2()) == 1
     assert count_pm_bruteforce(path_graph(3)) == 1
-    triangle = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
-    assert count_pm_bruteforce(triangle) == 0
-    k4 = Graph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
-    assert count_pm_bruteforce(k4) == 3
 
 
 def test_bruteforce_limit():
@@ -258,24 +239,6 @@ def test_count_pm_is_the_product_over_elementary_components():
     assert split >= 30
 
 
-def test_decomp_count_nonbipartite():
-    k4 = Graph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
-    from matchwidth.decomp import LeafTree
-
-    tree = LeafTree(
-        (
-            frozenset({4}),
-            frozenset({4}),
-            frozenset({5}),
-            frozenset({5}),
-            frozenset({0, 1, 5}),
-            frozenset({2, 3, 4}),
-        ),
-        {0: 1, 1: 2, 2: 3, 3: 4},
-    )
-    assert count_pm_decomp(k4, tree) == 3
-
-
 def test_decomp_count_random_agreement():
     rng = random.Random(19)
     for _ in range(40):
@@ -316,7 +279,6 @@ def test_decomp_count_two_leaf_tree():
     tree = LeafTree((frozenset({1}), frozenset({0})), {0: 1, 1: 2})
     assert count_pm_decomp(k2(), tree) == 1
     assert count_pm_decomp(graph_from_edges(1, 1, []), tree) == 0
-    assert count_pm_decomp(Graph(2, {(1, 2)}), tree) == 1
 
 
 def test_count_invariant_across_decompositions():

@@ -304,7 +304,8 @@ def planted_question(rng, n1):
 
 def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
     # every DP run also receives a perfect matching of its host that holds
-    # the instance's forced edges
+    # the instance's forced edges, and pairs and forced edges that join V1
+    # to V2 with the V1 end first
     import matchwidth.linkage as linkage
 
     dp_decides = linkage._dp_decides
@@ -312,6 +313,8 @@ def test_dapp_solve_agrees_with_oracle_random(monkeypatch):
 
     def checked_dp(b, pairs, forced, banned, m):
         assert is_perfect(b, check_matching(b, m)) and forced <= m, (sorted(b.edges), sorted(m))
+        assert all(1 <= s <= b.n1 < t <= b.n for s, t in pairs), pairs
+        assert forced <= b.edges, sorted(forced)
         dp_runs[0] += 1
         return dp_decides(b, pairs, forced, banned, m)
 

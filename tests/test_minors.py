@@ -160,13 +160,20 @@ def test_strongly_planar():
 
 
 def test_planarity_examples():
-    from matchwidth.bigraph import Graph
     from itertools import combinations
 
-    k4 = Graph(4, frozenset(combinations(range(1, 5), 2)))
-    k5 = Graph(5, frozenset(combinations(range(1, 6), 2)))
-    assert planarity_test(k4)
-    assert not planarity_test(k5)
+    from matchwidth.grids import square_grid
+    from matchwidth.planarity import contains_kuratowski_subdivision
+
+    assert planarity_test(square_grid(4, 4))
+    # K5 with each edge subdivided once: branch vertices 1-5 in V1, one V2
+    # vertex per edge of K5
+    k5_edges = list(combinations(range(1, 6), 2))
+    k5_sub = graph_from_edges(
+        5, 10, [(x, 6 + i) for i, e in enumerate(k5_edges) for x in e]
+    )
+    assert not planarity_test(k5_sub)
+    assert contains_kuratowski_subdivision(k5_sub)
     assert not planarity_test(complete_bipartite(3, 3))
 
 

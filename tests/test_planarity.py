@@ -2,21 +2,22 @@ import random
 
 import pytest
 
-from matchwidth.bigraph import Graph
+from matchwidth.bigraph import BipartiteGraph
 from matchwidth.planarity import contains_kuratowski_subdivision, planarity_test
 
 
-def random_graph(rng: random.Random, n: int, m: int) -> Graph:
-    pool = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    return Graph(n, frozenset(rng.sample(pool, min(m, len(pool)))))
+def random_bipartite(rng: random.Random, n1: int, n2: int, m: int) -> BipartiteGraph:
+    pool = [(u, v) for u in range(1, n1 + 1) for v in range(n1 + 1, n1 + n2 + 1)]
+    return BipartiteGraph(n1, n2, frozenset(rng.sample(pool, min(m, len(pool)))))
 
 
 def test_planarity_matches_kuratowski_oracle():
     rng = random.Random(31)
     seen = set()
     for _ in range(400):
-        n = rng.randint(5, 7)
-        g = random_graph(rng, n, rng.randint(n, 3 * n - 6))
+        n1, n2 = rng.randint(3, 4), rng.randint(3, 4)
+        n = n1 + n2
+        g = random_bipartite(rng, n1, n2, rng.randint(n, 2 * n - 4))
         planar = planarity_test(g)
         assert planar == (not contains_kuratowski_subdivision(g))
         seen.add(planar)
@@ -28,8 +29,9 @@ def test_planarity_matches_networkx():
     rng = random.Random(37)
     seen = set()
     for _ in range(150):
-        n = rng.randint(8, 16)
-        g = random_graph(rng, n, rng.randint(n, 3 * n - 6))
+        n1, n2 = rng.randint(4, 8), rng.randint(4, 8)
+        n = n1 + n2
+        g = random_bipartite(rng, n1, n2, rng.randint(n, 2 * n - 4))
         h = nx.Graph()
         h.add_nodes_from(g.vertices)
         h.add_edges_from(g.edges)
