@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bigraph import BipartiteGraph, induced_subgraph, some_perfect_matching
-from .decomp import LeafTree, compute_pmd, matchings_in
+from .decomp import LeafTree, compute_pmd, matchings_in, walk
 from .direction import elementary_parts
 from .errors import OracleLimitExceeded
 
@@ -64,7 +64,8 @@ def count_pm_decomp(
     matching of g matches across t's cut; joins sum over matchings in the
     shared middle cut.  mu depends on a boundary matching only through its
     endpoints below t, so tables are keyed on (node, vertex bitmask), and
-    filled by a walk on an explicit stack, so any tree depth is fine.
+    filled by `decomp.walk`, so any tree depth is fine.  A leaf entry is
+    settled at once; an inner entry suspends at each child entry it misses.
 
     A bipartite graph has no perfect matching unless it holds as many V1 as
     V2 vertices, so mu(t, S) = 0 unless below(t) - S is colour-balanced.
@@ -140,19 +141,16 @@ def count_pm_decomp(
                 total += left * right
         memo[t][s] = total
 
-    # the walk: suspended entries on an explicit stack, deepest on top
-    stack = [entry(root, 0)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        elif child[0] in dec.leaf_map:
+    def start(key: tuple[int, int]) -> Iterator[tuple[int, int]] | None:
+        t, s = key
+        if t in dec.leaf_map:
             # the leaf's one vertex is matched iff it is in s
-            t, s = child
             memo[t][s] = 1 if s else 0
             stats.table_entries += 1
-        else:
-            stack.append(entry(*child))
+            return None
+        return entry(t, s)
+
+    walk(start, (root, 0))
     return memo[root][0]
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .bigraph import (
     BipartiteGraph,
@@ -181,6 +181,35 @@ class RootedTree:
         return cut
 
 
+class _TreeBuilder:
+    """Mutable adjacency accumulator used while assembling leaf trees."""
+
+    def __init__(self) -> None:
+        self.adj: list[set[int]] = []
+
+    def node(self) -> int:
+        self.adj.append(set())
+        return len(self.adj) - 1
+
+    def link(self, x: int, y: int) -> None:
+        self.adj[x].add(y)
+        self.adj[y].add(x)
+
+    def caterpillar(self, items: list[int]) -> tuple[int, dict[int, int]]:
+        """Left-leaning binary caterpillar; returns (root, leaf -> item)."""
+        assert items, "a caterpillar needs at least one item"
+        spine = self.node()
+        leaves = {spine: items[0]}
+        for x in items[1:]:
+            up = self.node()
+            leaf = self.node()
+            leaves[leaf] = x
+            self.link(up, spine)
+            self.link(up, leaf)
+            spine = up
+        return spine, leaves
+
+
 def matchings_in(mask: int, ends: Sequence[int], cap: int) -> list[tuple[int, int]]:
     """The matchings inside the edge set `mask` with at most `cap` edges, each
     as (edge mask, vertex mask), the empty matching first; `ends[i]` is the
@@ -193,6 +222,23 @@ def matchings_in(mask: int, ends: Sequence[int], cap: int) -> list[tuple[int, in
         ev = ends[low.bit_length() - 1]
         out += [(m | low, v | ev) for m, v in out if not v & ev and m.bit_count() < cap]
     return out
+
+
+def walk(start: Callable[[Hashable], Iterator[Hashable] | None], top: Hashable) -> None:
+    """Settle the memo entry `top` of a decomposition DP, and every entry it
+    needs, on an explicit stack, so any tree depth is fine.  `start(key)`
+    settles the entry and returns None, or returns a generator that yields
+    the key (never None) of each child entry it misses, settled by the time
+    it resumes, and settles its own entry before it ends."""
+    stack = [iter((top,))]  # asks for top, as a generator asks for a child
+    while stack:
+        key = next(stack[-1], None)
+        if key is None:
+            stack.pop()
+        else:
+            pending = start(key)
+            if pending is not None:
+                stack.append(pending)
 
 
 PMDecomposition = LeafTree
@@ -265,42 +311,32 @@ def _branch_dp(
     if n == 1:
         return 0, LeafTree((frozenset(),), {0: elems[0]})
     full = (1 << n) - 1
-    fval: dict[int, int] = {}
 
+    @cache
     def f(mask: int) -> int:
-        got = fval.get(mask)
-        if got is None:
-            got = cut_value(frozenset(elems[i] for i in range(n) if mask >> i & 1))
-            fval[mask] = got
-        return got
+        return cut_value(frozenset(elems[i] for i in range(n) if mask >> i & 1))
 
-    best: dict[int, int] = {}
+    best = {1 << i: 0 for i in range(n)}
     split: dict[int, int] = {}
-
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        masks_by_size[bin(mask).count("1")].append(mask)
-    for i in range(n):
-        best[1 << i] = 0
-    for size in range(2, n + 1):
-        for mask in masks_by_size[size]:
-            lowbit = mask & -mask
-            rest = mask ^ lowbit
-            cand = None
-            sub = rest
-            # iterate proper submasks containing lowbit to halve the work
-            while True:
-                s1 = sub | lowbit
-                s2 = mask ^ s1
-                if s2:
-                    val = max(best[s1], best[s2], f(s1), f(s2))
-                    if cand is None or val < cand:
-                        cand = val
-                        split[mask] = s1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            best[mask] = cand  # type: ignore[assignment]
+    # smaller masks first; the first n are the singletons
+    for mask in sorted(range(1, full + 1), key=int.bit_count)[n:]:
+        lowbit = mask & -mask
+        rest = mask ^ lowbit
+        cand = None
+        sub = rest
+        # iterate proper submasks containing lowbit to halve the work
+        while True:
+            s1 = sub | lowbit
+            s2 = mask ^ s1
+            if s2:
+                val = max(best[s1], best[s2], f(s1), f(s2))
+                if cand is None or val < cand:
+                    cand = val
+                    split[mask] = s1
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        best[mask] = cand  # type: ignore[assignment]
 
     # root split: every decomposition has some edge splitting V into (A, rest)
     top = None
@@ -314,31 +350,21 @@ def _branch_dp(
             top_mask = sub
     assert top is not None
 
-    nodes_adj: list[set[int]] = []
+    tb = _TreeBuilder()
     leaf_map: dict[int, int] = {}
 
     def build(mask: int) -> int:
-        idx = len(nodes_adj)
-        nodes_adj.append(set())
-        if bin(mask).count("1") == 1:
-            leaf_map[idx] = elems[(mask.bit_length() - 1)]
-            return idx
-        s1 = split[mask]
-        s2 = mask ^ s1
-        a = build(s1)
-        bnode = build(s2)
-        nodes_adj[idx].add(a)
-        nodes_adj[a].add(idx)
-        nodes_adj[idx].add(bnode)
-        nodes_adj[bnode].add(idx)
+        # nodes are numbered in pre-order
+        idx = tb.node()
+        if mask.bit_count() == 1:
+            leaf_map[idx] = elems[mask.bit_length() - 1]
+        else:
+            tb.link(idx, build(split[mask]))
+            tb.link(idx, build(mask ^ split[mask]))
         return idx
 
-    left = build(top_mask)
-    right = build(full ^ top_mask)
-    nodes_adj[left].add(right)
-    nodes_adj[right].add(left)
-    tree = LeafTree(tuple(frozenset(a) for a in nodes_adj), leaf_map)
-    return top, tree
+    tb.link(build(top_mask), build(full ^ top_mask))
+    return top, LeafTree(tuple(map(frozenset, tb.adj)), leaf_map)
 
 
 def pmw_exact_small(b: BipartiteGraph) -> tuple[int, PMDecomposition]:
@@ -670,7 +696,6 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
 @dataclass
 class PlayTranscript:
     cop_positions: list[frozenset[int]] = field(default_factory=list)
-    robber_positions: list[frozenset[int] | None] = field(default_factory=list)
     caught: bool = False
 
     def max_cops(self) -> int:
@@ -695,16 +720,13 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
 
     def place(cops: frozenset[int], prev: frozenset[int], prev_robber: frozenset[int]) -> frozenset[int] | None:
         transcript.cop_positions.append(cops)
-        choice = robber(
+        return robber(
             _responses(table, vertex_mask(prev), vertex_mask(prev_robber), vertex_mask(cops))
         )
-        transcript.robber_positions.append(choice)
-        return choice
 
     if dec.m == 1:
         only = dec.leaf_map[0]
         transcript.cop_positions.append(frozenset({only}))
-        transcript.robber_positions.append(None)
         transcript.caught = True
         return transcript
 
@@ -714,7 +736,6 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
     c0 = frozenset({v})
     transcript.cop_positions.append(c0)
     r = robber(table[vertex_mask(c0)][0])
-    transcript.robber_positions.append(r)
     if r is None:
         transcript.caught = True
         return transcript
@@ -862,35 +883,6 @@ class NicePMD:
     type1_bound: int
 
 
-class _TreeBuilder:
-    """Mutable adjacency accumulator used while assembling leaf trees."""
-
-    def __init__(self) -> None:
-        self.adj: list[set[int]] = []
-
-    def node(self) -> int:
-        self.adj.append(set())
-        return len(self.adj) - 1
-
-    def link(self, x: int, y: int) -> None:
-        self.adj[x].add(y)
-        self.adj[y].add(x)
-
-    def caterpillar(self, items: list[int]) -> tuple[int, dict[int, int]]:
-        """Left-leaning binary caterpillar; returns (root, leaf -> item)."""
-        assert items, "a caterpillar needs at least one item"
-        spine = self.node()
-        leaves = {spine: items[0]}
-        for x in items[1:]:
-            up = self.node()
-            leaf = self.node()
-            leaves[leaf] = x
-            self.link(up, spine)
-            self.link(up, leaf)
-            spine = up
-        return spine, leaves
-
-
 def dtd_to_nice_pmd(
     host: BipartiteGraph,
     d: Digraph,
@@ -1029,6 +1021,8 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
 
     @cache
     def elementary(x: int) -> bool:
+        if x in tree.leaf_map:
+            return False  # one vertex has no perfect matching
         xs = below[x]
         if mates[x] != xs:
             return _is_elementary_set(b, mask_members(xs))

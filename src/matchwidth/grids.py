@@ -30,11 +30,10 @@ from .minors import MatchingMinorModel
 
 @dataclass(frozen=True)
 class GridCoordinates:
-    """Bijection between ring/position pairs and vertex ids."""
+    """Vertex ids of the ring/position pairs."""
 
     k: int
     to_id: dict[tuple[int, int], int]
-    to_pos: dict[int, tuple[int, int]]
 
     def id(self, ring: int, pos: int) -> int:
         return self.to_id[(ring, self.norm(pos))]
@@ -59,7 +58,7 @@ def cylindrical_grid(k: int) -> tuple[BipartiteGraph, Matching, GridCoordinates]
         to_id[pos] = idx
     for idx, pos in enumerate(whites, start=len(blacks) + 1):
         to_id[pos] = idx
-    coords = GridCoordinates(k, to_id, {v: p for p, v in to_id.items()})
+    coords = GridCoordinates(k, to_id)
 
     edges: set[tuple[int, int]] = set()
 

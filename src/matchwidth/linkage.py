@@ -10,11 +10,13 @@ matching M_loc with prescribed cut behaviour and path segments exists below
 a node, and is true or false.  An internal node enumerates the interface
 structure between its two children (matching crossings R, path crossings H
 with their anchor edges, bounces, terminal landings) and is true at the
-first structure whose two child entries are both true.
+first structure whose two child entries are both true.  `decomp.walk`
+settles the entries, as it does the counting DP's, so the depth of the tree
+costs no Python frames.
 
 Every terminal pair, at the root and in every child entry, joins a V1
 vertex to a V2 vertex.  Edge sets are masks over the sorted edges, and
-`_merge` takes its middle cut from `RootedTree.cut_masks` and enumerates
+`_query` takes its middle cut from `RootedTree.cut_masks` and enumerates
 the matching crossings R in it with `matchings_in`, as the counting DP
 does.
 `_routes` builds what one R fixes once (the source, sink and R nodes with
@@ -26,8 +28,9 @@ only adds H's ports and wiring, routes the pairs and asks the two children.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .bigraph import (
     BipartiteGraph,
@@ -39,7 +42,7 @@ from .bigraph import (
     is_extendable,
     some_perfect_matching,
 )
-from .decomp import NicePMD, dtw_exact_small, dtd_to_nice_pmd, matchings_in
+from .decomp import NicePMD, dtw_exact_small, dtd_to_nice_pmd, matchings_in, walk
 from .digraph import mask_members, mask_union, vertex_mask
 from .direction import m_direction
 from .errors import (
@@ -321,9 +324,9 @@ class _Ctx:
     memo: dict = field(default_factory=dict)
 
 
-def _query(ctx: _Ctx, node: int, u_set: int, pairs: tuple[TerminalPair, ...], j_set: int) -> bool:
-    """Is the itinerary entry (node, U, pairs, J) achievable?  U and J are
-    edge masks.
+def _query(ctx: _Ctx, key: tuple) -> Iterator[tuple]:
+    """Decide whether the itinerary entry key = (node, U, pairs, J) is
+    achievable, and record the verdict in the memo.  U and J are edge masks.
 
     It is when there is a perfect matching M_loc of the subgraph induced by
     the node's vertex set plus the outer endpoints of U, with M_loc crossing
@@ -331,12 +334,13 @@ def _query(ctx: _Ctx, node: int, u_set: int, pairs: tuple[TerminalPair, ...], j_
     with disjoint pair-joining paths inside the node's vertex set,
     internally M_loc-conformal, avoiding banned vertices and J-endpoints
     (terminals excepted).
-    """
-    key = (node, u_set, pairs, j_set)
-    got = ctx.memo.get(key)
-    if got is not None:
-        return got
 
+    An inner node tries each matching crossing R: a matching in the middle
+    cut that holds its J and forced edges, avoids every other vertex of U, J
+    and the forced edges, and leaves each child's U within the width w.  It
+    yields each child entry missing from the memo to `decomp.walk`.
+    """
+    node, u_set, pairs, j_set = key
     xs = ctx.below[node]
     covered = mask_union(ctx.ends, j_set)
     terminals = [x for p in pairs for x in p]
@@ -351,43 +355,34 @@ def _query(ctx: _Ctx, node: int, u_set: int, pairs: tuple[TerminalPair, ...], j_
         and not mask_union(ctx.ends, ctx.forced & ~j_set) & xs
     )
 
-    if not ok:
-        got = False
-    elif not ctx.kids[node]:
+    if ok and not ctx.kids[node]:
         # U's one edge covers the leaf's vertex and is all of J
-        got = not pairs and j_set == u_set and u_set.bit_count() == 1 and bool(covered & xs)
-    else:
+        ok = not pairs and j_set == u_set and u_set.bit_count() == 1 and bool(covered & xs)
+    elif ok:
         c1, c2 = ctx.kids[node]
-        got = _merge(ctx, c1, c2, u_set, pairs, j_set)
-    ctx.memo[key] = got
-    return got
+        cut1, cut2 = ctx.cut[c1], ctx.cut[c2]
+        mid = cut1 & cut2
+        u_x, u_y = u_set & cut1, u_set & cut2
+        must = (j_set | ctx.forced) & mid
+        cap = ctx.w - max(u_x.bit_count(), u_y.bit_count()) - must.bit_count()
+        ok = False
+        if cap >= 0:
+            taken = mask_union(ctx.ends, u_set | j_set | ctx.forced)
+            pool = sum(1 << i for i in mask_members(mid) if not ctx.ends[i] & taken)
+            for extra, _ in matchings_in(pool, ctx.ends, cap):
+                r_set = must | extra
+                routes = _routes(ctx, c1, c2, mid, u_x | r_set, u_y | r_set, r_set, pairs, j_set)
+                ok = yield from routes
+                if ok:
+                    break
+    ctx.memo[key] = ok
 
 
-def _merge(
-    ctx: _Ctx,
-    c1: int,
-    c2: int,
-    u_set: int,
-    pairs: tuple[TerminalPair, ...],
-    j_set: int,
-) -> bool:
-    """Enumerate the matching crossings R: the matchings in the middle cut
-    that hold its J and forced edges, avoid every other vertex of U, J and
-    the forced edges, and leave each child's U within the width w."""
-    cut1, cut2 = ctx.cut[c1], ctx.cut[c2]
-    mid = cut1 & cut2
-    u_x_base, u_y_base = u_set & cut1, u_set & cut2
-    must = (j_set | ctx.forced) & mid
-    cap = ctx.w - max(u_x_base.bit_count(), u_y_base.bit_count()) - must.bit_count()
-    if cap < 0:
-        return False
-    taken = mask_union(ctx.ends, u_set | j_set | ctx.forced)
-    pool = sum(1 << i for i in mask_members(mid) if not ctx.ends[i] & taken)
-    for extra, _ in matchings_in(pool, ctx.ends, cap):
-        r_set = must | extra
-        if _routes(ctx, c1, c2, mid, u_x_base | r_set, u_y_base | r_set, r_set, pairs, j_set):
-            return True
-    return False
+def _achievable(ctx: _Ctx, key: tuple) -> bool:
+    """Is the itinerary entry key = (node, U, pairs, J) achievable?  The
+    verdict of `_query`, with every entry it needs settled by `decomp.walk`."""
+    walk(partial(_query, ctx), key)
+    return ctx.memo[key]
 
 
 def _routes(
@@ -400,11 +395,11 @@ def _routes(
     r_set: int,
     pairs: tuple[TerminalPair, ...],
     j_set: int,
-) -> bool:
+) -> Generator[tuple, None, bool]:
     """Enumerate interface structures (path crossings H with their anchors)
     and the routes of every pair through them, until one has both child
     entries achievable; mid is the mask of the edges between the two
-    children, and U, R and J are edge masks too.
+    children, and U, R and J are edge masks too.  Returns whether one has.
 
     Every pair joins a V1 vertex to a V2 vertex: the root pairs do
     (`_pairs_ok`), and so does every segment, from an out-port (a V1 vertex)
@@ -505,7 +500,7 @@ def _routes(
                     used_v.difference_update(added)
                     chosen.pop()
 
-    def assemble(h_struct: list[tuple]) -> bool:
+    def assemble(h_struct: list[tuple]) -> Generator[tuple, None, bool]:
         """Route every pair through one structure, a list of crossings
         (V1 end, V2 end, how the V1 end is covered, how the V2 end is
         covered), and ask both children."""
@@ -599,13 +594,22 @@ def _routes(
             for _ in route_pair(i):
                 yield from route_all(i + 1)
 
-        return any(
-            _query(ctx, c1, u_x, tuple(sorted(segs[0])), j_kids[0] | anchors[0])
-            and _query(ctx, c2, u_y, tuple(sorted(segs[1])), j_kids[1] | anchors[1])
-            for _ in route_all(0)
-        )
+        memo = ctx.memo
+        for _ in route_all(0):
+            for sd, child, u_child in ((0, c1, u_x), (1, c2, u_y)):
+                key = (child, u_child, tuple(sorted(segs[sd])), j_kids[sd] | anchors[sd])
+                if key not in memo:
+                    yield key
+                if not memo[key]:
+                    break
+            else:
+                return True
+        return False
 
-    return any(assemble(h_struct) for h_struct in enumerate_h(0, [], set()))
+    for h_struct in enumerate_h(0, [], set()):
+        if (yield from assemble(h_struct)):
+            return True
+    return False
 
 
 def make_context(
@@ -752,8 +756,9 @@ def _dp_decides(
     vertices, so the tree is one of b's vertex set, and its width counts the
     completion edges.
 
-    The root query takes the pairs sorted, as the `_query` memo and
-    `minors`' verdict memo both assume one pair order."""
+    `_achievable` settles the root entry on `decomp.walk`.  It takes the
+    pairs sorted, as the itinerary memo and `minors`' verdict memo both
+    assume one pair order."""
     terminals = {x for p in pairs for x in p}
     covers = frozenset(e for e in forced if e[0] in terminals or e[1] in terminals)
     completion = w_completion(pairs, covers) if pairs and covers else frozenset()
@@ -762,7 +767,7 @@ def _dp_decides(
     _, dtd = dtw_exact_small(d)
     nice = dtd_to_nice_pmd(host, d, tag, dtd)
     ctx = make_context(b, nice, forced=forced, banned=banned, k=max(len(pairs), 1))
-    return _query(ctx, ctx.root_node, 0, tuple(sorted(pairs)), ctx.forced)
+    return _achievable(ctx, (ctx.root_node, 0, tuple(sorted(pairs)), ctx.forced))
 
 
 def dapp_solve(b: BipartiteGraph, pairs: Sequence[TerminalPair]) -> bool:

@@ -94,13 +94,13 @@ def _find_cycle(adj: dict[int, set[int]], verts: set[int]) -> list[int] | None:
 
 
 def _planar_block(adj_full: dict[int, set[int]], verts: set[int]) -> bool:
-    """Face-insertion planarity for one biconnected block."""
+    """Face-insertion planarity for one biconnected bipartite block."""
     adj = {v: adj_full[v] & verts for v in verts}
     n = len(verts)
     m = sum(len(s) for s in adj.values()) // 2
     if n <= 4:
         return True
-    if m > 3 * n - 6:
+    if m > 2 * n - 4:
         return False
     cycle = _find_cycle(adj, verts)
     if cycle is None:
@@ -203,10 +203,11 @@ def _planar_block(adj_full: dict[int, set[int]], verts: set[int]) -> bool:
 
 
 def planarity_test(g: BipartiteGraph) -> bool:
-    """Standard graph planarity (desk scale)."""
+    """Standard graph planarity (desk scale).  A planar bipartite graph on
+    n >= 3 vertices has at most 2n - 4 edges: no face is a triangle."""
     n = g.n
     adj = {v: set(g.adj[v]) for v in range(1, n + 1)}
-    if n >= 3 and len(g.edges) > 3 * n - 6:
+    if n >= 3 and len(g.edges) > 2 * n - 4:
         return False
     for block in _blocks(n, adj):
         if not _planar_block(adj, block):

@@ -221,7 +221,6 @@ class DMStructure:
     """Elementary components together with the component order <=_i."""
 
     components: tuple[VertexSet, ...]
-    colour_index: int | None = None
     order: frozenset[tuple[int, int]] = frozenset()  # (i, j) means comp_i <=_i comp_j
 
 
@@ -274,7 +273,7 @@ def dm_order(b: BipartiteGraph, colour: int) -> DMStructure:
         for i in range(n)
         for j in mask_members(mask_reach(succ, 1 << i, (1 << n) - 1))
     )
-    return DMStructure(comps, colour, closure)
+    return DMStructure(comps, closure)
 
 
 def linearise_dm(structure: DMStructure) -> list[int]:
@@ -306,7 +305,6 @@ def linearise_dm(structure: DMStructure) -> list[int]:
 @dataclass(frozen=True)
 class GuardingSet:
     edges: Matching
-    shore: VertexSet
     porosity: int
 
     def __iter__(self):
@@ -352,16 +350,16 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
     removed0 = frozenset(x for e in f_start for x in e)
     keep0 = frozenset(b.vertices) - removed0
     if not keep0:
-        return GuardingSet(f_start, shore, k)
+        return GuardingSet(f_start, k)
     b0, fwd, back = induced_subgraph(b, keep0)
     shore0 = frozenset(fwd[v] for v in shore if v in fwd)
     m0 = frozenset((fwd[u], fwd[v]) for u, v in m if u in keep0 and v in keep0)
     if not b0.cut(shore0):
-        return GuardingSet(f_start, shore, k)
+        return GuardingSet(f_start, k)
 
     k0, m_max = _porosity_with_witness(b0, shore0)
     if k0 == 0:
-        return GuardingSet(f_start, shore, k)
+        return GuardingSet(f_start, k)
     w_edges = frozenset(e for e in m_max if (e[0] in shore0) != (e[1] in shore0))
     w_vertices = frozenset(x for e in w_edges for x in e)
     f0 = frozenset(e for e in m0 if e[0] in w_vertices or e[1] in w_vertices)
@@ -418,7 +416,7 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
             b, m, shore, frozenset(b.vertices) - removed_v
         ):
             guard.remove(e)
-    return GuardingSet(frozenset(guard), shore, k)
+    return GuardingSet(frozenset(guard), k)
 
 
 def verify_guard(

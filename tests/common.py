@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 
-from matchwidth.bigraph import BipartiteGraph, graph_from_edges
-from matchwidth.decomp import LeafTree
+from matchwidth.bigraph import BipartiteGraph, Matching, graph_from_edges
+from matchwidth.decomp import LeafTree, _TreeBuilder
 from matchwidth.digraph import Digraph, digraph_from_arcs
 
 
@@ -114,3 +116,56 @@ def random_cubic_tree(rng, ground, root_kind):
     elif root_kind == "deg2":
         root = subdivide()
     return LeafTree(tuple(map(frozenset, adj)), leaf_map, root)
+
+
+def sibling_leaf_caterpillar(b: BipartiteGraph, m: Matching) -> LeafTree:
+    """A leaf tree over b's vertices whose spine has one node per edge of the
+    perfect matching m, holding the edge's two ends as sibling leaves.  The
+    edges come in breadth-first order of b, from each unreached vertex in
+    turn, so a ladder's caterpillar is as deep as the ladder is long."""
+    mate = {}
+    for u, v in m:
+        mate[u], mate[v] = v, u
+    tb = _TreeBuilder()
+    leaves: dict[int, int] = {}
+    spine = None
+    seen: set[int] = set()
+    placed: set[int] = set()
+    for first in sorted(b.vertices):
+        if first in seen:
+            continue
+        seen.add(first)
+        todo = [first]
+        for x in todo:
+            todo += sorted(b.adj[x] - seen)
+            seen |= b.adj[x]
+            if x in placed:
+                continue
+            placed |= {x, mate[x]}
+            node = tb.node()
+            for end in (x, mate[x]):
+                leaf = tb.node()
+                leaves[leaf] = end
+                tb.link(node, leaf)
+            if spine is not None:
+                up = tb.node()
+                tb.link(up, spine)
+                tb.link(up, node)
+                node = up
+            spine = node
+    return LeafTree(tuple(map(frozenset, tb.adj)), leaves, spine)
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to the current frame depth plus `frames`
+    for the body, and restore it after."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -9,7 +9,15 @@ from matchwidth.direction import elementary_parts
 from matchwidth.errors import OracleLimitExceeded
 from matchwidth.grids import cylindrical_grid, square_grid, square_grid_coords
 
-from common import complete_bipartite, even_cycle, k2, path_graph, random_bipartite_with_pm
+from common import (
+    complete_bipartite,
+    even_cycle,
+    k2,
+    path_graph,
+    random_bipartite_with_pm,
+    recursion_headroom,
+    sibling_leaf_caterpillar,
+)
 
 
 def domino_tilings(rows: int, cols: int) -> int:
@@ -272,6 +280,18 @@ def test_row_major_caterpillars():
     stats = CountStats()
     assert count_pm_decomp(g, tree, stats=stats) == domino_tilings(8, 8) == 12988816
     assert (stats.table_entries, stats.boundary_sets) == (3422, 4168)
+
+
+def test_count_on_a_deep_tree():
+    # the 2 x 600 ladder's caterpillar of matching edges is about 600 levels
+    # deep, and the walk counts it within 100 frames of headroom
+    g = square_grid(600, 2)
+    tree = sibling_leaf_caterpillar(g, some_perfect_matching(g))
+    a, b = 0, 1
+    for _ in range(601):
+        a, b = b, a + b
+    with recursion_headroom(100):
+        assert count_pm_decomp(g, tree) == a  # Fibonacci F(601), F(1) = F(2) = 1
 
 
 def test_decomp_count_two_leaf_tree():

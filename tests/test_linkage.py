@@ -11,12 +11,13 @@ from matchwidth.bigraph import (
     is_perfect,
     some_perfect_matching,
 )
-from matchwidth.decomp import compute_pmd
+from matchwidth.decomp import NicePMD, compute_pmd
 from matchwidth.digraph import mask_members
 from matchwidth.errors import InvalidW, NotExtendable, OracleLimitExceeded
+from matchwidth.grids import square_grid
 from matchwidth.linkage import (
+    _achievable,
     _alternating_paths,
-    _query,
     dapp_bruteforce,
     dapp_solve,
     dapp_solve_extending,
@@ -34,6 +35,8 @@ from common import (
     k2,
     path_graph,
     random_bipartite_with_pm,
+    recursion_headroom,
+    sibling_leaf_caterpillar,
 )
 
 
@@ -131,9 +134,33 @@ def test_itinerary_root_matches_solution():
     ctx = make_context(c6, nice, forced=w_prime, banned=frozenset(), k=1)
     j_set = ctx.index[2, 4] | ctx.index[3, 5]
     # the path 2-5 exists with both anchors forced
-    assert _query(ctx, ctx.root_node, 0, ((2, 5),), j_set) is True
+    assert _achievable(ctx, (ctx.root_node, 0, ((2, 5),), j_set)) is True
     # an empty J leaves the terminals uncovered, so the entry is refused
-    assert _query(ctx, ctx.root_node, 0, ((2, 5),), 0) is False
+    assert _achievable(ctx, (ctx.root_node, 0, ((2, 5),), 0)) is False
+
+
+def test_dp_answers_on_a_deep_tree(monkeypatch):
+    # each DP run takes the caterpillar of its matching's edges in place of
+    # the exact decomposition, with the ladder's width 2 as its budget; the
+    # 2 x 60 ladder's caterpillar is about 60 levels deep, and the DP answers
+    # within 100 frames of headroom, as it keeps no frame per tree level
+    import matchwidth.linkage as linkage
+
+    def caterpillar_dp(b, pairs, forced, banned, m):
+        nice = NicePMD(sibling_leaf_caterpillar(b, m), 2, 2)
+        ctx = make_context(b, nice, forced, banned, max(len(pairs), 1))
+        return _achievable(ctx, (ctx.root_node, 0, tuple(sorted(pairs)), ctx.forced))
+
+    monkeypatch.setattr(linkage, "_dp_decides", caterpillar_dp)
+    # on short ladders the caterpillar DP answers every pair as the oracle does
+    for k in (4, 5):
+        b = square_grid(2, k)
+        for s in range(1, b.n1 + 1):
+            for t in range(b.n1 + 1, b.n + 1):
+                assert dapp_solve(b, [(s, t)]) == dapp_bruteforce(b, [(s, t)], limit=b.n)[0]
+    b = square_grid(2, 60)
+    with recursion_headroom(100):
+        assert dapp_solve(b, [(1, b.n)])
 
 
 def test_make_context_on_a_two_leaf_tree():

@@ -5,6 +5,8 @@ import pytest
 from matchwidth.bigraph import BipartiteGraph
 from matchwidth.planarity import contains_kuratowski_subdivision, planarity_test
 
+from common import complete_bipartite, even_cycle
+
 
 def random_bipartite(rng: random.Random, n1: int, n2: int, m: int) -> BipartiteGraph:
     pool = [(u, v) for u in range(1, n1 + 1) for v in range(n1 + 1, n1 + n2 + 1)]
@@ -39,3 +41,22 @@ def test_planarity_matches_networkx():
         assert planar == nx.check_planarity(h)[0]
         seen.add(planar)
     assert seen == {True, False}
+
+
+def test_edge_count_refuses_k33_before_any_block_test(monkeypatch):
+    # K3,3 has 9 edges on 6 vertices, more than the 2n - 4 = 8 of a planar
+    # bipartite graph; C6 has 6 and takes one block test
+    import matchwidth.planarity as planarity
+
+    calls = []
+    block_test = planarity._planar_block
+
+    def counted(*args):
+        calls.append(args)
+        return block_test(*args)
+
+    monkeypatch.setattr(planarity, "_planar_block", counted)
+    assert not planarity_test(complete_bipartite(3, 3))
+    assert calls == []
+    assert planarity_test(even_cycle(3))
+    assert len(calls) == 1

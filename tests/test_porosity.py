@@ -218,8 +218,8 @@ def test_dm_order_is_reachability_between_components():
                         seen.add(y)
                         todo.append(y)
             reach |= {(comp_of[x], comp_of[y]) for y in seen}
-        assert dm_order(b, 2) == DMStructure(comps, 2, frozenset(reach))
-        assert dm_order(b, 1) == DMStructure(comps, 1, frozenset((j, i) for i, j in reach))
+        assert dm_order(b, 2) == DMStructure(comps, frozenset(reach))
+        assert dm_order(b, 1) == DMStructure(comps, frozenset((j, i) for i, j in reach))
         assert not any(i != j and (j, i) in reach for i, j in reach)
         strict += len(reach) - len(comps)
     assert strict
