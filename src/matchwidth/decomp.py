@@ -508,33 +508,64 @@ def validate_dtd(
 
 class _SccTable(dict):
     """For a banned vertex mask: the strong components of d minus it, as
-    vertex masks in Tarjan's order (`strong_component_masks`), and the
-    component of each vertex by index (0 for a banned vertex).  Filled on
-    first use."""
+    vertex masks, largest first.  Filled on first use.
+
+    The entry for a non-empty mask S with lowest vertex v is made from the
+    entry for S - v: each component that misses v stays, and the component
+    C that holds v gives way to the strong components of d[C - v].  That is
+    exact because a cycle through two vertices of a strong component stays
+    inside that component.  The entry for the empty mask is the same split
+    of the whole vertex set, so no entry needs a full Tarjan pass.  Only the
+    order inside an entry is not Tarjan's: a caller that outputs components
+    in order calls `strong_component_masks`.
+    """
 
     def __init__(self, d: Digraph) -> None:
         super().__init__()
         self.d = d
+        self.every = ((1 << d.n) - 1) << 1
+        self[0] = tuple(sorted(self._split(self.every), key=int.bit_count, reverse=True))
 
-    def __missing__(self, banned: int) -> tuple[tuple[int, ...], list[int]]:
-        comps = strong_component_masks(self.d, banned)
-        owner = [0] * (self.d.n + 1)
-        for comp in comps:
-            rest = comp
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                owner[bit.bit_length() - 1] = comp
-        got = self[banned] = (tuple(comps), owner)
-        return got
+    def _split(self, keep: int) -> list[int]:
+        """The strong components of d[keep]: from the lowest vertex left, a
+        forward closure in keep and then a backward closure in what it
+        reached."""
+        out, inn = self.d.out_masks, self.d.in_masks
+        comps = []
+        while keep:
+            start = keep & -keep
+            comp = mask_reach(inn, start, mask_reach(out, start, keep))
+            comps.append(comp)
+            keep ^= comp
+        return comps
+
+    def __missing__(self, banned: int) -> tuple[int, ...]:
+        assert not banned & ~self.every, "a banned bit is no vertex of d"
+        chain = []
+        while banned not in self:
+            chain.append(banned)
+            banned &= banned - 1
+        comps = self[banned]
+        for banned in reversed(chain):
+            v = banned & -banned
+            i = 0
+            while not comps[i] & v:
+                i += 1
+            parts = self._split(comps[i] ^ v)
+            rest = comps[:i] + comps[i + 1 :]  # still largest first
+            if parts:
+                rest = tuple(sorted(rest + tuple(parts), key=int.bit_count, reverse=True))
+            comps = self[banned] = rest
+        return comps
 
 
 def _responses(table: _SccTable, cops: int, robber: int, move: int) -> list[int]:
     """Robber components after the cops move from `cops` to `move` (the
     standard transition rule): the components of d - move inside the
-    component of d - (cops & move) that holds the robber."""
-    region = table[cops & move][1][(robber & -robber).bit_length() - 1]
-    return [c for c in table[move][0] if c & region]
+    component of d - (cops & move) that holds the robber, in the table's
+    order, largest first."""
+    region = next(c for c in table[cops & move] if c & robber)
+    return [c for c in table[move] if c & region]
 
 
 def _monotone_win(table: _SccTable, moves: list[int], upto: list[int]) -> dict[int, int] | None:
@@ -553,7 +584,12 @@ def _monotone_win(table: _SccTable, moves: list[int], upto: list[int]) -> dict[i
     robber component, and any lifted cop in it lies outside the move; if it
     holds no cop, it is strongly connected in d - cops and so lies inside
     the robber component.  So the move is monotone iff that component is
-    the robber component itself.
+    the robber component itself, that is, iff the robber component is an
+    entry of `table[hold]`.
+
+    A move wins iff every response wins, so the order in which the
+    responses are tried changes no memo value.  They are tried in the
+    table's order, largest first, which refutes a losing move sooner.
     """
     k = len(upto) - 1
     within = [moves[:end] for end in upto]  # the moves of at most s vertices
@@ -567,12 +603,11 @@ def _monotone_win(table: _SccTable, moves: list[int], upto: list[int]) -> dict[i
         if result is not None:
             return result
         result = 0
-        low = (robber & -robber).bit_length() - 1
         legal: list[int] = []
         hold = cops
         while True:  # the submasks of cops, cops first
             room = k - hold.bit_count()
-            if room and table[hold][1][low] == robber:
+            if room and robber in table[hold]:
                 legal += [hold | y for y in within[room] if y & robber and not y & cops]
             if not hold:
                 break
@@ -581,7 +616,7 @@ def _monotone_win(table: _SccTable, moves: list[int], upto: list[int]) -> dict[i
         # keeps combination order; sorting merges the holds
         legal.sort(key=rank.__getitem__)
         for move in legal:
-            for c in table[move][0]:
+            for c in table[move]:
                 if c & robber and not win(move, c):
                     break
             else:
@@ -590,7 +625,7 @@ def _monotone_win(table: _SccTable, moves: list[int], upto: list[int]) -> dict[i
         memo[key] = result
         return result
 
-    if not all(win(0, c) for c in table[0][0]):
+    if not all(win(0, c) for c in table[0]):
         return None
     return memo
 
@@ -609,7 +644,7 @@ def cop_number_game_exact(d: Digraph) -> int:
     table = _SccTable(d)
     for k in range(1, d.n + 1):
         cop_sets = [vertex_mask(c) for size in range(0, k + 1) for c in combinations(verts, size)]
-        positions = [(c, r) for c in cop_sets for r in table[c][0]]
+        positions = [(c, r) for c in cop_sets for r in table[c]]
         winning: set[tuple[int, int]] = set()
         changed = True
         while changed:
@@ -626,7 +661,7 @@ def cop_number_game_exact(d: Digraph) -> int:
                         winning.add(pos)
                         changed = True
                         break
-        if all((0, r) in winning for r in table[0][0]):
+        if all((0, r) in winning for r in table[0]):
             return k
     raise AssertionError("n cops always win")
 
@@ -640,6 +675,13 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     once the cop sits at v in the robber's component S, every next move
     {w} lifts v, and the component of d around the robber is S, which
     still holds v, so no monotone move exists.
+
+    The search reads `_SccTable`, whose entries are largest first.  The
+    tree lists the children of a node, and the extra children of the root,
+    in Tarjan's order: where there are two or more it reads them from
+    `strong_component_masks`, so the output does not depend on the table's
+    order.  A strategy move is monotone, so its responses are the
+    components of d - move that meet the robber.
     """
     if d.n > DTW_ORACLE_LIMIT:
         raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {DTW_ORACLE_LIMIT}")
@@ -649,7 +691,7 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     verts = sorted(d.vertices)
     moves: list[int] = []
     upto = [0]
-    first = 2 if any(c & (c - 1) for c in table[0][0]) else 1
+    first = 2 if any(c & (c - 1) for c in table[0]) else 1
     for number in range(1, d.n + 1):
         moves += [vertex_mask(c) for c in combinations(verts, number)]
         upto.append(len(moves))
@@ -671,11 +713,16 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
         parent.append(parent_idx)
         bags.append(mask_members(move & robber))
         guards.append(mask_members(cops))
-        for resp in _responses(table, cops, robber, move):
+        resps = [c for c in table[move] if c & robber]
+        if len(resps) > 1:
+            resps = [c for c in strong_component_masks(d, move) if c & robber]
+        for resp in resps:
             build(move, resp, idx)
         return idx
 
-    start = table[0][0]
+    start = table[0]
+    if len(start) > 1:
+        start = strong_component_masks(d)
     root_idx = build(0, start[0], -1)
     for comp in start[1:]:
         build(0, comp, root_idx)
@@ -696,7 +743,6 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
 @dataclass
 class PlayTranscript:
     cop_positions: list[frozenset[int]] = field(default_factory=list)
-    caught: bool = False
 
     def max_cops(self) -> int:
         return max((len(c) for c in self.cop_positions), default=0)
@@ -708,7 +754,8 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
     Cops occupy, per tree edge, a hitting set for all directed cycles
     crossing the induced cut, then descend towards the robber's subtree.
     The robber takes the largest component, ties to the one with the
-    smallest vertex.  The transcript ends in capture.
+    smallest vertex.  It returns only on capture, so the transcript ends
+    there; an escape raises AssertionError.
     """
     dec.validate(d.vertices)
     table = _SccTable(d)
@@ -727,7 +774,6 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
     if dec.m == 1:
         only = dec.leaf_map[0]
         transcript.cop_positions.append(frozenset({only}))
-        transcript.caught = True
         return transcript
 
     # opening: one cop on the lowest-id vertex
@@ -735,9 +781,8 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
     v = dec.leaf_map[leaf]
     c0 = frozenset({v})
     transcript.cop_positions.append(c0)
-    r = robber(table[vertex_mask(c0)][0])
+    r = robber(table[vertex_mask(c0)])
     if r is None:
-        transcript.caught = True
         return transcript
 
     if dec.m == 2:
@@ -745,7 +790,6 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
         both = frozenset(dec.leaf_map.values())
         r = place(both, c0, r)
         if r is None:
-            transcript.caught = True
             return transcript
         raise AssertionError("robber escaped the two-vertex capture")
 
@@ -767,7 +811,6 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
     c1 = c0 | s_edge(e1) | s_edge(e2)
     r = place(c1, c0, r)
     if r is None:
-        transcript.caught = True
         return transcript
 
     t_node = e1 if r <= below[e1] else e2
@@ -777,7 +820,6 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
         guard = s_edge(t_node)
         r2 = place(guard, prev_cops, r)
         if r2 is None:
-            transcript.caught = True
             return transcript
         r = r2
         prev_cops = guard
@@ -785,14 +827,12 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
             final = guard | frozenset({dec.leaf_map[t_node]})
             r3 = place(final, prev_cops, r)
             if r3 is None:
-                transcript.caught = True
                 return transcript
             raise AssertionError("robber escaped the leaf capture")
         e1p, e2p = kids[t_node]
         cops = guard | s_edge(e1p) | s_edge(e2p)
         r2 = place(cops, prev_cops, r)
         if r2 is None:
-            transcript.caught = True
             return transcript
         r = r2
         prev_cops = cops

@@ -39,7 +39,14 @@ def _canonical(
     out_adj: Sequence[frozenset[int]],
     in_adj: Sequence[frozenset[int]] | None,
     colors: list[int],
+    given: Sequence[int] | None = None,
 ) -> Canon:
+    """The least encoding over the vertex orders that refinement and
+    individualisation reach.  An encoding lists the `given` colours (the
+    first call's) along the order, with the arcs: the refined colours of a
+    discrete order are 0..n-1 on every graph, so they keep no trace of the
+    colour classes."""
+    given = colors if given is None else given
     colors = _refine(n, out_adj, in_adj, list(colors))
 
     def encode(order: list[int]) -> Canon:
@@ -53,7 +60,7 @@ def _canonical(
             )
         else:
             arcs = sorted((pos[u], pos[w]) for u in range(n) for w in out_adj[u])
-        return (tuple(colors[v] for v in order), tuple(arcs))
+        return (tuple(given[v] for v in order), tuple(arcs))
 
     classes: dict[int, list[int]] = {}
     for v in range(n):
@@ -72,7 +79,7 @@ def _canonical(
     for v in classes[target]:
         child = list(colors)
         child[v] = fresh
-        sub = _canonical(n, out_adj, in_adj, child)
+        sub = _canonical(n, out_adj, in_adj, child, given)
         if best is None or sub < best:
             best = sub
     assert best is not None
@@ -117,7 +124,7 @@ def canonical_bipartite(
         return ("mb", _canonical(total, out, None, colors))
 
     first = one(False)
-    if not allow_swap or b.n1 != b.n2:
+    if not allow_swap:
         return first
     return min(first, one(True))
 

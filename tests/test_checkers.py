@@ -10,7 +10,11 @@ rejections, and every checker must reject some of them.
 `ref_monotone_win` is the earlier cop search, which scans every cop set of
 at most k vertices at each position and rejects the moves that are not
 monotone.  `_monotone_win`, which lists only the monotone moves, must try
-them in the same order and so fill the same memo.
+them in the same order and so fill the same memo.  `ref_dtw_exact_small`
+is the earlier exact search, whose `RefSccTable` runs one Tarjan pass per
+entry and keeps Tarjan's order; `dtw_exact_small`, whose table splits each
+entry off its parent entry and orders it largest first, must return the
+same cop number and the same tree.
 
 `ref_is_prepared` checks the prepared axioms of a proto decomposition
 (subcubic; strong or small child subtrees; two children orderable without
@@ -42,7 +46,13 @@ from matchwidth.decomp import (
     prepare_dtd,
     validate_dtd,
 )
-from matchwidth.digraph import Digraph, mask_members, strong_components, vertex_mask
+from matchwidth.digraph import (
+    Digraph,
+    mask_members,
+    strong_component_masks,
+    strong_components,
+    vertex_mask,
+)
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NotNice
 
@@ -180,8 +190,74 @@ def ref_monotone_win(table, moves):
             if not move & robber:
                 continue
             hold = cops & move
-            if hold != cops and table[hold][1][low] & ~(robber | move):
+            region = next(c for c in table[hold] if c >> low & 1)
+            if hold != cops and region & ~(robber | move):
                 continue
+            for c in table[move]:
+                if c & robber and not win(move, c):
+                    break
+            else:
+                result = move
+                break
+        memo[key] = result
+        return result
+
+    if not all(win(0, c) for c in table[0]):
+        return None
+    return memo
+
+
+class RefSccTable(dict):
+    """The earlier `_SccTable`: for a banned vertex mask, the strong
+    components of d minus it in Tarjan's order, and the component of each
+    vertex by index (0 for a banned vertex), from one Tarjan pass per
+    entry."""
+
+    def __init__(self, d):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, banned):
+        comps = strong_component_masks(self.d, banned)
+        owner = [0] * (self.d.n + 1)
+        for comp in comps:
+            for v in mask_members(comp):
+                owner[v] = comp
+        got = self[banned] = (tuple(comps), owner)
+        return got
+
+
+def ref_responses(table, cops, robber, move):
+    region = table[cops & move][1][(robber & -robber).bit_length() - 1]
+    return [c for c in table[move][0] if c & region]
+
+
+def ref_listed_monotone_win(table, moves, upto):
+    """The earlier `_monotone_win`, on `RefSccTable` entries."""
+    k = len(upto) - 1
+    within = [moves[:end] for end in upto]
+    rank = {move: i for i, move in enumerate(within[k])}
+    shift = table.d.n + 1
+    memo = {}
+
+    def win(cops, robber):
+        key = robber << shift | cops
+        result = memo.get(key)
+        if result is not None:
+            return result
+        result = 0
+        low = (robber & -robber).bit_length() - 1
+        legal = []
+        hold = cops
+        while True:
+            room = k - hold.bit_count()
+            if room and table[hold][1][low] == robber:
+                legal += [hold | y for y in within[room] if y & robber and not y & cops]
+            if not hold:
+                break
+            hold = (hold - 1) & cops
+        legal.sort(key=rank.__getitem__)
+        for move in legal:
             for c in table[move][0]:
                 if c & robber and not win(move, c):
                     break
@@ -194,6 +270,41 @@ def ref_monotone_win(table, moves):
     if not all(win(0, c) for c in table[0][0]):
         return None
     return memo
+
+
+def ref_dtw_exact_small(d):
+    """The earlier `dtw_exact_small`: the search and the tree both read
+    `RefSccTable`, so children come in Tarjan's order."""
+    table = RefSccTable(d)
+    verts = sorted(d.vertices)
+    moves, upto = [], [0]
+    first = 2 if any(c & (c - 1) for c in table[0][0]) else 1
+    for number in range(1, d.n + 1):
+        moves += [vertex_mask(c) for c in combinations(verts, number)]
+        upto.append(len(moves))
+        if number < first:
+            continue
+        strategy = ref_listed_monotone_win(table, moves, upto)
+        if strategy is not None:
+            break
+    shift = d.n + 1
+    parent, bags, guards = [], [], []
+
+    def build(cops, robber, parent_idx):
+        move = strategy[robber << shift | cops]
+        idx = len(parent)
+        parent.append(parent_idx)
+        bags.append(mask_members(move & robber))
+        guards.append(mask_members(cops))
+        for resp in ref_responses(table, cops, robber, move):
+            build(move, resp, idx)
+        return idx
+
+    start = table[0][0]
+    root_idx = build(0, start[0], -1)
+    for comp in start[1:]:
+        build(0, comp, root_idx)
+    return number, DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
 
 
 def ref_is_prepared(d, dec):
@@ -398,18 +509,29 @@ def test_validate_dtd_matches_reference():
 
 
 def test_scc_table_matches_strong_components():
+    # an entry holds the strong components, largest first, whatever order
+    # the table is filled in: at random, or each mask before its subsets
     rng = random.Random(71)
     for _ in range(400):
         d = random_digraph(rng, rng.randint(0, 10), rng.uniform(0.05, 0.6))
-        table = _SccTable(d)
-        for _ in range(3):
-            banned = frozenset(v for v in d.vertices if rng.random() < 0.3)
+        if d.n <= 5:
+            banned_sets = [frozenset(c) for k in range(d.n + 1) for c in combinations(d.vertices, k)]
+        else:
+            banned_sets = [frozenset(v for v in d.vertices if rng.random() < 0.3) for _ in range(6)]
+        masks = [vertex_mask(banned) for banned in banned_sets]
+        at_random, supersets_first = _SccTable(d), _SccTable(d)
+        for mask in rng.sample(masks, len(masks)):
+            at_random[mask]
+        for mask in sorted(masks, key=int.bit_count, reverse=True):
+            supersets_first[mask]
+        for banned, mask in zip(banned_sets, masks):
             expected = ref_strong_components(d, banned)
             assert strong_components(d, banned) == expected
-            comps, owner = table[vertex_mask(banned)]
-            assert [mask_members(c) for c in comps] == expected
-            for v in d.vertices:
-                assert owner[v] == next((c for c in comps if c >> v & 1), 0)
+            for table in (at_random, supersets_first):
+                comps = table[mask]
+                assert sorted(map(mask_members, comps), key=sorted) == sorted(expected, key=sorted)
+                sizes = [c.bit_count() for c in comps]
+                assert sizes == sorted(sizes, reverse=True)
 
 
 def random_dag(rng, n):
@@ -447,6 +569,22 @@ def test_monotone_win_matches_the_full_scan():
                 break
             lost += 1
     assert lost > 100 and won > 1000
+
+
+def test_dtw_exact_small_matches_the_earlier_search():
+    # the table's largest-first order reaches no output: the same cop number
+    # and the same tree, children in Tarjan's order
+    rng = random.Random(89)
+    digraphs = [random_digraph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.6)) for _ in range(150)]
+    digraphs += [directed_cycle(n) for n in range(2, 9)]
+    digraphs += [bidirected_clique(n) for n in range(1, 6)]
+    for _ in range(40):
+        b = planted(rng, 3, 10)
+        digraphs.append(m_direction(b, some_perfect_matching(b))[0])
+    for d in digraphs:
+        k, dec = dtw_exact_small(d)
+        want_k, want = ref_dtw_exact_small(d)
+        assert (k, dec.parent, dec.bags, dec.guards) == (want_k, want.parent, want.bags, want.guards)
 
 
 def conversion_inputs(rng):

@@ -239,6 +239,29 @@ def test_cli_ears_and_cops_and_dm():
     assert code == 0 and "component" in out
 
 
+def test_cli_cops_json(tmp_path, capsys):
+    # `cops_play` returns only on capture, so "caught" is always true
+    cases = [
+        ("d 1\n", 0, 1, 1),
+        ("d 2\na 1 2\na 2 1\n", 1, 2, 2),
+        ("d 3\na 1 2\na 2 3\n", 0, 1, 4),
+        ("d 4\na 1 2\na 2 3\na 3 4\na 4 1\n", 1, 2, 6),
+        ("d 3\na 1 2\na 2 1\na 2 3\na 3 2\na 1 3\na 3 1\n", 1, 3, 2),
+        ("d 6\na 1 2\na 2 3\na 3 1\na 3 4\na 4 5\na 5 6\na 6 4\na 5 2\n", 1, 2, 10),
+    ]
+    f = tmp_path / "d.txt"
+    for text, width, most, rounds in cases:
+        f.write_text(text)
+        assert main(["--json", "cops", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "caught": True,
+            "cycle_width": width,
+            "max_cops": most,
+            "rounds": rounds,
+            "schema": 1,
+        }
+
+
 def test_cli_minor(tmp_path):
     c6 = write_graph_text(even_cycle(3))
     c4 = write_graph_text(even_cycle(2))

@@ -8,8 +8,10 @@ from matchwidth.isomorphism import (
     bipartite_automorphisms,
     bipartite_isomorphisms,
     canonical_bipartite,
+    canonical_digraph,
     swap_colours,
 )
+from matchwidth.digraph import Digraph
 
 from common import complete_bipartite, even_cycle
 
@@ -108,3 +110,64 @@ def test_isomorphisms_match_networkx():
         g = nx_graph(b)
         preserving = sum(1 for _ in GraphMatcher(g, g, node_match=same_colour).isomorphisms_iter())
         assert len(bipartite_automorphisms(b)) == preserving
+
+
+def sample_digraph(rng, n, arcs):
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    return Digraph(n, frozenset(rng.sample(pairs, arcs)))
+
+
+def sample_bipartite(rng, n1, n2, edges):
+    pairs = [(u, n1 + v) for u in range(1, n1 + 1) for v in range(1, n2 + 1)]
+    return graph_from_edges(n1, n2, rng.sample(pairs, edges))
+
+
+def test_canonical_forms_match_networkx():
+    """Equal canonical forms exactly when networkx's VF2 matcher finds an
+    isomorphism: digraphs against relabelled copies and against distinct
+    random digraphs of the same size, and pairs of distinct random
+    bipartite graphs, with and without the colour swap."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import categorical_node_match
+
+    def nx_digraph(d):
+        g = nx.DiGraph()
+        g.add_nodes_from(d.vertices)
+        g.add_edges_from(d.arcs)
+        return g
+
+    def nx_graph(b, swapped=False):
+        g = nx.Graph()
+        for v in b.vertices:
+            g.add_node(v, colour=(b.colour(v) == 1) != swapped)
+        g.add_edges_from(b.edges)
+        return g
+
+    same_colour = categorical_node_match("colour", None)
+    rng = random.Random(43)
+    verdicts = []
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        arcs = rng.randint(0, n * (n - 1))
+        d = sample_digraph(rng, n, arcs)
+        order = list(d.vertices)
+        rng.shuffle(order)
+        image = Digraph(n, frozenset((order[u - 1], order[v - 1]) for u, v in d.arcs))
+        assert nx.is_isomorphic(nx_digraph(d), nx_digraph(image))
+        assert canonical_digraph(d) == canonical_digraph(image)
+        other = sample_digraph(rng, n, arcs)
+        iso = nx.is_isomorphic(nx_digraph(d), nx_digraph(other))
+        assert (canonical_digraph(d) == canonical_digraph(other)) == iso
+        verdicts.append(iso)
+    for _ in range(200):
+        n1, n2 = rng.randint(1, 4), rng.randint(1, 4)
+        edges = rng.randint(0, n1 * n2)
+        b = sample_bipartite(rng, n1, n2, edges)
+        c = sample_bipartite(rng, *rng.choice([(n1, n2), (n2, n1)]), edges)
+        kept = nx.is_isomorphic(nx_graph(b), nx_graph(c), node_match=same_colour)
+        swapped = nx.is_isomorphic(nx_graph(b), nx_graph(c, swapped=True), node_match=same_colour)
+        fixed = canonical_bipartite(b, allow_swap=False) == canonical_bipartite(c, allow_swap=False)
+        assert fixed == kept
+        assert (canonical_bipartite(b) == canonical_bipartite(c)) == (kept or swapped)
+        verdicts += [kept, swapped]
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
