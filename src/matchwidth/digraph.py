@@ -158,11 +158,15 @@ def mask_union(nbrs: Sequence[int], mask: int) -> int:
 
 def mask_reach(nbrs: Sequence[int], sources: int, allowed: int) -> int:
     """The vertices that the sources inside `allowed` reach without leaving
-    it, as a mask; nbrs[v] is the mask of v's successors."""
-    seen = frontier = sources & allowed
-    while frontier:
-        frontier = mask_union(nbrs, frontier) & allowed & ~seen
-        seen |= frontier
+    it, as a mask; nbrs[v] is the mask of v's successors.  Each vertex
+    reached is taken off the worklist once, lowest bit first."""
+    seen = todo = sources & allowed
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        new = nbrs[bit.bit_length() - 1] & allowed & ~seen
+        seen |= new
+        todo |= new
     return seen
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .bigraph import (
@@ -504,13 +505,93 @@ def is_strongly_planar(d: Digraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _h_symmetries(h: BipartiteGraph) -> tuple[list[dict[int, int]], bool]:
-    """h's colour-preserving automorphisms, and whether some automorphism
-    swaps its colour classes.  Past 12 vertices: the identity and False."""
-    if h.n > 12:
-        return [{v: v for v in h.vertices}], False
-    swapping = next(bipartite_isomorphisms(h, swap_colours(h)), None)
-    return bipartite_automorphisms(h), swapping is not None
+# Patterns whose analysis `_pattern` keeps per process.
+PATTERN_CACHE_SIZE = 16
+
+
+class _MhTables:
+    """The tables `_check_with_mh` reads that depend only on h and one
+    perfect matching m_h of h.  Every check with this pattern shares them,
+    so nothing may write to them."""
+
+    def __init__(self, h: BipartiteGraph, m_h: Matching) -> None:
+        self.h_vertices = h_vertices = sorted(h.vertices)
+        self.m_edges = sorted(m_h)
+        non_m_edges = sorted(e for e in h.edges if e not in m_h)
+        incident = {u: [e for e in non_m_edges if u in e] for u in h_vertices}
+        # per non-m_h edge (u, v) in sorted order: u, the edge's place among
+        # u's non-m_h edges (the index into u's slot pattern), v, its place
+        # at v
+        self.edge_slots = edge_slots = [
+            (u, incident[u].index((u, v)), v, incident[v].index((u, v))) for u, v in non_m_edges
+        ]
+        # per u: (u's place, other end v, v's place) of each non-m_h edge
+        # whose other end is placed before u; an edge's first end is its V1
+        # end
+        self.earlier = {
+            u: [(iw, v, iv) for v, iv, w, iw in edge_slots if w == u] for u in h_vertices
+        }
+        self.mate = {u: v for e in m_h for u, v in (e, e[::-1])}
+        self.patterns_by_u = {u: _slot_patterns(len(incident[u])) for u in h_vertices}
+        most_spines = max(a for patterns in self.patterns_by_u.values() for _, a in patterns)
+        self.shapes_by_size = [_tree_shapes(a) for a in range(most_spines + 1)]
+
+
+class _Pattern:
+    """What `matching_minor_check` knows about a pattern h alone.
+
+    Building it tests that h is matching covered.  The rest is computed on
+    first use, because only checks that pass the host-side exits need it:
+    `enumerate_perfect_matchings` refuses patterns past
+    `ORACLE_VERTEX_LIMIT`, and a check that stops at its size exits must
+    not reach it.
+    """
+
+    def __init__(self, h: BipartiteGraph) -> None:
+        if not is_matching_covered(h):
+            raise ModelInvalid("pattern must be matching covered")
+        self.h = h
+        self.colour_of = {u: (1 if u <= h.n1 else 2) for u in h.vertices}
+
+    @cached_property
+    def _symmetries(self) -> tuple[list[dict[int, int]], bool]:
+        """h's colour-preserving automorphisms, and whether some
+        automorphism swaps its colour classes.  Past 12 vertices: the
+        identity and False."""
+        h = self.h
+        if h.n > 12:
+            return [{v: v for v in h.vertices}], False
+        swapping = next(bipartite_isomorphisms(h, swap_colours(h)), None)
+        return bipartite_automorphisms(h), swapping is not None
+
+    @cached_property
+    def flips(self) -> tuple[bool, ...]:
+        """The passes to run: False places h's colour classes on the same
+        host classes, True on the opposite ones."""
+        return (False,) if self._symmetries[1] else (False, True)
+
+    @cached_property
+    def representatives(self) -> list[_MhTables]:
+        """One perfect matching m_h of h per orbit of h's colour-preserving
+        automorphisms, in the order `enumerate_perfect_matchings` lists the
+        first of each orbit, with its tables."""
+        autos = self._symmetries[0]
+        seen: set[Matching] = set()
+        out = []
+        for m_h in enumerate_perfect_matchings(self.h):
+            if m_h in seen:
+                continue
+            seen.update(frozenset((a[u], a[v]) for u, v in m_h) for a in autos)
+            out.append(_MhTables(self.h, m_h))
+        return out
+
+
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _pattern(h: BipartiteGraph) -> _Pattern:
+    """The analysis of h, shared by every check in the process whose
+    pattern equals h.  Raises `ModelInvalid` on each call for a pattern
+    that is not matching covered: `lru_cache` stores no exception."""
+    return _Pattern(h)
 
 
 def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
@@ -526,12 +607,20 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     relabelling h by an automorphism maps the placement search for one
     perfect matching m_h onto the search for its image.
 
-    - m_h is tried once per orbit of h's colour-preserving automorphisms.
-    - The pass with h's colour classes placed on the opposite host classes
-      runs only when no automorphism swaps them.  If sigma does, that pass
-      for m_h is the unflipped pass for sigma(m_h), which is tried anyway.
-    - One verdict memo serves the whole call (see `_check_with_mh`), so a
-      DAPP instance that several guesses build is solved once.
+    - Per process, for each pattern (`_pattern`, keyed on the value of h):
+      the matching-covered test, h's symmetries, the m_h representatives
+      and each one's tables.
+      - m_h is tried once per orbit of h's colour-preserving automorphisms.
+      - The pass with h's colour classes placed on the opposite host
+        classes runs only when no automorphism swaps them.  If sigma does,
+        that pass for m_h is the unflipped pass for sigma(m_h), which is
+        tried anyway.
+    - Per call: one verdict memo serves every guess (see `_check_with_mh`),
+      so a DAPP instance that several guesses build is solved once.
+
+    The exits come in a fixed order: a pattern that is not matching covered
+    raises first, then the size exits and the admissible exit return False,
+    and only then is the lazy part of the pattern read.
 
     Every edge of a model's bisubdivision lies in a perfect matching of b,
     so only admissible edges of b are ever forced.  `bigraph.admissible_edges`
@@ -539,27 +628,17 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     Past those exits b is not empty, so the set is empty exactly when b has
     no perfect matching.
     """
-    if not is_matching_covered(h):
-        raise ModelInvalid("pattern must be matching covered")
+    pattern = _pattern(h)
     if h.n > b.n or len(h.edges) > len(b.edges):
         return False
     admissible = admissible_edges(b)
     if not admissible:
         return False
 
-    autos, colour_swapping = _h_symmetries(h)
-    flips = (False,) if colour_swapping else (False, True)
-
-    # every perfect matching of h in the orbit of one already tried
-    seen_mh: set[Matching] = set()
     budget_total = b.n - h.n  # spare vertices for legs, spines, path interiors
     memo: dict = {}
-
-    for m_h in enumerate_perfect_matchings(h):
-        if m_h in seen_mh:
-            continue
-        seen_mh.update(frozenset((a[u], a[v]) for u, v in m_h) for a in autos)
-        if _check_with_mh(b, h, m_h, admissible, budget_total, flips, memo):
+    for tables in pattern.representatives:
+        if _check_with_mh(b, pattern, tables, admissible, budget_total, memo):
             return True
     return False
 
@@ -631,11 +710,10 @@ def _tree_shapes(a_u: int) -> list[tuple[int, ...]]:
 
 def _check_with_mh(
     b: BipartiteGraph,
-    h: BipartiteGraph,
-    m_h: Matching,
+    pattern: _Pattern,
+    tables: _MhTables,
     admissible: frozenset[Edge],
     budget: int,
-    flips: tuple[bool, ...],
     memo: dict,
 ) -> bool:
     """Guess, pattern vertex by pattern vertex, how a model of h with
@@ -677,29 +755,23 @@ def _check_with_mh(
     so each instance skipped is one that `run` would refuse before it
     reaches `_solve_full`.
 
-    `memo` holds, for this `matching_minor_check` call, the verdict of each
-    (forced set, set of terminal pairs) instance already solved and, keyed
-    on the forced set alone, whether that set extends to a perfect matching
-    of b (see `run`).
+    Only host work happens here.  The pattern side (h's vertex order, the
+    slot patterns and spine shapes of each vertex, the edge slots and the
+    mate of each vertex under m_h) comes precomputed in `tables`, once per
+    process (`_pattern`).  `memo` holds, for this `matching_minor_check`
+    call, the verdict of each (forced set, set of terminal pairs) instance
+    already solved and, keyed on the forced set alone, whether that set
+    extends to a perfect matching of b (see `run`).
     """
     n1 = b.n1
     adj = b.adj
-    h_vertices = sorted(h.vertices)
-    non_m_edges = sorted(e for e in h.edges if e not in m_h)
-    m_edges = sorted(m_h)
-    incident = {u: [e for e in non_m_edges if u in e] for u in h_vertices}
-    # per non-m_h edge (u, v) in sorted order: u, the edge's place among
-    # u's non-m_h edges (the index into u's slot pattern), v, its place at v
-    edge_slots = [
-        (u, incident[u].index((u, v)), v, incident[v].index((u, v))) for u, v in non_m_edges
-    ]
-    # per u: (u's place, other end v, v's place) of each non-m_h edge whose
-    # other end is placed before u; an edge's first end is its V1 end
-    earlier ={u: [(iw, v, iv) for v, iv, w, iw in edge_slots if w == u] for u in h_vertices}
-    mate = {u: v for e in m_h for u, v in (e, e[::-1])}
-    patterns_by_u = {u: _slot_patterns(len(incident[u])) for u in h_vertices}
-    most_spines = max(a for patterns in patterns_by_u.values() for _, a in patterns)
-    shapes_by_size = [_tree_shapes(a) for a in range(most_spines + 1)]
+    h_vertices = tables.h_vertices
+    m_edges = tables.m_edges
+    edge_slots = tables.edge_slots
+    earlier = tables.earlier
+    mate = tables.mate
+    patterns_by_u = tables.patterns_by_u
+    shapes_by_size = tables.shapes_by_size
     # host candidates per colour class, in the order they are tried:
     # (vertex, degree) for an exposed vertex, and (admissible edge, end in
     # the class, other end, degree of the first end) for a spine
@@ -709,7 +781,6 @@ def _check_with_mh(
         1: [(e, e[0], e[1], b.degree(e[0])) for e in host_edges],
         2: [(e, e[1], e[0], b.degree(e[1])) for e in host_edges],
     }
-    colour_of = {u: (1 if u <= h.n1 else 2) for u in h.vertices}
 
     # placement state per placed u: its guess (slot pattern, spine tree),
     # the host vertex of each anchor, and its spine edges with their other
@@ -876,8 +947,8 @@ def _check_with_mh(
             ok = memo[forced] = has_perfect_matching(b, covered)
         return ok
 
-    for flip in flips:
-        host_class = {u: 3 - c if flip else c for u, c in colour_of.items()}
+    for flip in pattern.flips:
+        host_class = {u: 3 - c if flip else c for u, c in pattern.colour_of.items()}
         if guess(0, budget, 0):
             return True
     return False

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,7 @@ from matchwidth.errors import ParseError
 from matchwidth.grids import square_grid
 from matchwidth.isomorphism import bipartite_isomorphic, digraph_isomorphic
 
-from common import even_cycle, random_cubic_tree
+from common import even_cycle, random_bipartite_with_pm, random_cubic_tree
 
 
 def run_cli(args, stdin="", flags=()):
@@ -302,6 +303,30 @@ def test_cli_main_keeps_no_state_between_calls(tmp_path, capsys):
     assert capsys.readouterr().out == "no\n"
     assert main(["minor", fb, fh]) == 0
     assert capsys.readouterr().out == "yes\n"
+
+
+def test_cli_minor_calls_share_one_pattern(tmp_path, capsys):
+    # in-process calls on one pattern file reuse its analysis; the answers
+    # still equal the oracle's, and a pattern that is not matching covered
+    # is refused on every call
+    rng = random.Random(4)
+    fh = tmp_path / "h.txt"
+    fh.write_text(write_graph_text(even_cycle(3)))
+    answers = []
+    for i in range(6):
+        fb = tmp_path / f"b{i}.txt"
+        b = random_bipartite_with_pm(rng, rng.randint(3, 5), rng.randint(3, 8))
+        fb.write_text(write_graph_text(b))
+        code = main(["minor", str(fb), str(fh)])
+        assert code == main(["minor", str(fb), str(fh), "--oracle"]), fb.read_text()
+        answers.append(code)
+    assert set(answers) == {0, 1}
+    capsys.readouterr()
+    path = tmp_path / "path.txt"
+    path.write_text("b 2 2\ne 1 3\ne 2 3\ne 2 4\n")
+    for _ in range(2):
+        assert main(["minor", str(fb), str(path)]) == 2
+        assert capsys.readouterr().err == "error: pattern must be matching covered\n"
 
 
 def test_cli_empty_graph(tmp_path, capsys):

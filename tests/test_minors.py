@@ -276,24 +276,26 @@ PINNED_SOLVE_CALLS = [
 
 # Hopcroft-Karp runs (`bigraph.max_matching`) per check on the same hosts:
 # a perfect-matching test whose outcome is already known shows up here.
-# A check that ends at its size exits runs one, the pattern's
-# matching-covered test; past them it runs one more for a perfect matching
-# of the host, which also gives the host's admissible edges.  Then come
-# one extendability test per distinct forced set and one perfect matching
-# per proxied instance, which is both that instance's extendability test
-# and the matching its DP is built on.  Every terminal is covered by a
-# forced edge, so no W candidate of `_solve_full` needs a test of its own.
+# The pattern's matching-covered test runs once per process
+# (`minors._pattern`), and the test warms it before counting, so it is in
+# none of these.  A check that ends at its size exits runs none; past them
+# it runs one for a perfect matching of the host, which also gives the
+# host's admissible edges.  Then come one extendability test per distinct
+# forced set and one perfect matching per proxied instance, which is both
+# that instance's extendability test and the matching its DP is built on.
+# Every terminal is covered by a forced edge, so no W candidate of
+# `_solve_full` needs a test of its own.
 PINNED_MATCHING_CALLS = [
-    (5, 2, 2, 2),
-    (5, 2, 2, 1),
-    (4, 4, 2, 1),
-    (5, 2, 2, 1),
-    (5, 2, 2, 1),
-    (10, 3, 2, 2),
-    (9, 4, 2, 1),
-    (8, 2, 2, 2),
-    (7, 2, 2, 2),
-    (25, 8, 2, 2),
+    (4, 1, 1, 1),
+    (4, 1, 1, 0),
+    (3, 3, 1, 0),
+    (4, 1, 1, 0),
+    (4, 1, 1, 0),
+    (9, 2, 1, 1),
+    (8, 3, 1, 0),
+    (7, 1, 1, 1),
+    (6, 1, 1, 1),
+    (24, 7, 1, 1),
 ]
 
 
@@ -316,10 +318,12 @@ def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
         matchings[0] += 1
         return max_matching(*args)
 
-    monkeypatch.setattr(minors, "_solve_full", counted)
-    monkeypatch.setattr(bigraph, "max_matching", counted_matching)
     rng = random.Random(5)
     targets = [even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)]
+    for h in targets:
+        minors._pattern(h)
+    monkeypatch.setattr(minors, "_solve_full", counted)
+    monkeypatch.setattr(bigraph, "max_matching", counted_matching)
     for pinned, pinned_matchings in zip(PINNED_SOLVE_CALLS, PINNED_MATCHING_CALLS):
         b = random_bipartite_with_pm(rng, rng.randint(4, 5), rng.randint(3, 4))
         want_admissible = admissible_edges(b)
@@ -343,6 +347,87 @@ def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
             counts.append(len(calls))
         assert tuple(counts) == pinned, sorted(b.edges)
         assert tuple(matching_counts) == pinned_matchings, sorted(b.edges)
+
+
+def test_equal_patterns_are_analysed_once(monkeypatch):
+    # two separately built, equal patterns share one `_pattern` entry: h's
+    # symmetries and perfect matchings are worked out on the first check
+    # only
+    import matchwidth.minors as minors
+
+    counts = {"bipartite_automorphisms": 0, "enumerate_perfect_matchings": 0}
+    for name in counts:
+        real = getattr(minors, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(minors, name, counted)
+    first = even_cycle(3)
+    second = graph_from_edges(3, 3, sorted(first.edges))
+    assert first is not second and first == second
+    minors._pattern.cache_clear()
+    assert minors.matching_minor_check(even_cycle(4), first)
+    assert minors.matching_minor_check(even_cycle(4), second)
+    assert counts == {"bipartite_automorphisms": 1, "enumerate_perfect_matchings": 1}
+
+
+def test_pattern_not_matching_covered_raises_on_every_call():
+    # a path on four vertices has a perfect matching, but its middle edge
+    # lies in none; `lru_cache` keeps no exception, so both calls raise
+    from matchwidth.errors import ModelInvalid
+    from matchwidth.minors import matching_minor_check
+
+    path = graph_from_edges(2, 2, [(1, 3), (2, 3), (2, 4)])
+    for _ in range(2):
+        with pytest.raises(ModelInvalid):
+            matching_minor_check(even_cycle(3), path)
+
+
+def test_large_pattern_stops_at_the_size_exits():
+    # the pattern's perfect matchings are listed only past the size exits:
+    # C26 is past `enumerate_perfect_matchings`' 24-vertex limit, so only a
+    # host large enough to get there trips it
+    from matchwidth.errors import OracleLimitExceeded
+    from matchwidth.minors import matching_minor_check
+
+    assert not matching_minor_check(even_cycle(3), even_cycle(13))
+    with pytest.raises(OracleLimitExceeded):
+        matching_minor_check(even_cycle(14), even_cycle(13))
+
+
+def test_pattern_representatives_match_the_orbit_loop():
+    # the cached representatives and passes equal what the check worked
+    # out inline on every call before they were cached
+    from corpus import connected_pm_bipartite
+
+    from matchwidth.bigraph import enumerate_perfect_matchings, is_matching_covered
+    from matchwidth.isomorphism import (
+        bipartite_automorphisms,
+        bipartite_isomorphisms,
+        swap_colours,
+    )
+    from matchwidth.minors import _pattern
+
+    seen_flips = set()
+    patterns = [h for n in range(1, 5) for h in connected_pm_bipartite(n) if is_matching_covered(h)]
+    assert len(patterns) == 32
+    for h in patterns:
+        autos = bipartite_automorphisms(h)
+        swapping = next(bipartite_isomorphisms(h, swap_colours(h)), None) is not None
+        seen_mh = set()
+        want = []
+        for m_h in enumerate_perfect_matchings(h):
+            if m_h in seen_mh:
+                continue
+            seen_mh.update(frozenset((a[u], a[v]) for u, v in m_h) for a in autos)
+            want.append(m_h)
+        pattern = _pattern(h)
+        assert [frozenset(t.m_edges) for t in pattern.representatives] == want, sorted(h.edges)
+        assert pattern.flips == ((False,) if swapping else (False, True)), sorted(h.edges)
+        seen_flips.add(pattern.flips)
+    assert seen_flips == {(False,), (False, True)}
 
 
 def test_matching_minor_check_builds_only_extendable_forced_sets(monkeypatch):
