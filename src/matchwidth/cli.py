@@ -136,23 +136,21 @@ def cmd_pm(args) -> int:
         # it has a perfect matching, the empty one, but a decomposition tree
         # needs at least one leaf
         raise MatchwidthError("the empty graph has no decomposition")
-    if args.what == "width":
-        from .decomp import PMW_ORACLE_LIMIT, compute_pmd, pmw_exact_small
+    from .decomp import PMW_ORACLE_LIMIT, compute_pmd, cut_width, pmw_exact_small
 
-        if b.n <= PMW_ORACLE_LIMIT:
-            width, _ = pmw_exact_small(b)
-            exact = True
-        else:
-            width = compute_pmd(b, _perfect_matching(b, None)).width
-            exact = False
-        _emit(args, {"width": width, "exact": exact}, str(width))
+    if args.what == "width" and b.n <= PMW_ORACLE_LIMIT:
+        width, _ = pmw_exact_small(b)
+        _emit(args, {"width": width, "exact": True}, str(width))
+        return 0
+    m = _perfect_matching(b, None)
+    tree = compute_pmd(b, m)
+    width = cut_width(b, m, tree)
+    if args.what == "width":
+        _emit(args, {"width": width, "exact": False}, str(width))
         return 0
     # decomp
-    from .decomp import compute_pmd
-
-    nice = compute_pmd(b, _perfect_matching(b, None))
-    payload = mio.leaf_tree_to_json(nice.tree)
-    payload["width"] = nice.width
+    payload = mio.leaf_tree_to_json(tree)
+    payload["width"] = width
     print(json.dumps(payload, sort_keys=True))
     return 0
 

@@ -54,7 +54,6 @@ class CountStats:
 def count_pm_decomp(
     g: BipartiteGraph,
     dec: LeafTree,
-    width: int | None = None,
     stats: CountStats | None = None,
 ) -> int:
     """Number of perfect matchings via the decomposition dynamic program.
@@ -103,14 +102,13 @@ def count_pm_decomp(
 
     # each middle matching of x as (its vertices, those below x's first
     # child, those below its second), grouped by the tilt of those below
-    # the first child
-    cap = g.n // 2 if width is None else width
+    # the first child; no matching of g has more than n/2 edges
     mids: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     for x, ys in enumerate(kids):
         if ys:
             b1 = below[ys[0]]
             groups = mids[x] = {}
-            for _, w in matchings_in(cut[ys[0]] & cut[ys[1]], ends, cap):
+            for _, w in matchings_in(cut[ys[0]] & cut[ys[1]], ends, g.n // 2):
                 groups.setdefault(tilt(w & b1), []).append((w, w & b1, w & ~b1))
 
     memo: list[dict[int, int]] = [{} for _ in kids]
@@ -160,9 +158,11 @@ def count_pm(b: BipartiteGraph) -> int:
     Every perfect matching uses admissible edges only, so it is one perfect
     matching per elementary component, and the count of b is the product of
     the components' counts.  Each component with more than two vertices is
-    counted by the DP over its own `compute_pmd` decomposition, built on the
+    counted by the DP over its own `compute_pmd` tree, built on the
     restriction of the one perfect matching of b found here, which is a
-    perfect matching of the component; a K2 adds a factor of 1.
+    perfect matching of the component; a K2 adds a factor of 1.  The DP is
+    exact on any valid tree, so the tree's width and niceness are never
+    computed.
     """
     m = some_perfect_matching(b)
     if m is None:
@@ -172,6 +172,5 @@ def count_pm(b: BipartiteGraph) -> int:
         if len(part) > 2:
             sub, fwd, _ = induced_subgraph(b, part)
             m_sub = frozenset((fwd[u], fwd[v]) for u, v in m if u in part)
-            nice = compute_pmd(sub, m_sub)
-            total *= count_pm_decomp(sub, nice.tree, width=nice.width)
+            total *= count_pm_decomp(sub, compute_pmd(sub, m_sub))
     return total

@@ -1,7 +1,7 @@
 """Width decompositions: pmw/cycle width, desk-scale directed treewidth via
 the cops-and-robber game, and the conversion from directed tree
-decompositions to nice perfect matching decompositions, which
-`nice_pmd_check` certifies."""
+decompositions to perfect matching decompositions, with the niceness
+certificate `nice_pmd_check` for the k-DAPP route."""
 
 from __future__ import annotations
 
@@ -247,29 +247,31 @@ CycleDecomposition = LeafTree
 
 def pmd_width(b: BipartiteGraph, dec: PMDecomposition) -> int:
     """Max matching porosity over the tree-edge cuts of the decomposition:
-    the independent check of the width that `pm decomp` reports.
-
-    Only cuts that can raise the maximum get the exact porosity search.
-    The best value so far starts at the larger of 1 (every perfect matching
-    crosses a leaf edge's cut exactly once) and the most edges that one
-    perfect matching M uses on an inner cut.  Each inner cut has an upper
-    bound from `matching_porosity_bound`.  The cuts are searched in falling
-    order of their bounds until a bound is no larger than the best value:
-    no remaining cut can exceed it, so the maximum is exact.
-    """
+    the independent check of the width that `pm decomp` reports."""
     dec.validate(b.vertices)
     m = some_perfect_matching(b)
     if m is None:
         raise NoPerfectMatching("graph has no perfect matching")
-    if dec.m == 1:
+    return cut_width(b, m, dec)
+
+
+def cut_width(host: BipartiteGraph, m: Matching, tree: PMDecomposition) -> int:
+    """`pmd_width` of a tree that `LeafTree.validate` accepts for host's
+    vertices, given a perfect matching m of host; the answer does not
+    depend on which one.
+
+    Only cuts that can raise the maximum get the exact porosity search.
+    The best value so far starts at the larger of 1 (every perfect matching
+    crosses a leaf edge's cut exactly once) and the most edges that m uses
+    on an inner cut.  Each inner cut has an upper bound from
+    `matching_porosity_bound`.  The cuts are searched in falling order of
+    their bounds until a bound is no larger than the best value: no
+    remaining cut can exceed it, so the maximum is exact.
+    """
+    if tree.m == 1:
         return 0
     # porosity counts crossing edges, so either shore of a tree edge will do
-    return _cut_width(b, m, dec.rooted(0).below_masks()[1:])
-
-
-def _cut_width(host: BipartiteGraph, m: Matching, shores: list[int]) -> int:
-    """`pmd_width` of a decomposition of host whose tree edges cut off the
-    vertex masks `shores`, given a perfect matching m of host."""
+    shores = tree.rooted(0).below_masks()[1:]
     inner = [s for s in shores if 1 < s.bit_count() < host.n - 1]
     best = max([1] + [sum((s >> u ^ s >> v) & 1 for u, v in m) for s in inner])
     bounded = sorted(
@@ -923,14 +925,14 @@ class NicePMD:
     type1_bound: int
 
 
-def dtd_to_nice_pmd(
+def dtd_to_pmd(
     host: BipartiteGraph,
     d: Digraph,
     tag: VertexTag,
     dec: DirectedTreeDecomposition,
-) -> NicePMD:
+) -> PMDecomposition:
     """Translate a directed tree decomposition of the M-direction of host
-    into a nice perfect matching decomposition of host.
+    into a rooted perfect matching decomposition of host.
 
     dec must be a decomposition of d that `validate_dtd` accepts, with
     proto=True allowed only for empty-bag nodes with at least two children,
@@ -941,18 +943,15 @@ def dtd_to_nice_pmd(
     Each node's children are taken in `_children_topo_order` and
     right-folded into binary joins, and a node with a bag joins that fold
     with a caterpillar holding its bag; every digraph leaf then expands
-    into the two endpoints of its matching edge.  `nice_pmd_check` is the
-    one certificate of the output: a tree it refuses raises NotNice, as
-    does a node whose children cannot be ordered.
+    into the two endpoints of its matching edge.  The tree is validated
+    once, here; a node whose children cannot be ordered raises NotNice.
     """
     tb = _TreeBuilder()
     leaf_of: dict[int, int] = {}  # tree leaf -> digraph vertex
-    type1_sizes: list[int] = [0]
 
     def hang_bag(bag: frozenset[int]) -> int:
         root, leaves = tb.caterpillar(sorted(bag))
         leaf_of.update(leaves)
-        type1_sizes.append(2 * len(bag))
         return root
 
     def build(t: int) -> int:
@@ -996,9 +995,27 @@ def dtd_to_nice_pmd(
     else:
         tree = LeafTree(tuple(frozenset(s) for s in tb.adj), final_leaf_map, root=top)
     tree.validate(host.vertices)
+    return tree
+
+
+def dtd_to_nice_pmd(
+    host: BipartiteGraph,
+    d: Digraph,
+    tag: VertexTag,
+    dec: DirectedTreeDecomposition,
+) -> NicePMD:
+    """`dtd_to_pmd`'s tree with its width data, certified nice: the tree
+    the k-DAPP dynamic program (`linkage._dp_decides`) runs on.
+
+    The arguments are those of `dtd_to_pmd`.  Each bag hangs as a
+    caterpillar of its matching edges, so type1_bound is at least twice the
+    largest bag.  `nice_pmd_check` is the one certificate of the output: a
+    tree it refuses raises NotNice.
+    """
+    tree = dtd_to_pmd(host, d, tag, dec)
     m = frozenset(tag.values())
-    width = _cut_width(host, m, tree.rooted(0).below_masks()[1:])
-    nice = NicePMD(tree, width, max(width, max(type1_sizes), 1))
+    width = cut_width(host, m, tree)
+    nice = NicePMD(tree, width, max(width, 2 * max(map(len, dec.bags)), 1))
     ok, reason = nice_pmd_check(host, nice, m)
     if not ok:
         raise NotNice(f"conversion produced a non-nice decomposition: {reason}")
@@ -1127,13 +1144,15 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
     return False, "root successors cannot be ordered"
 
 
-def compute_pmd(b: BipartiteGraph, m: Matching) -> NicePMD:
-    """Full pipeline: build the M-direction, find a directed tree
-    decomposition by the exact small-scale search, and convert it to a nice
-    perfect matching decomposition of b.
+def compute_pmd(b: BipartiteGraph, m: Matching) -> PMDecomposition:
+    """The decomposition behind `pm count`, `pm width` and `pm decomp`:
+    build the M-direction, find a directed tree decomposition by the exact
+    small-scale search, and convert it with `dtd_to_pmd`.  The tree is not
+    certified nice, and its width is left to `cut_width`; counting needs
+    only a valid tree.
 
     m must be a perfect matching of b; the caller supplies it, and the
     decomposition depends on which one it is."""
     d, tag = m_direction(b, m)
     _, dtd = dtw_exact_small(d)
-    return dtd_to_nice_pmd(b, d, tag, dtd)
+    return dtd_to_pmd(b, d, tag, dtd)

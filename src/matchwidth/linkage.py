@@ -718,13 +718,19 @@ def _solve_full(
     for w_set in w_candidates(0, {}, set()):
         if not w_set <= forced and not is_extendable(b, w_set | forced):
             continue
-        # a perfect matching of b holds W, so the reduced host has one too
-        w_vertices = frozenset(x for e in w_set for x in e)
-        reduced, fwd, _ = induced_subgraph(b, frozenset(b.vertices) - w_vertices)
-        red_banned = frozenset(fwd[x] for x in banned if x in fwd)
-        # induced_subgraph numbers V1 before V2, so edges and pairs stay V1-first
-        red_forced = frozenset((fwd[u], fwd[v]) for u, v in forced if u in fwd and v in fwd)
+        reduced = None
         for proxy_pairs, w_prime in make_proxies(b, pairs, w_set, banned):
+            if reduced is None:
+                # built at the first proxy family: most W have none.  A
+                # perfect matching of b holds W, so the reduced host has one
+                w_vertices = frozenset(x for e in w_set for x in e)
+                reduced, fwd, _ = induced_subgraph(b, frozenset(b.vertices) - w_vertices)
+                red_banned = frozenset(fwd[x] for x in banned if x in fwd)
+                # induced_subgraph numbers V1 before V2, so edges and pairs
+                # stay V1-first
+                red_forced = frozenset(
+                    (fwd[u], fwd[v]) for u, v in forced if u in fwd and v in fwd
+                )
             red_pairs = tuple((fwd[s], fwd[t]) for s, t in proxy_pairs)
             red_wprime = frozenset((fwd[u], fwd[v]) for u, v in w_prime)
             union = red_wprime | red_forced
@@ -750,11 +756,12 @@ def _dp_decides(
     the forced terminal covers, and run the DP over it on b; m is a perfect
     matching of b that holds the forced edges, so of host too.
 
-    The pipeline is spelled out here rather than run through
-    `decomp.compute_pmd`: its graph is host, and `bench/test_bench.py`
-    checks that this module binds `dtw_exact_small` itself.  Host has b's
-    vertices, so the tree is one of b's vertex set, and its width counts the
-    completion edges.
+    The pipeline is the one `decomp.compute_pmd` runs, spelled out here
+    because its graph is host and the DP needs the tree certified nice, with
+    its type1_bound, which only `dtd_to_nice_pmd` gives; and
+    `bench/test_bench.py` checks that this module binds `dtw_exact_small`
+    itself.  Host has b's vertices, so the tree is one of b's vertex set,
+    and its width counts the completion edges.
 
     `_achievable` settles the root entry on `decomp.walk`.  It takes the
     pairs sorted, as the itinerary memo and `minors`' verdict memo both

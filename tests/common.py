@@ -7,8 +7,9 @@ import sys
 from contextlib import contextmanager
 
 from matchwidth.bigraph import BipartiteGraph, Matching, graph_from_edges
-from matchwidth.decomp import LeafTree, _TreeBuilder
+from matchwidth.decomp import LeafTree, NicePMD, _TreeBuilder, dtd_to_nice_pmd, dtw_exact_small
 from matchwidth.digraph import Digraph, digraph_from_arcs
+from matchwidth.direction import m_direction
 
 
 def even_cycle(k: int) -> BipartiteGraph:
@@ -116,6 +117,14 @@ def random_cubic_tree(rng, ground, root_kind):
     elif root_kind == "deg2":
         root = subdivide()
     return LeafTree(tuple(map(frozenset, adj)), leaf_map, root)
+
+
+def nice_pmd(b: BipartiteGraph, m: Matching) -> NicePMD:
+    """The `compute_pmd` tree of b on m, with the width data and niceness
+    certificate that `dtd_to_nice_pmd` adds on the k-DAPP route."""
+    d, tag = m_direction(b, m)
+    _, dtd = dtw_exact_small(d)
+    return dtd_to_nice_pmd(b, d, tag, dtd)
 
 
 def sibling_leaf_caterpillar(b: BipartiteGraph, m: Matching) -> LeafTree:

@@ -39,7 +39,6 @@ from matchwidth.decomp import (
     NicePMD,
     _SccTable,
     _monotone_win,
-    compute_pmd,
     dtd_to_nice_pmd,
     dtw_exact_small,
     nice_pmd_check,
@@ -59,6 +58,7 @@ from matchwidth.errors import NotNice
 from common import (
     bidirected_clique,
     directed_cycle,
+    nice_pmd,
     random_bipartite_with_pm,
     random_cubic_tree,
     random_digraph,
@@ -437,7 +437,7 @@ def test_nice_pmd_check_matches_reference():
         tree = random_cubic_tree(rng, b.vertices, "deg3")
         check(b, NicePMD(tree, 0, rng.randint(1, 4)))
         # the pipeline's tree, as built and with two leaves swapped
-        nice = compute_pmd(b, some_perfect_matching(b))
+        nice = nice_pmd(b, some_perfect_matching(b))
         check(b, nice)
         tree = nice.tree
         x, y = rng.sample(sorted(tree.leaf_map), 2)

@@ -21,7 +21,8 @@ from matchwidth.io import (
     write_graph_text,
 )
 from matchwidth.errors import ParseError
-from matchwidth.grids import square_grid
+from matchwidth.decomp import PMW_ORACLE_LIMIT, pmd_width
+from matchwidth.grids import cylindrical_grid, square_grid
 from matchwidth.isomorphism import bipartite_isomorphic, digraph_isomorphic
 
 from common import even_cycle, random_bipartite_with_pm, random_cubic_tree
@@ -384,8 +385,8 @@ def test_cli_questions_on_a_matching_refuse_a_graph_without_one(tmp_path, capsys
 
 def test_cli_pm_runs_hopcroft_karp_once_per_question(tmp_path, capsys, monkeypatch):
     # the 3 x 4 grid has 12 vertices, past the exact width search; each
-    # question finds one perfect matching, and the decomposition, its
-    # niceness check and the count all use that one
+    # question finds one perfect matching, and the decomposition, its width
+    # and the count all use that one
     import matchwidth.bigraph as bigraph
 
     runs = [0]
@@ -403,6 +404,24 @@ def test_cli_pm_runs_hopcroft_karp_once_per_question(tmp_path, capsys, monkeypat
         assert main(["pm", what, str(f)]) == 0
         capsys.readouterr()
         assert runs[0] == 1, what
+
+
+def test_cli_pm_width_is_the_decomp_width(tmp_path, capsys):
+    # past the exact width search, `pm width` and `pm decomp` report the
+    # width of the one tree the pipeline builds, and `pmd_width` agrees
+    widths = []
+    for b in (square_grid(3, 4), cylindrical_grid(2)[0]):
+        assert b.n > PMW_ORACLE_LIMIT
+        f = tmp_path / "g.b"
+        f.write_text(write_graph_text(b))
+        assert main(["pm", "decomp", str(f)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert main(["--json", "pm", "width", str(f)]) == 0
+        answer = json.loads(capsys.readouterr().out)
+        assert answer["exact"] is False
+        assert data["width"] == pmd_width(b, leaf_tree_from_json(data)) == answer["width"]
+        widths.append(answer["width"])
+    assert widths == [2, 4]
 
 
 def test_cli_rejects_ignored_flags(tmp_path, capsys):

@@ -75,7 +75,7 @@ def random_leaf_tree(rng: random.Random, ground, root_degree: int) -> LeafTree:
     return LeafTree(tuple(map(frozenset, tb.adj)), leaf_map, root)
 
 
-def unpruned_count_pm_decomp(g, dec, width=None, stats=None):
+def unpruned_count_pm_decomp(g, dec, stats=None):
     """The decomposition DP before colour balance pruned it: every entry
     sums over all middle matchings that avoid S, zero terms included."""
     dec.validate(g.vertices)
@@ -90,12 +90,11 @@ def unpruned_count_pm_decomp(g, dec, width=None, stats=None):
     edges = sorted(g.edges)
     ends = [1 << u | 1 << v for u, v in edges]
     cut = view.cut_masks(edges)
-    cap = g.n // 2 if width is None else width
     mids = {}
     for x, ys in enumerate(kids):
         if ys:
             b1 = below[ys[0]]
-            ws = matchings_in(cut[ys[0]] & cut[ys[1]], ends, cap)
+            ws = matchings_in(cut[ys[0]] & cut[ys[1]], ends, g.n // 2)
             mids[x] = [(w, w & b1, w & ~b1) for _, w in ws]
     memo = [{} for _ in kids]
 
@@ -136,12 +135,12 @@ def unpruned_count_pm_decomp(g, dec, width=None, stats=None):
     return memo[root][0]
 
 
-def assert_pruning_is_exact(g, tree, width=None) -> int:
+def assert_pruning_is_exact(g, tree) -> int:
     """Both DPs give the same count, and the pruned one visits no more
     entries; returns the count."""
     new, old = CountStats(), CountStats()
-    got = count_pm_decomp(g, tree, width=width, stats=new)
-    assert got == unpruned_count_pm_decomp(g, tree, width=width, stats=old)
+    got = count_pm_decomp(g, tree, stats=new)
+    assert got == unpruned_count_pm_decomp(g, tree, stats=old)
     assert new.table_entries <= old.table_entries
     assert new.boundary_sets <= old.boundary_sets
     return got
@@ -153,8 +152,8 @@ def test_balanced_entries_agree_with_the_unpruned_dp():
         n1 = rng.randint(1, 7)
         b = random_bipartite_with_pm(rng, n1, rng.randint(0, 2 * n1))
         expected = count_pm_bruteforce(b)
-        nice = compute_pmd(b, some_perfect_matching(b))
-        assert assert_pruning_is_exact(b, nice.tree, width=nice.width) == expected
+        tree = compute_pmd(b, some_perfect_matching(b))
+        assert assert_pruning_is_exact(b, tree) == expected
         for root_degree in (2, 3):
             tree = random_leaf_tree(rng, b.vertices, root_degree)
             assert assert_pruning_is_exact(b, tree) == expected
@@ -202,8 +201,8 @@ def test_grid_counts_match_domino_dp():
 
 def test_decomp_count_small():
     for b in (even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)):
-        w, dec = pmw_exact_small(b)
-        assert count_pm_decomp(b, dec, width=w) == count_pm_bruteforce(b)
+        _, dec = pmw_exact_small(b)
+        assert count_pm_decomp(b, dec) == count_pm_bruteforce(b)
 
 
 def test_decomp_count_via_pipeline():
@@ -251,8 +250,8 @@ def test_decomp_count_random_agreement():
     rng = random.Random(19)
     for _ in range(40):
         b = random_bipartite_with_pm(rng, rng.randint(1, 5), rng.randint(0, 9))
-        nice = compute_pmd(b, some_perfect_matching(b))
-        assert count_pm_decomp(b, nice.tree, width=nice.width) == count_pm_bruteforce(b)
+        tree = compute_pmd(b, some_perfect_matching(b))
+        assert count_pm_decomp(b, tree) == count_pm_bruteforce(b)
 
 
 def test_decomp_count_random_agreement_larger():
@@ -261,8 +260,8 @@ def test_decomp_count_random_agreement_larger():
         for _ in range(4):
             b = random_bipartite_with_pm(rng, n1, rng.randint(n1, 2 * n1))
             expected = count_pm_bruteforce(b)
-            nice = compute_pmd(b, some_perfect_matching(b))
-            assert count_pm_decomp(b, nice.tree, width=nice.width) == expected
+            tree = compute_pmd(b, some_perfect_matching(b))
+            assert count_pm_decomp(b, tree) == expected
             for root_degree in (2, 3):
                 tree = random_leaf_tree(rng, b.vertices, root_degree)
                 assert count_pm_decomp(b, tree) == expected
@@ -303,9 +302,33 @@ def test_decomp_count_two_leaf_tree():
 
 def test_count_invariant_across_decompositions():
     b = even_cycle(3)
-    w, d1 = pmw_exact_small(b)
-    nice = compute_pmd(b, some_perfect_matching(b))
-    assert count_pm_decomp(b, d1, width=w) == count_pm_decomp(b, nice.tree, width=nice.width)
+    _, d1 = pmw_exact_small(b)
+    d2 = compute_pmd(b, some_perfect_matching(b))
+    assert count_pm_decomp(b, d1) == count_pm_decomp(b, d2)
+
+
+def test_count_pm_reads_no_width_or_niceness(monkeypatch):
+    # counting needs only a valid tree: with the niceness certificate and
+    # every width search made to raise, count_pm still counts exactly
+    import matchwidth.decomp as decomp
+    import matchwidth.porosity as porosity
+    from corpus import connected_pm_bipartite
+
+    def refuse(*args):
+        raise AssertionError("pm count computed a width or a niceness verdict")
+
+    for module, name in (
+        (decomp, "nice_pmd_check"),
+        (decomp, "cut_width"),
+        (decomp, "matching_porosity"),
+        (porosity, "matching_porosity"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    graphs = [b for n in range(1, 5) for b in connected_pm_bipartite(n)]
+    assert len(graphs) == 94
+    graphs += [square_grid(3, 4), cylindrical_grid(2)[0]]
+    for b in graphs:
+        assert count_pm(b) == count_pm_bruteforce(b)
 
 
 def test_cg2_count_frozen():
@@ -322,7 +345,7 @@ def test_stats_envelope():
     b = even_cycle(4)
     w, dec = pmw_exact_small(b)
     stats = CountStats()
-    count_pm_decomp(b, dec, width=w, stats=stats)
+    count_pm_decomp(b, dec, stats=stats)
     n = b.n
     envelope = n ** (4 * w + 1)
     assert stats.table_entries <= envelope

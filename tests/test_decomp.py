@@ -43,6 +43,7 @@ from common import (
     directed_cycle,
     even_cycle,
     k2,
+    nice_pmd,
     random_bipartite_with_pm,
     random_cubic_tree,
     random_digraph,
@@ -114,7 +115,7 @@ def test_cut_widths_on_random_trees():
         ]
         extra = frozenset(rng.sample(non_edges, 3))
         host = graph_from_edges(b.n1, b.n2, b.edges | extra)
-        trees = [compute_pmd(b, some_perfect_matching(b)).tree]
+        trees = [compute_pmd(b, some_perfect_matching(b))]
         trees += [random_cubic_tree(rng, b.vertices, kind) for kind in ROOT_KINDS]
         for tree in trees:
             shores = tree_edge_shores(tree)
@@ -128,7 +129,7 @@ def test_cut_widths_on_random_trees():
 
 def test_pmd_width_searches_few_cuts(monkeypatch):
     grid = square_grid(4, 6)
-    tree = compute_pmd(grid, some_perfect_matching(grid)).tree
+    tree = compute_pmd(grid, some_perfect_matching(grid))
     inner = [
         s for s, _ in tree_edge_shores(tree) if 1 < len(s) < grid.n - 1
     ]
@@ -384,7 +385,7 @@ def test_prepare_dtd():
 def test_convert_c4():
     b = even_cycle(2)
     m = some_perfect_matching(b)
-    nice = compute_pmd(b, m)
+    nice = nice_pmd(b, m)
     assert nice.width <= 2
     assert nice_pmd_check(b, nice, m)[0]
 
@@ -393,7 +394,7 @@ def test_convert_c6_c8():
     for k in (3, 4):
         b = even_cycle(k)
         m = some_perfect_matching(b)
-        nice = compute_pmd(b, m)
+        nice = nice_pmd(b, m)
         assert nice_pmd_check(b, nice, m)[0]
         exact, _ = pmw_exact_small(b)
         assert nice.width <= 2 * exact
@@ -402,7 +403,7 @@ def test_convert_c6_c8():
 def test_convert_k33():
     b = complete_bipartite(3, 3)
     m = some_perfect_matching(b)
-    nice = compute_pmd(b, m)
+    nice = nice_pmd(b, m)
     assert nice_pmd_check(b, nice, m)[0]
     assert pmd_width(b, nice.tree) == nice.width
 
@@ -440,7 +441,7 @@ def test_width_chain_small():
 def test_compute_pmd_pinned():
     # (width, type1_bound, tree digest) of each graph, recorded before the
     # checks and the width moved onto vertex masks; the decomposition must
-    # not change
+    # not change, and the k-DAPP route's nice conversion holds the same tree
     pinned = [
         ("planted6", 2, 2, "ecdd5e7ef3afcfbf"),
         ("planted7", 2, 2, "36f04605340c6a29"),
@@ -468,8 +469,10 @@ def test_compute_pmd_pinned():
     graphs.append(("cg2", cylindrical_grid(2)[0]))
     got = []
     for name, b in graphs:
-        nice = compute_pmd(b, some_perfect_matching(b))
-        tree = nice.tree
+        m = some_perfect_matching(b)
+        tree = compute_pmd(b, m)
+        nice = nice_pmd(b, m)
+        assert nice.tree == tree
         data = [[sorted(a) for a in tree.adj], sorted(tree.leaf_map.items()), tree.root]
         digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
         got.append((name, nice.width, nice.type1_bound, digest))

@@ -11,7 +11,7 @@ from matchwidth.bigraph import (
     is_perfect,
     some_perfect_matching,
 )
-from matchwidth.decomp import NicePMD, compute_pmd
+from matchwidth.decomp import NicePMD
 from matchwidth.digraph import mask_members
 from matchwidth.errors import InvalidW, NotExtendable, OracleLimitExceeded
 from matchwidth.grids import square_grid
@@ -33,6 +33,7 @@ from common import (
     complete_bipartite,
     even_cycle,
     k2,
+    nice_pmd,
     path_graph,
     random_bipartite_with_pm,
     recursion_headroom,
@@ -127,7 +128,7 @@ def test_make_proxies_empty_when_blocked():
 
 def test_itinerary_root_matches_solution():
     c6 = even_cycle(3)
-    nice = compute_pmd(c6, some_perfect_matching(c6))
+    nice = nice_pmd(c6, some_perfect_matching(c6))
     # forced edges covering the proxied terminals; query the root directly
     w_prime = frozenset({(2, 4), (3, 5)})
     assert is_extendable(c6, w_prime)
@@ -166,7 +167,7 @@ def test_dp_answers_on_a_deep_tree(monkeypatch):
 def test_make_context_on_a_two_leaf_tree():
     # K2's decomposition has no inner node: the DP joins its two leaves at
     # the virtual node 2, over the one edge that each leaf's cut holds
-    ctx = make_context(k2(), compute_pmd(k2(), some_perfect_matching(k2())), (), (), 1)
+    ctx = make_context(k2(), nice_pmd(k2(), some_perfect_matching(k2())), (), (), 1)
     assert ctx.below == [0b010, 0b100, 0b110]
     assert ctx.edges == [(1, 2)] and ctx.cut == [1, 1, 0]
     assert ctx.kids == [(), (), (0, 1)]
