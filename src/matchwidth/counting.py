@@ -162,7 +162,9 @@ def count_pm(b: BipartiteGraph) -> int:
     restriction of the one perfect matching of b found here, which is a
     perfect matching of the component; a K2 adds a factor of 1.  The DP is
     exact on any valid tree, so the tree's width and niceness are never
-    computed.
+    computed, and past `decomp.EXACT_TREE_LIMIT` matching edges the tree
+    comes from the greedy cop strategy: no component size is refused.  The
+    DP's cost grows with the tree's width.
     """
     m = some_perfect_matching(b)
     if m is None:

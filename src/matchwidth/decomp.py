@@ -1,5 +1,6 @@
 """Width decompositions: pmw/cycle width, desk-scale directed treewidth via
-the cops-and-robber game, and the conversion from directed tree
+the cops-and-robber game, a greedy monotone cop strategy for directed tree
+decompositions at any size, and the conversion from directed tree
 decompositions to perfect matching decompositions, with the niceness
 certificate `nice_pmd_check` for the k-DAPP route."""
 
@@ -43,6 +44,8 @@ from .porosity import (
 DTW_ORACLE_LIMIT = 12
 PMW_ORACLE_LIMIT = 10
 COP_GAME_ORACLE_LIMIT = 7
+# `compute_pmd` runs the exact search up to this many M-direction vertices
+EXACT_TREE_LIMIT = 4
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +412,9 @@ class DirectedTreeDecomposition:
     parent[t] is -1 exactly for the root; guards[t] guards the arc into t
     (empty at the root).  Empty bags are permitted only for proto
     decompositions (`validate_dtd` with proto=True, as `dtw --dtd FILE
-    --proto` reads them): `dtw_exact_small` gives every node a non-empty
-    bag, and `prepare_dtd`'s chain nodes have empty ones.
+    --proto` reads them): the cop strategies of `dtw_exact_small` and
+    `dtd_greedy` give every node a non-empty bag (one vertex per node in
+    the greedy's), and `prepare_dtd`'s chain nodes have empty ones.
     """
 
     parent: tuple[int, ...]
@@ -508,6 +512,20 @@ def validate_dtd(
 # ---------------------------------------------------------------------------
 
 
+def _split(d: Digraph, keep: int) -> list[int]:
+    """The strong components of d[keep]: from the lowest vertex left, a
+    forward closure in keep and then a backward closure in what it
+    reached."""
+    out, inn = d.out_masks, d.in_masks
+    comps = []
+    while keep:
+        start = keep & -keep
+        comp = mask_reach(inn, start, mask_reach(out, start, keep))
+        comps.append(comp)
+        keep ^= comp
+    return comps
+
+
 class _SccTable(dict):
     """For a banned vertex mask: the strong components of d minus it, as
     vertex masks, largest first.  Filled on first use.
@@ -526,20 +544,7 @@ class _SccTable(dict):
         super().__init__()
         self.d = d
         self.every = ((1 << d.n) - 1) << 1
-        self[0] = tuple(sorted(self._split(self.every), key=int.bit_count, reverse=True))
-
-    def _split(self, keep: int) -> list[int]:
-        """The strong components of d[keep]: from the lowest vertex left, a
-        forward closure in keep and then a backward closure in what it
-        reached."""
-        out, inn = self.d.out_masks, self.d.in_masks
-        comps = []
-        while keep:
-            start = keep & -keep
-            comp = mask_reach(inn, start, mask_reach(out, start, keep))
-            comps.append(comp)
-            keep ^= comp
-        return comps
+        self[0] = tuple(sorted(_split(d, self.every), key=int.bit_count, reverse=True))
 
     def __missing__(self, banned: int) -> tuple[int, ...]:
         assert not banned & ~self.every, "a banned bit is no vertex of d"
@@ -553,7 +558,7 @@ class _SccTable(dict):
             i = 0
             while not comps[i] & v:
                 i += 1
-            parts = self._split(comps[i] ^ v)
+            parts = _split(self.d, comps[i] ^ v)
             rest = comps[:i] + comps[i + 1 :]  # still largest first
             if parts:
                 rest = tuple(sorted(rest + tuple(parts), key=int.bit_count, reverse=True))
@@ -678,12 +683,8 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     {w} lifts v, and the component of d around the robber is S, which
     still holds v, so no monotone move exists.
 
-    The search reads `_SccTable`, whose entries are largest first.  The
-    tree lists the children of a node, and the extra children of the root,
-    in Tarjan's order: where there are two or more it reads them from
-    `strong_component_masks`, so the output does not depend on the table's
-    order.  A strategy move is monotone, so its responses are the
-    components of d - move that meet the robber.
+    The search reads `_SccTable`, whose entries are largest first;
+    `_strategy_dtd` builds the tree from the winning strategy.
     """
     if d.n > DTW_ORACLE_LIMIT:
         raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {DTW_ORACLE_LIMIT}")
@@ -705,36 +706,89 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     assert strategy is not None
 
     shift = d.n + 1
+    return number, _strategy_dtd(table, lambda cops, robber: strategy[robber << shift | cops])
+
+
+def _strategy_dtd(table: _SccTable, move_of: Callable[[int, int], int]) -> DirectedTreeDecomposition:
+    """The decomposition of a monotone cop strategy on table.d, built on an
+    explicit stack and checked with `validate_dtd`.  move_of(cops, robber)
+    is the strategy's move from a position; it must hold a vertex of the
+    robber component and leave that component an entry of the table for
+    the cops it keeps.
+
+    Each position is a node, numbered in pre-order: its bag is the move's
+    part in the robber component and its guard the cops before the move.
+    The move is monotone, so its children are the positions after it, one
+    per component of d - move that meets the robber.  The root is the first strong component
+    of d; the others hang from it with the empty guard, which strongly
+    guards a strong component of d.  Where there are two or more, children
+    come in Tarjan's order (`strong_component_masks`), so the output does
+    not depend on the table's order."""
+    d = table.d
     parent: list[int] = []
     bags: list[frozenset[int]] = []
     guards: list[frozenset[int]] = []
-
-    def build(cops: int, robber: int, parent_idx: int) -> int:
-        move = strategy[robber << shift | cops]
+    start = table[0]
+    if len(start) > 1:
+        start = strong_component_masks(d)
+    # (cops, robber, parent) per position still to build; the root is node 0
+    stack = [(0, comp, 0) for comp in reversed(start[1:])]
+    stack.append((0, start[0], -1))
+    while stack:
+        cops, robber, up = stack.pop()
+        move = move_of(cops, robber)
         idx = len(parent)
-        parent.append(parent_idx)
+        parent.append(up)
         bags.append(mask_members(move & robber))
         guards.append(mask_members(cops))
         resps = [c for c in table[move] if c & robber]
         if len(resps) > 1:
             resps = [c for c in strong_component_masks(d, move) if c & robber]
-        for resp in resps:
-            build(move, resp, idx)
-        return idx
-
-    start = table[0]
-    if len(start) > 1:
-        start = strong_component_masks(d)
-    root_idx = build(0, start[0], -1)
-    for comp in start[1:]:
-        build(0, comp, root_idx)
-        # the extra children of the root get guard = empty cop set, which
-        # strongly guards a strong component of d
+        stack += [(move, c, idx) for c in reversed(resps)]
     dec = DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
     ok, _, reason = validate_dtd(d, dec)
     if not ok:
         raise AssertionError(f"extracted decomposition invalid: {reason}")
-    return number, dec
+    return dec
+
+
+def dtd_greedy(d: Digraph) -> DirectedTreeDecomposition:
+    """A directed tree decomposition of d from a greedy monotone cop
+    strategy, at any size; its width is an upper bound, not the minimum of
+    `dtw_exact_small`.
+
+    From the cops and the robber's strong component R, the strategy keeps
+    as `hold` the cops less each cop, lowest first, whose removal still
+    leaves R a strong component of d - hold, and adds the vertex y of R
+    that leaves the smallest largest strong component of R - y (ties:
+    lowest).  R is a strong component of d - hold, so the robber stays
+    inside R - y and the strategy is monotone: each node's bag is {y}, its
+    guard the cops, and its children the components of R - y
+    (`_strategy_dtd`).  Each pick tries every y of R, so a node costs
+    O(|R|) closures of R."""
+    if d.n == 0:
+        raise InvalidDecomposition("empty digraph")
+    table = _SccTable(d)
+
+    def move_of(cops: int, robber: int) -> int:
+        hold = cops
+        rest = cops
+        while rest:
+            cop = rest & -rest
+            rest ^= cop
+            if robber in table[hold ^ cop]:
+                hold ^= cop
+        best, pick = robber.bit_count(), 0  # no part of R - y is as large as R
+        ys = robber
+        while ys:
+            y = ys & -ys
+            ys ^= y
+            largest = max(map(int.bit_count, _split(d, robber ^ y)), default=0)
+            if largest < best:
+                best, pick = largest, y
+        return hold | pick
+
+    return _strategy_dtd(table, move_of)
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +997,9 @@ def dtd_to_pmd(
     Each node's children are taken in `_children_topo_order` and
     right-folded into binary joins, and a node with a bag joins that fold
     with a caterpillar holding its bag; every digraph leaf then expands
-    into the two endpoints of its matching edge.  The tree is validated
-    once, here; a node whose children cannot be ordered raises NotNice.
+    into the two endpoints of its matching edge.  Nodes are built on an
+    explicit stack, so any DTD depth is fine.  The tree is validated once,
+    here; a node whose children cannot be ordered raises NotNice.
     """
     tb = _TreeBuilder()
     leaf_of: dict[int, int] = {}  # tree leaf -> digraph vertex
@@ -954,9 +1009,9 @@ def dtd_to_pmd(
         leaf_of.update(leaves)
         return root
 
-    def build(t: int) -> int:
+    def finish(t: int, built: list[int]) -> int:
+        """The tree node of DTD node t, given those of its ordered children."""
         bag = dec.bags[t]
-        built = [build(c) for c in _children_topo_order(d, dec.kids[t], dec.subtree_masks)]
         if not built:
             return hang_bag(bag)
         acc = built[-1]
@@ -972,7 +1027,24 @@ def dtd_to_pmd(
             acc = upper
         return acc
 
-    top = build(dec.root)
+    def frame(t: int) -> tuple[int, Iterator[int], list[int]]:
+        return t, iter(_children_topo_order(d, dec.kids[t], dec.subtree_masks)), []
+
+    # post-order on an explicit stack, so any DTD depth is fine: each frame
+    # is a DTD node, its children still to build, and the tree nodes of
+    # those built
+    stack = [frame(dec.root)]
+    while True:
+        t, todo, built = stack[-1]
+        c = next(todo, None)
+        if c is not None:
+            stack.append(frame(c))
+            continue
+        stack.pop()
+        top = finish(t, built)
+        if not stack:
+            break
+        stack[-1][2].append(top)
 
     # expand each digraph leaf into the endpoints of its matching edge
     final_leaf_map: dict[int, int] = {}
@@ -1146,13 +1218,16 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
 
 def compute_pmd(b: BipartiteGraph, m: Matching) -> PMDecomposition:
     """The decomposition behind `pm count`, `pm width` and `pm decomp`:
-    build the M-direction, find a directed tree decomposition by the exact
-    small-scale search, and convert it with `dtd_to_pmd`.  The tree is not
-    certified nice, and its width is left to `cut_width`; counting needs
-    only a valid tree.
+    build the M-direction, find a directed tree decomposition of it, and
+    convert it with `dtd_to_pmd`.  An M-direction of more than
+    `EXACT_TREE_LIMIT` vertices gets the greedy cop strategy of
+    `dtd_greedy`, at any size; a smaller one gets the exact search of
+    `dtw_exact_small`, which costs as little there.  The tree is not
+    certified nice, and its width is left to `cut_width`: an upper bound on
+    pmw, not the minimum.  Counting needs only a valid tree.
 
     m must be a perfect matching of b; the caller supplies it, and the
     decomposition depends on which one it is."""
     d, tag = m_direction(b, m)
-    _, dtd = dtw_exact_small(d)
+    dtd = dtd_greedy(d) if d.n > EXACT_TREE_LIMIT else dtw_exact_small(d)[1]
     return dtd_to_pmd(b, d, tag, dtd)

@@ -756,7 +756,9 @@ def _dp_decides(
     the forced terminal covers, and run the DP over it on b; m is a perfect
     matching of b that holds the forced edges, so of host too.
 
-    The pipeline is the one `decomp.compute_pmd` runs, spelled out here
+    The pipeline is `decomp.compute_pmd`'s, but with the exact search at
+    every size, so it refuses an M-direction of more than
+    `decomp.DTW_ORACLE_LIMIT` vertices.  It is spelled out here
     because its graph is host and the DP needs the tree certified nice, with
     its type1_bound, which only `dtd_to_nice_pmd` gives; and
     `bench/test_bench.py` checks that this module binds `dtw_exact_small`

@@ -120,8 +120,10 @@ def random_cubic_tree(rng, ground, root_kind):
 
 
 def nice_pmd(b: BipartiteGraph, m: Matching) -> NicePMD:
-    """The `compute_pmd` tree of b on m, with the width data and niceness
-    certificate that `dtd_to_nice_pmd` adds on the k-DAPP route."""
+    """The k-DAPP route's tree of b on m: the exact search's decomposition
+    (`compute_pmd`'s up to `EXACT_TREE_LIMIT` M-direction vertices),
+    converted with the width data and niceness certificate that
+    `dtd_to_nice_pmd` adds."""
     d, tag = m_direction(b, m)
     _, dtd = dtw_exact_small(d)
     return dtd_to_nice_pmd(b, d, tag, dtd)

@@ -424,6 +424,28 @@ def test_cli_pm_width_is_the_decomp_width(tmp_path, capsys):
     assert widths == [2, 4]
 
 
+def test_cli_pm_questions_past_the_exact_search(tmp_path, capsys):
+    # CG_3 (from `gen cg 3`) and the 6 x 6 grid have 18 matching edges; all
+    # three questions answer, and `pm width` reports the width of the tree
+    # `pm decomp` prints, which `pmd_width` re-checks
+    assert main(["gen", "cg", "3"]) == 0
+    cg3 = capsys.readouterr().out
+    for text, count in ((cg3, "169"), (write_graph_text(square_grid(6, 6)), "6728")):
+        b = parse_graph_text(text)
+        f = tmp_path / "g.b"
+        f.write_text(text)
+        assert main(["pm", "count", str(f)]) == 0
+        assert capsys.readouterr().out == count + "\n"
+        assert main(["pm", "decomp", str(f)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        tree = leaf_tree_from_json(data)
+        tree.validate(b.vertices)
+        assert main(["--json", "pm", "width", str(f)]) == 0
+        answer = json.loads(capsys.readouterr().out)
+        assert answer["exact"] is False
+        assert data["width"] == pmd_width(b, tree) == answer["width"]
+
+
 def test_cli_rejects_ignored_flags(tmp_path, capsys):
     # each flag here used to be dropped without a word; a missing --decomp
     # file must not matter, since the flags are checked first

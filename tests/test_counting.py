@@ -300,6 +300,20 @@ def test_decomp_count_two_leaf_tree():
     assert count_pm_decomp(graph_from_edges(1, 1, []), tree) == 0
 
 
+def test_count_pm_past_the_exact_search():
+    # each of these graphs is one elementary component with an M-direction
+    # of 18 to 300 vertices, past the exact search's 12
+    assert count_pm(cylindrical_grid(3)[0]) == 169
+    assert count_pm(cylindrical_grid(4)[0]) == 9826
+    assert count_pm(square_grid(6, 6)) == domino_tilings(6, 6) == 6728
+    assert count_pm(square_grid(8, 8)) == domino_tilings(8, 8) == 12988816
+    # the 2 x k ladder has F(k + 1) perfect matchings (F(1) = F(2) = 1)
+    fib = [0, 1]
+    while len(fib) < 302:
+        fib.append(fib[-1] + fib[-2])
+    assert count_pm(square_grid(2, 300)) == fib[301]
+
+
 def test_count_invariant_across_decompositions():
     b = even_cycle(3)
     _, d1 = pmw_exact_small(b)

@@ -15,8 +15,11 @@ from matchwidth.decomp import (
     cop_number_game_exact,
     cops_play,
     cycd_width,
+    cut_width,
     cycw_exact_small,
+    dtd_greedy,
     dtd_to_nice_pmd,
+    dtd_to_pmd,
     dtw_exact_small,
     matchings_in,
     nice_pmd_check,
@@ -25,9 +28,10 @@ from matchwidth.decomp import (
     prepare_dtd,
     validate_dtd,
 )
-from matchwidth.digraph import digraph_from_arcs
+from matchwidth.counting import count_pm_decomp
+from matchwidth.digraph import Digraph, digraph_from_arcs
 from matchwidth.direction import m_direction
-from matchwidth.errors import OracleLimitExceeded
+from matchwidth.errors import InvalidDecomposition, OracleLimitExceeded
 import matchwidth.decomp as decomp_module
 from matchwidth.grids import cylindrical_grid, square_grid
 from matchwidth.porosity import (
@@ -47,7 +51,9 @@ from common import (
     random_bipartite_with_pm,
     random_cubic_tree,
     random_digraph,
+    recursion_headroom,
 )
+from corpus import connected_pm_bipartite
 
 
 def leaf_tree_from_pairs(pairs, leaf_map, root=None):
@@ -128,8 +134,10 @@ def test_cut_widths_on_random_trees():
 
 
 def test_pmd_width_searches_few_cuts(monkeypatch):
+    # the exact search's tree (the k-DAPP route's), whose width the pruning
+    # settles with one exact porosity search
     grid = square_grid(4, 6)
-    tree = compute_pmd(grid, some_perfect_matching(grid))
+    tree = nice_pmd(grid, some_perfect_matching(grid)).tree
     inner = [
         s for s, _ in tree_edge_shores(tree) if 1 < len(s) < grid.n - 1
     ]
@@ -439,25 +447,27 @@ def test_width_chain_small():
 
 
 def test_compute_pmd_pinned():
-    # (width, type1_bound, tree digest) of each graph, recorded before the
-    # checks and the width moved onto vertex masks; the decomposition must
-    # not change, and the k-DAPP route's nice conversion holds the same tree
+    # per graph: the `nice_pmd` width, type1_bound and tree digest of the
+    # k-DAPP route's exact-search tree, recorded before the checks and the
+    # width moved onto vertex masks, then the digest and `cut_width` of the
+    # `compute_pmd` tree, which past four M-direction vertices comes from
+    # the greedy strategy; neither tree may change
     pinned = [
-        ("planted6", 2, 2, "ecdd5e7ef3afcfbf"),
-        ("planted7", 2, 2, "36f04605340c6a29"),
-        ("planted8", 1, 2, "d62cb1174bfa0042"),
-        ("planted9", 2, 2, "9abf0f5c3587e237"),
-        ("planted10", 4, 4, "52fc8c219e41096f"),
-        ("planted11", 2, 2, "d2b845700155c15d"),
-        ("planted12", 2, 2, "6133b862dfe32813"),
-        ("grid3x4", 2, 2, "76d3d5c216c968c2"),
-        ("grid3x6", 2, 2, "dae16763d5e62d96"),
-        ("grid3x8", 2, 2, "757d68bd5eb76c4f"),
-        ("grid4x3", 2, 2, "831aa03865b6806f"),
-        ("grid4x4", 4, 4, "8b13026bf9c40e7f"),
-        ("grid4x5", 4, 4, "a7a22f99f32b9a99"),
-        ("grid4x6", 4, 4, "a17bde5433ebc243"),
-        ("cg2", 4, 4, "bc0e0f189a2d23c1"),
+        ("planted6", 2, 2, "ecdd5e7ef3afcfbf", "ecdd5e7ef3afcfbf", 2),
+        ("planted7", 2, 2, "36f04605340c6a29", "36f04605340c6a29", 2),
+        ("planted8", 1, 2, "d62cb1174bfa0042", "d62cb1174bfa0042", 1),
+        ("planted9", 2, 2, "9abf0f5c3587e237", "8d21582ca59d370c", 2),
+        ("planted10", 4, 4, "52fc8c219e41096f", "672cbd1c4ee71a77", 2),
+        ("planted11", 2, 2, "d2b845700155c15d", "7de4cf397667b397", 2),
+        ("planted12", 2, 2, "6133b862dfe32813", "6133b862dfe32813", 2),
+        ("grid3x4", 2, 2, "76d3d5c216c968c2", "93d5e47874e48de3", 2),
+        ("grid3x6", 2, 2, "dae16763d5e62d96", "c1f1a1558414a6b0", 2),
+        ("grid3x8", 2, 2, "757d68bd5eb76c4f", "99237a2f977e64e8", 2),
+        ("grid4x3", 2, 2, "831aa03865b6806f", "fc1bd6d4ae012fa5", 2),
+        ("grid4x4", 4, 4, "8b13026bf9c40e7f", "d44671b9d0d4d3a3", 4),
+        ("grid4x5", 4, 4, "a7a22f99f32b9a99", "cde8c7a356a8d8db", 4),
+        ("grid4x6", 4, 4, "a17bde5433ebc243", "402a8c632e2567ea", 6),
+        ("cg2", 4, 4, "bc0e0f189a2d23c1", "984045e2601ee854", 4),
     ]
     rng = random.Random(2106)
     graphs = [
@@ -467,13 +477,77 @@ def test_compute_pmd_pinned():
     graphs += [(f"grid3x{k}", square_grid(3, k)) for k in (4, 6, 8)]
     graphs += [(f"grid4x{k}", square_grid(4, k)) for k in (3, 4, 5, 6)]
     graphs.append(("cg2", cylindrical_grid(2)[0]))
+
+    def digest(tree):
+        data = [[sorted(a) for a in tree.adj], sorted(tree.leaf_map.items()), tree.root]
+        return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
+
     got = []
     for name, b in graphs:
         m = some_perfect_matching(b)
         tree = compute_pmd(b, m)
         nice = nice_pmd(b, m)
-        assert nice.tree == tree
-        data = [[sorted(a) for a in tree.adj], sorted(tree.leaf_map.items()), tree.root]
-        digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
-        got.append((name, nice.width, nice.type1_bound, digest))
+        got.append(
+            (name, nice.width, nice.type1_bound, digest(nice.tree), digest(tree), cut_width(b, m, tree))
+        )
     assert got == pinned
+
+
+def test_dtd_greedy_is_a_deterministic_valid_decomposition():
+    # the M-directions of every corpus graph (n1 <= 4), CG_2-CG_4, and the
+    # 3 x k and 4 x k grids up to k = 8
+    graphs = [b for n in range(1, 5) for b in connected_pm_bipartite(n)]
+    graphs += [cylindrical_grid(k)[0] for k in (2, 3, 4)]
+    graphs += [square_grid(3, k) for k in (2, 4, 6, 8)]
+    graphs += [square_grid(4, k) for k in range(2, 9)]
+    rng = random.Random(1500)
+    digraphs = [m_direction(b, some_perfect_matching(b))[0] for b in graphs]
+    # acyclic, disconnected and dense digraphs too
+    digraphs += [random_digraph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.5)) for _ in range(60)]
+    for d in digraphs:
+        dec = dtd_greedy(d)
+        assert validate_dtd(d, dec)[0]
+        assert all(len(bag) == 1 for bag in dec.bags)
+        # the same digraph, built afresh from its arcs in another order
+        again = digraph_from_arcs(d.n, sorted(d.arcs, reverse=True))
+        assert dtd_greedy(again) == dec
+
+
+def test_dtd_greedy_refuses_the_empty_digraph():
+    with pytest.raises(InvalidDecomposition):
+        dtd_greedy(Digraph(0))
+
+
+def test_compute_pmd_width_is_at_least_pmw():
+    # `cut_width` of the pipeline's tree is an upper bound on pmw; n1 = 5
+    # gives M-directions past EXACT_TREE_LIMIT within the oracle's reach
+    rng = random.Random(1501)
+    graphs = [b for n in range(1, 5) for b in connected_pm_bipartite(n)]
+    graphs += [random_bipartite_with_pm(rng, 5, rng.randint(2, 15)) for _ in range(12)]
+    assert decomp_module.EXACT_TREE_LIMIT < 5 and graphs[-1].n <= decomp_module.PMW_ORACLE_LIMIT
+    for b in graphs:
+        m = some_perfect_matching(b)
+        assert cut_width(b, m, compute_pmd(b, m)) >= pmw_exact_small(b)[0]
+
+
+def test_dtd_to_pmd_on_a_deep_chain():
+    # a zig-zag path host, whose M-direction is the path 1 -> 2 -> ... -> n,
+    # and the DTD chain with one vertex per level: the conversion runs on an
+    # explicit stack, so the depth is no limit
+    n = 1500
+    edges = [(i, n + i) for i in range(1, n + 1)] + [(i, n + i + 1) for i in range(1, n)]
+    host = graph_from_edges(n, n, edges)
+    d, tag = m_direction(host, frozenset(edges[:n]))
+    assert d.arcs == frozenset((i, i + 1) for i in range(1, n))
+    chain = DirectedTreeDecomposition(
+        tuple(range(-1, n - 1)),
+        tuple(frozenset({t}) for t in range(1, n + 1)),
+        (frozenset(),) * n,
+    )
+    assert validate_dtd(d, chain) == (True, 0, None)
+    with recursion_headroom(100):
+        tree = dtd_to_pmd(host, d, tag, chain)
+        assert count_pm_decomp(host, tree) == 1
+    tree.validate(host.vertices)
+    # each level adds a join above its child's subtree and its bag's leaf
+    assert tree.m == 4 * n - 1
