@@ -64,7 +64,12 @@ def count_pm_decomp(
     shared middle cut.  mu depends on a boundary matching only through its
     endpoints below t, so tables are keyed on (node, vertex bitmask), and
     filled by `decomp.walk`, so any tree depth is fine.  A leaf entry is
-    settled at once; an inner entry suspends at each child entry it misses.
+    settled at once, and so is an entry of a node whose two children are
+    leaves u, v: mu is 1 if S holds both, 0 if it holds one, and 1 or 0 for
+    the empty S as uv is an edge of g or not.  Every matching edge of a
+    `dtd_to_pmd` tree is such a node, so neither it nor its leaves enter the
+    walk; stats count it as one table entry, as a leaf.  Any other entry
+    suspends at each child entry it misses.
 
     A bipartite graph has no perfect matching unless it holds as many V1 as
     V2 vertices, so mu(t, S) = 0 unless below(t) - S is colour-balanced.
@@ -100,12 +105,21 @@ def count_pm_decomp(
     def tilt(mask: int) -> int:
         return 2 * (mask & black).bit_count() - mask.bit_count()
 
+    # each node whose children are both leaves: their vertex mask, and 1 if
+    # it is an edge of g, else 0
+    pairs: dict[int, tuple[int, int]] = {}
+    edge_set = set(ends)
+    for x, ys in enumerate(kids):
+        if ys and ys[0] in dec.leaf_map and ys[1] in dec.leaf_map:
+            both = below[x]
+            pairs[x] = both, 1 if both in edge_set else 0
+
     # each middle matching of x as (its vertices, those below x's first
     # child, those below its second), grouped by the tilt of those below
     # the first child; no matching of g has more than n/2 edges
     mids: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     for x, ys in enumerate(kids):
-        if ys:
+        if ys and x not in pairs:
             b1 = below[ys[0]]
             groups = mids[x] = {}
             for _, w in matchings_in(cut[ys[0]] & cut[ys[1]], ends, g.n // 2):
@@ -120,13 +134,12 @@ def count_pm_decomp(
         memo1, memo2 = memo[t1], memo[t2]
         s1 = s & below[t1]
         s2 = s ^ s1
+        sets = total = 0
         # only the group that balances what is left below t1 counts
-        ws = [w for w in mids[t].get(tilt(below[t1] ^ s1), ()) if not w[0] & s]
-        if t not in uncounted:
-            stats.table_entries += 1
-            stats.boundary_sets += len(ws)
-        total = 0
-        for _, w1, w2 in ws:
+        for w, w1, w2 in mids[t].get(tilt(below[t1] ^ s1), ()):
+            if w & s:
+                continue
+            sets += 1
             left = memo1.get(s1 | w1)
             if left is None:
                 yield t1, s1 | w1
@@ -138,12 +151,21 @@ def count_pm_decomp(
                     right = memo2[s2 | w2]
                 total += left * right
         memo[t][s] = total
+        if t not in uncounted:
+            stats.table_entries += 1
+            stats.boundary_sets += sets
 
     def start(key: tuple[int, int]) -> Iterator[tuple[int, int]] | None:
         t, s = key
         if t in dec.leaf_map:
             # the leaf's one vertex is matched iff it is in s
             memo[t][s] = 1 if s else 0
+            stats.table_entries += 1
+            return None
+        pair = pairs.get(t)
+        if pair is not None:
+            both, adjacent = pair
+            memo[t][s] = 1 if s == both else 0 if s else adjacent
             stats.table_entries += 1
             return None
         return entry(t, s)

@@ -25,6 +25,7 @@ from .digraph import (
     mask_reach,
     mask_union,
     strong_component_masks,
+    strongly_connected_within,
     vertex_mask,
 )
 from .direction import VertexTag, elementary_parts, m_direction
@@ -706,42 +707,48 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     assert strategy is not None
 
     shift = d.n + 1
-    return number, _strategy_dtd(table, lambda cops, robber: strategy[robber << shift | cops])
+
+    def step(cops: int, robber: int) -> tuple[int, list[int]]:
+        move = strategy[robber << shift | cops]
+        return move, [c for c in table[move] if c & robber]
+
+    return number, _strategy_dtd(d, step)
 
 
-def _strategy_dtd(table: _SccTable, move_of: Callable[[int, int], int]) -> DirectedTreeDecomposition:
-    """The decomposition of a monotone cop strategy on table.d, built on an
-    explicit stack and checked with `validate_dtd`.  move_of(cops, robber)
-    is the strategy's move from a position; it must hold a vertex of the
-    robber component and leave that component an entry of the table for
-    the cops it keeps.
+def _strategy_dtd(
+    d: Digraph, step: Callable[[int, int], tuple[int, list[int]]]
+) -> DirectedTreeDecomposition:
+    """The decomposition of a monotone cop strategy on d, built on an
+    explicit stack and checked with `validate_dtd`.  step(cops, robber) is
+    the strategy's move from a position, with the robber's responses: the
+    move must hold a vertex of the robber component R and keep cops for
+    which R is a strong component of d minus them, and the responses are
+    the components of d - move that meet R, in any order.  The move is read
+    only for its part in R unless there are responses.
 
     Each position is a node, numbered in pre-order: its bag is the move's
-    part in the robber component and its guard the cops before the move.
-    The move is monotone, so its children are the positions after it, one
-    per component of d - move that meets the robber.  The root is the first strong component
-    of d; the others hang from it with the empty guard, which strongly
-    guards a strong component of d.  Where there are two or more, children
-    come in Tarjan's order (`strong_component_masks`), so the output does
-    not depend on the table's order."""
-    d = table.d
+    part in R and its guard the cops before the move.  The move is
+    monotone, so its children are the positions after it, one per
+    response.  The root is the first strong component of d; the others
+    hang from it with the empty guard, which strongly guards a strong
+    component of d.  Where there are two or more, children come in
+    Tarjan's order (`strong_component_masks`), so the output does not
+    depend on the order `step` gives."""
     parent: list[int] = []
     bags: list[frozenset[int]] = []
     guards: list[frozenset[int]] = []
-    start = table[0]
-    if len(start) > 1:
-        start = strong_component_masks(d)
+    every = ((1 << d.n) - 1) << 1
+    start = [every] if strongly_connected_within(d, every) else strong_component_masks(d)
     # (cops, robber, parent) per position still to build; the root is node 0
     stack = [(0, comp, 0) for comp in reversed(start[1:])]
     stack.append((0, start[0], -1))
     while stack:
         cops, robber, up = stack.pop()
-        move = move_of(cops, robber)
+        move, resps = step(cops, robber)
         idx = len(parent)
         parent.append(up)
         bags.append(mask_members(move & robber))
         guards.append(mask_members(cops))
-        resps = [c for c in table[move] if c & robber]
         if len(resps) > 1:
             resps = [c for c in strong_component_masks(d, move) if c & robber]
         stack += [(move, c, idx) for c in reversed(resps)]
@@ -763,32 +770,53 @@ def dtd_greedy(d: Digraph) -> DirectedTreeDecomposition:
     that leaves the smallest largest strong component of R - y (ties:
     lowest).  R is a strong component of d - hold, so the robber stays
     inside R - y and the strategy is monotone: each node's bag is {y}, its
-    guard the cops, and its children the components of R - y
-    (`_strategy_dtd`).  Each pick tries every y of R, so a node costs
-    O(|R|) closures of R."""
+    guard the cops, and its children the strong components of R - y, which
+    are the components of d - (hold | y) that meet R (`_strategy_dtd`).
+
+    R is a strong component of d - hold, so any cycle that lifting a cop
+    creates through R passes through that cop: R stays a strong component
+    iff the cop and R do not reach each other, two closures of d.  A
+    one-vertex R is a leaf, whose kept cops are never read, so it is
+    answered at once.  The pick splits R - y for each y in turn, drops y as
+    soon as one part is as large as the best so far, and stops once the
+    best largest part is one vertex, since no y does better; the winner's
+    split gives the children.  A node still costs up to |R| closures of R.
+    """
     if d.n == 0:
         raise InvalidDecomposition("empty digraph")
-    table = _SccTable(d)
+    out, inn = d.out_masks, d.in_masks
+    every = ((1 << d.n) - 1) << 1
 
-    def move_of(cops: int, robber: int) -> int:
+    def step(cops: int, robber: int) -> tuple[int, list[int]]:
+        if not robber & (robber - 1):
+            return robber, []
         hold = cops
         rest = cops
         while rest:
             cop = rest & -rest
             rest ^= cop
-            if robber in table[hold ^ cop]:
+            allowed = every & ~(hold ^ cop)
+            if not (mask_reach(out, cop, allowed) & robber and mask_reach(inn, cop, allowed) & robber):
                 hold ^= cop
-        best, pick = robber.bit_count(), 0  # no part of R - y is as large as R
+        best, pick, split = robber.bit_count(), 0, []  # no part of R - y is as large as R
         ys = robber
-        while ys:
+        while ys and best > 1:
             y = ys & -ys
             ys ^= y
-            largest = max(map(int.bit_count, _split(d, robber ^ y)), default=0)
-            if largest < best:
-                best, pick = largest, y
-        return hold | pick
+            parts = []
+            keep = robber ^ y
+            while keep:
+                start = keep & -keep
+                comp = mask_reach(inn, start, mask_reach(out, start, keep))
+                if comp.bit_count() >= best:
+                    break
+                parts.append(comp)
+                keep ^= comp
+            else:
+                best, pick, split = max(map(int.bit_count, parts)), y, parts
+        return hold | pick, split
 
-    return _strategy_dtd(table, move_of)
+    return _strategy_dtd(d, step)
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +931,8 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
 def _children_topo_order(d: Digraph, kids: Sequence[int], below: Sequence[int]) -> list[int]:
     """Order children so no arc runs from a later subtree into an earlier one;
     below[c] is the vertex mask of c's subtree, ties go to the lower id."""
+    if len(kids) < 2:
+        return list(kids)
     reach = {c: mask_union(d.out_masks, below[c]) for c in kids}
     order: list[int] = []
     remaining = sorted(kids)

@@ -14,7 +14,10 @@ them in the same order and so fill the same memo.  `ref_dtw_exact_small`
 is the earlier exact search, whose `RefSccTable` runs one Tarjan pass per
 entry and keeps Tarjan's order; `dtw_exact_small`, whose table splits each
 entry off its parent entry and orders it largest first, must return the
-same cop number and the same tree.
+same cop number and the same tree.  `ref_dtd_greedy` is the earlier
+greedy strategy, which reads `_SccTable` for its kept cops and its
+children and tries every vertex of the robber component; `dtd_greedy`
+must return the same tree.
 
 `ref_is_prepared` checks the prepared axioms of a proto decomposition
 (subcubic; strong or small child subtrees; two children orderable without
@@ -39,6 +42,7 @@ from matchwidth.decomp import (
     NicePMD,
     _SccTable,
     _monotone_win,
+    dtd_greedy,
     dtd_to_nice_pmd,
     dtw_exact_small,
     nice_pmd_check,
@@ -54,6 +58,7 @@ from matchwidth.digraph import (
 )
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NotNice
+from matchwidth.grids import cylindrical_grid, square_grid
 
 from common import (
     bidirected_clique,
@@ -63,6 +68,7 @@ from common import (
     random_cubic_tree,
     random_digraph,
 )
+from corpus import connected_pm_bipartite
 
 
 def ref_strong_components(d, banned=frozenset()):
@@ -585,6 +591,57 @@ def test_dtw_exact_small_matches_the_earlier_search():
         k, dec = dtw_exact_small(d)
         want_k, want = ref_dtw_exact_small(d)
         assert (k, dec.parent, dec.bags, dec.guards) == (want_k, want.parent, want.bags, want.guards)
+
+
+def ref_dtd_greedy(d):
+    """The earlier `dtd_greedy`: each position's kept cops and its children
+    come from `_SccTable`, and the pick splits R - y for every y of R."""
+    table = _SccTable(d)
+    parent, bags, guards = [], [], []
+    start = table[0]
+    if len(start) > 1:
+        start = strong_component_masks(d)
+    stack = [(0, comp, 0) for comp in reversed(start[1:])]
+    stack.append((0, start[0], -1))
+    while stack:
+        cops, robber, up = stack.pop()
+        hold = cops
+        for cop in sorted(mask_members(cops)):
+            if robber in table[hold ^ 1 << cop]:
+                hold ^= 1 << cop
+        best, pick = robber.bit_count(), 0
+        for y in sorted(mask_members(robber)):
+            parts = strong_component_masks(d, ~robber | 1 << y)
+            largest = max(map(int.bit_count, parts), default=0)
+            if largest < best:
+                best, pick = largest, 1 << y
+        move = hold | pick
+        idx = len(parent)
+        parent.append(up)
+        bags.append(mask_members(move & robber))
+        guards.append(mask_members(cops))
+        resps = [c for c in table[move] if c & robber]
+        if len(resps) > 1:
+            resps = [c for c in strong_component_masks(d, move) if c & robber]
+        stack += [(move, c, idx) for c in reversed(resps)]
+    return DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
+
+
+def test_dtd_greedy_matches_the_table_search():
+    # the M-directions of every corpus graph (n1 <= 4), CG_2-CG_4, the
+    # 3 x k and 4 x k grids and 2 x k ladders up to 2 x 200, and random
+    # digraphs, acyclic, disconnected and dense ones among them
+    graphs = [b for n in range(1, 5) for b in connected_pm_bipartite(n)]
+    graphs += [cylindrical_grid(k)[0] for k in (2, 3, 4)]
+    graphs += [square_grid(3, k) for k in (2, 4, 6, 8)]
+    graphs += [square_grid(4, k) for k in range(2, 9)]
+    graphs += [square_grid(2, k) for k in (2, 3, 5, 10, 31, 64, 200)]
+    digraphs = [m_direction(b, some_perfect_matching(b))[0] for b in graphs]
+    rng = random.Random(97)
+    digraphs += [random_digraph(rng, rng.randint(1, 14), rng.uniform(0.05, 0.5)) for _ in range(200)]
+    for d in digraphs:
+        dec, want = dtd_greedy(d), ref_dtd_greedy(d)
+        assert (dec.parent, dec.bags, dec.guards) == (want.parent, want.bags, want.guards)
 
 
 def conversion_inputs(rng):

@@ -274,11 +274,13 @@ def test_row_major_caterpillars():
     for _ in range(1001):
         a, b = b, a + b
     assert count_pm_decomp(g, tree) == a
-    # frozen regression constants: table sizes of the 8 x 8 grid's caterpillar
+    # frozen regression constants: table sizes of the 8 x 8 grid's
+    # caterpillar, whose bottom node joins two leaves and is settled as one
+    # entry with no middle matchings
     g, tree = row_major_caterpillar(8, 8)
     stats = CountStats()
     assert count_pm_decomp(g, tree, stats=stats) == domino_tilings(8, 8) == 12988816
-    assert (stats.table_entries, stats.boundary_sets) == (3422, 4168)
+    assert (stats.table_entries, stats.boundary_sets) == (3420, 4166)
 
 
 def test_count_on_a_deep_tree():
@@ -298,6 +300,53 @@ def test_decomp_count_two_leaf_tree():
     tree = LeafTree((frozenset({1}), frozenset({0})), {0: 1, 1: 2})
     assert count_pm_decomp(k2(), tree) == 1
     assert count_pm_decomp(graph_from_edges(1, 1, []), tree) == 0
+
+
+def test_settled_leaf_pairs_agree_with_bruteforce():
+    # nodes whose two children are leaves are settled without a walk: random
+    # trees over random graphs give such pairs that are an edge, that are
+    # non-adjacent and that share a colour, some of them under the virtual
+    # node of a degree-3 root
+    rng = random.Random(47)
+    kinds = {"edge": 0, "non-adjacent": 0, "same colour": 0, "virtual": 0}
+    for _ in range(300):
+        n1 = rng.randint(1, 5)
+        n2 = max(0, n1 + rng.choice((-1, 0, 0, 0, 1)))
+        if n1 + n2 < 3:
+            continue
+        p = rng.random()
+        edges = [(u, n1 + v) for u in range(1, n1 + 1) for v in range(1, n2 + 1) if rng.random() < p]
+        b = graph_from_edges(n1, n2, edges)
+        tree = random_leaf_tree(rng, b.vertices, rng.choice((2, 3)))
+        for x, ys in enumerate(tree.binarised().kids):
+            if ys and all(y in tree.leaf_map for y in ys):
+                u, v = sorted(tree.leaf_map[y] for y in ys)
+                kind = "edge" if (u, v) in b.edges else "same colour" if (v <= n1) == (u <= n1) else "non-adjacent"
+                kinds[kind] += 1
+                kinds["virtual"] += x == tree.m
+        assert count_pm_decomp(b, tree) == count_pm_bruteforce(b)
+    assert min(kinds.values()) >= 10
+    # C_6 under a degree-3 root with two leaf children, for pairs that are
+    # an edge, non-adjacent or of one colour: the other four vertices hang
+    # below node 1, the root's lowest neighbour and so its first child, and
+    # the root's virtual node joins the two leaves
+    g = even_cycle(3)
+    for pair in ((1, 4), (1, 5), (1, 6), (1, 2), (4, 5)):
+        rest = [v for v in g.vertices if v not in pair]
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 6), (4, 7), (5, 8), (5, 9)]
+        leaf_map = {2: pair[0], 3: pair[1], 6: rest[0], 7: rest[1], 8: rest[2], 9: rest[3]}
+        adj = [set() for _ in range(10)]
+        for x, y in pairs:
+            adj[x].add(y)
+            adj[y].add(x)
+        tree = LeafTree(tuple(map(frozenset, adj)), leaf_map, root=0)
+        view = tree.binarised()
+        assert view.root == 0 and view.kids[view.kids[0][1]] in ((2, 3), (3, 2))
+        assert count_pm_decomp(g, tree) == count_pm_bruteforce(g)
+    # the two-node tree over an edge, a non-adjacent pair and one colour
+    two_leaves = LeafTree((frozenset({1}), frozenset({0})), {0: 1, 1: 2})
+    for n1, n2, edges, want in ((1, 1, [(1, 2)], 1), (1, 1, [], 0), (2, 0, [], 0)):
+        assert count_pm_decomp(graph_from_edges(n1, n2, edges), two_leaves) == want
 
 
 def test_count_pm_past_the_exact_search():

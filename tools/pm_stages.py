@@ -1,0 +1,111 @@
+"""Wall time per pool pass of each stage of the `pm` route, for seeing
+which stage a change made cheaper.
+
+    python3 tools/pm_stages.py --src <checkout>/src --workload W --seed N
+
+It builds the workload's seeded pool with `bench/workloads.py`, asks
+`matchwidth.cli.main(argv)` from the package under `--src` every question
+in-process once to warm caches, and then in `PASSES` timed passes.  The
+stages are wrapped by name with the benchmark's `spans.Tracer`, which
+rebinds each function in every `matchwidth` module that imported it; a
+stage the checkout lacks is reported missing.  For each stage it prints
+the median over the passes of its inclusive wall time per pass, with its
+calls per pass, and the median wall time of a whole pass; the last line of
+stdout is the same as one JSON object.  The wrappers add their own small
+cost to every stage and to the pass.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+PASSES = 7
+STAGES = (
+    "direction.m_direction",
+    "decomp.dtd_greedy",
+    "decomp.dtw_exact_small",
+    "decomp.dtd_to_pmd",
+    "counting.count_pm_decomp",
+    "decomp.cut_width",
+)
+
+
+def one_pass(cli, questions) -> None:
+    for q in questions:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.main(q.argv)
+            except SystemExit:
+                pass
+
+
+def stage_times(spans) -> dict[str, tuple[int, float]]:
+    """Calls and inclusive seconds per stage name in the recorded spans."""
+    out: dict[str, tuple[int, float]] = {}
+    for name, start, end, _ in spans:
+        calls, took = out.get(name, (0, 0.0))
+        out[name] = calls + 1, took + end - start
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, required=True, help="the checkout's src directory")
+    parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
+    parser.add_argument("--seed", type=int, required=True, help="the pool's seed")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(BENCH_DIR))
+    import program
+    import workloads
+    from spans import Tracer
+
+    cli = program.load(args.src)
+    questions = workloads.build_questions(args.workload, args.seed)
+    per_pass: list[dict[str, tuple[int, float]]] = []
+    pass_s: list[float] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.write_pool(questions, Path(tmp))
+        with Tracer(list(STAGES)) as tracer:
+            one_pass(cli, questions)
+            for _ in range(PASSES):
+                tracer.spans.clear()
+                start = time.perf_counter()
+                one_pass(cli, questions)
+                pass_s.append(time.perf_counter() - start)
+                per_pass.append(stage_times(tracer.spans))
+            missing = list(tracer.missing)
+
+    stages = {}
+    print(f"{args.workload} seed {args.seed}: {len(questions)} questions, {PASSES} passes")
+    for name in STAGES:
+        if name in missing:
+            print(f"  {name:28s} missing")
+            continue
+        took = statistics.median(p.get(name, (0, 0.0))[1] for p in per_pass)
+        calls = per_pass[0].get(name, (0, 0.0))[0]
+        stages[name] = {"seconds": round(took, 5), "calls": calls}
+        print(f"  {name:28s} {took:9.4f} s  {calls:6d} calls")
+    total = statistics.median(pass_s)
+    print(f"  {'pass':28s} {total:9.4f} s")
+    print(json.dumps({
+        "workload": args.workload,
+        "seed": args.seed,
+        "passes": PASSES,
+        "pass_s": round(total, 5),
+        "stages": stages,
+        "missing": missing,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
