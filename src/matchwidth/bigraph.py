@@ -84,6 +84,23 @@ class BipartiteGraph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def dp_rows(self) -> tuple[int, ...]:
+        """V1 in the order the porosity DP takes its rows: each next row
+        adds the fewest columns no earlier row sees, ties to the lowest
+        row.  On shuffled ladders and grids this keeps the DP's frontier
+        of half-used columns narrow."""
+        adj = self.adj_masks
+        left = list(self.v1)
+        order = []
+        seen = 0
+        while left:
+            u = min(left, key=lambda x: (adj[x] & ~seen).bit_count())
+            left.remove(u)
+            order.append(u)
+            seen |= adj[u]
+        return tuple(order)
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

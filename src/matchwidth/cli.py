@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import io as mio
 from .bigraph import BipartiteGraph, Matching, graph_from_edges, some_perfect_matching
-from .digraph import Digraph
+from .digraph import Digraph, vertex_mask
 from .errors import InvalidParameter, MatchwidthError, NoPerfectMatching
 
 
@@ -161,7 +161,7 @@ def cmd_cut(args) -> int:
     if isinstance(g, BipartiteGraph):
         from .porosity import matching_porosity
 
-        value = matching_porosity(g, shore)
+        value = matching_porosity(g, vertex_mask(shore))
     else:
         from .porosity import cycle_porosity
 

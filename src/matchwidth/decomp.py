@@ -28,7 +28,7 @@ from .digraph import (
     strongly_connected_within,
     vertex_mask,
 )
-from .direction import VertexTag, elementary_parts, m_direction
+from .direction import VertexTag, elementary_parts, m_direction, split
 from .errors import (
     InvalidDecomposition,
     NoPerfectMatching,
@@ -284,7 +284,7 @@ def cut_width(host: BipartiteGraph, m: Matching, tree: PMDecomposition) -> int:
     for bound, shore in bounded:
         if bound <= best:
             break
-        best = max(best, matching_porosity(host, mask_members(shore)))
+        best = max(best, matching_porosity(host, shore))
     return best
 
 
@@ -306,10 +306,13 @@ def cycd_width(d: Digraph, dec: CycleDecomposition) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _branch_dp(
-    elements: Sequence[int], cut_value: Callable[[frozenset[int]], int]
-) -> tuple[int, LeafTree]:
-    """Optimal cubic leaf-tree minimising the max cut_value over tree cuts."""
+def _branch_dp(elements: Sequence[int], cut_value: Callable[[int], int]) -> tuple[int, LeafTree]:
+    """Optimal cubic leaf-tree minimising the max cut_value over tree cuts.
+
+    cut_value takes a set of elements as a mask of their indices (element
+    elements[i] is bit i) and must give a set and its complement the same
+    value, as porosity does; it is called once per such pair.
+    """
     elems = list(elements)
     n = len(elems)
     if n == 0:
@@ -317,45 +320,39 @@ def _branch_dp(
     if n == 1:
         return 0, LeafTree((frozenset(),), {0: elems[0]})
     full = (1 << n) - 1
-
-    @cache
-    def f(mask: int) -> int:
-        return cut_value(frozenset(elems[i] for i in range(n) if mask >> i & 1))
-
-    best = {1 << i: 0 for i in range(n)}
-    split: dict[int, int] = {}
+    f = [0] * (full + 1)
+    for mask in range(2, full, 2):  # X and its complement: keyed on the X without element 0
+        f[mask] = f[full ^ mask] = cut_value(mask)
+    # worst[mask]: over the subtrees whose leaves are mask, the least largest
+    # cut inside one or on the tree edge above it; a singleton is a leaf
+    worst = f[:]
+    part = [0] * (full + 1)  # the side of each mask's best split holding its lowest element
     # smaller masks first; the first n are the singletons
-    for mask in sorted(range(1, full + 1), key=int.bit_count)[n:]:
+    for mask in sorted(range(1, full), key=int.bit_count)[n:]:
         lowbit = mask & -mask
         rest = mask ^ lowbit
-        cand = None
+        cand = -1
         sub = rest
-        # iterate proper submasks containing lowbit to halve the work
-        while True:
-            s1 = sub | lowbit
-            s2 = mask ^ s1
-            if s2:
-                val = max(best[s1], best[s2], f(s1), f(s2))
-                if cand is None or val < cand:
-                    cand = val
-                    split[mask] = s1
-            if sub == 0:
-                break
+        # proper submasks containing lowbit, each split once, from the largest
+        while sub:
             sub = (sub - 1) & rest
-        best[mask] = cand  # type: ignore[assignment]
+            s1 = sub | lowbit
+            w1 = worst[s1]
+            w2 = worst[mask ^ s1]
+            val = w1 if w1 > w2 else w2
+            if cand < 0 or val < cand:
+                cand = val
+                part[mask] = s1
+        worst[mask] = cand if cand > f[mask] else f[mask]
 
     # root split: every decomposition has some edge splitting V into (A, rest)
-    top = None
+    top = -1
     top_mask = 0
-    for sub in range(1, full):
-        if not sub & 1:
-            continue  # fix element 0 on the left side to halve the search
-        val = max(best[sub], best[full ^ sub], f(sub))
-        if top is None or val < top:
+    for sub in range(1, full, 2):  # element 0 on the left side halves the search
+        val = max(worst[sub], worst[full ^ sub])
+        if top < 0 or val < top:
             top = val
             top_mask = sub
-    assert top is not None
-
     tb = _TreeBuilder()
     leaf_map: dict[int, int] = {}
 
@@ -365,8 +362,8 @@ def _branch_dp(
         if mask.bit_count() == 1:
             leaf_map[idx] = elems[mask.bit_length() - 1]
         else:
-            tb.link(idx, build(split[mask]))
-            tb.link(idx, build(mask ^ split[mask]))
+            tb.link(idx, build(part[mask]))
+            tb.link(idx, build(mask ^ part[mask]))
         return idx
 
     tb.link(build(top_mask), build(full ^ top_mask))
@@ -379,11 +376,8 @@ def pmw_exact_small(b: BipartiteGraph) -> tuple[int, PMDecomposition]:
         raise OracleLimitExceeded(f"{b.n} vertices exceeds oracle limit {PMW_ORACLE_LIMIT}")
     if some_perfect_matching(b) is None:
         raise NoPerfectMatching("graph has no perfect matching")
-
-    def f(shore: frozenset[int]) -> int:
-        return matching_porosity(b, shore)
-
-    width, tree = _branch_dp(sorted(b.vertices), f)
+    # the elements are the vertices 1..n, so element index i is vertex bit i + 1
+    width, tree = _branch_dp(b.vertices, lambda mask: matching_porosity(b, mask << 1))
     tree.validate(b.vertices)
     return width, tree
 
@@ -392,11 +386,12 @@ def cycw_exact_small(d: Digraph) -> tuple[int, CycleDecomposition]:
     """Exact cycle width with witness (brute force, small digraphs)."""
     if d.n > PMW_ORACLE_LIMIT:
         raise OracleLimitExceeded(f"{d.n} vertices exceeds oracle limit {PMW_ORACLE_LIMIT}")
-
-    def f(shore: frozenset[int]) -> int:
-        return cycle_porosity(d, shore)
-
-    raw, tree = _branch_dp(sorted(d.vertices), f)
+    # `cycle_porosity` on the split, built once: vertex v is the matching
+    # edge (v, n + v), and element index i is vertex i + 1
+    b, _, _ = split(d)
+    raw, tree = _branch_dp(
+        d.vertices, lambda mask: matching_porosity(b, mask << 1 | mask << d.n + 1)
+    )
     assert raw % 2 == 0
     return raw // 2, tree
 

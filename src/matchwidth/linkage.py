@@ -852,7 +852,7 @@ def is_limited(
         )
 
     def check(sub: frozenset[int]) -> bool:
-        if matching_porosity(b, sub) > w:
+        if matching_porosity(b, vertex_mask(sub)) > w:
             return True
         return parts_in(paths, sub) <= k + w
 

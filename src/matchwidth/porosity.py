@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bigraph import (
     BipartiteGraph,
@@ -15,7 +15,7 @@ from .bigraph import (
     is_perfect,
     some_perfect_matching,
 )
-from .digraph import Digraph, has_cycle_crossing, mask_members, mask_reach
+from .digraph import Digraph, has_cycle_crossing, mask_members, mask_reach, vertex_mask
 from .direction import elementary_parts, m_direction, split
 from .errors import NoPerfectMatching, NotPerfect
 
@@ -84,77 +84,119 @@ def _min_cost_pm_ssp(
     return mate_l  # type: ignore[return-value]
 
 
-def _max_crossing_pm_subsets(
-    n: int,
-    adj_mask: Sequence[Sequence[tuple[int, int]]],
-) -> list[int] | None:
-    """Max-total-weight perfect matching by DP over column subsets.
+# the subset DP's limit on n1; the SSP route takes larger graphs
+SUBSET_DP_LIMIT = 14
 
-    adj_mask[i] lists (j, weight).  Row i extends, in ascending order, only
-    the column masks that some matching of rows 0..i-1 covers; a strict `>`
-    keeps the first best witness.  Exact; preferred when n <= 14.  Returns
-    mate_l or None.
+
+def _max_crossing_layers(
+    b: BipartiteGraph, shore: int, rows: Sequence[int]
+) -> Iterator[dict[int, int]]:
+    """The most edges across the cut of the shore (a vertex mask, vertex v
+    is bit v) that a perfect matching of b uses, by DP over subsets of V2.
+
+    rows orders V1.  A state of layer i is the mask of the columns that
+    rows[:i] use, and holds the most crossing edges of such a matching; a
+    state that leaves out a column no later row sees is dropped.  Yields
+    the layers in turn; the last holds one state, every column.  Exact;
+    preferred when n1 <= SUBSET_DP_LIMIT.
     """
-    best = [-1] * (1 << n)
-    best[0] = 0
-    last = [0] * (1 << n)  # column bit of the row matched last
-    layer = [0]
-    for row in adj_mask:
-        edges = [(1 << j, w) for j, w in row]
-        nxt = []
-        for mask in layer:
-            base = best[mask]
+    adj = b.adj_masks
+    later = [0] * (len(rows) + 1)  # the columns rows[i:] see
+    for i in reversed(range(len(rows))):
+        later[i] = later[i + 1] | adj[rows[i]]
+    layer = {0: 0}
+    yield layer
+    seen = 0
+    for i, u in enumerate(rows):
+        seen |= adj[u]
+        need = seen & ~later[i + 1]  # the columns every state must now use
+        side = shore >> u & 1
+        edges = []
+        rest = adj[u]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            edges.append((bit, ((shore & bit) != 0) ^ side))
+        nxt: dict[int, int] = {}
+        for mask, base in layer.items():
             for bit, w in edges:
                 if mask & bit:
                     continue
                 grown = mask | bit
-                if base + w > best[grown]:
-                    if best[grown] < 0:
-                        nxt.append(grown)
-                    best[grown] = base + w
-                    last[grown] = bit
+                if grown & need != need:
+                    continue
+                if base + w > nxt.get(grown, -1):
+                    nxt[grown] = base + w
         if not nxt:
-            return None
-        nxt.sort()
+            raise NoPerfectMatching("graph has no perfect matching")
         layer = nxt
-    mate_l = [0] * n
-    mask = (1 << n) - 1
-    for i in reversed(range(n)):
-        mate_l[i] = last[mask].bit_length() - 1
-        mask ^= last[mask]
-    return mate_l
+        yield layer
 
 
-def _porosity_with_witness(b: BipartiteGraph, shore: VertexSet) -> tuple[int, Matching]:
-    """Max |M ∩ cut(shore)| over perfect matchings, with a maximising matching."""
+def _subset_dp_applies(b: BipartiteGraph) -> bool:
+    """Whether porosity on b takes the subset DP (n1 <= SUBSET_DP_LIMIT)
+    rather than the SSP route; raises when the colour classes differ."""
     if b.n1 != b.n2:
         raise NoPerfectMatching("unbalanced colour classes")
-    if b.n == 0:
-        return 0, frozenset()
+    return b.n1 <= SUBSET_DP_LIMIT
+
+
+def _porosity_by_ssp(b: BipartiteGraph, shore: int) -> tuple[int, Matching]:
+    """`_porosity_with_witness` by min-cost perfect matching, for n1 past
+    SUBSET_DP_LIMIT."""
     n = b.n1
-    rows = sorted(b.v1)
-    cols = sorted(b.v2)
-    cidx = {v: j for j, v in enumerate(cols)}
-    weighted: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # minimise non-crossing edges instead (same optimum, costs >= 0)
+    as_cost: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in b.edges:
-        crossing = (u in shore) != (v in shore)
-        weighted[u - 1].append((cidx[v], 1 if crossing else 0))
-    if n <= 14:
-        mate = _max_crossing_pm_subsets(n, weighted)
-    else:
-        # minimise non-crossing edges instead (same optimum, costs >= 0)
-        as_cost = [[(j, 1 - w) for j, w in row] for row in weighted]
-        mate = _min_cost_pm_ssp(n, as_cost)
+        as_cost[u - 1].append((v - n - 1, 1 - ((shore >> u ^ shore >> v) & 1)))
+    mate = _min_cost_pm_ssp(n, as_cost)
     if mate is None:
         raise NoPerfectMatching("graph has no perfect matching")
-    m = frozenset((rows[i], cols[mate[i]]) for i in range(n))
-    k = sum(1 for u, v in m if (u in shore) != (v in shore))
-    return k, m
+    m = frozenset((i + 1, n + 1 + j) for i, j in enumerate(mate))
+    return sum((shore >> u ^ shore >> v) & 1 for u, v in m), m
 
 
-def matching_porosity(b: BipartiteGraph, shore: Iterable[int]) -> int:
-    """Maximum number of cut edges any perfect matching uses."""
-    k, _ = _porosity_with_witness(b, frozenset(shore))
+def _porosity_with_witness(b: BipartiteGraph, shore: int) -> tuple[int, Matching]:
+    """Max |M ∩ cut(shore)| over perfect matchings, with a maximising
+    matching; shore is a vertex mask.
+
+    The subset DP takes V1 in label order here, not in `b.dp_rows`, so the
+    witness does not depend on that order.  It is rebuilt from the last
+    row back, each row taking the highest column that still completes a
+    best matching.
+    """
+    if not _subset_dp_applies(b):
+        return _porosity_by_ssp(b, shore)
+    rows = b.v1
+    layers = list(_max_crossing_layers(b, shore, rows))
+    adj = b.adj_masks
+    ((mask, k),) = layers[-1].items()
+    value = k
+    m = []
+    for i in reversed(range(b.n1)):
+        u = rows[i]
+        side = shore >> u & 1
+        free = adj[u] & mask
+        while True:
+            v = free.bit_length() - 1
+            w = (shore >> v & 1) ^ side
+            if layers[i].get(mask ^ 1 << v) == value - w:
+                break
+            free ^= 1 << v
+        m.append((u, v))
+        mask ^= 1 << v
+        value -= w
+    return k, frozenset(m)
+
+
+def matching_porosity(b: BipartiteGraph, shore: int) -> int:
+    """Maximum number of cut edges any perfect matching uses; shore is a
+    vertex mask (vertex v is bit v), as in `matching_porosity_bound`."""
+    if not _subset_dp_applies(b):
+        return _porosity_by_ssp(b, shore)[0]
+    for last in _max_crossing_layers(b, shore, b.dp_rows):
+        pass  # only the last layer is read
+    ((_, k),) = last.items()
     return k
 
 
@@ -205,10 +247,10 @@ def cycle_porosity(d: Digraph, shore: Iterable[int]) -> int:
     Computed as the matching porosity of the corresponding conformal shore in
     the split of d.
     """
-    s = frozenset(shore)
-    b, _, tag = split(d)
-    y = frozenset(x for v in s for x in tag[v])
-    return matching_porosity(b, y)
+    s = vertex_mask(shore)
+    b, _, _ = split(d)
+    # digraph vertex v is the matching edge (v, n + v) of the split
+    return matching_porosity(b, s | s << d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +386,7 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
     if not is_perfect(b, m):
         raise NotPerfect("m is not a perfect matching")
     shore = frozenset(shore)
-    k = matching_porosity(b, shore)
+    k = matching_porosity(b, vertex_mask(shore))
 
     f_start = frozenset(e for e in m if (e[0] in shore) != (e[1] in shore))
     removed0 = frozenset(x for e in f_start for x in e)
@@ -357,7 +399,7 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
     if not b0.cut(shore0):
         return GuardingSet(f_start, k)
 
-    k0, m_max = _porosity_with_witness(b0, shore0)
+    k0, m_max = _porosity_with_witness(b0, vertex_mask(shore0))
     if k0 == 0:
         return GuardingSet(f_start, k)
     w_edges = frozenset(e for e in m_max if (e[0] in shore0) != (e[1] in shore0))

@@ -29,7 +29,7 @@ from matchwidth.decomp import (
     validate_dtd,
 )
 from matchwidth.counting import count_pm_decomp
-from matchwidth.digraph import Digraph, digraph_from_arcs
+from matchwidth.digraph import Digraph, digraph_from_arcs, vertex_mask
 from matchwidth.direction import m_direction
 from matchwidth.errors import InvalidDecomposition, OracleLimitExceeded
 import matchwidth.decomp as decomp_module
@@ -126,10 +126,10 @@ def test_cut_widths_on_random_trees():
         for tree in trees:
             shores = tree_edge_shores(tree)
             assert pmd_width(b, tree) == max(
-                matching_porosity(b, s) for s, _ in shores
+                matching_porosity(b, vertex_mask(s)) for s, _ in shores
             )
             assert pmd_width(host, tree) == max(
-                matching_porosity(host, s) for s, _ in shores
+                matching_porosity(host, vertex_mask(s)) for s, _ in shores
             )
 
 
@@ -143,7 +143,7 @@ def test_pmd_width_searches_few_cuts(monkeypatch):
     ]
     searched = []
 
-    def counted(b, shore):
+    def counted(b, shore: int) -> int:
         searched.append(shore)
         return matching_porosity(b, shore)
 
@@ -151,6 +151,30 @@ def test_pmd_width_searches_few_cuts(monkeypatch):
     assert pmd_width(grid, tree) == 4
     assert len(inner) == 22
     assert len(searched) == 1
+    # the shore is searched as the vertex mask of one side of a tree edge
+    assert searched[0] in {vertex_mask(side) for pair in tree_edge_shores(tree) for side in pair}
+
+
+def test_exact_small_trees_pinned():
+    # digests of the width and tree of `pmw_exact_small` and
+    # `cycw_exact_small`, recorded when each split's two sides were
+    # searched apart: the corpus graphs of n <= 8, the 2 x 4 and 2 x 5
+    # ladders, their M-directions, and random digraphs
+    graphs = [b for n in range(1, 5) for b in connected_pm_bipartite(n)]
+    graphs += [square_grid(2, 4), square_grid(2, 5)]
+    rng = random.Random(3300)
+    digraphs = [m_direction(b, some_perfect_matching(b))[0] for b in graphs]
+    digraphs += [random_digraph(rng, rng.randint(5, 8), rng.uniform(0.15, 0.5)) for _ in range(20)]
+
+    def digest(results):
+        sha = hashlib.sha256()
+        for width, tree in results:
+            data = [width, [sorted(a) for a in tree.adj], sorted(tree.leaf_map.items())]
+            sha.update(json.dumps(data).encode())
+        return sha.hexdigest()[:16]
+
+    assert digest(map(pmw_exact_small, graphs)) == "ed4e3c69b4dcdb7a"
+    assert digest(map(cycw_exact_small, digraphs)) == "27c7a66cc357ccc0"
 
 
 def test_pmd_width_c4():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from matchwidth.bigraph import (
     enumerate_perfect_matchings,
     graph_from_edges,
     is_perfect,
+    some_perfect_matching,
 )
 from matchwidth.digraph import (
     digraph_from_arcs,
@@ -17,6 +20,7 @@ from matchwidth.digraph import (
 )
 from matchwidth.direction import m_direction, split
 from matchwidth.errors import NoPerfectMatching
+from matchwidth.grids import cylindrical_grid, square_grid
 from matchwidth.porosity import (
     DMStructure,
     cycle_porosity,
@@ -46,11 +50,11 @@ from common import (
 def test_porosity_examples():
     c4 = even_cycle(2)
     # shore = endpoints of one matching edge
-    assert matching_porosity(c4, [1, 3]) == 2
-    assert matching_porosity(c4, []) == 0
+    assert matching_porosity(c4, vertex_mask([1, 3])) == 2
+    assert matching_porosity(c4, 0) == 0
     c8 = even_cycle(4)
     # four consecutive cycle vertices a1, b1, a2, b2
-    assert matching_porosity(c8, [1, 5, 2, 6]) == 2
+    assert matching_porosity(c8, vertex_mask([1, 5, 2, 6])) == 2
 
 
 def test_porosity_matches_bruteforce_random():
@@ -59,7 +63,7 @@ def test_porosity_matches_bruteforce_random():
         n1 = rng.randint(1, 5)
         b = random_bipartite_with_pm(rng, n1, rng.randint(0, 8))
         shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
-        assert matching_porosity(b, shore) == matching_porosity_bruteforce(b, shore)
+        assert matching_porosity(b, vertex_mask(shore)) == matching_porosity_bruteforce(b, shore)
 
 
 def ssp_witness(b, shore):
@@ -116,13 +120,41 @@ def shuffled_columns(rng, b):
     return graph_from_edges(b.n1, b.n2, [(u, relabel[v]) for u, v in b.edges])
 
 
+def relabelled(rng, b):
+    """b with its V1 labels and its V2 labels each shuffled."""
+    perm = {}
+    for side in (list(b.v1), list(b.v2)):
+        shuffled = side[:]
+        rng.shuffle(shuffled)
+        perm.update(zip(side, shuffled))
+    return graph_from_edges(b.n1, b.n2, [(perm[u], perm[v]) for u, v in b.edges])
+
+
+def greedy_rows(b):
+    """V1 ordered so that each next row adds the fewest unseen columns,
+    ties to the lowest row: what `dp_rows` promises."""
+    order, seen, left = [], set(), sorted(b.v1)
+    while left:
+        u = min(left, key=lambda x: (len(b.adj[x] - seen), x))
+        left.remove(u)
+        order.append(u)
+        seen |= b.adj[u]
+    return tuple(order)
+
+
+def dp_value(b, shore, rows):
+    """The subset DP's porosity with V1 taken in the order rows."""
+    ((_, k),) = list(por._max_crossing_layers(b, shore, rows))[-1].items()
+    return k
+
+
 def test_porosity_witness_on_both_routes():
     rng = random.Random(23)
     for n1 in range(6, 15):
         for extra in (n1 // 2, n1, 2 * n1, 3 * n1):
             b = shuffled_columns(rng, random_bipartite_with_pm(rng, n1, extra))
             shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
-            k, m = por._porosity_with_witness(b, shore)
+            k, m = por._porosity_with_witness(b, vertex_mask(shore))
             assert check_matching(b, m) == m and is_perfect(b, m)
             assert crossing(m, shore) == k
             other = ssp_witness(b, shore)
@@ -130,18 +162,60 @@ def test_porosity_witness_on_both_routes():
             if n1 <= 7:
                 assert k == matching_porosity_bruteforce(b, shore)
         # rows 1 and 2 see only the first column: no mask of two columns is
-        # reachable, however well the later rows are matched
+        # reachable, however well the later rows are matched; nor is a
+        # column that no row sees; wherever the labels put them, in the
+        # `dp_rows` order and in label order
         rest = [(i, n1 + j) for i in range(3, n1 + 1) for j in range(1, n1 + 1)]
         starved = graph_from_edges(n1, n1, [(1, n1 + 1), (2, n1 + 1)] + rest)
-        with pytest.raises(NoPerfectMatching):
-            por._porosity_with_witness(starved, frozenset(range(1, n1 + 1)))
+        lonely = graph_from_edges(n1, n1, [(i, n1 + j) for i in range(1, n1 + 1) for j in range(2, n1 + 1)])
+        shuffle = random.Random(n1)
+        for b in (starved, lonely, relabelled(shuffle, starved), relabelled(shuffle, lonely)):
+            for rows in (b.dp_rows, b.v1):
+                with pytest.raises(NoPerfectMatching):
+                    dp_value(b, vertex_mask(range(1, n1 + 1)), rows)
+            with pytest.raises(NoPerfectMatching):
+                por._porosity_with_witness(b, vertex_mask(range(1, n1 + 1)))
+            with pytest.raises(NoPerfectMatching):
+                matching_porosity(b, vertex_mask(range(1, n1 + 1)))
         assert ssp_witness(starved, frozenset()) is None
+
+
+def test_subset_dp_on_relabelled_graphs():
+    # shuffled ladders and grids, whose `dp_rows` differ from 1..n1, and
+    # random planted graphs: the subset DP against brute force where the
+    # perfect matchings are few enough, and against the SSP route always
+    rng = random.Random(3302)
+    graphs = [square_grid(2, k) for k in range(2, 15)]
+    graphs += [square_grid(3, k) for k in (2, 4, 6, 8)]
+    graphs += [square_grid(4, k) for k in (3, 4, 5, 6)]
+    graphs += [cylindrical_grid(2)[0]]
+    graphs += [random_bipartite_with_pm(rng, n1, rng.randint(0, 2 * n1)) for n1 in range(1, 13) for _ in range(3)]
+    reordered = 0
+    for b in [relabelled(rng, b) for b in graphs for _ in range(2)]:
+        assert sorted(b.dp_rows) == list(b.v1)
+        assert b.dp_rows == greedy_rows(b)
+        reordered += b.dp_rows != tuple(b.v1)
+        pms = len(enumerate_perfect_matchings(b)) if b.n1 <= 8 else None
+        for _ in range(4):
+            shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
+            k, m = por._porosity_with_witness(b, vertex_mask(shore))
+            assert matching_porosity(b, vertex_mask(shore)) == k
+            assert check_matching(b, m) == m and is_perfect(b, m)
+            assert crossing(m, shore) == k
+            assert crossing(ssp_witness(b, shore), shore) == k
+            if pms is not None and pms <= 400:
+                assert k == matching_porosity_bruteforce(b, shore)
+            # any row order gives the same value
+            rows = list(b.v1)
+            rng.shuffle(rows)
+            assert dp_value(b, vertex_mask(shore), rows) == k
+    assert reordered >= 60
 
 
 def test_porosity_requires_pm():
     star = graph_from_edges(1, 3, [(1, 2), (1, 3), (1, 4)])
     with pytest.raises(NoPerfectMatching):
-        matching_porosity(star, [1])
+        matching_porosity(star, vertex_mask([1]))
 
 
 def test_cycle_porosity_examples():
@@ -242,12 +316,28 @@ def test_guard_examples():
     assert len(g3) <= 8
 
 
+def test_guarding_set_pinned():
+    # a digest of (porosity, guard) over a seeded sample, recorded from the
+    # label-order subset DP over column indices; the guard rests on the DP's
+    # maximising matching, which must not change with the DP's row order
+    rng = random.Random(3301)
+    sha = hashlib.sha256()
+    for _ in range(300):
+        n1 = rng.randint(2, 8)
+        b = random_bipartite_with_pm(rng, n1, rng.randint(0, 3 * n1))
+        m = some_perfect_matching(b)
+        shore = frozenset(v for v in b.vertices if rng.random() < 0.5)
+        g = guarding_set(b, m, shore)
+        sha.update(json.dumps([g.porosity, sorted(g.edges)]).encode())
+    assert sha.hexdigest()[:16] == "7efde67974edea65"
+
+
 def test_guard_saturated_cut_case():
     # |M ∩ cut| = porosity: the crossing matching edges alone are a guard
     c6 = even_cycle(3)
     m = canonical_cycle_matching(3)
     shore = frozenset({1, 4, 5})  # a1, b1 and one more white vertex
-    k = matching_porosity(c6, shore)
+    k = matching_porosity(c6, vertex_mask(shore))
     crossing = frozenset(e for e in m if (e[0] in shore) != (e[1] in shore))
     if len(crossing) == k:
         assert verify_guard(c6, m, shore, crossing)
@@ -320,7 +410,7 @@ def test_obs_porosity_equality():
         chosen = frozenset(e for e in m if rng.random() < 0.5)
         shore = frozenset(x for e in chosen for x in e)
         image = frozenset(inv[e] for e in chosen)
-        assert matching_porosity(b, shore) == cycle_porosity(d, image)
+        assert matching_porosity(b, vertex_mask(shore)) == cycle_porosity(d, image)
 
 
 def test_hitting_set_examples():
@@ -374,6 +464,6 @@ def test_porosity_matches_linear_sum_assignment():
             rows, cols = optimize.linear_sum_assignment(cost)
         except ValueError:  # no perfect matching
             with pytest.raises(NoPerfectMatching):
-                matching_porosity(b, shore)
+                matching_porosity(b, vertex_mask(shore))
             continue
-        assert matching_porosity(b, shore) == -int(cost[rows, cols].sum())
+        assert matching_porosity(b, vertex_mask(shore)) == -int(cost[rows, cols].sum())

@@ -36,6 +36,8 @@ STAGES = (
     "decomp.dtd_to_pmd",
     "counting.count_pm_decomp",
     "decomp.cut_width",
+    "decomp.pmw_exact_small",
+    "porosity.matching_porosity",
 )
 
 
