@@ -524,41 +524,22 @@ def _split(d: Digraph, keep: int) -> list[int]:
 
 class _SccTable(dict):
     """For a banned vertex mask: the strong components of d minus it, as
-    vertex masks, largest first.  Filled on first use.
-
-    The entry for a non-empty mask S with lowest vertex v is made from the
-    entry for S - v: each component that misses v stays, and the component
-    C that holds v gives way to the strong components of d[C - v].  That is
-    exact because a cycle through two vertices of a strong component stays
-    inside that component.  The entry for the empty mask is the same split
-    of the whole vertex set, so no entry needs a full Tarjan pass.  Only the
-    order inside an entry is not Tarjan's: a caller that outputs components
-    in order calls `strong_component_masks`.
+    vertex masks, largest first.  Filled on first use, each entry by one
+    `_split` of the vertices left.  Only the order inside an entry is not
+    Tarjan's: a caller that outputs components in order calls
+    `strong_component_masks`.
     """
 
     def __init__(self, d: Digraph) -> None:
         super().__init__()
         self.d = d
         self.every = ((1 << d.n) - 1) << 1
-        self[0] = tuple(sorted(_split(d, self.every), key=int.bit_count, reverse=True))
 
     def __missing__(self, banned: int) -> tuple[int, ...]:
         assert not banned & ~self.every, "a banned bit is no vertex of d"
-        chain = []
-        while banned not in self:
-            chain.append(banned)
-            banned &= banned - 1
-        comps = self[banned]
-        for banned in reversed(chain):
-            v = banned & -banned
-            i = 0
-            while not comps[i] & v:
-                i += 1
-            parts = _split(self.d, comps[i] ^ v)
-            rest = comps[:i] + comps[i + 1 :]  # still largest first
-            if parts:
-                rest = tuple(sorted(rest + tuple(parts), key=int.bit_count, reverse=True))
-            comps = self[banned] = rest
+        comps = self[banned] = tuple(
+            sorted(_split(self.d, self.every & ~banned), key=int.bit_count, reverse=True)
+        )
         return comps
 
 
@@ -679,7 +660,8 @@ def dtw_exact_small(d: Digraph) -> tuple[int, DirectedTreeDecomposition]:
     {w} lifts v, and the component of d around the robber is S, which
     still holds v, so no monotone move exists.
 
-    The search reads `_SccTable`, whose entries are largest first;
+    The search reads `_SccTable`, which fills each entry with one split of
+    the vertices left and lists the components largest first;
     `_strategy_dtd` builds the tree from the winning strategy.
     """
     if d.n > DTW_ORACLE_LIMIT:
@@ -1227,8 +1209,6 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
             sortable.append(c)
         else:
             return False, f"root successor {c} of no admissible type"
-    if len(sortable) > 3:
-        return False, "root has too many ordered successors"
     for perm in permutations(sortable):
         # no edge from the V1 side of a later successor to the V2 side of an
         # earlier one

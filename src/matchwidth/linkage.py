@@ -163,8 +163,9 @@ def w_completion(
     pairs: Sequence[TerminalPair], w: Iterable[Edge]
 ) -> frozenset[tuple[int, int]]:
     """Virtual edges closing the alternating chains through W (Lemma-style
-    linear trace); together with W and any W-extending solution's paths they
-    induce alternating cycles only."""
+    linear trace): one edge joining the two ends of each path that W and the
+    links s_i t_i form.  Together with W and any W-extending solution's
+    paths they induce alternating cycles only."""
     pairs = [tuple(p) for p in pairs]
     w = frozenset(tuple(e) for e in w)
     mate_w: dict[int, int] = {}
@@ -179,54 +180,21 @@ def w_completion(
     for u, v in w:
         if u not in terminals and v not in terminals:
             raise InvalidW("every edge of w must cover a terminal")
-    pair_of_s = {s: i for i, (s, t) in enumerate(pairs)}
-    pair_of_t = {t: i for i, (s, t) in enumerate(pairs)}
-    if len(pair_of_s) != len(pairs) or len(pair_of_t) != len(pairs):
+    if len(terminals) != 2 * len(pairs):
         raise InvalidW("terminal pairs must be distinct")
+    partner = {x: y for s, t in pairs for x, y in ((s, t), (t, s))}
 
-    completed: set[int] = set()
+    # W and the links s_i t_i give every terminal degree two and every other
+    # vertex of W degree one, so they form cycles and paths whose two ends
+    # lie outside the terminals; walk each path from its ends
     virtual: set[tuple[int, int]] = set()
-    for start in range(len(pairs)):
-        if start in completed:
+    for end, x in mate_w.items():
+        if end in terminals:
             continue
-        completed.add(start)
-        # walk forward from s-side through w
-        i = start
-        dangling_s: int | None = None
-        while True:
-            s_i = pairs[i][0]
-            x = mate_w[s_i]
-            if x == pairs[i][1]:
-                break  # w pairs the terminals directly: chain closes
-            if x in pair_of_t:
-                j = pair_of_t[x]
-                if j in completed:
-                    break  # returned to the starting pair: cycle closed
-                completed.add(j)
-                i = j
-                continue
-            dangling_s = x
-            break
-        if dangling_s is None:
-            continue
-        # walk from the t-side of the starting pair
-        i = start
-        dangling_t: int | None = None
-        while True:
-            t_i = pairs[i][1]
-            y = mate_w[t_i]
-            if y in pair_of_s:
-                j = pair_of_s[y]
-                if j in completed:
-                    break
-                completed.add(j)
-                i = j
-                continue
-            dangling_t = y
-            break
-        if dangling_t is None:
-            continue
-        virtual.add((dangling_t, dangling_s) if dangling_t < dangling_s else (dangling_s, dangling_t))
+        while x in terminals:
+            x = mate_w[partner[x]]
+        if end < x:
+            virtual.add((end, x))
     if len(virtual) > len(pairs):
         raise AssertionError("completion exceeded the pair count")
     return frozenset(virtual)

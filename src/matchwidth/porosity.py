@@ -349,9 +349,6 @@ class GuardingSet:
     edges: Matching
     porosity: int
 
-    def __iter__(self):
-        return iter(self.edges)
-
     def __len__(self) -> int:
         return len(self.edges)
 

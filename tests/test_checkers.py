@@ -12,9 +12,9 @@ at most k vertices at each position and rejects the moves that are not
 monotone.  `_monotone_win`, which lists only the monotone moves, must try
 them in the same order and so fill the same memo.  `ref_dtw_exact_small`
 is the earlier exact search, whose `RefSccTable` runs one Tarjan pass per
-entry and keeps Tarjan's order; `dtw_exact_small`, whose table splits each
-entry off its parent entry and orders it largest first, must return the
-same cop number and the same tree.  `ref_dtd_greedy` is the earlier
+entry and keeps Tarjan's order; `dtw_exact_small`, whose table splits the
+vertices left once per entry and orders the components largest first, must
+return the same cop number and the same tree.  `ref_dtd_greedy` is the earlier
 greedy strategy, which reads `_SccTable` for its kept cops and its
 children and tries every vertex of the robber component; `dtd_greedy`
 must return the same tree.
@@ -32,6 +32,7 @@ from itertools import combinations, permutations
 
 from matchwidth.bigraph import (
     enumerate_perfect_matchings,
+    graph_from_edges,
     has_perfect_matching,
     induced_subgraph,
     some_perfect_matching,
@@ -41,6 +42,7 @@ from matchwidth.decomp import (
     LeafTree,
     NicePMD,
     _SccTable,
+    _TreeBuilder,
     _monotone_win,
     dtd_greedy,
     dtd_to_nice_pmd,
@@ -451,6 +453,34 @@ def test_nice_pmd_check_matches_reference():
         swapped[x], swapped[y] = swapped[y], swapped[x]
         check(b, NicePMD(LeafTree(tree.adj, swapped, tree.root), nice.width, nice.type1_bound))
     assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_nice_pmd_check_orders_the_root_successors():
+    # on the cube, each half {1, 2, 5, 6} and {3, 4, 7, 8} has edges from its
+    # V1 side to the other's V2 side, so the two root successors cannot be
+    # ordered; with type1_bound 2 both halves are guards and need no order
+    cube = graph_from_edges(
+        4, 4, [(1, 5), (2, 5), (2, 6), (1, 6), (3, 7), (4, 7), (4, 8), (3, 8), (1, 7), (3, 5), (2, 8), (4, 6)]
+    )
+    m = frozenset({(1, 5), (2, 6), (3, 7), (4, 8)})
+    tb = _TreeBuilder()
+    root = tb.node()
+    leaves = {}
+    for half in (((1, 5), (2, 6)), ((3, 7), (4, 8))):
+        side = tb.node()
+        tb.link(root, side)
+        for edge in half:
+            node = tb.node()
+            tb.link(side, node)
+            for end in edge:
+                leaf = tb.node()
+                leaves[leaf] = end
+                tb.link(node, leaf)
+    tree = LeafTree(tuple(map(frozenset, tb.adj)), leaves, root)
+    tree.validate(cube.vertices)
+    for bound, want in ((1, (False, "root successors cannot be ordered")), (2, (True, None))):
+        nice = NicePMD(tree, 0, bound)
+        assert nice_pmd_check(cube, nice, m) == ref_nice_pmd_check(cube, nice) == want
 
 
 def broken_dtds(rng, dec):

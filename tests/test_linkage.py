@@ -68,6 +68,30 @@ def test_w_completion_cases():
     # two pairs chained through W close a cycle on their own
     out2 = w_completion([(1, 4), (2, 5)], [(1, 5), (2, 4)])
     assert out2 == frozenset()
+    # a path through two pairs: 6 -W- 1 -link- 4 -W- 2 -link- 5 -W- 3
+    assert w_completion([(1, 4), (2, 5)], [(1, 6), (2, 4), (3, 5)]) == frozenset({(3, 6)})
+
+
+def test_w_completion_closes_every_path():
+    # in W, the links s_i t_i and the completion, every vertex has degree
+    # two, and each virtual edge joins V1 to V2
+    rng = random.Random(29)
+    for _ in range(2000):
+        n1 = rng.randint(1, 7)
+        k = rng.randint(1, n1)
+        pairs = list(zip(rng.sample(range(1, n1 + 1), k), rng.sample(range(n1 + 1, 2 * n1 + 1), k)))
+        terminals = {x for p in pairs for x in p}
+        left = list(range(1, n1 + 1))
+        rng.shuffle(left)
+        w = [e for e in zip(left, range(n1 + 1, 2 * n1 + 1)) if terminals & set(e)]
+        virtual = w_completion(pairs, w)
+        assert len(virtual) <= len(pairs)
+        assert all(u <= n1 < v for u, v in virtual)
+        degree: dict[int, int] = {}
+        for u, v in [*w, *pairs, *virtual]:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        assert set(degree.values()) == {2}
 
 
 def test_w_completion_validation():
@@ -517,6 +541,37 @@ def test_dapp_extending():
     assert dapp_solve_extending(c6, [(1, 5)], m)
     with pytest.raises(NotExtendable):
         dapp_solve_extending(path_graph(3), [(1, 4)], [(2, 3)])
+
+
+def dapp_extending_bruteforce(b, pairs, f_set):
+    """One pair: some perfect matching M with F ⊆ M carries an internally
+    M-conformal s-t path."""
+    ((s, t),) = pairs
+    for m in enumerate_perfect_matchings(b):
+        if f_set <= m:
+            mate = {x: y for u, v in m for x, y in ((u, v), (v, u))}
+            if any(_alternating_paths(b, mate, s, t, frozenset())):
+                return True
+    return False
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="forced edges reach the DP as J edges, whose ends no path may use, "
+    "so a path cannot run through an F edge below that edge's join",
+)
+def test_dapp_extending_path_through_a_forced_edge():
+    # M = {1-6, 2-7, 3-8, 4-9, 5-10} holds F and carries 5-6-1-7-2-9-4-8,
+    # which runs through the forced edge 2-7
+    b = graph_from_edges(
+        5,
+        5,
+        [(1, 6), (1, 7), (2, 6), (2, 7), (2, 9), (3, 6), (3, 8), (4, 6), (4, 8), (4, 9), (5, 6), (5, 10)],
+    )
+    pairs = [(5, 8)]
+    f_set = frozenset({(2, 7), (3, 8)})
+    assert dapp_extending_bruteforce(b, pairs, f_set)
+    assert dapp_solve_extending(b, pairs, f_set)
 
 
 def test_dapp_extending_can_refuse():

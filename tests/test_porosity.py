@@ -332,6 +332,25 @@ def test_guarding_set_pinned():
     assert sha.hexdigest()[:16] == "7efde67974edea65"
 
 
+def test_guarding_set_cuts_a_dangerous_prefix():
+    # the lambda order here has a prefix, ending at its fourth component,
+    # with a crossing conformal cycle, so the construction cuts it off with
+    # a pair of lambda-cuts before the greedy reduction
+    b = graph_from_edges(
+        6,
+        6,
+        [(1, 7), (1, 8), (1, 9), (2, 7), (2, 8), (2, 10), (3, 8), (3, 11), (4, 7), (4, 12)]
+        + [(5, 9), (5, 11), (6, 10), (6, 12)],
+    )
+    m = frozenset({(1, 7), (2, 8), (3, 11), (4, 12), (5, 9), (6, 10)})
+    shore = frozenset({1, 4, 5, 7, 9, 12})
+    g = guarding_set(b, m, shore)
+    assert verify_guard(b, m, shore, g.edges)
+    assert verify_guard_bruteforce(b, m, shore, g.edges)
+    assert len(g) <= 2 * g.porosity + g.porosity**2
+    assert (g.porosity, g.edges) == (2, frozenset({(1, 7)}))
+
+
 def test_guard_saturated_cut_case():
     # |M ∩ cut| = porosity: the crossing matching edges alone are a guard
     c6 = even_cycle(3)
