@@ -22,14 +22,6 @@ VertexSet = frozenset[int]
 ORACLE_VERTEX_LIMIT = 24
 
 
-def _norm_edge(u: int, v: int, n1: int) -> Edge:
-    if u > v:
-        u, v = v, u
-    if not (1 <= u <= n1 < v):
-        raise ValueError(f"edge ({u},{v}) does not join V1 to V2")
-    return (u, v)
-
-
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Simple bipartite graph with colour classes V1 = [1..n1], V2 = [n1+1..n1+n2]."""
@@ -39,13 +31,23 @@ class BipartiteGraph:
     edges: Matching = frozenset()
 
     def __post_init__(self) -> None:
-        if self.n1 < 0 or self.n2 < 0:
+        n1, n = self.n1, self.n1 + self.n2
+        if n1 < 0 or self.n2 < 0:
             raise ValueError("negative class size")
-        norm = frozenset(_norm_edge(u, v, self.n1) for u, v in self.edges)
-        for u, v in norm:
-            if v > self.n1 + self.n2:
-                raise ValueError(f"vertex {v} out of range")
-        object.__setattr__(self, "edges", norm)
+        edges = frozenset(self.edges)
+        # an edge given as (v, u) is turned round; what is then not in
+        # V1 x V2 is refused
+        odd = [(u, v) for u, v in edges if not 0 < u <= n1 < v <= n]
+        if odd:
+            turned = {(u, v) if u < v else (v, u) for u, v in odd}
+            for u, v in turned:
+                if not 1 <= u <= n1 < v:
+                    raise ValueError(f"edge ({u},{v}) does not join V1 to V2")
+            for _, v in turned:
+                if v > n:
+                    raise ValueError(f"vertex {v} out of range")
+            edges = edges.difference(odd).union(turned)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n(self) -> int:
@@ -164,55 +166,65 @@ def induced_subgraph(
 
 
 def max_matching(b: BipartiteGraph, banned: frozenset[int] = frozenset()) -> dict[int, int]:
-    """Maximum matching of b minus the banned vertices, as a map V1 -> V2."""
-    left = [u for u in b.v1 if u not in banned]
-    adj = {u: sorted(v for v in b.adj[u] if v not in banned) for u in left}
-    pair_u: dict[int, int] = {}
-    pair_v: dict[int, int] = {}
-    inf = float("inf")
+    """Maximum matching of b minus the banned vertices, as a map V1 -> V2.
+
+    Hopcroft-Karp on `adj_masks`, with V1 and each vertex's neighbours
+    taken in ascending order; partners are kept in lists, where 0 marks
+    a vertex not yet matched."""
+    gone = 0
+    for x in banned:
+        gone |= 1 << x
+    masks = b.adj_masks
+    left = [u for u in b.v1 if not gone >> u & 1]
+    adj: list[list[int]] = [[] for _ in range(b.n1 + 1)]
+    for u in left:
+        row = masks[u] & ~gone
+        nbrs = adj[u]
+        while row:
+            low = row & -row
+            row ^= low
+            nbrs.append(low.bit_length() - 1)
+    pair_u = [0] * (b.n1 + 1)
+    pair_v = [0] * (b.n + 1)
+    inf = b.n + 1  # above every BFS layer
+    dist = [inf] * (b.n1 + 1)
 
     def bfs() -> bool:
-        dist: dict[int, float] = {}
-        queue: deque[int] = deque()
+        queue = []
         for u in left:
-            if u not in pair_u:
+            if pair_u[u]:
+                dist[u] = inf
+            else:
                 dist[u] = 0
                 queue.append(u)
-            else:
-                dist[u] = inf
         found = inf
-        while queue:
-            u = queue.popleft()
+        for u in queue:
             if dist[u] >= found:
                 continue
             for v in adj[u]:
-                w = pair_v.get(v)
-                if w is None:
+                w = pair_v[v]
+                if not w:
                     found = min(found, dist[u] + 1)
                 elif dist[w] == inf:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        self_dist.clear()
-        self_dist.update(dist)
         return found != inf
-
-    self_dist: dict[int, float] = {}
 
     def dfs(u: int) -> bool:
         for v in adj[u]:
-            w = pair_v.get(v)
-            if w is None or (self_dist.get(w) == self_dist[u] + 1 and dfs(w)):
+            w = pair_v[v]
+            if not w or (dist[w] == dist[u] + 1 and dfs(w)):
                 pair_u[u] = v
                 pair_v[v] = u
                 return True
-        self_dist[u] = inf
+        dist[u] = inf
         return False
 
     while bfs():
         for u in left:
-            if u not in pair_u:
+            if not pair_u[u]:
                 dfs(u)
-    return pair_u
+    return {u: pair_u[u] for u in left if pair_u[u]}
 
 
 def has_perfect_matching(b: BipartiteGraph, banned: frozenset[int] = frozenset()) -> bool:

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bigraph import BipartiteGraph, induced_subgraph, some_perfect_matching
-from .decomp import LeafTree, compute_pmd, matchings_in, walk
-from .direction import elementary_parts
+from .bigraph import BipartiteGraph, some_perfect_matching
+from .decomp import LeafTree, direction_pmd, matchings_in, walk
+from .direction import elementary_directions
 from .errors import OracleLimitExceeded
 
 COUNT_ORACLE_LIMIT = 22
@@ -64,12 +64,14 @@ def count_pm_decomp(
     shared middle cut.  mu depends on a boundary matching only through its
     endpoints below t, so tables are keyed on (node, vertex bitmask), and
     filled by `decomp.walk`, so any tree depth is fine.  A leaf entry is
-    settled at once, and so is an entry of a node whose two children are
-    leaves u, v: mu is 1 if S holds both, 0 if it holds one, and 1 or 0 for
-    the empty S as uv is an edge of g or not.  Every matching edge of a
-    `dtd_to_pmd` tree is such a node, so neither it nor its leaves enter the
-    walk; stats count it as one table entry, as a leaf.  Any other entry
-    suspends at each child entry it misses.
+    settled by the entry that asks for it, and so is an entry of a node
+    whose two children are leaves u, v: mu is 1 if S holds both, 0 if it
+    holds one, and 1 or 0 for the empty S as uv is an edge of g or not.
+    Every matching edge of a `dtd_to_pmd` tree is such a node, so neither
+    it nor its leaves enter the walk; each such entry is memoised, and
+    stats count it as one table entry, as a leaf.  Any other entry suspends
+    at each child entry of an inner node that it misses.  The tree is
+    validated here, and its rooted view is `LeafTree.binarised()`.
 
     A bipartite graph has no perfect matching unless it holds as many V1 as
     V2 vertices, so mu(t, S) = 0 unless below(t) - S is colour-balanced.
@@ -90,7 +92,7 @@ def count_pm_decomp(
 
     # A degree-3 root r with children t1, t2, t3 walks as r -> (t1, s) with
     # the virtual node s = dec.m -> (t2, t3), and a two-node tree as
-    # s -> (0, 1); stats count no entries of r, s.
+    # s -> (0, 1); stats count no inner-node entries of r, s.
     view = dec.binarised()
     root, kids = view.root, view.kids
     uncounted = (root, dec.m)
@@ -105,21 +107,20 @@ def count_pm_decomp(
     def tilt(mask: int) -> int:
         return 2 * (mask & black).bit_count() - mask.bit_count()
 
-    # each node whose children are both leaves: their vertex mask, and 1 if
-    # it is an edge of g, else 0
-    pairs: dict[int, tuple[int, int]] = {}
+    # each leaf and each node whose children are both leaves: its vertex
+    # mask, and 1 if that is an edge of g, else 0; None at other nodes
+    fixed: list[tuple[int, int] | None] = [None] * len(kids)
     edge_set = set(ends)
     for x, ys in enumerate(kids):
-        if ys and ys[0] in dec.leaf_map and ys[1] in dec.leaf_map:
-            both = below[x]
-            pairs[x] = both, 1 if both in edge_set else 0
+        if x in dec.leaf_map or (ys[0] in dec.leaf_map and ys[1] in dec.leaf_map):
+            fixed[x] = below[x], 1 if below[x] in edge_set else 0
 
     # each middle matching of x as (its vertices, those below x's first
     # child, those below its second), grouped by the tilt of those below
     # the first child; no matching of g has more than n/2 edges
     mids: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     for x, ys in enumerate(kids):
-        if ys and x not in pairs:
+        if fixed[x] is None:
             b1 = below[ys[0]]
             groups = mids[x] = {}
             for _, w in matchings_in(cut[ys[0]] & cut[ys[1]], ends, g.n // 2):
@@ -127,11 +128,21 @@ def count_pm_decomp(
 
     memo: list[dict[int, int]] = [{} for _ in kids]
 
-    def entry(t: int, s: int) -> Iterator[tuple[int, int]]:
-        """Evaluate mu(t, s) into memo.  Each missing child entry is yielded
-        as (node, s); it is in memo when the walk resumes."""
+    def settle(t: int, s: int) -> int:
+        """mu(t, s) of a leaf or a node over two leaves, into memo."""
+        both, adjacent = fixed[t]
+        value = memo[t][s] = 1 if s == both else 0 if s else adjacent
+        stats.table_entries += 1
+        return value
+
+    def entry(key: tuple[int, int]) -> Iterator[tuple[int, int]]:
+        """Evaluate mu(t, s) of an inner node into memo.  Each missing child
+        entry of an inner node is yielded as (node, s); it is in memo when
+        the walk resumes."""
+        t, s = key
         t1, t2 = kids[t]
         memo1, memo2 = memo[t1], memo[t2]
+        inner1, inner2 = fixed[t1] is None, fixed[t2] is None
         s1 = s & below[t1]
         s2 = s ^ s1
         sets = total = 0
@@ -142,35 +153,28 @@ def count_pm_decomp(
             sets += 1
             left = memo1.get(s1 | w1)
             if left is None:
-                yield t1, s1 | w1
-                left = memo1[s1 | w1]
+                if inner1:
+                    yield t1, s1 | w1
+                    left = memo1[s1 | w1]
+                else:
+                    left = settle(t1, s1 | w1)
             if left:
                 right = memo2.get(s2 | w2)
                 if right is None:
-                    yield t2, s2 | w2
-                    right = memo2[s2 | w2]
+                    if inner2:
+                        yield t2, s2 | w2
+                        right = memo2[s2 | w2]
+                    else:
+                        right = settle(t2, s2 | w2)
                 total += left * right
         memo[t][s] = total
         if t not in uncounted:
             stats.table_entries += 1
             stats.boundary_sets += sets
 
-    def start(key: tuple[int, int]) -> Iterator[tuple[int, int]] | None:
-        t, s = key
-        if t in dec.leaf_map:
-            # the leaf's one vertex is matched iff it is in s
-            memo[t][s] = 1 if s else 0
-            stats.table_entries += 1
-            return None
-        pair = pairs.get(t)
-        if pair is not None:
-            both, adjacent = pair
-            memo[t][s] = 1 if s == both else 0 if s else adjacent
-            stats.table_entries += 1
-            return None
-        return entry(t, s)
-
-    walk(start, (root, 0))
+    if fixed[root] is not None:
+        return settle(root, 0)
+    walk(entry, (root, 0))
     return memo[root][0]
 
 
@@ -179,22 +183,19 @@ def count_pm(b: BipartiteGraph) -> int:
 
     Every perfect matching uses admissible edges only, so it is one perfect
     matching per elementary component, and the count of b is the product of
-    the components' counts.  Each component with more than two vertices is
-    counted by the DP over its own `compute_pmd` tree, built on the
-    restriction of the one perfect matching of b found here, which is a
-    perfect matching of the component; a K2 adds a factor of 1.  The DP is
-    exact on any valid tree, so the tree's width and niceness are never
-    computed, and past `decomp.EXACT_TREE_LIMIT` matching edges the tree
-    comes from the greedy cop strategy: no component size is refused.  The
-    DP's cost grows with the tree's width.
+    the components' counts; a K2 adds a factor of 1.  One M-direction of b,
+    on the one perfect matching found here, gives every other component its
+    graph, M-direction and tag (`direction.elementary_directions`), and the
+    component is counted by the DP over its `decomp.direction_pmd` tree.
+    The DP is exact on any valid tree, so the tree's width and niceness are
+    never computed, and past `decomp.EXACT_TREE_LIMIT` matching edges the
+    tree comes from the greedy cop strategy: no component size is refused.
+    The DP's cost grows with the tree's width.
     """
     m = some_perfect_matching(b)
     if m is None:
         return 0
     total = 1
-    for part in elementary_parts(b, m):
-        if len(part) > 2:
-            sub, fwd, _ = induced_subgraph(b, part)
-            m_sub = frozenset((fwd[u], fwd[v]) for u, v in m if u in part)
-            total *= count_pm_decomp(sub, compute_pmd(sub, m_sub))
+    for sub, d, tag in elementary_directions(b, m):
+        total *= count_pm_decomp(sub, direction_pmd(sub, d, tag))
     return total

@@ -154,10 +154,15 @@ class RootedTree:
         """Ground elements on the leaves under each node, as masks (element v
         is bit v).  The tree edge from x's parent to x cuts off exactly
         below[x]."""
+        return self.union_below({v: 1 << v for v in self.leaf_map.values()})
+
+    def union_below(self, bits: Sequence[int] | dict[int, int]) -> list[int]:
+        """For each node, the union of bits[v] over the ground elements v on
+        the leaves under it."""
         out = [0] * len(self.kids)
         for x in reversed(self.order):
             if x in self.leaf_map:
-                out[x] = 1 << self.leaf_map[x]
+                out[x] = bits[self.leaf_map[x]]
             else:
                 for y in self.kids[x]:
                     out[x] |= out[y]
@@ -274,12 +279,19 @@ def cut_width(host: BipartiteGraph, m: Matching, tree: PMDecomposition) -> int:
     """
     if tree.m == 1:
         return 0
-    # porosity counts crossing edges, so either shore of a tree edge will do
-    shores = tree.rooted(0).below_masks()[1:]
-    inner = [s for s in shores if 1 < s.bit_count() < host.n - 1]
-    best = max([1] + [sum((s >> u ^ s >> v) & 1 for u, v in m) for s in inner])
+    view = tree.rooted(0)
+    below = view.below_masks()
+    mate = [0] * (host.n + 1)  # the m partner of each vertex, as a bit
+    for u, v in m:
+        mate[u] = 1 << v
+        mate[v] = 1 << u
+    mates = view.union_below(mate)
+    # porosity counts crossing edges, so either shore of a tree edge will do;
+    # m crosses the cut above x once per vertex below x whose mate is not
+    inner = [x for x in range(1, tree.m) if 1 < below[x].bit_count() < host.n - 1]
+    best = max([1] + [(mates[x] & ~below[x]).bit_count() for x in inner])
     bounded = sorted(
-        ((matching_porosity_bound(host, s), s) for s in inner), key=lambda p: -p[0]
+        ((matching_porosity_bound(host, below[x]), below[x]) for x in inner), key=lambda p: -p[0]
     )
     for bound, shore in bounded:
         if bound <= best:
@@ -468,25 +480,36 @@ class DirectedTreeDecomposition:
 def validate_dtd(
     d: Digraph, dec: DirectedTreeDecomposition, proto: bool = False
 ) -> tuple[bool, int, str | None]:
-    """Check the decomposition axioms; returns (valid, width, reason).
+    """Check the decomposition axioms; returns (valid, width, reason), the
+    width 0 when invalid.  The check is `dtd_fault`'s.
 
     proto=True also accepts empty bags, as `matchwidth dtw --dtd FILE
     --proto` asks."""
+    reason = dtd_fault(d, dec, proto)
+    if reason is not None:
+        return False, 0, reason
+    return True, dec.width(), None
+
+
+def dtd_fault(d: Digraph, dec: DirectedTreeDecomposition, proto: bool = False) -> str | None:
+    """The first decomposition axiom that dec breaks as a decomposition of
+    d, or None if it is valid; `validate_dtd` without the width.  proto is
+    `validate_dtd`'s."""
     m = dec.m
     if dec.parent.count(-1) != 1:
-        return False, 0, "not exactly one root"
+        return "not exactly one root"
     if len(dec.order) != m:
-        return False, 0, "parent pointers contain a cycle"
+        return "parent pointers contain a cycle"
     covered: set[int] = set()
     for t in range(m):
         bag = dec.bags[t]
         if not proto and not bag:
-            return False, 0, f"empty bag at node {t}"
+            return f"empty bag at node {t}"
         if covered & bag:
-            return False, 0, "bags overlap"
+            return "bags overlap"
         covered |= bag
     if covered != set(d.vertices):
-        return False, 0, "bags do not partition the vertex set"
+        return "bags do not partition the vertex set"
     out = d.out_masks
     for t in range(m):
         if dec.parent[t] == -1:
@@ -499,8 +522,8 @@ def validate_dtd(
             continue
         outside = mask_reach(out, inner, ~guard) & ~below
         if outside and mask_reach(out, outside, ~guard) & inner:
-            return False, 0, f"guard of node {t} misses a walk"
-    return True, dec.width(), None
+            return f"guard of node {t} misses a walk"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +719,7 @@ def _strategy_dtd(
     d: Digraph, step: Callable[[int, int], tuple[int, list[int]]]
 ) -> DirectedTreeDecomposition:
     """The decomposition of a monotone cop strategy on d, built on an
-    explicit stack and checked with `validate_dtd`.  step(cops, robber) is
+    explicit stack and checked with `dtd_fault`.  step(cops, robber) is
     the strategy's move from a position, with the robber's responses: the
     move must hold a vertex of the robber component R and keep cops for
     which R is a strong component of d minus them, and the responses are
@@ -730,8 +753,8 @@ def _strategy_dtd(
             resps = [c for c in strong_component_masks(d, move) if c & robber]
         stack += [(move, c, idx) for c in reversed(resps)]
     dec = DirectedTreeDecomposition(tuple(parent), tuple(bags), tuple(guards))
-    ok, _, reason = validate_dtd(d, dec)
-    if not ok:
+    reason = dtd_fault(d, dec)
+    if reason is not None:
         raise AssertionError(f"extracted decomposition invalid: {reason}")
     return dec
 
@@ -1139,17 +1162,8 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
     backward = [mate[v] if v <= b.n1 else adj[v] for v in range(b.n + 1)]
     # per node: the V2 neighbours of the V1 vertices below it, and the m0
     # partners of the vertices below it
-    nbr1 = [0] * len(kids)
-    mates = [0] * len(kids)
-    for x in reversed(view.order):
-        if x in tree.leaf_map:
-            v = tree.leaf_map[x]
-            nbr1[x] = adj[v] if v <= b.n1 else 0
-            mates[x] = mate[v]
-        else:
-            for y in kids[x]:
-                nbr1[x] |= nbr1[y]
-                mates[x] |= mates[y]
+    nbr1 = view.union_below([adj[v] if v <= b.n1 else 0 for v in range(b.n + 1)])
+    mates = view.union_below(mate)
 
     @cache
     def conformal(x: int) -> bool:
@@ -1222,17 +1236,23 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
 
 
 def compute_pmd(b: BipartiteGraph, m: Matching) -> PMDecomposition:
-    """The decomposition behind `pm count`, `pm width` and `pm decomp`:
-    build the M-direction, find a directed tree decomposition of it, and
-    convert it with `dtd_to_pmd`.  An M-direction of more than
-    `EXACT_TREE_LIMIT` vertices gets the greedy cop strategy of
-    `dtd_greedy`, at any size; a smaller one gets the exact search of
-    `dtw_exact_small`, which costs as little there.  The tree is not
-    certified nice, and its width is left to `cut_width`: an upper bound on
-    pmw, not the minimum.  Counting needs only a valid tree.
+    """The decomposition behind `pm width` and `pm decomp`: build the
+    M-direction and hand it to `direction_pmd`.  The tree is not certified
+    nice, and its width is left to `cut_width`: an upper bound on pmw, not
+    the minimum.
 
     m must be a perfect matching of b; the caller supplies it, and the
     decomposition depends on which one it is."""
     d, tag = m_direction(b, m)
+    return direction_pmd(b, d, tag)
+
+
+def direction_pmd(b: BipartiteGraph, d: Digraph, tag: VertexTag) -> PMDecomposition:
+    """`compute_pmd`'s tree of b from its M-direction d and tag: a directed
+    tree decomposition of d, converted with `dtd_to_pmd`.  An M-direction of
+    more than `EXACT_TREE_LIMIT` vertices gets the greedy cop strategy of
+    `dtd_greedy`, at any size; a smaller one gets the exact search of
+    `dtw_exact_small`, which costs as little there.  `counting.count_pm`
+    passes each elementary component's part of its host's M-direction."""
     dtd = dtd_greedy(d) if d.n > EXACT_TREE_LIMIT else dtw_exact_small(d)[1]
     return dtd_to_pmd(b, d, tag, dtd)

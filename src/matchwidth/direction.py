@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .bigraph import BipartiteGraph, Matching, VertexSet, check_matching, is_perfect
-from .digraph import Digraph, strong_components
+from .digraph import Digraph, mask_members, strong_component_masks, strong_components
 from .errors import NotPerfect
 
 VertexTag = dict[int, tuple[int, int]]
@@ -41,6 +43,45 @@ def elementary_parts(b: BipartiteGraph, m: Matching) -> list[VertexSet]:
     """
     d, tag = m_direction(b, m)
     return [frozenset(x for i in comp for x in tag[i]) for comp in strong_components(d)]
+
+
+def elementary_directions(
+    b: BipartiteGraph, m: Matching
+) -> Iterator[tuple[BipartiteGraph, Digraph, VertexTag]]:
+    """Each elementary component of b with more than one matching edge, as
+    `bigraph.induced_subgraph` numbers it, with the M-direction and tag
+    that `m_direction` gives it on m's edges there; in Tarjan's order.
+
+    m must be a perfect matching of b.  One M-direction of b is built and
+    split into strong components, the parts of `elementary_parts`; each
+    component's digraph and graph are read off it.  Digraph vertices and V1
+    are both numbered in the order of their V1 ends, and the induced
+    numbering keeps the order of each colour class, so the component's
+    i-th vertex is its i-th matching edge and that edge's V1 end is i.  An
+    edge of b inside the part is a matching edge or gives an arc there, and
+    each arc (e, f) comes from the one edge that joins the V1 end of e to
+    the V2 end of f.
+    """
+    d, tag = m_direction(b, m)
+    out = d.out_masks
+    for comp in strong_component_masks(d):
+        if not comp & (comp - 1):
+            continue  # a K2, whose one perfect matching is its edge
+        ids = sorted(mask_members(comp))
+        k = len(ids)
+        new = {e: i for i, e in enumerate(ids, start=1)}
+        whites = sorted(tag[e][1] for e in ids)
+        white = {v: i for i, v in enumerate(whites, start=k + 1)}
+        sub_tag: VertexTag = {new[e]: (new[e], white[tag[e][1]]) for e in ids}
+        arcs = []
+        for e in ids:
+            row = out[e] & comp
+            while row:
+                low = row & -row
+                row ^= low
+                arcs.append((new[e], new[low.bit_length() - 1]))
+        edges = frozenset(sub_tag.values()).union((e, sub_tag[f][1]) for e, f in arcs)
+        yield BipartiteGraph(k, k, edges), Digraph(k, frozenset(arcs)), sub_tag
 
 
 def split(d: Digraph) -> tuple[BipartiteGraph, Matching, VertexTag]:

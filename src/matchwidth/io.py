@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from .bigraph import BipartiteGraph, Edge, Matching, check_matching, graph_from_edges
+from .bigraph import BipartiteGraph, Edge, Matching, check_matching
 from .decomp import DirectedTreeDecomposition, LeafTree
 from .digraph import Digraph, digraph_from_arcs
 from .errors import ParseError
@@ -17,55 +17,56 @@ SCHEMA_VERSION = 1
 
 def parse_graph_text(text: str) -> BipartiteGraph | Digraph:
     """Parse the shared graph format: `b <n1> <n2>` with `e <u> <v>` lines,
-    or `d <n>` with `a <u> <v>` lines; `#` comments ignored."""
+    or `d <n>` with `a <u> <v>` lines; `#` comments ignored.  An edge may
+    name its V2 end first.  Each line is checked and its edge or arc
+    stored as it is read."""
     header: tuple | None = None
-    edges: list[tuple[int, int]] = []
-    kind = ""
+    edges: set[tuple[int, int]] = set()
+    want = ""
+    lo = hi = 0  # an edge's V1 end lies in [1, lo], its V2 end in (lo, hi]
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if header is None:
             if parts[0] == "b" and len(parts) == 3:
-                kind = "b"
+                want = "e"
                 try:
                     header = (int(parts[1]), int(parts[2]))
                 except ValueError:
                     raise ParseError("malformed header counts", lineno)
+                lo, hi = header[0], header[0] + header[1]
             elif parts[0] == "d" and len(parts) == 2:
-                kind = "d"
+                want = "a"
                 try:
                     header = (int(parts[1]),)
                 except ValueError:
                     raise ParseError("malformed header count", lineno)
+                hi = header[0]
             else:
                 raise ParseError("expected header `b <n1> <n2>` or `d <n>`", lineno)
             if min(header) < 0:
                 raise ParseError("negative vertex count", lineno)
             continue
-        want = "e" if kind == "b" else "a"
         if parts[0] != want or len(parts) != 3:
             raise ParseError(f"expected `{want} <u> <v>`", lineno)
         try:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError("malformed endpoint", lineno)
-        if kind == "b":
-            n1, n2 = header
-            lo, hi = min(u, v), max(u, v)
-            if not (1 <= lo <= n1 < hi <= n1 + n2):
-                raise ParseError(f"edge ({u},{v}) does not join V1 to V2", lineno)
-            edges.append((lo, hi))
-        else:
-            (n,) = header
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
+        if want == "a":
+            if not (0 < u <= hi and 0 < v <= hi) or u == v:
                 raise ParseError(f"arc ({u},{v}) out of range", lineno)
-            edges.append((u, v))
+            edges.add((u, v))
+            continue
+        edge = (u, v) if u < v else (v, u)
+        if not 0 < edge[0] <= lo < edge[1] <= hi:
+            raise ParseError(f"edge ({u},{v}) does not join V1 to V2", lineno)
+        edges.add(edge)
     if header is None:
         raise ParseError("empty input")
-    if kind == "b":
-        return graph_from_edges(header[0], header[1], edges)
+    if want == "e":
+        return BipartiteGraph(header[0], header[1], frozenset(edges))
     return digraph_from_arcs(header[0], edges)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import deque
 from contextlib import contextmanager
 
 from matchwidth.bigraph import BipartiteGraph, Matching, graph_from_edges
@@ -117,6 +118,56 @@ def random_cubic_tree(rng, ground, root_kind):
     elif root_kind == "deg2":
         root = subdivide()
     return LeafTree(tuple(map(frozenset, adj)), leaf_map, root)
+
+
+def ref_max_matching(b: BipartiteGraph, banned: frozenset[int] = frozenset()) -> dict[int, int]:
+    """The set-based Hopcroft-Karp that `bigraph.max_matching` replaced, kept
+    as its reference: V1 in ascending order, neighbours in ascending order."""
+    left = [u for u in b.v1 if u not in banned]
+    adj = {u: sorted(v for v in b.adj[u] if v not in banned) for u in left}
+    pair_u: dict[int, int] = {}
+    pair_v: dict[int, int] = {}
+    inf = float("inf")
+    dist: dict[int, float] = {}
+
+    def bfs() -> bool:
+        dist.clear()
+        queue: deque[int] = deque()
+        for u in left:
+            if u not in pair_u:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        found = inf
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= found:
+                continue
+            for v in adj[u]:
+                w = pair_v.get(v)
+                if w is None:
+                    found = min(found, dist[u] + 1)
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found != inf
+
+    def dfs(u: int) -> bool:
+        for v in adj[u]:
+            w = pair_v.get(v)
+            if w is None or (dist.get(w) == dist[u] + 1 and dfs(w)):
+                pair_u[u] = v
+                pair_v[v] = u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in left:
+            if u not in pair_u:
+                dfs(u)
+    return pair_u
 
 
 def nice_pmd(b: BipartiteGraph, m: Matching) -> NicePMD:

@@ -23,7 +23,15 @@ from matchwidth.errors import DegreeNotTwo, NoPerfectMatching, OracleLimitExceed
 from matchwidth.porosity import _crossing_conformal_cycle_exists, elementary_components
 from matchwidth.isomorphism import bipartite_isomorphic
 
-from common import canonical_cycle_matching, complete_bipartite, even_cycle, k2, path_graph
+from common import (
+    canonical_cycle_matching,
+    complete_bipartite,
+    even_cycle,
+    k2,
+    path_graph,
+    random_bipartite_with_pm,
+    ref_max_matching,
+)
 
 
 def test_has_pm_basics():
@@ -241,3 +249,33 @@ def test_max_matching_size_matches_networkx():
         g.add_edges_from((u, v) for u, v in b.edges if u not in banned and v not in banned)
         top = [u for u in b.v1 if u not in banned]
         assert len(got) == len(nx.bipartite.hopcroft_karp_matching(g, top)) // 2
+
+
+def test_max_matching_matches_the_set_based_reference():
+    # the same matching as the set-based search it replaced, on balanced,
+    # unbalanced and unmatchable hosts, with and without banned vertices
+    rng = random.Random(83)
+    kinds = {"perfect": 0, "not perfect": 0, "unbalanced": 0, "banned": 0}
+    for _ in range(600):
+        n1 = rng.randint(0, 9)
+        n2 = n1 if rng.random() < 0.6 else rng.randint(0, 9)
+        if n1 == n2 and n1 and rng.random() < 0.5:
+            b = random_bipartite_with_pm(rng, n1, rng.randint(0, n1 * n1 - n1))
+        else:
+            p = rng.uniform(0.05, 0.7)
+            b = graph_from_edges(
+                n1, n2, [(u, v) for u in range(1, n1 + 1) for v in range(n1 + 1, n1 + n2 + 1) if rng.random() < p]
+            )
+        cases = [frozenset()]
+        if b.n:
+            cases.append(frozenset(rng.sample(range(1, b.n + 1), rng.randint(1, b.n))))
+        for banned in cases:
+            got = max_matching(b, banned)
+            assert got == ref_max_matching(b, banned)
+            if banned:
+                kinds["banned"] += 1
+            elif n1 != n2:
+                kinds["unbalanced"] += 1
+            else:
+                kinds["perfect" if len(got) == n1 else "not perfect"] += 1
+    assert min(kinds.values()) >= 50, kinds

@@ -44,6 +44,7 @@ from matchwidth.decomp import (
     _SccTable,
     _TreeBuilder,
     _monotone_win,
+    dtd_fault,
     dtd_greedy,
     dtd_to_nice_pmd,
     dtw_exact_small,
@@ -516,6 +517,8 @@ def test_validate_dtd_matches_reference():
         for proto in (False, True):
             got = validate_dtd(d, dec, proto)
             assert got == ref_validate_dtd(d, dec, proto)
+            # the cop strategies' check is the same verdict without the width
+            assert dtd_fault(d, dec, proto) == got[2]
             valid.append(got[0])
 
     for _ in range(40):

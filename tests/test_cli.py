@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchwidth.bigraph import graph_from_edges
 from matchwidth.cli import main
 from matchwidth.io import (
     dtd_from_json,
@@ -45,6 +46,52 @@ def test_parse_examples():
     assert d.arcs == frozenset({(1, 2), (2, 1)})
     with pytest.raises(ParseError):
         parse_graph_text("b 1 1\ne 1 1\n")
+
+
+# Malformed graph texts and the exact `ParseError` each raises, line number
+# included.
+MALFORMED_GRAPHS = [
+    ("", "empty input"),
+    ("# only a comment\n\n   \n", "empty input"),
+    ("x 1 1\n", "line 1: expected header `b <n1> <n2>` or `d <n>`"),
+    ("b 1\n", "line 1: expected header `b <n1> <n2>` or `d <n>`"),
+    ("b 1 1 1\n", "line 1: expected header `b <n1> <n2>` or `d <n>`"),
+    ("d\n", "line 1: expected header `b <n1> <n2>` or `d <n>`"),
+    ("b one 1\n", "line 1: malformed header counts"),
+    ("d 2.5\n", "line 1: malformed header count"),
+    ("b -1 2\n", "line 1: negative vertex count"),
+    ("d -3\n", "line 1: negative vertex count"),
+    ("# c\n\nb 1 1\n# c\n\na 1 2\n", "line 6: expected `e <u> <v>`"),
+    ("d 2\ne 1 2\n", "line 2: expected `a <u> <v>`"),
+    ("b 1 1\ne 1\n", "line 2: expected `e <u> <v>`"),
+    ("b 1 1\ne 1 2 3\n", "line 2: expected `e <u> <v>`"),
+    ("d 2\na 1 2 1\n", "line 2: expected `a <u> <v>`"),
+    ("b 1 1\ne 1 x\n", "line 2: malformed endpoint"),
+    ("d 2\na 1.0 2\n", "line 2: malformed endpoint"),
+    ("b 2 1\ne 1 2\n", "line 2: edge (1,2) does not join V1 to V2"),
+    ("b 1 1\ne 1 3\n", "line 2: edge (1,3) does not join V1 to V2"),
+    ("b 1 1\ne 0 2\n", "line 2: edge (0,2) does not join V1 to V2"),
+    ("b 1 1\ne 3 1\n", "line 2: edge (3,1) does not join V1 to V2"),
+    ("b 1 1\ne 1 1\n", "line 2: edge (1,1) does not join V1 to V2"),
+    ("b 2 2\n\n# c\ne 1 3\n  \ne 2 5\n", "line 6: edge (2,5) does not join V1 to V2"),
+    ("d 2\na 1 1\n", "line 2: arc (1,1) out of range"),
+    ("d 2\na 1 3\n", "line 2: arc (1,3) out of range"),
+    ("d 2\na 0 1\n", "line 2: arc (0,1) out of range"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_GRAPHS)
+def test_parse_errors_are_pinned(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph_text(text)
+    assert str(info.value) == message
+
+
+def test_parse_accepts_comments_and_either_edge_order():
+    text = "# header next\n\nb 2 2\n  # indented comment\ne 3 1\n\ne 2 4\ne 1 3\ne 4 1\n"
+    assert parse_graph_text(text) == graph_from_edges(2, 2, [(1, 3), (2, 4), (1, 4)])
+    assert parse_graph_text("b 0 0\n") == graph_from_edges(0, 0, [])
+    assert parse_graph_text("d 3\n# c\na 3 1\na 1 3\n").arcs == frozenset({(1, 3), (3, 1)})
 
 
 def test_graph_round_trip():

@@ -5,7 +5,7 @@ import pytest
 from matchwidth.bigraph import graph_from_edges, induced_subgraph, some_perfect_matching
 from matchwidth.counting import CountStats, count_pm, count_pm_bruteforce, count_pm_decomp
 from matchwidth.decomp import LeafTree, _TreeBuilder, compute_pmd, matchings_in, pmw_exact_small
-from matchwidth.direction import elementary_parts
+from matchwidth.direction import elementary_directions, elementary_parts, m_direction
 from matchwidth.errors import OracleLimitExceeded
 from matchwidth.grids import cylindrical_grid, square_grid, square_grid_coords
 
@@ -244,6 +244,60 @@ def test_count_pm_is_the_product_over_elementary_components():
             product *= count_pm_bruteforce(induced_subgraph(b, part)[0])
         assert count_pm(b) == count_pm_bruteforce(b) == product
     assert split >= 30
+
+
+def relabelled(rng: random.Random, b):
+    """b with each colour class numbered in a random order."""
+    v1, v2 = list(b.v1), list(b.v2)
+    rng.shuffle(v1)
+    rng.shuffle(v2)
+    new = {**dict(zip(b.v1, v1)), **dict(zip(b.v2, v2))}
+    return graph_from_edges(b.n1, b.n2, [(new[u], new[v]) for u, v in b.edges])
+
+
+def chained_blocks(rng: random.Random, sizes: list[int]):
+    """Planted blocks of the given sizes side by side, each with random
+    extra edges, and a few edges from a block's V1 to a later block's V2:
+    those go one way, so they lie in no perfect matching, and each block
+    holds one or more elementary components."""
+    n1 = sum(sizes)
+    edges = []
+    starts = []
+    at = 0
+    for k in sizes:
+        block = random_bipartite_with_pm(rng, k, rng.randint(min(k, k * k - k), k * k - k))
+        edges += [(at + u, n1 + at + v - k) for u, v in block.edges]
+        starts.append(at)
+        at += k
+    for _ in range(rng.randint(1, 2 * len(sizes))):
+        i, j = sorted(rng.sample(range(len(sizes)), 2))
+        u = starts[i] + rng.randint(1, sizes[i])
+        v = starts[j] + rng.randint(1, sizes[j])
+        edges.append((u, n1 + v))
+    return graph_from_edges(n1, n1, edges)
+
+
+def test_component_directions_are_read_off_one_direction():
+    # hosts of several elementary components, relabelled so that matching
+    # edges do not pair V1 and V2 in the same order: each component that
+    # count_pm counts has the graph `induced_subgraph` gives it, and the
+    # digraph and tag of `m_direction` on m's edges there
+    rng = random.Random(59)
+    several = 0
+    for _ in range(100):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        b = relabelled(rng, chained_blocks(rng, sizes))
+        m = some_perfect_matching(b)
+        parts = [part for part in elementary_parts(b, m) if len(part) > 2]
+        got = list(elementary_directions(b, m))
+        assert len(got) == len(parts)
+        for part, (sub, d, tag) in zip(parts, got):
+            want, fwd, _ = induced_subgraph(b, part)
+            assert sub == want
+            assert (d, tag) == m_direction(sub, frozenset((fwd[u], fwd[v]) for u, v in m if u in part))
+        several += len(parts) > 1
+        assert count_pm(b) == count_pm_bruteforce(b, limit=24)
+    assert several >= 40
 
 
 def test_decomp_count_random_agreement():

@@ -12,7 +12,10 @@ stage the checkout lacks is reported missing.  For each stage it prints
 the median over the passes of its inclusive wall time per pass, with its
 calls per pass, and the median wall time of a whole pass; the last line of
 stdout is the same as one JSON object.  The wrappers add their own small
-cost to every stage and to the pass.
+cost to every stage and to the pass.  Stages nest, so their times do not
+add up to the pass: the cop strategies' closing check (`dtd_fault`, or
+`validate_dtd` in older checkouts) runs inside `dtd_greedy` and
+`dtw_exact_small`, and `m_direction` inside `elementary_parts`.
 """
 
 from __future__ import annotations
@@ -30,9 +33,14 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 PASSES = 7
 STAGES = (
+    "io.parse_graph_file",
+    "bigraph.max_matching",
     "direction.m_direction",
+    "direction.elementary_parts",
     "decomp.dtd_greedy",
     "decomp.dtw_exact_small",
+    "decomp.validate_dtd",
+    "decomp.dtd_fault",
     "decomp.dtd_to_pmd",
     "counting.count_pm_decomp",
     "decomp.cut_width",
