@@ -230,26 +230,6 @@ def cmd_minor(args) -> int:
     return 0 if answer else 1
 
 
-def cmd_bminor(args) -> int:
-    from .minors import butterfly_minor_bruteforce
-
-    d = _need_digraph(mio.parse_graph_file(args.graph))
-    h = _need_digraph(mio.parse_graph_file(args.pattern))
-    answer = butterfly_minor_bruteforce(d, h)
-    _emit(args, {"contains": answer}, "yes" if answer else "no")
-    return 0 if answer else 1
-
-
-def cmd_antichain(args) -> int:
-    from .minors import antichain_member
-
-    j = _need_digraph(mio.parse_graph_file(args.candidate))
-    d = _need_digraph(mio.parse_graph_file(args.base))
-    answer = antichain_member(j, d)
-    _emit(args, {"member": answer}, "yes" if answer else "no")
-    return 0 if answer else 1
-
-
 def cmd_strongplanar(args) -> int:
     from .minors import is_strongly_planar
 
@@ -416,16 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     minor.add_argument("pattern")
     minor.add_argument("--oracle", action="store_true")
     minor.set_defaults(func=cmd_minor)
-
-    bminor = sub.add_parser("bminor", help="butterfly minor containment")
-    bminor.add_argument("graph")
-    bminor.add_argument("pattern")
-    bminor.set_defaults(func=cmd_bminor)
-
-    anti = sub.add_parser("antichain", help="fundamental anti-chain membership")
-    anti.add_argument("candidate")
-    anti.add_argument("base")
-    anti.set_defaults(func=cmd_antichain)
 
     sp = sub.add_parser("strongplanar", help="strong planarity of a digraph")
     sp.add_argument("graph")

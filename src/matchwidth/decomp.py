@@ -515,8 +515,8 @@ def dtd_fault(d: Digraph, dec: DirectedTreeDecomposition, proto: bool = False) -
         if dec.parent[t] == -1:
             continue
         below = dec.subtree_masks[t]
-        # ids outside the digraph guard nothing
-        guard = vertex_mask(v for v in dec.guards[t] if v >= 0)
+        # ids outside the digraph guard nothing, and add no bits
+        guard = vertex_mask(v for v in dec.guards[t] if 0 < v <= d.n)
         inner = below & ~guard
         if not inner:
             continue

@@ -227,13 +227,16 @@ def make_proxies(
             if p != x and p not in avoid and p not in terms
         ]
 
+    # each terminal's choices depend on its pair alone, not on the branch
+    s_choices = [choices(s, s_terms) for s, _ in pairs]
+    t_choices = [choices(t, t_terms) for _, t in pairs]
+
     def rec(idx: int, proxy: list[TerminalPair], wprime: set[Edge], used: set[int]) -> Iterator:
         if idx == len(pairs):
             yield tuple(proxy), frozenset(wprime)
             return
-        s, t = pairs[idx]
-        t_choices = choices(t, t_terms)
-        for z, y in choices(s, s_terms):
+        t = pairs[idx][1]
+        for z, y in s_choices[idx]:
             if z in used or y in used:
                 continue
             e1 = (min(z, y), max(z, y))
@@ -247,7 +250,7 @@ def make_proxies(
                 used.difference_update((z, y))
                 wprime.discard(e1)
                 proxy.pop()
-            for q, v in t_choices:
+            for q, v in t_choices[idx]:
                 if q in used or v in used or len({z, y, q, v}) < 4:
                     continue
                 e2 = (min(v, q), max(v, q))

@@ -1,5 +1,9 @@
-"""Matching minor models and containment, butterfly minors, anti-chains,
-and strong planarity."""
+"""Matching minor models and containment, and strong planarity.
+
+Butterfly minors and the fundamental anti-chains remain here only as paper
+checks: exhaustive routines that the tests use to check the bridge between
+matching minors and butterfly minors of M-directions, and the excluding
+anti-chain lemma.  No CLI command answers them."""
 
 from __future__ import annotations
 

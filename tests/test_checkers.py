@@ -28,6 +28,7 @@ certified tree or raises NotNice.
 """
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 from matchwidth.bigraph import (
@@ -545,6 +546,28 @@ def test_validate_dtd_matches_reference():
     odd_guards = star.guards[:4] + (frozenset({-1, 9}),)
     check(d, DirectedTreeDecomposition(star.parent, star.bags, odd_guards))
     assert 0 < valid.count(False) < len(valid)
+
+
+def test_validate_dtd_builds_no_mask_for_a_guard_id_outside_the_digraph():
+    # a decomposition file may name any guard id; one far past d.n guards
+    # nothing and must not make the check build a mask that wide
+    d = Digraph(3, frozenset({(1, 2), (2, 1), (2, 3), (3, 2)}))
+    far = 10**8
+    for guard, ok in (({2, far}, True), ({far}, False)):
+        dec = DirectedTreeDecomposition(
+            (-1, 0, 1),
+            tuple(frozenset({v}) for v in (1, 2, 3)),
+            (frozenset(), frozenset(guard), frozenset({2})),
+        )
+        tracemalloc.start()
+        try:
+            got = validate_dtd(d, dec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == ref_validate_dtd(d, dec)
+        assert got[0] is ok
+        assert peak < 1 << 20
 
 
 def test_scc_table_matches_strong_components():

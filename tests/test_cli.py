@@ -326,9 +326,18 @@ def test_cli_minor(tmp_path):
     assert code == 0 and out.strip() == "yes"
     code, out, _ = run_cli(["minor", fb, fh, "--oracle"])
     assert code == 0 and out.strip() == "yes"
-    code, out, _ = run_cli(["bminor", fh, fh])
-    # bminor expects digraphs: exit 2
-    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["bminor", "antichain"])
+def test_cli_has_no_exhaustive_only_butterfly_commands(tmp_path, capsys, command):
+    # butterfly minors and anti-chains are paper checks in the tests, not
+    # questions the CLI answers
+    f = tmp_path / "d.txt"
+    f.write_text("d 2\na 1 2\na 2 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(f), str(f)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_main_keeps_no_state_between_calls(tmp_path, capsys):
@@ -609,8 +618,6 @@ _other_questions = st.one_of(
                 ["dtw", "GRAPH", "--dtd", "GRAPH"],
                 ["cops", "GRAPH"],
                 ["split", "GRAPH"],
-                ["bminor", "GRAPH", "GRAPH"],
-                ["antichain", "GRAPH", "GRAPH"],
                 ["strongplanar", "GRAPH"],
             ]
         ),

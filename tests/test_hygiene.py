@@ -111,6 +111,8 @@ KEPT_UNREFERENCED = {
     "model_cgq_in_cg3k": "paper: the quadrangulation of order k is a matching minor of CG_3k",
     "square_grid_model": "paper: the quadrangulation of order k holds the k x k grid",
     "is_limited": "paper: solution linkages are (k, w)-limited",
+    "butterfly_minor_bruteforce": "paper: matching minors are butterfly minors of M-directions",
+    "antichain_member": "paper: the excluding anti-chain lemma",
     "prepare_dtd": "bench/layers.py still names it as a trace target",
 }
 

@@ -15,7 +15,10 @@ stdout is the same as one JSON object.  The wrappers add their own small
 cost to every stage and to the pass.  Stages nest, so their times do not
 add up to the pass: the cop strategies' closing check (`dtd_fault`, or
 `validate_dtd` in older checkouts) runs inside `dtd_greedy` and
-`dtw_exact_small`, and `m_direction` inside `elementary_parts`.
+`dtw_exact_small`.  A generator stage (`elementary_directions`) is
+counted only, its time "-": the tracer records no span for it, since its
+body runs while `count_pm` consumes it, and `m_direction`, which that
+body calls, keeps its own stage.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ STAGES = (
     "io.parse_graph_file",
     "bigraph.max_matching",
     "direction.m_direction",
-    "direction.elementary_parts",
+    "direction.elementary_directions",
     "decomp.dtd_greedy",
     "decomp.dtw_exact_small",
     "decomp.validate_dtd",
@@ -58,9 +61,13 @@ def one_pass(cli, questions) -> None:
                 pass
 
 
-def stage_times(spans) -> dict[str, tuple[int, float]]:
-    """Calls and inclusive seconds per stage name in the recorded spans."""
-    out: dict[str, tuple[int, float]] = {}
+def stage_times(spans, totals) -> dict[str, tuple[int, float | None]]:
+    """Calls and inclusive seconds per stage name in the recorded spans,
+    and calls alone, with seconds None, for the stages the tracer counts
+    without spans (generators)."""
+    out: dict[str, tuple[int, float | None]] = {
+        name: (t.calls, None) for name, t in totals.items() if t.calls
+    }
     for name, start, end, _ in spans:
         calls, took = out.get(name, (0, 0.0))
         out[name] = calls + 1, took + end - start
@@ -88,10 +95,12 @@ def main(argv: list[str] | None = None) -> int:
             one_pass(cli, questions)
             for _ in range(PASSES):
                 tracer.spans.clear()
+                for totals in tracer.totals.values():
+                    totals.calls = 0
                 start = time.perf_counter()
                 one_pass(cli, questions)
                 pass_s.append(time.perf_counter() - start)
-                per_pass.append(stage_times(tracer.spans))
+                per_pass.append(stage_times(tracer.spans, tracer.totals))
             missing = list(tracer.missing)
 
     stages = {}
@@ -100,8 +109,12 @@ def main(argv: list[str] | None = None) -> int:
         if name in missing:
             print(f"  {name:28s} missing")
             continue
+        calls, took = per_pass[0].get(name, (0, 0.0))
+        if took is None:
+            stages[name] = {"seconds": None, "calls": calls}
+            print(f"  {name:28s} {'-':>9s}    {calls:6d} calls")
+            continue
         took = statistics.median(p.get(name, (0, 0.0))[1] for p in per_pass)
-        calls = per_pass[0].get(name, (0, 0.0))[0]
         stages[name] = {"seconds": round(took, 5), "calls": calls}
         print(f"  {name:28s} {took:9.4f} s  {calls:6d} calls")
     total = statistics.median(pass_s)
