@@ -11,8 +11,6 @@ from .bigraph import (
     Edge,
     Matching,
     graph_from_edges,
-    has_perfect_matching,
-    induced_subgraph,
     is_matching_covered,
     some_perfect_matching,
 )
@@ -194,7 +192,10 @@ def model_cgq_in_cg3k(k: int) -> MatchingMinorModel:
 
 def square_grid(rows: int, cols: int) -> BipartiteGraph:
     """The rows x cols grid graph, bipartite by coordinate parity."""
-    if rows < 1 or cols < 1 or (rows * cols) % 2:
+    for side, count in (("row", rows), ("column", cols)):
+        if count < 1:
+            raise InvalidParameter(f"{side} count {count} is not positive")
+    if (rows * cols) % 2:
         raise OddVertexCount("grid needs an even number of vertices")
     ids = square_grid_coords(rows, cols)
     edges = set()
@@ -426,6 +427,20 @@ def ear_decomposition(
 
     Stages are returned as (edge set, ear added); the first stage is a single
     matching edge with ear None.  The stage count is |E| - |V| + 2.
+
+    By the bipartite ear theorem (Lovasz and Plummer, Matching Theory),
+    every matching covered bipartite graph grows from K2 by ears: for a
+    perfect matching m of b, odd m-alternating paths whose ends lie in the
+    current stage H and whose inner vertices lie outside it.  Each step adds
+    the least ear in (length, path) order: the least missing edge between
+    two vertices of H, else the walk that one breadth-first search backward
+    over the matching edges outside H leads.
+
+    No ear needs a check.  For x in V1 and y in V2 of H, H - x - y has a
+    perfect matching N (Thm 4.1.1 there); N plus the non-matching edges of
+    an ear from x to y is a perfect matching of H + ear holding them, and
+    m's other edges match the rest of b.  A shortest alternating walk in a
+    bipartite graph is a path, and an odd path joins opposite colours.
     """
     if not is_matching_covered(b):
         raise NotMatchingCovered("graph must be matching covered")
@@ -435,6 +450,7 @@ def ear_decomposition(
     for u, v in m:
         mate[u] = v
         mate[v] = u
+    adj = b.adj
 
     first = min(m)
     stages: list[tuple[frozenset[Edge], tuple[int, ...] | None]] = [
@@ -443,60 +459,43 @@ def ear_decomposition(
     current_edges: set[Edge] = {first}
     current_verts: set[int] = set(first)
 
-    def subgraph_matching_covered(edge_set: frozenset[Edge]) -> bool:
-        # the edge subgraph, renumbered onto the vertices it touches
-        verts = frozenset(x for e in edge_set for x in e)
-        sub, _, _ = induced_subgraph(graph_from_edges(b.n1, b.n2, edge_set), verts)
-        return is_matching_covered(sub)
-
-    def candidate_ears() -> list[tuple[int, ...]]:
-        found: list[tuple[int, ...]] = []
-        for u in sorted(current_verts):
-            stack: list[tuple[int, ...]] = [(u,)]
-            while stack:
-                path = stack.pop()
-                x = path[-1]
-                expects_outside = len(path) % 2 == 1
-                for y in sorted(b.adj[x]):
-                    if y in path:
-                        continue
-                    if expects_outside:
-                        # step along a non-matching edge, may close at a host vertex
-                        if y in current_verts:
-                            if len(path) == 1 and b.edge(x, y) in current_edges:
-                                continue
-                            if b.colour(y) != b.colour(u):
-                                found.append(path + (y,))
-                            continue
-                        stack.append(path + (y,))
-                    else:
-                        # inner vertex must be matched to the next one
-                        if mate[x] == y and y not in current_verts:
-                            stack.append(path + (y,))
-        found.sort(key=lambda p: (len(p), p))
-        return found
-
-    while current_edges != set(b.edges):
-        progressed = False
-        for path in candidate_ears():
-            new_edges = {
-                b.edge(path[idx], path[idx + 1]) for idx in range(len(path) - 1)
-            }
-            if new_edges <= current_edges:
-                continue
-            trial = frozenset(current_edges | new_edges)
-            trial_verts = current_verts | set(path)
-            if not has_perfect_matching(b, frozenset(b.vertices) - frozenset(trial_verts)):
-                continue
-            if not subgraph_matching_covered(trial):
-                continue
-            current_edges = set(trial)
-            current_verts = trial_verts
-            stages.append((trial, path))
-            progressed = True
-            break
-        if not progressed:
-            raise AssertionError("no valid ear extension found")
+    while len(current_edges) < len(b.edges):
+        ear = min(
+            (
+                (u, y)
+                for u in current_verts
+                for y in adj[u] & current_verts
+                if b.edge(u, y) not in current_edges
+            ),
+            default=None,
+        )
+        if ear is None:
+            # dist[x]: the matching edges an ear entering the outside at x
+            # crosses before it closes in the current stage
+            frontier = [
+                x for x in b.vertices if x not in current_verts and adj[mate[x]] & current_verts
+            ]
+            dist = dict.fromkeys(frontier, 1)
+            while frontier:
+                nxt = []
+                for z in frontier:
+                    for w in adj[z] - current_verts:
+                        if mate[w] not in dist:
+                            dist[mate[w]] = dist[z] + 1
+                            nxt.append(mate[w])
+                frontier = nxt
+            d, u, x = min((dist[x], u, x) for u in current_verts for x in adj[u] if x in dist)
+            # walk forward, each step to the lowest vertex one matching edge
+            # nearer the close
+            path = [u, x]
+            for left in range(d - 1, 0, -1):
+                y = mate[path[-1]]
+                path += [y, min(z for z in adj[y] if dist.get(z) == left)]
+            y = mate[path[-1]]
+            ear = (*path, y, min(adj[y] & current_verts))
+        current_edges.update(b.edge(ear[i], ear[i + 1]) for i in range(len(ear) - 1))
+        current_verts.update(ear)
+        stages.append((frozenset(current_edges), ear))
     return stages
 
 

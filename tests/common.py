@@ -40,6 +40,22 @@ def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     return graph_from_edges(a, b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 
 
+def cube() -> BipartiteGraph:
+    """Q3: V1 the bit strings of even weight, V2 those of odd weight."""
+    even = [0b000, 0b011, 0b101, 0b110]
+    odd = [0b001, 0b010, 0b100, 0b111]
+    return graph_from_edges(
+        4,
+        4,
+        [
+            (i + 1, 5 + j)
+            for i, x in enumerate(even)
+            for j, y in enumerate(odd)
+            if bin(x ^ y).count("1") == 1
+        ],
+    )
+
+
 def k2() -> BipartiteGraph:
     return graph_from_edges(1, 1, [(1, 2)])
 

@@ -288,6 +288,14 @@ def test_cli_ears_and_cops_and_dm():
     assert code == 0 and "component" in out
 
 
+def test_cli_ears_json_on_the_10x10_grid(tmp_path, capsys):
+    grid = tmp_path / "grid.b"
+    grid.write_text(write_graph_text(square_grid(10, 10)))
+    assert main(["--json", "ears", str(grid)]) == 0
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert len(stages) == 82 and len(stages[-1]["edges"]) == 180
+
+
 def test_cli_cops_json(tmp_path, capsys):
     # `cops_play` returns only on capture, so "caught" is always true
     cases = [
@@ -541,6 +549,19 @@ def test_cli_gen_rejects_bad_parameters(tmp_path, capsys):
         (["gen", "random", "2", "--p", "-0.5"], "edge probability -0.5 is not in [0, 1]"),
         (["gen", "ep-gadget", str(h), "1", "1", "1"], "(1, 1) is not an arc of the pattern"),
         (["gen", "ep-gadget", str(h), "1", "2", "0"], "order 0 is not positive"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+
+
+def test_cli_gen_grid_names_the_side_that_is_not_positive(capsys):
+    cases = [
+        (["gen", "grid", "0", "3"], "row count 0 is not positive"),
+        (["gen", "grid", "2", "-2"], "column count -2 is not positive"),
+        (["gen", "grid", "-1", "-1"], "row count -1 is not positive"),
+        (["gen", "grid", "3", "3"], "grid needs an even number of vertices"),
     ]
     for argv, message in cases:
         assert main(argv) == 2, argv

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
 from matchwidth.bigraph import (
     enumerate_perfect_matchings,
+    graph_from_edges,
     has_perfect_matching,
+    induced_subgraph,
     is_conformal,
     is_matching_covered,
     is_perfect,
+    some_perfect_matching,
 )
 from matchwidth.digraph import digraph_from_arcs
 from matchwidth.direction import m_direction
@@ -25,7 +30,15 @@ from matchwidth.grids import (
 from matchwidth.isomorphism import bipartite_isomorphic, digraph_isomorphic
 from matchwidth.minors import residual_matching, validate_model
 
-from common import bidirected_clique, complete_bipartite, even_cycle, k2, path_graph
+from common import (
+    bidirected_clique,
+    complete_bipartite,
+    cube,
+    even_cycle,
+    k2,
+    path_graph,
+    random_bipartite_with_pm,
+)
 
 
 def test_cg1_is_c4():
@@ -153,6 +166,66 @@ def test_ear_decomposition_stage_invariants():
         assert is_conformal(b, frozenset(b.vertices) - verts)
     with pytest.raises(NotMatchingCovered):
         ear_decomposition(path_graph(3))
+
+
+# The ears each graph's decomposition adds, in order, frozen from the
+# decomposition that listed every alternating path and kept the least one
+# passing a perfect matching check and a matching covered check.
+PINNED_EARS = [
+    (even_cycle(3), [(1, 6, 3, 5, 2, 4)]),
+    (complete_bipartite(3, 3), [(1, 5, 2, 4), (1, 6, 3, 4), (2, 6), (3, 5)]),
+    (cube(), [(1, 6, 2, 5), (1, 7, 3, 5), (2, 8, 4, 6), (3, 8), (4, 7)]),
+    (square_grid(2, 3), [(1, 5, 3, 4), (3, 6, 2, 4)]),
+    (
+        square_grid(4, 4),
+        [
+            (1, 11, 3, 9), (3, 13, 5, 11), (5, 15, 7, 13), (3, 12, 4, 10, 2, 9), (2, 12),
+            (4, 14, 6, 12), (6, 13), (6, 16, 8, 14), (7, 16),
+        ],
+    ),
+    (
+        cylindrical_grid(2)[0],
+        [(1, 12, 4, 11, 3, 10, 2, 9), (1, 13, 5, 16, 8, 12), (3, 15, 7, 14, 6, 10), (6, 13), (8, 15)],
+    ),
+]
+
+
+@pytest.mark.parametrize("b, ears", PINNED_EARS)
+def test_ear_decomposition_pinned_ears(b, ears):
+    assert [ear for _, ear in ear_decomposition(b)] == [None, *ears]
+
+
+def test_ear_decomposition_random_matching_covered():
+    rng = random.Random(37)
+    checked = 0
+    while checked < 200:
+        n1 = rng.randint(2, 7)
+        b = random_bipartite_with_pm(rng, n1, rng.randint(n1, min(3 * n1, n1 * n1 - n1)))
+        if not is_matching_covered(b):
+            continue
+        checked += 1
+        m = some_perfect_matching(b)
+        stages = ear_decomposition(b)
+        assert len(stages) == len(b.edges) - b.n + 2
+        assert stages[0] == (frozenset({min(m)}), None)
+        assert stages[-1][0] == b.edges
+        for (before, _), (edges, ear) in zip(stages, stages[1:]):
+            verts = frozenset(x for e in edges for x in e)
+            sub, _, _ = induced_subgraph(graph_from_edges(b.n1, b.n2, edges), verts)
+            assert is_matching_covered(sub) and is_conformal(b, verts)
+            # an odd path: ends in the stage before, inner vertices outside it
+            # and matched by m in pairs along the path
+            inside = {x for e in before for x in e}
+            assert len(ear) % 2 == 0 and len(set(ear)) == len(ear)
+            assert ear[0] in inside and ear[-1] in inside
+            assert not inside & set(ear[1:-1])
+            path = [b.edge(ear[i], ear[i + 1]) for i in range(len(ear) - 1)]
+            assert set(path[1::2]) <= m and not set(path[::2]) & m
+            assert edges == before | set(path) and before < edges
+
+
+def test_ear_decomposition_10x10_grid():
+    assert len(ear_decomposition(square_grid(10, 10))) == 82
 
 
 def test_cylindrical_grid_digraph():

@@ -25,6 +25,7 @@ from common import (
     bidirected_clique,
     canonical_cycle_matching,
     complete_bipartite,
+    cube,
     directed_cycle,
     even_cycle,
     k2,
@@ -575,22 +576,6 @@ def test_matching_minor_check_re_roots_cubic_vertex_models(host):
     assert max(host.degree(v) for v in host.vertices) == 3
     assert matching_minor_check(host, complete_bipartite(3, 3))
     assert matching_minor_bruteforce(host, complete_bipartite(3, 3))
-
-
-def cube():
-    """Q3: V1 the bit strings of even weight, V2 those of odd weight."""
-    even = [0b000, 0b011, 0b101, 0b110]
-    odd = [0b001, 0b010, 0b100, 0b111]
-    return graph_from_edges(
-        4,
-        4,
-        [
-            (i + 1, 5 + j)
-            for i, x in enumerate(even)
-            for j, y in enumerate(odd)
-            if bin(x ^ y).count("1") == 1
-        ],
-    )
 
 
 def test_matching_minor_check_agrees_on_cubic_patterns():
