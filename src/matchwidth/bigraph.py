@@ -314,6 +314,7 @@ def admissible_edges(b: BipartiteGraph) -> frozenset[Edge]:
     M-direction decide every edge: an edge is admissible iff both its ends
     lie in one elementary part (`direction.elementary_parts`).
     """
+    # imported here: direction imports bigraph at module level
     from .direction import elementary_parts
 
     m = some_perfect_matching(b)

@@ -835,92 +835,58 @@ class PlayTranscript:
 def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
     """Execute the guard-set pursuit along the decomposition tree.
 
-    Cops occupy, per tree edge, a hitting set for all directed cycles
-    crossing the induced cut, then descend towards the robber's subtree.
-    The robber takes the largest component, ties to the one with the
-    smallest vertex.  It returns only on capture, so the transcript ends
-    there; an escape raises AssertionError.
+    One cop opens on the lowest-id vertex, and the pursuit descends from
+    its leaf, so every tree edge it guards cuts off the below-set of its
+    lower end.  The guard of a tree edge is a hitting set for all directed
+    cycles crossing the cut it induces.  At an inner node the cops hold the
+    current guard and those of both child edges, then keep only the guard
+    of the edge towards the robber; at a leaf they add its vertex.  The
+    robber takes the largest component, ties to the one with the smallest
+    vertex.  It returns only on capture, so the transcript ends there; an
+    escape raises AssertionError.
     """
     dec.validate(d.vertices)
     table = _SccTable(d)
     transcript = PlayTranscript()
 
-    def robber(options: Iterable[int]) -> frozenset[int] | None:
-        best = max(options, key=lambda c: (c.bit_count(), -(c & -c)), default=None)
-        return None if best is None else mask_members(best)
+    def robber(options: Iterable[int]) -> int:
+        return max(options, key=lambda c: (c.bit_count(), -(c & -c)), default=0)
 
-    def place(cops: frozenset[int], prev: frozenset[int], prev_robber: frozenset[int]) -> frozenset[int] | None:
-        transcript.cop_positions.append(cops)
-        return robber(
-            _responses(table, vertex_mask(prev), vertex_mask(prev_robber), vertex_mask(cops))
-        )
-
-    if dec.m == 1:
-        only = dec.leaf_map[0]
-        transcript.cop_positions.append(frozenset({only}))
+    leaf = min(dec.leaf_map, key=dec.leaf_map.__getitem__)
+    cops = 1 << dec.leaf_map[leaf]
+    transcript.cop_positions.append(mask_members(cops))
+    r = robber(table[cops])
+    if not r:
         return transcript
-
-    # opening: one cop on the lowest-id vertex
-    leaf = min(dec.leaf_map, key=lambda x: dec.leaf_map[x])
-    v = dec.leaf_map[leaf]
-    c0 = frozenset({v})
-    transcript.cop_positions.append(c0)
-    r = robber(table[vertex_mask(c0)])
-    if r is None:
-        return transcript
-
-    if dec.m == 2:
-        # two-vertex ground set: occupy both vertices
-        both = frozenset(dec.leaf_map.values())
-        r = place(both, c0, r)
-        if r is None:
-            return transcript
-        raise AssertionError("robber escaped the two-vertex capture")
-
-    # the pursuit descends from the opening leaf, so every tree edge it
-    # guards cuts off the below-set of its lower end
     view = dec.rooted(leaf)
-    kids, below = view.kids, view.below()
-    hitting: dict[int, frozenset[int]] = {}
+    kids, below = view.kids, view.below_masks()
+    hitting: dict[int, int] = {}
 
-    def s_edge(x: int) -> frozenset[int]:
-        got = hitting.get(x)
-        if got is None:
-            got = directed_cycle_hitting_set(d, below[x])
-            hitting[x] = got
-        return got
+    def guard_of(x: int) -> int:
+        if x not in hitting:
+            hitting[x] = vertex_mask(directed_cycle_hitting_set(d, mask_members(below[x])))
+        return hitting[x]
 
-    (t0,) = kids[leaf]
-    e1, e2 = kids[t0]
-    c1 = c0 | s_edge(e1) | s_edge(e2)
-    r = place(c1, c0, r)
-    if r is None:
-        return transcript
+    def place(move: int) -> int:
+        nonlocal cops, r
+        transcript.cop_positions.append(mask_members(move))
+        r = robber(_responses(table, cops, r, move))
+        cops = move
+        return r
 
-    t_node = e1 if r <= below[e1] else e2
-    prev_cops = c1
-
-    while True:
-        guard = s_edge(t_node)
-        r2 = place(guard, prev_cops, r)
-        if r2 is None:
+    (node,) = kids[leaf]
+    guard = cops
+    while node not in dec.leaf_map:
+        e1, e2 = kids[node]
+        if not place(guard | guard_of(e1) | guard_of(e2)):
             return transcript
-        r = r2
-        prev_cops = guard
-        if t_node in dec.leaf_map:
-            final = guard | frozenset({dec.leaf_map[t_node]})
-            r3 = place(final, prev_cops, r)
-            if r3 is None:
-                return transcript
-            raise AssertionError("robber escaped the leaf capture")
-        e1p, e2p = kids[t_node]
-        cops = guard | s_edge(e1p) | s_edge(e2p)
-        r2 = place(cops, prev_cops, r)
-        if r2 is None:
+        node = e2 if r & ~below[e1] else e1
+        guard = guard_of(node)
+        if not place(guard):
             return transcript
-        r = r2
-        prev_cops = cops
-        t_node = e1p if r <= below[e1p] else e2p
+    if place(guard | 1 << dec.leaf_map[node]):
+        raise AssertionError("robber escaped the leaf capture")
+    return transcript
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,9 @@ def strong_component_masks(d: Digraph, banned: int = 0) -> list[int]:
     return sccs
 
 
-def strong_components(d: Digraph, banned: frozenset[int] = frozenset()) -> list[frozenset[int]]:
-    """SCCs of d minus banned, in reverse topological order (Tarjan)."""
-    return [mask_members(c) for c in strong_component_masks(d, vertex_mask(banned))]
+def strong_components(d: Digraph) -> list[frozenset[int]]:
+    """SCCs of d, in reverse topological order (Tarjan)."""
+    return [mask_members(c) for c in strong_component_masks(d)]
 
 
 def mask_union(nbrs: Sequence[int], mask: int) -> int:
@@ -211,10 +211,3 @@ def simple_directed_cycles(d: Digraph) -> list[tuple[int, ...]]:
         dfs(s, s, [s], {s})
     return cycles
 
-
-def has_cycle_crossing(d: Digraph, shore: frozenset[int], banned: frozenset[int] = frozenset()) -> bool:
-    """True iff some directed cycle of d - banned has vertices on both sides of shore."""
-    for comp in strong_components(d, banned):
-        if any(v in shore for v in comp) and any(v not in shore for v in comp):
-            return True
-    return False

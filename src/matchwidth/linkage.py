@@ -38,6 +38,7 @@ from .bigraph import (
     Matching,
     admissible_edges,
     check_matching,
+    enumerate_perfect_matchings,
     induced_subgraph,
     is_extendable,
     some_perfect_matching,
@@ -121,8 +122,6 @@ def dapp_bruteforce(
         raise OracleLimitExceeded(f"{len(pairs)} pairs exceed oracle limit {DAPP_PAIR_LIMIT}")
     pairs = [tuple(p) for p in pairs]
     _pairs_ok(b, pairs)
-    from .bigraph import enumerate_perfect_matchings
-
     for m in enumerate_perfect_matchings(b):
         mate: dict[int, int] = {}
         for u, v in m:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from typing import Iterable
 
 from .bigraph import BipartiteGraph
@@ -218,8 +219,6 @@ def planarity_test(g: BipartiteGraph) -> bool:
 def contains_kuratowski_subdivision(g: BipartiteGraph) -> bool:
     """Search directly for a K5 or K33 subdivision (tiny graphs): the oracle
     for `planarity_test`, which `strongplanar` answers with."""
-    from itertools import combinations
-
     verts = list(g.vertices)
 
     def disjoint_paths(

@@ -11,12 +11,13 @@ from .bigraph import (
     Matching,
     VertexSet,
     check_matching,
+    enumerate_perfect_matchings,
     induced_subgraph,
     is_perfect,
     some_perfect_matching,
 )
-from .digraph import Digraph, has_cycle_crossing, mask_members, mask_reach, vertex_mask
-from .direction import elementary_parts, m_direction, split
+from .digraph import Digraph, mask_members, mask_reach, strong_component_masks, vertex_mask
+from .direction import conformal_cycles, elementary_parts, m_direction, split
 from .errors import NoPerfectMatching, NotPerfect
 
 
@@ -232,8 +233,6 @@ def matching_porosity_bound(b: BipartiteGraph, shore: int) -> int:
 def matching_porosity_bruteforce(b: BipartiteGraph, shore: Iterable[int]) -> int:
     """Porosity by enumerating all perfect matchings: the oracle for
     `matching_porosity`, which `pm width` and `cut porosity` answer with."""
-    from .bigraph import enumerate_perfect_matchings
-
     s = frozenset(shore)
     pms = enumerate_perfect_matchings(b)
     if not pms:
@@ -353,23 +352,17 @@ class GuardingSet:
         return len(self.edges)
 
 
-def _crossing_conformal_cycle_exists(
-    b: BipartiteGraph,
-    m_edges: Iterable[Edge],
-    shore: VertexSet,
-    allowed: VertexSet,
-) -> bool:
-    """Is there an M-conformal cycle inside `allowed` crossing the shore cut?
+def _crossing_cycle(d: Digraph, side: int, banned: int) -> bool:
+    """Is there an M-conformal cycle crossing the shore cut that avoids the
+    banned matching edges?
 
-    m_edges must be a perfect matching of b; its edges not inside `allowed`
-    are banned from the M-direction.  A crossing cycle exists iff some
-    strong component of what is left holds matching edges from both sides
-    (a matching edge's side is that of its V1 end).
+    d is the M-direction of a perfect matching M, `side` the mask of its
+    matching edges whose V1 end lies in the shore, and `banned` a mask of
+    matching edges; no other matching edge may cross the cut.  The
+    M-conformal cycles are the directed cycles of d, so one crosses the cut
+    iff some strong component of d - banned meets both side and the rest.
     """
-    d, tag = m_direction(b, m_edges)
-    side = frozenset(i for i, e in tag.items() if e[0] in shore)
-    banned = frozenset(i for i, e in tag.items() if not (e[0] in allowed and e[1] in allowed))
-    return has_cycle_crossing(d, side, banned)
+    return any(c & side and c & ~side for c in strong_component_masks(d, banned))
 
 
 def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> GuardingSet:
@@ -378,6 +371,9 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
     Constructive: start from the crossing matching edges, add the cover of a
     porosity-maximising matching, then walk the linearised component order
     and cut off minimal dangerous configurations with pairs of lambda-cuts.
+    Every crossing-cycle test reads the strong components of one of two
+    M-directions: that of m less the crossing edges on b less their ends,
+    and that of m on b.
     """
     m = check_matching(b, m)
     if not is_perfect(b, m):
@@ -414,6 +410,8 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
     mcover_vertices = frozenset(x for e in f0 for x in e)
     boxes = [comp - mcover_vertices for comp in comps_b0]
 
+    d0, tag0 = m_direction(b0, m0)
+    side0 = vertex_mask(i for i, e in tag0.items() if e[0] in shore0)
     picked: list[frozenset[Edge]] = []
     removed = set(mcover_vertices)
     last = 0  # 1-based index of the last dangerous endpoint handled
@@ -425,7 +423,10 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
             allowed |= boxes[j] - removed
             if j + 1 <= last:
                 continue
-            if _crossing_conformal_cycle_exists(b0, m0, shore0, frozenset(allowed)):
+            banned = vertex_mask(
+                i for i, (u, v) in tag0.items() if u not in allowed or v not in allowed
+            )
+            if _crossing_cycle(d0, side0, banned):
                 hit = j + 1
                 break
         if hit is None:
@@ -447,13 +448,14 @@ def guarding_set(b: BipartiteGraph, m: Matching, shore: Iterable[int]) -> Guardi
     guard |= {(back[u], back[v]) for u, v in guard0}
 
     # greedy reduction: drop edges (crossing ones excepted) while the guard
-    # property survives; deterministic order, bound can only improve
+    # property survives; deterministic order, bound can only improve.  The
+    # guard's edges are matching edges, so the matching edges inside what
+    # the trial guard leaves are all the others.
+    d, tag = m_direction(b, m)
+    index = {e: i for i, e in tag.items()}
+    side = vertex_mask(i for i, e in tag.items() if e[0] in shore)
     for e in sorted(guard - f_start):
-        trial = frozenset(guard - {e})
-        removed_v = frozenset(x for f in trial for x in f)
-        if not _crossing_conformal_cycle_exists(
-            b, m, shore, frozenset(b.vertices) - removed_v
-        ):
+        if not _crossing_cycle(d, side, vertex_mask(index[f] for f in guard if f != e)):
             guard.remove(e)
     return GuardingSet(frozenset(guard), k)
 
@@ -476,9 +478,10 @@ def verify_guard(
     crossing = frozenset(e for e in m if (e[0] in shore) != (e[1] in shore))
     if not crossing <= guard:
         return False
-    removed = frozenset(x for e in guard for x in e)
-    allowed = frozenset(b.vertices) - removed
-    return not _crossing_conformal_cycle_exists(b, m, shore, allowed)
+    d, tag = m_direction(b, m)
+    index = {e: i for i, e in tag.items()}
+    side = vertex_mask(i for i, e in tag.items() if e[0] in shore)
+    return not _crossing_cycle(d, side, vertex_mask(index[e] for e in guard))
 
 
 def verify_guard_bruteforce(
@@ -489,8 +492,6 @@ def verify_guard_bruteforce(
 ) -> bool:
     """Guard check against the exhaustive conformal-cycle enumeration: the
     oracle for `verify_guard`, which certifies every `guard` answer."""
-    from .direction import conformal_cycles
-
     m = check_matching(b, m)
     shore = frozenset(shore)
     guard = frozenset(guard)

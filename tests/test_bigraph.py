@@ -18,9 +18,10 @@ from matchwidth.bigraph import (
     induced_subgraph,
 )
 from matchwidth.decomp import _is_elementary_set
-from matchwidth.direction import conformal_cycles
+from matchwidth.digraph import vertex_mask
+from matchwidth.direction import conformal_cycles, m_direction
 from matchwidth.errors import DegreeNotTwo, NoPerfectMatching, OracleLimitExceeded
-from matchwidth.porosity import _crossing_conformal_cycle_exists, elementary_components
+from matchwidth.porosity import _crossing_cycle, elementary_components
 from matchwidth.isomorphism import bipartite_isomorphic
 
 from common import (
@@ -203,6 +204,7 @@ def test_admissible_is_union_of_pms():
             continue
         m = pms[rng.randrange(len(pms))]
         cycles = conformal_cycles(b, m)
+        d, tag = m_direction(b, m)
         for _ in range(3):
             shore = frozenset(x for e in m if rng.random() < 0.5 for x in e)
             allowed = frozenset(v for v in b.vertices if rng.random() < 0.8)
@@ -212,7 +214,9 @@ def test_admissible_is_union_of_pms():
                 for c in cycles
             )
             seen["crossing"] += expected
-            assert _crossing_conformal_cycle_exists(b, m, shore, allowed) == expected
+            side = vertex_mask(i for i, e in tag.items() if e[0] in shore)
+            banned = vertex_mask(i for i, (u, v) in tag.items() if u not in allowed or v not in allowed)
+            assert _crossing_cycle(d, side, banned) == expected
     assert min(seen.values()) >= 10, seen
 
 

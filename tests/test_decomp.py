@@ -347,6 +347,20 @@ def test_cops_play_random():
         assert transcript.max_cops() <= 6 * k * k + 12 * k
 
 
+def test_cops_play_transcripts_pinned():
+    # a digest of the width and the cop positions, in play order, over
+    # seeded digraphs of 1-8 vertices, recorded when the opening, the
+    # one- and two-vertex games and each descent step were placed apart
+    rng = random.Random(3802)
+    sha = hashlib.sha256()
+    for _ in range(200):
+        d = random_digraph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.6))
+        w, dec = cycw_exact_small(d)
+        positions = [sorted(c) for c in cops_play(d, dec).cop_positions]
+        sha.update(json.dumps([w, positions]).encode())
+    assert sha.hexdigest()[:16] == "debc5b86b7f9f0d3"
+
+
 def test_binarised_two_leaf_tree():
     # both leaves hang from the virtual node m = 2, whose below-set is the
     # whole ground set

@@ -2,7 +2,8 @@
 every name a function binds is read, every module-level function or class
 is referenced somewhere else in the package unless it is a kept oracle or
 paper check, every optional parameter is set by some call in the package,
-and no source or test line holds a tab."""
+every parameter is read, an import inside a function breaks an import
+cycle, and no source or test line holds a tab."""
 
 import ast
 from collections import Counter
@@ -239,3 +240,72 @@ def test_no_tab_characters():
     src = Path(matchwidth.__file__).parent
     tests = Path(__file__).parent
     assert tab_lines(sorted(src.glob("*.py")) + sorted(tests.glob("*.py"))) == []
+
+
+def top_level_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports at module level."""
+    return {
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def needless_local_imports(paths: list[Path]) -> list[str]:
+    """`file:line: module` of each import inside a function that is not from
+    a package module importing the importing one at module level, the one
+    cycle that forces an import into the function; `cli.py` aside, which
+    imports each command's modules when it runs."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    out = []
+    for name, tree in trees.items():
+        if name == "cli":
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    out += [f"{name}.py:{node.lineno}: {alias.name}" for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    source = node.module if node.level == 1 else None
+                    if source not in trees or name not in top_level_imports(trees[source]):
+                        out.append(f"{name}.py:{node.lineno}: {'.' * node.level}{node.module}")
+    return sorted(set(out))
+
+
+def test_function_level_imports_break_a_cycle():
+    src = Path(matchwidth.__file__).parent
+    assert needless_local_imports(sorted(src.glob("*.py"))) == []
+
+
+def unread_parameters(path: Path) -> list[str]:
+    """`file:line: function(param)` of each parameter of a function or
+    lambda that its body, nested functions included, never reads; `self`,
+    `cls` and `_`-prefixed names are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, FUNCTIONS + (ast.Lambda,)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        out += [
+            f"{path.name}:{fn.lineno}: {name}({a.arg})"
+            for a in params
+            if a.arg not in read and a.arg not in ("self", "cls") and not a.arg.startswith("_")
+        ]
+    return out
+
+
+def test_every_parameter_is_read():
+    src = Path(matchwidth.__file__).parent
+    assert [msg for path in sorted(src.glob("*.py")) for msg in unread_parameters(path)] == []
