@@ -8,11 +8,11 @@ pure function, so concurrent use on shared graphs is safe.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .digraph import mask_reach
 from .errors import DegreeNotTwo, InvalidMatching, OracleLimitExceeded
 
 Edge = tuple[int, int]
@@ -119,17 +119,8 @@ class BipartiteGraph:
         return (u, v)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == self.n
+        every = ((1 << self.n) - 1) << 1
+        return self.n <= 1 or mask_reach(self.adj_masks, 1 << 1, every) == every
 
     def cut(self, shore: Iterable[int]) -> frozenset[Edge]:
         """Edge cut around the shore: edges with exactly one endpoint inside."""

@@ -21,11 +21,12 @@ from .bigraph import (
 )
 from .digraph import (
     Digraph,
+    component_masks,
+    is_strongly_connected,
     mask_members,
     mask_reach,
     mask_union,
     strong_component_masks,
-    strongly_connected_within,
     vertex_mask,
 )
 from .direction import VertexTag, elementary_parts, m_direction, split
@@ -531,26 +532,12 @@ def dtd_fault(d: Digraph, dec: DirectedTreeDecomposition, proto: bool = False) -
 # ---------------------------------------------------------------------------
 
 
-def _split(d: Digraph, keep: int) -> list[int]:
-    """The strong components of d[keep]: from the lowest vertex left, a
-    forward closure in keep and then a backward closure in what it
-    reached."""
-    out, inn = d.out_masks, d.in_masks
-    comps = []
-    while keep:
-        start = keep & -keep
-        comp = mask_reach(inn, start, mask_reach(out, start, keep))
-        comps.append(comp)
-        keep ^= comp
-    return comps
-
-
 class _SccTable(dict):
     """For a banned vertex mask: the strong components of d minus it, as
     vertex masks, largest first.  Filled on first use, each entry by one
-    `_split` of the vertices left.  Only the order inside an entry is not
-    Tarjan's: a caller that outputs components in order calls
-    `strong_component_masks`.
+    `component_masks` split of the vertices left.  Only the order inside
+    an entry is not Tarjan's: a caller that outputs components in order
+    calls `strong_component_masks`.
     """
 
     def __init__(self, d: Digraph) -> None:
@@ -561,7 +548,11 @@ class _SccTable(dict):
     def __missing__(self, banned: int) -> tuple[int, ...]:
         assert not banned & ~self.every, "a banned bit is no vertex of d"
         comps = self[banned] = tuple(
-            sorted(_split(self.d, self.every & ~banned), key=int.bit_count, reverse=True)
+            sorted(
+                component_masks(self.d.out_masks, self.d.in_masks, self.every & ~banned),
+                key=int.bit_count,
+                reverse=True,
+            )
         )
         return comps
 
@@ -737,8 +728,7 @@ def _strategy_dtd(
     parent: list[int] = []
     bags: list[frozenset[int]] = []
     guards: list[frozenset[int]] = []
-    every = ((1 << d.n) - 1) << 1
-    start = [every] if strongly_connected_within(d, every) else strong_component_masks(d)
+    start = [((1 << d.n) - 1) << 1] if is_strongly_connected(d) else strong_component_masks(d)
     # (cops, robber, parent) per position still to build; the root is node 0
     stack = [(0, comp, 0) for comp in reversed(start[1:])]
     stack.append((0, start[0], -1))
@@ -777,10 +767,11 @@ def dtd_greedy(d: Digraph) -> DirectedTreeDecomposition:
     creates through R passes through that cop: R stays a strong component
     iff the cop and R do not reach each other, two closures of d.  A
     one-vertex R is a leaf, whose kept cops are never read, so it is
-    answered at once.  The pick splits R - y for each y in turn, drops y as
-    soon as one part is as large as the best so far, and stops once the
-    best largest part is one vertex, since no y does better; the winner's
-    split gives the children.  A node still costs up to |R| closures of R.
+    answered at once.  The pick splits R - y (`component_masks`) for each
+    y in turn, drops y as soon as one part is as large as the best so far,
+    and stops once the best largest part is one vertex, since no y does
+    better; the winner's split gives the children.  A node still costs up
+    to |R| closures of R.
     """
     if d.n == 0:
         raise InvalidDecomposition("empty digraph")
@@ -804,14 +795,10 @@ def dtd_greedy(d: Digraph) -> DirectedTreeDecomposition:
             y = ys & -ys
             ys ^= y
             parts = []
-            keep = robber ^ y
-            while keep:
-                start = keep & -keep
-                comp = mask_reach(inn, start, mask_reach(out, start, keep))
+            for comp in component_masks(out, inn, robber ^ y):
                 if comp.bit_count() >= best:
                     break
                 parts.append(comp)
-                keep ^= comp
             else:
                 best, pick, split = max(map(int.bit_count, parts)), y, parts
         return hold | pick, split
@@ -1121,9 +1108,9 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
     for u, v in m0:
         mate[u] = 1 << v
         mate[v] = 1 << u
-    # The m0-direction of b[xs] is strongly connected iff a walk that leaves
-    # V1 vertices along edges and V2 vertices along m0 reaches all of xs from
-    # one vertex, and so does the walk that swaps the two sides.
+    # The m0-direction of b[xs] leaves V1 vertices along edges and V2
+    # vertices along m0, and its converse swaps the two sides; it is
+    # strongly connected iff its first strong component is all of xs.
     forward = [adj[v] if v <= b.n1 else mate[v] for v in range(b.n + 1)]
     backward = [mate[v] if v <= b.n1 else adj[v] for v in range(b.n + 1)]
     # per node: the V2 neighbours of the V1 vertices below it, and the m0
@@ -1142,8 +1129,7 @@ def nice_pmd_check(b: BipartiteGraph, nice: NicePMD, m0: Matching) -> tuple[bool
         xs = below[x]
         if mates[x] != xs:
             return _is_elementary_set(b, mask_members(xs))
-        start = xs & -xs
-        return mask_reach(forward, start, xs) == xs and mask_reach(backward, start, xs) == xs
+        return next(component_masks(forward, backward, xs)) == xs
 
     @cache
     def is_join(x: int) -> bool:

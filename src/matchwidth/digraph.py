@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Arc = tuple[int, int]
 
@@ -170,19 +170,23 @@ def mask_reach(nbrs: Sequence[int], sources: int, allowed: int) -> int:
     return seen
 
 
-def strongly_connected_within(d: Digraph, keep: int) -> bool:
-    """Whether d restricted to the vertex mask keep is non-empty and strongly
-    connected: one walk forward and one backward from a vertex of keep."""
-    start = keep & -keep
-    return (
-        keep != 0
-        and mask_reach(d.out_masks, start, keep) == keep
-        and mask_reach(d.in_masks, start, keep) == keep
-    )
+def component_masks(out: Sequence[int], inn: Sequence[int], keep: int) -> Iterator[int]:
+    """The strong components inside the vertex mask keep, as masks, lowest
+    vertex first; out[v] and inn[v] are the masks of v's successors and
+    predecessors.  Each is a forward closure in keep from the lowest vertex
+    left, then a backward closure in what it reached, so a caller may stop
+    after any component.  Where Tarjan's order is read, or a banned mask
+    is passed, `strong_component_masks` is the split."""
+    while keep:
+        start = keep & -keep
+        comp = mask_reach(inn, start, mask_reach(out, start, keep))
+        yield comp
+        keep ^= comp
 
 
 def is_strongly_connected(d: Digraph) -> bool:
-    return strongly_connected_within(d, ((1 << d.n) - 1) << 1)
+    every = ((1 << d.n) - 1) << 1
+    return every != 0 and next(component_masks(d.out_masks, d.in_masks, every)) == every
 
 
 def simple_directed_cycles(d: Digraph) -> list[tuple[int, ...]]:

@@ -58,40 +58,17 @@ def _blocks(n: int, adj: dict[int, set[int]]) -> list[set[int]]:
     return blocks
 
 
-def _find_cycle(adj: dict[int, set[int]], verts: set[int]) -> list[int] | None:
-    start = min(verts)
-    parent: dict[int, int | None] = {start: None}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in verts:
-                continue
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
-            elif parent[x] != y:
-                # build cycle through the tree paths to x and y
-                px = []
-                cur: int | None = x
-                while cur is not None:
-                    px.append(cur)
-                    cur = parent[cur]
-                py = []
-                cur = y
-                seen = set(px)
-                while cur is not None and cur not in seen:
-                    py.append(cur)
-                    cur = parent[cur]
-                if cur is None:
-                    continue
-                meet = cur
-                cycle = px[: px.index(meet) + 1][::-1] + py
-                if len(cycle) >= 3:
-                    return cycle
-    return None
+def _find_cycle(adj: dict[int, set[int]], verts: set[int]) -> list[int]:
+    """A cycle of a block in which every vertex has two neighbours: walk
+    from the lowest vertex, each step to the lowest neighbour other than
+    the vertex just left, until a vertex repeats."""
+    walk, prev = [min(verts)], 0
+    while True:
+        y = min(w for w in adj[walk[-1]] if w != prev)
+        if y in walk:
+            return walk[walk.index(y) :]
+        prev = walk[-1]
+        walk.append(y)
 
 
 def _planar_block(adj_full: dict[int, set[int]], verts: set[int]) -> bool:
@@ -104,8 +81,6 @@ def _planar_block(adj_full: dict[int, set[int]], verts: set[int]) -> bool:
     if m > 2 * n - 4:
         return False
     cycle = _find_cycle(adj, verts)
-    if cycle is None:
-        return True  # trees and single edges
 
     embedded_v: set[int] = set(cycle)
     embedded_e: set[frozenset[int]] = {

@@ -493,6 +493,8 @@ def verify_guard_bruteforce(
     """Guard check against the exhaustive conformal-cycle enumeration: the
     oracle for `verify_guard`, which certifies every `guard` answer."""
     m = check_matching(b, m)
+    if not is_perfect(b, m):
+        raise NotPerfect("m is not a perfect matching")
     shore = frozenset(shore)
     guard = frozenset(guard)
     if not guard <= m:

@@ -18,7 +18,7 @@ from matchwidth.bigraph import (
     induced_subgraph,
 )
 from matchwidth.decomp import _is_elementary_set
-from matchwidth.digraph import vertex_mask
+from matchwidth.digraph import Digraph, vertex_mask
 from matchwidth.direction import conformal_cycles, m_direction
 from matchwidth.errors import DegreeNotTwo, NoPerfectMatching, OracleLimitExceeded
 from matchwidth.porosity import _crossing_cycle, elementary_components
@@ -283,3 +283,16 @@ def test_max_matching_matches_the_set_based_reference():
             else:
                 kinds["perfect" if len(got) == n1 else "not perfect"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_graph_constructors_check_their_input():
+    # an edge given V2 end first is turned round; one that does not join V1
+    # to V2, or leaves the vertex range, is refused, as are a negative class
+    # size, a loop and an arc out of range
+    assert BipartiteGraph(2, 2, {(3, 1)}).edges == {(1, 3)}
+    for args in ((2, 2, {(1, 2)}), (2, 2, {(1, 9)}), (-1, 2)):
+        with pytest.raises(ValueError):
+            BipartiteGraph(*args)
+    for arcs in ({(1, 1)}, {(1, 3)}):
+        with pytest.raises(ValueError):
+            Digraph(2, arcs)

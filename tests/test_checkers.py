@@ -55,6 +55,7 @@ from matchwidth.decomp import (
 )
 from matchwidth.digraph import (
     Digraph,
+    component_masks,
     mask_members,
     strong_component_masks,
     vertex_mask,
@@ -593,6 +594,25 @@ def test_scc_table_matches_strong_components():
                 assert sorted(map(mask_members, comps), key=sorted) == sorted(expected, key=sorted)
                 sizes = [c.bit_count() for c in comps]
                 assert sizes == sorted(sizes, reverse=True)
+
+
+def test_component_masks_matches_strong_components():
+    # the closure split of a random keep mask gives Tarjan's components as
+    # sets, each component's lowest vertex above the one before, so the
+    # first holds the lowest vertex of keep; an empty keep yields nothing
+    rng = random.Random(72)
+    for _ in range(300):
+        d = random_digraph(rng, rng.randint(1, 10), rng.uniform(0.05, 0.6))
+        keep = vertex_mask(v for v in d.vertices if rng.random() < 0.7)
+        comps = list(component_masks(d.out_masks, d.in_masks, keep))
+        banned = frozenset(v for v in d.vertices if not keep >> v & 1)
+        expected = ref_strong_components(d, banned)
+        assert sorted(map(mask_members, comps), key=sorted) == sorted(expected, key=sorted)
+        lows = [c & -c for c in comps]
+        assert lows == sorted(lows)
+        if keep:
+            assert comps[0] & keep & -keep
+    assert list(component_masks(d.out_masks, d.in_masks, 0)) == []
 
 
 def random_dag(rng, n):

@@ -749,3 +749,16 @@ def test_cli_negative_header_count(tmp_path, capsys):
         f.write_text(text)
         assert main(["cut", "porosity", str(f), ""]) == 2
         assert capsys.readouterr().err == "error: line 1: negative vertex count\n"
+
+
+def test_cli_dapp_and_minor_on_a_host_without_a_perfect_matching(tmp_path):
+    host = tmp_path / "host.txt"
+    pattern = tmp_path / "c4.txt"
+    # vertex 6 is isolated, so the host has no perfect matching
+    b = graph_from_edges(3, 3, [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5), (3, 5)])
+    host.write_text(write_graph_text(b))
+    pattern.write_text(write_graph_text(even_cycle(2)))
+    code, out, _ = run_cli(["dapp", str(host), "--pairs", "1:5"])
+    assert code == 1 and out.strip() == "no"
+    code, out, _ = run_cli(["minor", str(host), str(pattern)])
+    assert code == 1 and out.strip() == "no"

@@ -617,3 +617,10 @@ def test_limited_holds_for_solution_linkages():
             continue
         w = frozenset(e for e in sol.matching if any(x in e for p in pairs for x in p))
         assert is_limited(b, sol.paths, b.vertices, k=1, w=max(2, len(w)))
+
+
+def test_dapp_solve_on_a_host_without_a_perfect_matching():
+    # vertex 6 is isolated, so no linkage extends to a perfect matching
+    host = graph_from_edges(3, 3, [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5), (3, 5)])
+    assert dapp_solve(host, [(1, 5)]) is False
+    assert dapp_bruteforce(host, [(1, 5)])[0] is False

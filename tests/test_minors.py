@@ -595,3 +595,13 @@ def test_matching_minor_check_agrees_on_cubic_patterns():
             assert got == matching_minor_bruteforce(b, h), (sorted(b.edges), h.n)
             answers.append(got)
     assert 0 < sum(answers) < len(answers)
+
+
+def test_matching_minor_check_on_a_host_without_a_perfect_matching():
+    from matchwidth.minors import matching_minor_check
+
+    # vertex 6 is isolated, so the host has no perfect matching and no
+    # matching minor
+    host = graph_from_edges(3, 3, [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5), (3, 5)])
+    assert matching_minor_check(host, even_cycle(2)) is False
+    assert matching_minor_bruteforce(host, even_cycle(2)) is False

@@ -19,7 +19,7 @@ from matchwidth.digraph import (
 )
 from matchwidth.direction import m_direction, split
 import matchwidth.direction as direction_module
-from matchwidth.errors import NoPerfectMatching
+from matchwidth.errors import NoPerfectMatching, NotPerfect
 from matchwidth.grids import cylindrical_grid, square_grid
 from matchwidth.porosity import (
     DMStructure,
@@ -545,3 +545,15 @@ def test_porosity_matches_linear_sum_assignment():
                 matching_porosity(b, vertex_mask(shore))
             continue
         assert matching_porosity(b, vertex_mask(shore)) == -int(cost[rows, cols].sum())
+
+
+def test_verify_guard_and_its_oracle_agree_on_bad_input():
+    # both refuse a matching that is not perfect, and both say no to a guard
+    # with an edge outside m or one that misses a crossing matching edge
+    c4 = even_cycle(2)
+    for check in (verify_guard, verify_guard_bruteforce):
+        with pytest.raises(NotPerfect):
+            check(c4, {(1, 3)}, [1], [(1, 3)])
+        m = {(1, 3), (2, 4)}
+        assert not check(c4, m, [1], [(1, 3), (1, 4)])
+        assert not check(c4, m, [1], [])
