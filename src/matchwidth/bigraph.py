@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .digraph import mask_reach
+from .digraph import component_masks, mask_members, mask_reach
 from .errors import DegreeNotTwo, InvalidMatching, OracleLimitExceeded
 
 Edge = tuple[int, int]
@@ -301,18 +301,35 @@ def is_conformal(b: BipartiteGraph, x: Iterable[int]) -> bool:
 def admissible_edges(b: BipartiteGraph) -> frozenset[Edge]:
     """Edges contained in at least one perfect matching (empty if no PM).
 
-    One perfect matching M and one strong-component pass over its
-    M-direction decide every edge: an edge is admissible iff both its ends
-    lie in one elementary part (`direction.elementary_parts`).
+    One perfect matching M and one split of its M-direction decide every
+    edge: an edge is admissible iff both its ends lie in one elementary
+    part, a strong component of the M-direction.  The M-direction is built
+    as successor and predecessor masks over V1, vertex u standing for the
+    matching edge at u, so an edge (u, v) is the arc from u to v's mate.
+    `digraph.component_masks` splits it, since no order of the parts is
+    read; an edge is kept iff u and v's mate lie in one part.
     """
-    # imported here: direction imports bigraph at module level
-    from .direction import elementary_parts
-
-    m = some_perfect_matching(b)
-    if m is None:
+    n1 = b.n1
+    if n1 != b.n2:
         return frozenset()
-    part_of = {v: i for i, part in enumerate(elementary_parts(b, m)) for v in part}
-    return frozenset(e for e in b.edges if part_of[e[0]] == part_of[e[1]])
+    pair = max_matching(b)
+    if len(pair) != n1:
+        return frozenset()
+    mate = [0] * (b.n + 1)
+    for u, v in pair.items():
+        mate[v] = u
+    out = [0] * (n1 + 1)
+    inn = [0] * (n1 + 1)
+    for u, v in b.edges:
+        w = mate[v]
+        if w != u:
+            out[u] |= 1 << w
+            inn[w] |= 1 << u
+    part = [0] * (n1 + 1)
+    for comp in component_masks(out, inn, ((1 << n1) - 1) << 1):
+        for u in mask_members(comp):
+            part[u] = comp
+    return frozenset(e for e in b.edges if part[e[0]] == part[mate[e[1]]])
 
 
 def is_matching_covered(b: BipartiteGraph) -> bool:

@@ -738,12 +738,16 @@ def _check_with_mh(
     vertices needs at least two spare vertices for its path's interior.
     The search carries that path demand as a running total: placing an
     anchor on x adds 2 for each link whose other anchor is already placed
-    on a vertex not adjacent to x.  The slack is `budget` less two
-    vertices per spine guessed so far, and a branch whose demand exceeds
-    it is cut.  Demand only grows and slack only shrinks down a branch, so
-    a complete placement is reached exactly when it meets the bound of
-    its whole structure: a "no" check builds the same instances in
-    whatever order the guesses and placements come.
+    on a vertex not adjacent to x.  Each anchor slot keeps the mask `link`
+    of the host vertices its placed linked anchors sit on, so the addition
+    is `2 * popcount(link & ~adj_masks[x])`.  That counts the links: h is
+    simple and an m_h edge is no edge path, so the linked anchors are
+    distinct, and distinct placed anchors sit on distinct used vertices.
+    The slack is `budget` less two vertices per spine guessed so far, and
+    a branch whose demand exceeds it is cut.  Demand only grows and slack
+    only shrinks down a branch, so a complete placement is reached exactly
+    when it meets the bound of its whole structure: a "no" check builds
+    the same instances in whatever order the guesses and placements come.
 
     A pattern vertex of degree at most 3 is guessed with no spine: its
     vertex model re-roots at one old vertex, its branch vertex if it has
@@ -754,21 +758,24 @@ def _check_with_mh(
     guessing spines for those vertices as well would build.
 
     Every forced edge is admissible: the spine candidates are the
-    admissible edges, and `mh_rec` skips a degenerate or end edge that is
-    not.  A forced set with any other edge extends to no perfect matching,
-    so each instance skipped is one that `run` would refuse before it
-    reaches `_solve_full`.
+    admissible edges, and `mh_rec` takes a degenerate or end edge only
+    from the mask of a vertex's admissible neighbours, walking the end
+    edges in ascending order of their other end.  A forced set with any
+    other edge extends to no perfect matching, so each instance skipped is
+    one that `run` would refuse before it reaches `_solve_full`.
 
-    Only host work happens here.  The pattern side (h's vertex order, the
-    slot patterns and spine shapes of each vertex, the edge slots and the
-    mate of each vertex under m_h) comes precomputed in `tables`, once per
-    process (`_pattern`).  `memo` holds, for this `matching_minor_check`
-    call, the verdict of each (forced set, set of terminal pairs) instance
-    already solved and, keyed on the forced set alone, whether that set
-    extends to a perfect matching of b (see `run`).
+    Only host work happens here, on vertex masks: the used host vertices
+    are one mask passed down the recursion.  The pattern side (h's vertex
+    order, the slot patterns and spine shapes of each vertex, the edge
+    slots and the mate of each vertex under m_h) comes precomputed in
+    `tables`, once per process (`_pattern`).  `memo` holds, for this
+    `matching_minor_check` call, the verdict of each (forced set, set of
+    terminal pairs) instance already solved and, keyed on the forced set
+    alone, whether that set extends to a perfect matching of b (see
+    `run`).
     """
     n1 = b.n1
-    adj = b.adj
+    adj_masks = b.adj_masks
     h_vertices = tables.h_vertices
     m_edges = tables.m_edges
     edge_slots = tables.edge_slots
@@ -776,92 +783,99 @@ def _check_with_mh(
     mate = tables.mate
     patterns_by_u = tables.patterns_by_u
     shapes_by_size = tables.shapes_by_size
+    # each host vertex's admissible neighbours, as a mask
+    adm = [0] * (b.n + 1)
+    for x, y in admissible:
+        adm[x] |= 1 << y
+        adm[y] |= 1 << x
     # host candidates per colour class, in the order they are tried:
     # (vertex, degree) for an exposed vertex, and (admissible edge, end in
-    # the class, other end, degree of the first end) for a spine
+    # the class, other end, degree of the first end, mask of both ends)
+    # for a spine
     exposed_cands = {c: [(v, b.degree(v)) for v in vs] for c, vs in ((1, b.v1), (2, b.v2))}
     host_edges = sorted(admissible)
     spine_cands = {
-        1: [(e, e[0], e[1], b.degree(e[0])) for e in host_edges],
-        2: [(e, e[1], e[0], b.degree(e[1])) for e in host_edges],
+        1: [(e, e[0], e[1], b.degree(e[0]), 1 << e[0] | 1 << e[1]) for e in host_edges],
+        2: [(e, e[1], e[0], b.degree(e[1]), 1 << e[0] | 1 << e[1]) for e in host_edges],
     }
 
     # placement state per placed u: its guess (slot pattern, spine tree),
     # the host vertex of each anchor, and its spine edges with their other
-    # ends
+    # ends; the mask `used` of the host vertices taken so far is passed
+    # down the recursion
     guessed: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     at: dict[int, list[int]] = {u: [] for u in h_vertices}
     spines: dict[int, list[tuple[Edge, int]]] = {u: [] for u in h_vertices}
-    used: set[int] = set()
 
-    def guess(i: int, slack: int, demand: int) -> bool:
+    def guess(i: int, slack: int, demand: int, used: int) -> bool:
         if i == len(h_vertices):
-            return solve()
+            return solve(used)
         u = h_vertices[i]
         for pattern, a_u in patterns_by_u[u]:
             if demand > slack - 2 * a_u:
                 continue
-            # host vertices of the placed anchors linked to each anchor
-            linked: list[list[int]] = [[] for _ in range(a_u + 1)]
+            # mask of the host vertices of the placed anchors linked to
+            # each anchor
+            linked = [0] * (a_u + 1)
             for iu, v, iv in earlier[u]:
-                linked[pattern[iu]].append(at[v][guessed[v][0][iv]])
+                linked[pattern[iu]] |= 1 << at[v][guessed[v][0][iv]]
             if mate[u] < u:
-                linked[0].append(at[mate[u]][0])
+                linked[0] |= 1 << at[mate[u]][0]
             for shape in shapes_by_size[a_u]:
                 need = [1] * (a_u + 1)
                 for j in pattern + shape:
                     need[j] += 1
                 guessed[u] = (pattern, shape)
-                if place(i, u, 0, need, linked, slack - 2 * a_u, demand):
+                if place(i, u, 0, need, linked, slack - 2 * a_u, demand, used):
                     return True
         return False
 
     def place(
-        i: int, u: int, slot: int, need: list[int], linked: list[list[int]], slack: int, demand: int
+        i: int,
+        u: int,
+        slot: int,
+        need: list[int],
+        linked: list[int],
+        slack: int,
+        demand: int,
+        used: int,
     ) -> bool:
         # place anchor (u, slot), then the next; past u's last, the next u
         if slot == len(need):
-            return guess(i + 1, slack, demand)
+            return guess(i + 1, slack, demand, used)
         cls = host_class[u]
         anchors = at[u]
+        link = linked[slot]
         if slot == 0:
             for x, deg in exposed_cands[cls]:
-                if x in used or deg < need[0]:
+                if used >> x & 1 or deg < need[0]:
                     continue
-                d = demand + added(linked[0], x)
+                d = demand + 2 * (link & ~adj_masks[x]).bit_count()
                 if d > slack:
                     continue
                 anchors.append(x)
-                used.add(x)
-                if place(i, u, 1, need, linked, slack, d):
+                if place(i, u, 1, need, linked, slack, d, used | 1 << x):
                     return True
-                used.remove(x)
                 anchors.pop()
             return False
-        for e, old, new, deg in spine_cands[cls]:
-            if e[0] in used or e[1] in used or deg < need[slot]:
+        for e, old, new, deg, ends in spine_cands[cls]:
+            if used & ends or deg < need[slot]:
                 continue
-            d = demand + added(linked[slot], old)
+            d = demand + 2 * (link & ~adj_masks[old]).bit_count()
             if d > slack:
                 continue
             anchors.append(old)
             spines[u].append((e, new))
-            used.update(e)
-            if place(i, u, slot + 1, need, linked, slack, d):
+            if place(i, u, slot + 1, need, linked, slack, d, used | ends):
                 return True
-            used.difference_update(e)
             spines[u].pop()
             anchors.pop()
         return False
 
-    def added(linked: list[int], x: int) -> int:
-        near = adj[x]
-        return 2 * sum(1 for y in linked if y not in near)
-
     def ordered(x: int, y: int) -> tuple[int, int]:
         return (x, y) if x <= n1 else (y, x)
 
-    def solve() -> bool:
+    def solve(used: int) -> bool:
         leg_pairs = [
             ordered(at[u][p], new)
             for u in h_vertices
@@ -872,41 +886,42 @@ def _check_with_mh(
             for u, iu, v, iv in edge_slots
         )
         forced = {e for u in h_vertices for e, _ in spines[u]}
-        return mh_rec(0, forced, leg_pairs, edge_pairs)
+        return mh_rec(0, forced, leg_pairs, edge_pairs, used)
 
-    def mh_rec(i: int, forced: set[Edge], pairs: list, edge_pairs: tuple) -> bool:
+    def mh_rec(i: int, forced: set[Edge], pairs: list, edge_pairs: tuple, used: int) -> bool:
         if i == len(m_edges):
             return run(frozenset(forced), tuple(pairs) + edge_pairs)
         u, v = m_edges[i]
         xu, xv = at[u][0], at[v][0]
         # degenerate realisation: the pattern matching edge maps to a single
         # matching edge of the host
-        e = ordered(xu, xv)
-        if e in admissible:
+        if adm[xu] >> xv & 1:
+            e = ordered(xu, xv)
             forced.add(e)
-            if mh_rec(i + 1, forced, pairs, edge_pairs):
+            if mh_rec(i + 1, forced, pairs, edge_pairs, used):
                 return True
             forced.discard(e)
-        # general: pick the two end edges of the conformal path
-        for pu in sorted(adj[xu]):
-            if pu in used or pu == xv:
-                continue
+        # general: pick the two end edges of the conformal path, admissible
+        # edges to unused vertices, each end in ascending order.  xu and xv
+        # are used, and pu and pv lie in opposite classes.
+        ends_u = adm[xu] & ~used
+        free_v = adm[xv] & ~used
+        while ends_u:
+            bit_u = ends_u & -ends_u
+            ends_u ^= bit_u
+            pu = bit_u.bit_length() - 1
             eu = ordered(xu, pu)
-            if eu not in admissible:
-                continue
-            for pv in sorted(adj[xv]):
-                if pv in used or pv == xu or pv == pu:
-                    continue
+            ends_v = free_v
+            while ends_v:
+                bit_v = ends_v & -ends_v
+                ends_v ^= bit_v
+                pv = bit_v.bit_length() - 1
                 ev = ordered(xv, pv)
-                if ev not in admissible:
-                    continue
                 forced.update((eu, ev))
-                used.update((pu, pv))
                 pairs.append(ordered(pv, pu))
-                if mh_rec(i + 1, forced, pairs, edge_pairs):
+                if mh_rec(i + 1, forced, pairs, edge_pairs, used | bit_u | bit_v):
                     return True
                 pairs.pop()
-                used.difference_update((pu, pv))
                 forced.difference_update((eu, ev))
         return False
 
@@ -943,8 +958,8 @@ def _check_with_mh(
 
     def extends(forced: frozenset[Edge], covered: frozenset[int]) -> bool:
         # does a perfect matching of b extend `forced`?  The set is always
-        # a matching: `place` and `mh_rec` mark every end
-        # of a forced edge in `used` and skip used vertices.  Many instances
+        # a matching: `place` and `mh_rec` mark every end of a forced edge
+        # in `used` and skip used vertices.  Many instances
         # share their forced set; `memo` keys this verdict on the set alone.
         ok = memo.get(forced)
         if ok is None:
@@ -953,6 +968,6 @@ def _check_with_mh(
 
     for flip in pattern.flips:
         host_class = {u: 3 - c if flip else c for u, c in pattern.colour_of.items()}
-        if guess(0, budget, 0):
+        if guess(0, budget, 0, 0):
             return True
     return False

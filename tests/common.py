@@ -7,10 +7,16 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 
-from matchwidth.bigraph import BipartiteGraph, Matching, graph_from_edges
+from matchwidth.bigraph import (
+    BipartiteGraph,
+    Edge,
+    Matching,
+    graph_from_edges,
+    some_perfect_matching,
+)
 from matchwidth.decomp import LeafTree, NicePMD, _TreeBuilder, dtd_to_nice_pmd, dtw_exact_small
 from matchwidth.digraph import Digraph, digraph_from_arcs
-from matchwidth.direction import m_direction
+from matchwidth.direction import elementary_parts, m_direction
 
 
 def even_cycle(k: int) -> BipartiteGraph:
@@ -184,6 +190,17 @@ def ref_max_matching(b: BipartiteGraph, banned: frozenset[int] = frozenset()) ->
             if u not in pair_u:
                 dfs(u)
     return pair_u
+
+
+def ref_admissible_edges(b: BipartiteGraph) -> frozenset[Edge]:
+    """The route that `bigraph.admissible_edges` replaced, kept as its
+    reference: one perfect matching, and each vertex's part from the
+    strong components of its M-direction (`direction.elementary_parts`)."""
+    m = some_perfect_matching(b)
+    if m is None:
+        return frozenset()
+    part_of = {v: i for i, part in enumerate(elementary_parts(b, m)) for v in part}
+    return frozenset(e for e in b.edges if part_of[e[0]] == part_of[e[1]])
 
 
 def nice_pmd(b: BipartiteGraph, m: Matching) -> NicePMD:

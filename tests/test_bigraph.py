@@ -31,6 +31,7 @@ from common import (
     k2,
     path_graph,
     random_bipartite_with_pm,
+    ref_admissible_edges,
     ref_max_matching,
 )
 
@@ -218,6 +219,55 @@ def test_admissible_is_union_of_pms():
             banned = vertex_mask(i for i, (u, v) in tag.items() if u not in allowed or v not in allowed)
             assert _crossing_cycle(d, side, banned) == expected
     assert min(seen.values()) >= 10, seen
+
+
+def _chained_pieces(rng: random.Random) -> BipartiteGraph:
+    """Pieces with perfect matchings, each a K2 or a 2k-cycle with random
+    chords, joined by edges from a piece's V1 to a later piece's V2 only, so
+    no joining edge lies in a perfect matching; labels shuffled per class."""
+    sizes = [rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 4))]
+    n1 = sum(sizes)
+    blacks = list(range(1, n1 + 1))
+    whites = list(range(n1 + 1, 2 * n1 + 1))
+    rng.shuffle(blacks)
+    rng.shuffle(whites)
+    edges = set()
+    start = 0
+    pieces = []
+    for k in sizes:
+        xs, ys = blacks[start : start + k], whites[start : start + k]
+        start += k
+        pieces.append((xs, ys))
+        edges.update(zip(xs, ys))
+        if k > 1:
+            edges.update((xs[i], ys[i - 1]) for i in range(k))
+            edges.update((x, y) for x in xs for y in ys if rng.random() < 0.3)
+    for i, (xs, _) in enumerate(pieces):
+        for _, ys in pieces[i + 1 :]:
+            edges.update((x, y) for x in xs for y in ys if rng.random() < 0.3)
+    return graph_from_edges(n1, n1, edges)
+
+
+def test_admissible_edges_matches_the_reference():
+    # the closure split on M-direction masks against the route it replaced,
+    # part membership from `direction.elementary_parts`
+    rng = random.Random(41)
+    seen = {"unbalanced": 0, "no_pm": 0, "isolated": 0, "k2_and_larger": 0, "all": 0}
+    for i in range(400):
+        b = (_random_bigraph if i % 2 else _chained_pieces)(rng)
+        if i % 4 >= 2:
+            # cut every edge at one vertex
+            x = rng.choice(b.vertices)
+            b = graph_from_edges(b.n1, b.n2, [e for e in b.edges if x not in e])
+        got = admissible_edges(b)
+        assert got == ref_admissible_edges(b), (b.n1, b.n2, sorted(b.edges))
+        sizes = sorted(len(c) for c in _components(b.vertices, got) if len(c) > 1)
+        seen["unbalanced"] += b.n1 != b.n2
+        seen["no_pm"] += b.n1 == b.n2 and not has_perfect_matching(b)
+        seen["isolated"] += any(not b.adj[v] for v in b.vertices)
+        seen["k2_and_larger"] += bool(sizes) and sizes[0] == 2 and sizes[-1] > 2
+        seen["all"] += bool(got) and got == b.edges
+    assert min(seen.values()) >= 20, seen
 
 
 @settings(max_examples=60, deadline=None)

@@ -350,6 +350,40 @@ def test_matching_minor_check_agrees_on_benchmark_shapes(monkeypatch):
         assert tuple(matching_counts) == pinned_matchings, sorted(b.edges)
 
 
+# sha256 of every `_solve_full` call that `matching_minor_check` makes on
+# the hosts of the test below, with its verdict.  The call counts above
+# show a change of order only on a "yes" check; this digest also shows a
+# change of any instance handed to the DP, or of the order of the calls or
+# of the pairs within one.  The hosts give 495 calls, 29 of them solvable.
+PINNED_INSTANCE_DIGEST = "c99e77c6270d68e3826e984accad13854f7e03355eb7fbf7b7fb95aec671e88a"
+
+
+def test_matching_minor_check_instance_sequence_pinned(monkeypatch):
+    # 60 hosts shaped like the `minor` benchmark's (planted, n1 4-5, 3-4
+    # extra edges), each checked against C4, C6, C8 and K3,3
+    import hashlib
+
+    import matchwidth.minors as minors
+
+    digest = hashlib.sha256()
+    solve = minors._solve_full
+
+    def recorded(b, pairs, banned, forced, admissible):
+        verdict = solve(b, pairs, banned, forced, admissible)
+        call = (sorted(b.edges), list(pairs), sorted(banned), sorted(forced), verdict)
+        digest.update(repr(call).encode())
+        return verdict
+
+    monkeypatch.setattr(minors, "_solve_full", recorded)
+    rng = random.Random(40)
+    targets = [even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)]
+    for _ in range(60):
+        b = random_bipartite_with_pm(rng, rng.randint(4, 5), rng.randint(3, 4))
+        for h in targets:
+            digest.update(repr(minors.matching_minor_check(b, h)).encode())
+    assert digest.hexdigest() == PINNED_INSTANCE_DIGEST
+
+
 def test_equal_patterns_are_analysed_once(monkeypatch):
     # two separately built, equal patterns share one `_pattern` entry: h's
     # symmetries and perfect matchings are worked out on the first check

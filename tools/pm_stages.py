@@ -1,5 +1,5 @@
-"""Wall time per pool pass of each stage of the `pm` route, for seeing
-which stage a change made cheaper.
+"""Wall time per pool pass of each stage of the `pm` and `minor` routes,
+for seeing which stage a change made cheaper.
 
     python3 tools/pm_stages.py --src <checkout>/src --workload W --seed N
 
@@ -15,10 +15,13 @@ stdout is the same as one JSON object.  The wrappers add their own small
 cost to every stage and to the pass.  Stages nest, so their times do not
 add up to the pass: the cop strategies' closing check (`dtd_fault`, or
 `validate_dtd` in older checkouts) runs inside `dtd_greedy` and
-`dtw_exact_small`.  A generator stage (`elementary_directions`) is
-counted only, its time "-": the tracer records no span for it, since its
-body runs while `count_pm` consumes it, and `m_direction`, which that
-body calls, keeps its own stage.
+`dtw_exact_small`.  On `minor`, `admissible_edges`, `_solve_full` and
+`has_perfect_matching` run inside `matching_minor_check`, and
+`max_matching` inside each of the three.  A generator stage
+(`elementary_directions`, `make_proxies`) is counted only, its time "-":
+the tracer records no span for it, since its body runs while its caller
+(`count_pm`, `_solve_full`) consumes it; `m_direction`, which
+`elementary_directions` calls, keeps its own stage.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ STAGES = (
     "decomp.cut_width",
     "decomp.pmw_exact_small",
     "porosity.matching_porosity",
+    "bigraph.admissible_edges",
+    "minors.matching_minor_check",
+    "linkage._solve_full",
+    "linkage.make_proxies",
+    "bigraph.has_perfect_matching",
 )
 
 
