@@ -4,7 +4,6 @@ JSON decomposition schemas."""
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 from typing import Iterable
 
 from .bigraph import BipartiteGraph, Edge, Matching, check_matching
@@ -72,9 +71,12 @@ def parse_graph_text(text: str) -> BipartiteGraph | Digraph:
 
 def read_text(path: str) -> str:
     """The text of a file, or of stdin for `-`; undecodable bytes raise
-    `ParseError`."""
+    `ParseError`, and a file that cannot be opened `OSError`."""
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
 

@@ -635,16 +635,32 @@ def _solve_full(
     extendability test: every forced edge lies in W or avoids V(W), so it
     exists iff W, W' and the forced edges extend together in b.  It is also
     the matching the instance's decomposition is built on, which
-    `_dp_decides` takes from here."""
+    `_dp_decides` takes from here.
+
+    An instance too starved to hold a proxy family is refused before any
+    W is listed: each remaining pair's proxy takes two vertices of its own
+    outside banned and V(W), and every W covers the terminals and the
+    forced edges at them.  The verdict is the one the W loop would reach."""
     # routing an adjacent pair along its own edge is always safe: any
     # solution reroutes onto the edge since the other paths avoid its
     # terminals already, so a single branch suffices
-    direct_terms = {x for s, t in pairs if b.has_edge(s, t) for x in (s, t)}
-    pairs = tuple((s, t) for s, t in pairs if not b.has_edge(s, t))
+    direct_terms: set[int] = set()
+    kept = []
+    for s, t in pairs:
+        if b.has_edge(s, t):
+            direct_terms.update((s, t))
+        else:
+            kept.append((s, t))
+    pairs = tuple(kept)
     terminals = {x for p in pairs for x in p}
     banned = banned | frozenset(direct_terms - terminals)
     if not pairs:
         return True
+    # starved: no W leaves two vertices per pair outside `make_proxies`'
+    # avoid = banned | V(W)
+    blocked = banned | terminals | {x for e in forced if not terminals.isdisjoint(e) for x in e}
+    if b.n - len(blocked) < 2 * len(pairs):
+        return False
 
     # W candidates: extendable matchings covering all terminals, every edge
     # covering a terminal, compatible with the forced edges.  No pair is an

@@ -516,9 +516,10 @@ PATTERN_CACHE_SIZE = 16
 class _MhTables:
     """The tables `_check_with_mh` reads that depend only on h and one
     perfect matching m_h of h.  Every check with this pattern shares them,
-    so nothing may write to them."""
+    so nothing may write to them.  `autos` are h's colour-preserving
+    automorphisms."""
 
-    def __init__(self, h: BipartiteGraph, m_h: Matching) -> None:
+    def __init__(self, h: BipartiteGraph, m_h: Matching, autos: list[dict[int, int]]) -> None:
         self.h_vertices = h_vertices = sorted(h.vertices)
         self.m_edges = sorted(m_h)
         non_m_edges = sorted(e for e in h.edges if e not in m_h)
@@ -539,6 +540,34 @@ class _MhTables:
         self.patterns_by_u = {u: _slot_patterns(len(incident[u])) for u in h_vertices}
         most_spines = max(a for patterns in self.patterns_by_u.values() for _, a in patterns)
         self.shapes_by_size = [_tree_shapes(a) for a in range(most_spines + 1)]
+        # the non-identity automorphisms sigma that map m_h onto itself and
+        # keep, at each vertex guessed with spines, the order of its
+        # non-m_h edges; each as the index of sigma^-1(u) in h_vertices,
+        # per u in h_vertices.  A sigma that reorders them could map a
+        # spine tree onto one whose slots are not numbered parent first,
+        # which `_tree_shapes` does not list.
+        index = {u: i for i, u in enumerate(h_vertices)}
+        self.stab = stab = []
+        for a in autos:
+            if all(a[u] == u for u in h_vertices) or any((a[u], a[v]) not in m_h for u, v in m_h):
+                continue
+            if any(
+                [(a[v], a[w]) for v, w in incident[u]] != incident[a[u]]
+                for u in h_vertices
+                if len(incident[u]) > 2
+            ):
+                continue
+            inverse = {a[u]: u for u in h_vertices}
+            stab.append(tuple(index[inverse[u]] for u in h_vertices))
+        # per u: the vertices u_j whose exposed vertex must lie below u's,
+        # one for each sigma whose first moved position j has
+        # sigma^-1(u_j) = u (see `_check_with_mh`)
+        self.lower = {u: [] for u in h_vertices}
+        for perm in stab:
+            j = next(j for j, k in enumerate(perm) if k != j)
+            below = self.lower[h_vertices[perm[j]]]
+            if h_vertices[j] not in below:
+                below.append(h_vertices[j])
 
 
 class _Pattern:
@@ -586,7 +615,7 @@ class _Pattern:
             if m_h in seen:
                 continue
             seen.update(frozenset((a[u], a[v]) for u, v in m_h) for a in autos)
-            out.append(_MhTables(self.h, m_h))
+            out.append(_MhTables(self.h, m_h, autos))
         return out
 
 
@@ -607,9 +636,9 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
     edge paths become terminal pairs of one DAPP instance whose forced set F
     consists of the anchor edges and the conformal-path end edges.
 
-    Each piece of work is done once, and both skips rest on one premise:
-    relabelling h by an automorphism maps the placement search for one
-    perfect matching m_h onto the search for its image.
+    Each piece of work is done once, and the three skips rest on one
+    premise: relabelling h by an automorphism maps the placement search for
+    one perfect matching m_h onto the search for its image.
 
     - Per process, for each pattern (`_pattern`, keyed on the value of h):
       the matching-covered test, h's symmetries, the m_h representatives
@@ -619,6 +648,9 @@ def matching_minor_check(b: BipartiteGraph, h: BipartiteGraph) -> bool:
         classes runs only when no automorphism swaps them.  If sigma does,
         that pass for m_h is the unflipped pass for sigma(m_h), which is
         tried anyway.
+      - An automorphism that maps m_h onto itself maps the search for m_h
+        onto itself, so each placement is searched once per orbit of
+        those (`_MhTables.stab`, see `_check_with_mh`).
     - Per call: one verdict memo serves every guess (see `_check_with_mh`),
       so a DAPP instance that several guesses build is solved once.
 
@@ -764,15 +796,35 @@ def _check_with_mh(
     other edge extends to no perfect matching, so each instance skipped is
     one that `run` would refuse before it reaches `_solve_full`.
 
+    A placement relabelled by an automorphism sigma in `tables.stab`
+    (sigma maps m_h onto itself) is the same model: it builds the same
+    instances, as forced set and set of pairs.  `_MhTables` keeps only the
+    sigma that also keep the slot pattern and spine tree of each vertex
+    guessed with spines, so sigma maps the placements this search reaches
+    onto themselves.  So only the member of each orbit whose tuple of
+    exposed vertices, in the order of `h_vertices`, is lexicographically
+    least is searched.  The anchors are distinct host vertices, so the
+    tuple and its image under sigma first differ at sigma's first moved
+    position j, where the image reads the exposed vertex of the later
+    sigma^-1(u_j): the image is smaller iff that vertex lies below u_j's.
+    `place` therefore cuts an exposed vertex of u that lies below the
+    exposed vertex of a vertex in `tables.lower[u]`, as soon as u is
+    placed; the least member of an orbit is never cut.  Without spines the
+    exposed tuples come in lexicographic order, so the member kept is the
+    first one visited, the others would only repeat its instances, and the
+    `_solve_full` calls are those of the search without the cut.  Past 12
+    pattern vertices `_Pattern._symmetries` gives the identity alone, and
+    nothing is cut.
+
     Only host work happens here, on vertex masks: the used host vertices
     are one mask passed down the recursion.  The pattern side (h's vertex
     order, the slot patterns and spine shapes of each vertex, the edge
-    slots and the mate of each vertex under m_h) comes precomputed in
-    `tables`, once per process (`_pattern`).  `memo` holds, for this
-    `matching_minor_check` call, the verdict of each (forced set, set of
-    terminal pairs) instance already solved and, keyed on the forced set
-    alone, whether that set extends to a perfect matching of b (see
-    `run`).
+    slots, the mate of each vertex under m_h and the vertices in `lower`)
+    comes precomputed in `tables`, once per process (`_pattern`).  `memo`
+    holds, for this `matching_minor_check` call, the verdict of each
+    (forced set, set of terminal pairs) instance already solved and, keyed
+    on the forced set alone, whether that set extends to a perfect
+    matching of b (see `run`).
     """
     n1 = b.n1
     adj_masks = b.adj_masks
@@ -781,6 +833,7 @@ def _check_with_mh(
     edge_slots = tables.edge_slots
     earlier = tables.earlier
     mate = tables.mate
+    lower = tables.lower
     patterns_by_u = tables.patterns_by_u
     shapes_by_size = tables.shapes_by_size
     # each host vertex's admissible neighbours, as a mask
@@ -847,8 +900,9 @@ def _check_with_mh(
         anchors = at[u]
         link = linked[slot]
         if slot == 0:
+            floor = max([at[v][0] for v in lower[u]], default=0)
             for x, deg in exposed_cands[cls]:
-                if used >> x & 1 or deg < need[0]:
+                if x < floor or used >> x & 1 or deg < need[0]:
                     continue
                 d = demand + 2 * (link & ~adj_masks[x]).bit_count()
                 if d > slack:

@@ -254,6 +254,29 @@ def test_cli_error_exit(tmp_path):
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
 
+def test_cli_minor_refuses_each_unreadable_graph_file(tmp_path, capsys):
+    # `minor` reads two files: a missing or unopenable one is an OSError,
+    # undecodable bytes a ParseError, and each exits 2 naming the path
+    c4 = tmp_path / "c4.txt"
+    c4.write_text(write_graph_text(even_cycle(2)))
+    binary = tmp_path / "elf"
+    binary.write_bytes(ELF_HEAD)
+    missing = tmp_path / "missing.txt"
+    for argv in (
+        [str(c4), str(missing)],
+        [str(missing), str(c4)],
+        [str(c4), str(tmp_path)],
+        [str(binary), str(c4)],
+        [str(c4), str(binary)],
+    ):
+        assert main(["minor", *argv]) == 2, argv
+        out, err = capsys.readouterr()
+        bad = argv[0] if argv[1] == str(c4) else argv[1]
+        assert out == "" and err.startswith("error:") and bad in err, (argv, err)
+    capsys.readouterr()
+    assert main(["minor", str(c4), str(c4)]) == 0
+
+
 def test_cli_malformed_matching_file(tmp_path):
     graph = tmp_path / "c4.txt"
     graph.write_text(write_graph_text(even_cycle(2)))

@@ -639,3 +639,106 @@ def test_matching_minor_check_on_a_host_without_a_perfect_matching():
     host = graph_from_edges(3, 3, [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5), (3, 5)])
     assert matching_minor_check(host, even_cycle(2)) is False
     assert matching_minor_bruteforce(host, even_cycle(2)) is False
+
+
+def test_benchmark_patterns_prune_by_the_stabiliser_of_m_h():
+    # |Stab(m_h)| in the colour-preserving automorphisms is 2, 3, 4 and 6
+    # for C4, C6, C8 and K3,3; each has one m_h up to symmetry, and the
+    # search prunes by the non-identity elements.  Each is stored as the
+    # index of sigma^-1(u) in h_vertices, per u.
+    from matchwidth.minors import _pattern
+
+    sizes = [
+        (even_cycle(2), 1), (even_cycle(3), 2), (even_cycle(4), 3), (complete_bipartite(3, 3), 5),
+    ]
+    for h, size in sizes:
+        (tables,) = _pattern(h).representatives
+        vertices = tables.h_vertices
+        m_h = frozenset(tables.m_edges)
+        assert len(set(tables.stab)) == len(tables.stab) == size, h.n
+        for perm in tables.stab:
+            assert sorted(perm) == list(range(h.n)) and perm != tuple(range(h.n))
+            inverse = {u: vertices[k] for u, k in zip(vertices, perm)}
+            assert {(inverse[u], inverse[v]) for u, v in h.edges} == h.edges
+            assert {(inverse[u], inverse[v]) for u, v in m_h} == m_h
+
+
+# A matching-covered pattern whose vertices 3-6 have degree 4, so the
+# search guesses spines for them.  Its third perfect matching up to
+# symmetry, {1-7, 2-8, 3-5, 4-6}, is fixed by (3 4)(5 6), which keeps the
+# order of the non-m_h edges at each of 3-6; no automorphism fixes the
+# other two.  With spines, the first member of an orbit the search visits
+# need not be the one it keeps.
+DEGREE_FOUR = graph_from_edges(
+    4,
+    4,
+    [
+        (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (2, 8), (3, 5),
+        (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (4, 8),
+    ],
+)
+# DEGREE_FOUR with vertex 3 split in two, joined through the new V2
+# vertex 10: 3 keeps 6 and 7 (old 5 and 6), the new V1 vertex 5 takes 8
+# and 9 (old 7 and 8)
+DEGREE_FOUR_SPLIT = [
+    (1, 6), (1, 7), (1, 8), (2, 6), (2, 7), (2, 9), (3, 6), (3, 7),
+    (3, 10), (4, 6), (4, 7), (4, 8), (4, 9), (5, 8), (5, 9), (5, 10),
+]
+
+
+def _pruning_hosts(rng):
+    """DEGREE_FOUR_SPLIT relabelled within its classes, with up to two of
+    its edges dropped and up to two added."""
+    for _ in range(10):
+        v1, v2 = rng.sample(range(1, 6), 5), rng.sample(range(6, 11), 5)
+        edges = {(v1[x - 1], v2[y - 6]) for x, y in DEGREE_FOUR_SPLIT}
+        edges -= set(rng.sample(sorted(edges), rng.randint(0, 2)))
+        others = [(x, y) for x in range(1, 6) for y in range(6, 11) if (x, y) not in edges]
+        edges |= set(rng.sample(others, rng.randint(0, 2)))
+        yield graph_from_edges(5, 5, edges)
+
+
+def test_matching_minor_check_prunes_without_losing_an_instance(monkeypatch):
+    # pruned by Stab(m_h), the check answers as the closure search does,
+    # and on a "no" host, where it solves every instance it builds, it
+    # solves the same set of instances as the search without pruning
+    import matchwidth.minors as minors
+    from matchwidth.bigraph import is_matching_covered
+
+    assert is_matching_covered(DEGREE_FOUR)
+    assert [len(t.stab) for t in minors._pattern(DEGREE_FOUR).representatives] == [0, 0, 1]
+    solved = []
+    solve = minors._solve_full
+
+    def recorded(b, pairs, banned, forced, admissible):
+        solved.append((forced, frozenset(pairs)))
+        return solve(b, pairs, banned, forced, admissible)
+
+    tables = minors._MhTables.__init__
+
+    def unpruned(self, h, m_h, autos):
+        tables(self, h, m_h, [{v: v for v in h.vertices}])
+
+    def check(b, h, prune):
+        minors._pattern.cache_clear()
+        solved.clear()
+        with monkeypatch.context() as patch:
+            if not prune:
+                patch.setattr(minors._MhTables, "__init__", unpruned)
+            got = minors.matching_minor_check(b, h)
+        minors._pattern.cache_clear()
+        return got, set(solved)
+
+    monkeypatch.setattr(minors, "_solve_full", recorded)
+    rng = random.Random(41)
+    hosts = [(b, DEGREE_FOUR) for b in _pruning_hosts(rng)]
+    hosts += [(random_bipartite_with_pm(rng, 5, rng.randint(7, 12)), cube()) for _ in range(8)]
+    answers = {DEGREE_FOUR: set(), cube(): set()}
+    for b, h in hosts:
+        got, instances = check(b, h, True)
+        want, want_instances = check(b, h, False)
+        assert got == want == matching_minor_bruteforce(b, h), (sorted(b.edges), h.n)
+        if not got:
+            assert instances == want_instances, (sorted(b.edges), h.n)
+        answers[h].add(got)
+    assert all(seen == {True, False} for seen in answers.values())

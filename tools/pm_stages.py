@@ -12,22 +12,26 @@ stage the checkout lacks is reported missing.  For each stage it prints
 the median over the passes of its inclusive wall time per pass, with its
 calls per pass, and the median wall time of a whole pass; the last line of
 stdout is the same as one JSON object.  The wrappers add their own small
-cost to every stage and to the pass.  Stages nest, so their times do not
-add up to the pass: the cop strategies' closing check (`dtd_fault`, or
-`validate_dtd` in older checkouts) runs inside `dtd_greedy` and
-`dtw_exact_small`.  On `minor`, `admissible_edges`, `_solve_full` and
-`has_perfect_matching` run inside `matching_minor_check`, and
-`max_matching` inside each of the three.  A generator stage
-(`elementary_directions`, `make_proxies`) is counted only, its time "-":
-the tracer records no span for it, since its body runs while its caller
-(`count_pm`, `_solve_full`) consumes it; `m_direction`, which
-`elementary_directions` calls, keeps its own stage.
+cost to every stage and to the pass.  The collector is paused while a
+pass is timed, so no collection lands in whichever stage happens to be
+running; after each pass one `gc.collect()` runs outside the timing, and
+the median of its seconds and of the objects it found are printed on a
+line of their own.  Stages nest, so their times do not add up to the
+pass: the cop strategies' closing check (`dtd_fault`, or `validate_dtd`
+in older checkouts) runs inside `dtd_greedy` and `dtw_exact_small`.  On
+`minor`, `admissible_edges`, `_solve_full` and `has_perfect_matching` run
+inside `matching_minor_check`, and `max_matching` inside each of the
+three.  A generator stage (`elementary_directions`, `make_proxies`) is
+counted only, its time "-": the tracer records no span for it, since its
+body runs while its caller (`count_pm`, `_solve_full`) consumes it;
+`m_direction`, which `elementary_directions` calls, keeps its own stage.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import statistics
@@ -97,17 +101,29 @@ def main(argv: list[str] | None = None) -> int:
     questions = workloads.build_questions(args.workload, args.seed)
     per_pass: list[dict[str, tuple[int, float]]] = []
     pass_s: list[float] = []
+    gc_s: list[float] = []
+    gc_found: list[int] = []
     with tempfile.TemporaryDirectory() as tmp:
         workloads.write_pool(questions, Path(tmp))
         with Tracer(list(STAGES)) as tracer:
             one_pass(cli, questions)
+            gc.collect()
             for _ in range(PASSES):
                 tracer.spans.clear()
                 for totals in tracer.totals.values():
                     totals.calls = 0
-                start = time.perf_counter()
-                one_pass(cli, questions)
-                pass_s.append(time.perf_counter() - start)
+                gc.disable()
+                try:
+                    start = time.perf_counter()
+                    one_pass(cli, questions)
+                    pass_s.append(time.perf_counter() - start)
+                    # before the collector resumes, or its first automatic
+                    # collection takes the pass's garbage
+                    start = time.perf_counter()
+                    gc_found.append(gc.collect())
+                    gc_s.append(time.perf_counter() - start)
+                finally:
+                    gc.enable()
                 per_pass.append(stage_times(tracer.spans, tracer.totals))
             missing = list(tracer.missing)
 
@@ -127,11 +143,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name:28s} {took:9.4f} s  {calls:6d} calls")
     total = statistics.median(pass_s)
     print(f"  {'pass':28s} {total:9.4f} s")
+    collect_s = statistics.median(gc_s)
+    found = statistics.median(gc_found)
+    print(f"  {'gc.collect after a pass':28s} {collect_s:9.4f} s  {found:6.0f} objects")
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
         "passes": PASSES,
         "pass_s": round(total, 5),
+        "gc": {"seconds": round(collect_s, 5), "objects": found},
         "stages": stages,
         "missing": missing,
     }))
