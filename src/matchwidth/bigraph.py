@@ -161,7 +161,9 @@ def max_matching(b: BipartiteGraph, banned: frozenset[int] = frozenset()) -> dic
 
     Hopcroft-Karp on `adj_masks`, with V1 and each vertex's neighbours
     taken in ascending order; partners are kept in lists, where 0 marks
-    a vertex not yet matched."""
+    a vertex not yet matched.  Each phase's layered search runs from each
+    free V1 vertex on an explicit stack of (vertex, neighbour iterator)
+    pairs, so a long augmenting path costs no Python recursion."""
     gone = 0
     for x in banned:
         gone |= 1 << x
@@ -179,8 +181,7 @@ def max_matching(b: BipartiteGraph, banned: frozenset[int] = frozenset()) -> dic
     pair_v = [0] * (b.n + 1)
     inf = b.n + 1  # above every BFS layer
     dist = [inf] * (b.n1 + 1)
-
-    def bfs() -> bool:
+    while True:
         queue = []
         for u in left:
             if pair_u[u]:
@@ -199,22 +200,30 @@ def max_matching(b: BipartiteGraph, banned: frozenset[int] = frozenset()) -> dic
                 elif dist[w] == inf:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        return found != inf
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_v[v]
-            if not w or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_u[u] = v
-                pair_v[v] = u
-                return True
-        dist[u] = inf
-        return False
-
-    while bfs():
-        for u in left:
-            if not pair_u[u]:
-                dfs(u)
+        if found == inf:
+            break
+        for root in left:
+            if pair_u[root]:
+                continue
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                u, rest = stack[-1]
+                for v in rest:
+                    w = pair_v[v]
+                    if not w:
+                        # augment: the top vertex takes v, and each one
+                        # below it the partner of the vertex above
+                        for x, _ in reversed(stack):
+                            pair_v[v] = x
+                            pair_u[x], v = v, pair_u[x]
+                        stack.clear()
+                        break
+                    if dist[w] == dist[u] + 1:
+                        stack.append((w, iter(adj[w])))
+                        break
+                else:
+                    dist[u] = inf
+                    stack.pop()
     return {u: pair_u[u] for u in left if pair_u[u]}
 
 

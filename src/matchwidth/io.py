@@ -151,10 +151,10 @@ def dtd_from_json(data: dict) -> DirectedTreeDecomposition:
         parent = [0] * m
         bags: list[frozenset[int]] = [frozenset()] * m
         guards: list[frozenset[int]] = [frozenset()] * m
-        for entry in nodes:
-            t = int(entry["id"])
-            if not (0 <= t < m):
-                raise ParseError(f"node id {t} out of range")
+        ids = [int(entry["id"]) for entry in nodes]
+        if sorted(ids) != list(range(m)):
+            raise ParseError(f"node ids are not 0..{m - 1}, each once")
+        for t, entry in zip(ids, nodes):
             parent[t] = int(entry["parent"])
             if not (-1 <= parent[t] < m):
                 raise ParseError(f"parent {parent[t]} of node {t} out of range")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Iterable, Iterator
 
 from .bigraph import (
@@ -708,40 +709,22 @@ def _slot_patterns(count: int) -> list[tuple[tuple[int, ...], int]]:
     The re-rooted model has {r} as u's vertex model, the same vertex set
     and the same M, so condition (vi) still holds, and the search places
     u's exposed vertex on r.  The rule is per vertex: a vertex of degree 4
-    or more keeps every pattern."""
+    or more keeps every pattern.  Otherwise the patterns are the strings
+    in which each slot is at most one above the largest slot before it (0
+    at the start), in lexicographic order; slot i is at most i + 1."""
     if count <= 2:
         return [((0,) * count, 0)]
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(i: int, assign: list[int], top: int) -> None:
-        if i == count:
-            out.append((tuple(assign), top))
-            return
-        for slot in range(0, min(top + 1, count) + 1):
-            assign.append(slot)
-            rec(i + 1, assign, max(top, slot))
-            assign.pop()
-
-    rec(0, [], 0)
-    return out
+    return [
+        (assign, max(assign))
+        for assign in product(*map(range, range(2, count + 2)))
+        if all(slot <= max(assign[:i], default=0) + 1 for i, slot in enumerate(assign))
+    ]
 
 
 def _tree_shapes(a_u: int) -> list[tuple[int, ...]]:
     """Spine trees on slots 0..a_u rooted at slot 0: parent[j - 1] < j is
-    the parent of spine slot j."""
-    shapes: list[tuple[int, ...]] = []
-
-    def rec(j: int, parents: list[int]) -> None:
-        if j > a_u:
-            shapes.append(tuple(parents))
-            return
-        for p in range(0, j):
-            parents.append(p)
-            rec(j + 1, parents)
-            parents.pop()
-
-    rec(1, [])
-    return shapes
+    the parent of spine slot j.  Listed in lexicographic order."""
+    return list(product(*map(range, range(1, a_u + 1))))
 
 
 def _check_with_mh(
@@ -756,10 +739,12 @@ def _check_with_mh(
     perfect matching m_h sits in b, and solve the forced DAPP instance of
     each complete placement.
 
-    One recursion takes the pattern vertices u in sorted order.  For u it
-    guesses a slot pattern (which of u's non-m_h edges leave from which
-    anchor) and a spine tree, then places u's exposed vertex and spines
-    on host vertices and edges, and recurses.
+    One recursion takes the pattern vertices u in sorted order.  For u,
+    `guess` guesses a slot pattern (which of u's non-m_h edges leave from
+    which anchor) and a spine tree, and `place` places u's anchors in slot
+    order from one candidate loop, and recurses.  Past the last u, `guess`
+    reads off the placement's pairs and spine edges, `mh_rec` guesses how
+    each m_h edge is realised, and `run` answers each instance.
 
     An anchor is a pair (h-vertex u, slot): slot 0 is u's exposed vertex,
     slot j >= 1 the end in u's host class of the spine edge of slot j.  An
@@ -841,28 +826,45 @@ def _check_with_mh(
     for x, y in admissible:
         adm[x] |= 1 << y
         adm[y] |= 1 << x
-    # host candidates per colour class, in the order they are tried:
-    # (vertex, degree) for an exposed vertex, and (admissible edge, end in
-    # the class, other end, degree of the first end, mask of both ends)
-    # for a spine
-    exposed_cands = {c: [(v, b.degree(v)) for v in vs] for c, vs in ((1, b.v1), (2, b.v2))}
+    # host candidates per colour class, in the order `place` tries them,
+    # each (spine edge, anchor vertex, other end of the spine edge, degree
+    # of the anchor vertex, mask of the vertices it takes): an admissible
+    # edge for a spine slot, and for an exposed vertex x (slot 0)
+    # (None, x, None, deg, 1 << x), with no spine edge
+    exposed_cands = {
+        c: [(None, x, None, b.degree(x), 1 << x) for x in xs] for c, xs in ((1, b.v1), (2, b.v2))
+    }
     host_edges = sorted(admissible)
     spine_cands = {
         1: [(e, e[0], e[1], b.degree(e[0]), 1 << e[0] | 1 << e[1]) for e in host_edges],
         2: [(e, e[1], e[0], b.degree(e[1]), 1 << e[0] | 1 << e[1]) for e in host_edges],
     }
 
-    # placement state per placed u: its guess (slot pattern, spine tree),
-    # the host vertex of each anchor, and its spine edges with their other
-    # ends; the mask `used` of the host vertices taken so far is passed
-    # down the recursion
+    # placement state per placed u: its guess (slot pattern, spine tree)
+    # and the candidate each of its anchors took, in slot order (so
+    # `at[u][j][1]` is the host vertex of anchor (u, j)); the mask `used`
+    # of the host vertices taken so far is passed down the recursion
     guessed: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    at: dict[int, list[int]] = {u: [] for u in h_vertices}
-    spines: dict[int, list[tuple[Edge, int]]] = {u: [] for u in h_vertices}
+    at: dict[int, list[tuple]] = {u: [] for u in h_vertices}
 
     def guess(i: int, slack: int, demand: int, used: int) -> bool:
         if i == len(h_vertices):
-            return solve(used)
+            # the placement is complete: a leg from each spine's parent
+            # anchor to its edge's other end, the spine edges forced, and
+            # one path per non-m_h edge of h between its two anchors; each
+            # pair with its V1 end first
+            legs = []
+            forced = set()
+            for u in h_vertices:
+                for p, (e, _, y, _, _) in zip(guessed[u][1], at[u][1:]):
+                    x = at[u][p][1]
+                    legs.append((x, y) if x <= n1 else (y, x))
+                    forced.add(e)
+            edge_pairs = []
+            for u, iu, v, iv in edge_slots:
+                x, y = at[u][guessed[u][0][iu]][1], at[v][guessed[v][0][iv]][1]
+                edge_pairs.append((x, y) if x <= n1 else (y, x))
+            return mh_rec(0, forced, legs, tuple(edge_pairs), used)
         u = h_vertices[i]
         for pattern, a_u in patterns_by_u[u]:
             if demand > slack - 2 * a_u:
@@ -871,9 +873,9 @@ def _check_with_mh(
             # each anchor
             linked = [0] * (a_u + 1)
             for iu, v, iv in earlier[u]:
-                linked[pattern[iu]] |= 1 << at[v][guessed[v][0][iv]]
+                linked[pattern[iu]] |= 1 << at[v][guessed[v][0][iv]][1]
             if mate[u] < u:
-                linked[0] |= 1 << at[mate[u]][0]
+                linked[0] |= 1 << at[mate[u]][0][1]
             for shape in shapes_by_size[a_u]:
                 need = [1] * (a_u + 1)
                 for j in pattern + shape:
@@ -896,61 +898,35 @@ def _check_with_mh(
         # place anchor (u, slot), then the next; past u's last, the next u
         if slot == len(need):
             return guess(i + 1, slack, demand, used)
-        cls = host_class[u]
         anchors = at[u]
         link = linked[slot]
-        if slot == 0:
-            floor = max([at[v][0] for v in lower[u]], default=0)
-            for x, deg in exposed_cands[cls]:
-                if x < floor or used >> x & 1 or deg < need[0]:
-                    continue
-                d = demand + 2 * (link & ~adj_masks[x]).bit_count()
-                if d > slack:
-                    continue
-                anchors.append(x)
-                if place(i, u, 1, need, linked, slack, d, used | 1 << x):
-                    return True
-                anchors.pop()
-            return False
-        for e, old, new, deg, ends in spine_cands[cls]:
-            if used & ends or deg < need[slot]:
+        if slot:
+            cands, floor = spine_cands[host_class[u]], 0
+        else:
+            cands = exposed_cands[host_class[u]]
+            floor = max([at[v][0][1] for v in lower[u]], default=0)
+        for cand in cands:
+            _, x, _, deg, ends = cand
+            if x < floor or used & ends or deg < need[slot]:
                 continue
-            d = demand + 2 * (link & ~adj_masks[old]).bit_count()
+            d = demand + 2 * (link & ~adj_masks[x]).bit_count()
             if d > slack:
                 continue
-            anchors.append(old)
-            spines[u].append((e, new))
+            anchors.append(cand)
             if place(i, u, slot + 1, need, linked, slack, d, used | ends):
                 return True
-            spines[u].pop()
             anchors.pop()
         return False
-
-    def ordered(x: int, y: int) -> tuple[int, int]:
-        return (x, y) if x <= n1 else (y, x)
-
-    def solve(used: int) -> bool:
-        leg_pairs = [
-            ordered(at[u][p], new)
-            for u in h_vertices
-            for p, (_, new) in zip(guessed[u][1], spines[u])
-        ]
-        edge_pairs = tuple(
-            ordered(at[u][guessed[u][0][iu]], at[v][guessed[v][0][iv]])
-            for u, iu, v, iv in edge_slots
-        )
-        forced = {e for u in h_vertices for e, _ in spines[u]}
-        return mh_rec(0, forced, leg_pairs, edge_pairs, used)
 
     def mh_rec(i: int, forced: set[Edge], pairs: list, edge_pairs: tuple, used: int) -> bool:
         if i == len(m_edges):
             return run(frozenset(forced), tuple(pairs) + edge_pairs)
         u, v = m_edges[i]
-        xu, xv = at[u][0], at[v][0]
+        xu, xv = at[u][0][1], at[v][0][1]
         # degenerate realisation: the pattern matching edge maps to a single
         # matching edge of the host
         if adm[xu] >> xv & 1:
-            e = ordered(xu, xv)
+            e = (xu, xv) if xu <= n1 else (xv, xu)
             forced.add(e)
             if mh_rec(i + 1, forced, pairs, edge_pairs, used):
                 return True
@@ -964,15 +940,15 @@ def _check_with_mh(
             bit_u = ends_u & -ends_u
             ends_u ^= bit_u
             pu = bit_u.bit_length() - 1
-            eu = ordered(xu, pu)
+            eu = (xu, pu) if xu <= n1 else (pu, xu)
             ends_v = free_v
             while ends_v:
                 bit_v = ends_v & -ends_v
                 ends_v ^= bit_v
                 pv = bit_v.bit_length() - 1
-                ev = ordered(xv, pv)
+                ev = (xv, pv) if xv <= n1 else (pv, xv)
                 forced.update((eu, ev))
-                pairs.append(ordered(pv, pu))
+                pairs.append((pv, pu) if pv <= n1 else (pu, pv))
                 if mh_rec(i + 1, forced, pairs, edge_pairs, used | bit_u | bit_v):
                     return True
                 pairs.pop()
@@ -986,7 +962,7 @@ def _check_with_mh(
 
         For the fixed host b the verdict depends on the forced set and the
         set of pairs alone: the order of the pairs does not change the
-        instance, and `ordered` already puts each pair's V1 end first.  So
+        instance, and each pair already has its V1 end first.  So
         `memo` keys the verdict on `(forced, sorted pairs)` for the rest of
         the `matching_minor_check` call, and a repeated instance is answered
         without checking extendability or calling `_solve_full` again.  The
@@ -999,29 +975,33 @@ def _check_with_mh(
         in `tests/test_linkage.py` checks the DP against the oracle in both
         pair orders, and `tests/test_minors.py` checks the verdicts on hosts
         shaped like the benchmark's.
+
+        Before the DP, a perfect matching of b must extend `forced`.  The
+        set is always a matching: `place` and `mh_rec` mark every end of a
+        forced edge in `used` and skip used vertices.  Many instances
+        share their forced set, so `memo` keys this verdict on the set
+        alone.
         """
         key = (forced, tuple(sorted(all_pairs)))
         verdict = memo.get(key)
         if verdict is None:
             covered = frozenset(x for f in forced for x in f)
             terminals = {x for p in all_pairs for x in p}
-            verdict = memo[key] = extends(forced, covered) and _solve_full(
+            extends = memo.get(forced)
+            if extends is None:
+                extends = memo[forced] = has_perfect_matching(b, covered)
+            verdict = memo[key] = extends and _solve_full(
                 b, all_pairs, covered - terminals, forced, admissible
             )
         return verdict
 
-    def extends(forced: frozenset[Edge], covered: frozenset[int]) -> bool:
-        # does a perfect matching of b extend `forced`?  The set is always
-        # a matching: `place` and `mh_rec` mark every end of a forced edge
-        # in `used` and skip used vertices.  Many instances
-        # share their forced set; `memo` keys this verdict on the set alone.
-        ok = memo.get(forced)
-        if ok is None:
-            ok = memo[forced] = has_perfect_matching(b, covered)
-        return ok
-
-    for flip in pattern.flips:
-        host_class = {u: 3 - c if flip else c for u, c in pattern.colour_of.items()}
-        if guess(0, budget, 0, 0):
-            return True
-    return False
+    # the closures name each other through their cells; clearing the names
+    # on the way out leaves no reference cycle for the collector
+    try:
+        for flip in pattern.flips:
+            host_class = {u: 3 - c if flip else c for u, c in pattern.colour_of.items()}
+            if guess(0, budget, 0, 0):
+                return True
+        return False
+    finally:
+        guess = place = mh_rec = run = None

@@ -42,6 +42,17 @@ def path_graph(n_edges: int) -> BipartiteGraph:
     return graph_from_edges(n1, n2, edges)
 
 
+def greedy_trap_path(n1: int) -> BipartiteGraph:
+    """The path joining V1 vertex i to V2 vertices 2 n1 + 1 - i and, for
+    i < n1, 2 n1 - i.  Its one perfect matching is i -> 2 n1 + 1 - i, but
+    matching V1 in ascending order, each vertex to its lowest free
+    neighbour, takes i -> 2 n1 - i and leaves vertex n1 free: the one
+    augmenting path then runs through every vertex."""
+    return graph_from_edges(
+        n1, n1, [(i, 2 * n1 + 1 - i) for i in range(1, n1 + 1)] + [(i, 2 * n1 - i) for i in range(1, n1)]
+    )
+
+
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     return graph_from_edges(a, b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 

@@ -28,9 +28,11 @@ from common import (
     canonical_cycle_matching,
     complete_bipartite,
     even_cycle,
+    greedy_trap_path,
     k2,
     path_graph,
     random_bipartite_with_pm,
+    recursion_headroom,
     ref_admissible_edges,
     ref_max_matching,
 )
@@ -303,6 +305,15 @@ def test_max_matching_size_matches_networkx():
         g.add_edges_from((u, v) for u, v in b.edges if u not in banned and v not in banned)
         top = [u for u in b.v1 if u not in banned]
         assert len(got) == len(nx.bipartite.hopcroft_karp_matching(g, top)) // 2
+
+
+def test_max_matching_augments_along_a_path_of_any_length():
+    # the last augmenting path runs through all 3,000 vertices; the search
+    # keeps it on a stack of its own, so it needs no Python recursion
+    b = greedy_trap_path(1500)
+    with recursion_headroom(100):
+        got = max_matching(b)
+    assert got == {i: 3001 - i for i in b.v1}
 
 
 def test_max_matching_matches_the_set_based_reference():

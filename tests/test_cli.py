@@ -26,7 +26,7 @@ from matchwidth.decomp import PMW_ORACLE_LIMIT, pmd_width
 from matchwidth.grids import cylindrical_grid, square_grid
 from matchwidth.isomorphism import bipartite_isomorphic, digraph_isomorphic
 
-from common import even_cycle, random_bipartite_with_pm, random_cubic_tree
+from common import even_cycle, greedy_trap_path, random_bipartite_with_pm, random_cubic_tree
 
 
 def run_cli(args, stdin="", flags=()):
@@ -172,6 +172,25 @@ def test_cli_dtw_roundtrip(tmp_path):
     f.write_text(json.dumps(data))
     code2, out2, _ = run_cli(["dtw", "-", "--dtd", str(f)], stdin=d_text)
     assert code2 == 0 and out2.startswith("valid")
+
+
+def test_cli_dtw_refuses_a_decomposition_with_a_repeated_node_id(tmp_path, capsys):
+    # node 0 listed twice as a root with bag {1, 2}: node 1 is never given,
+    # so the file is refused, not read with a default node 1
+    d2 = tmp_path / "d2.d"
+    d2.write_text("d 2\na 1 2\na 2 1\n")
+    node = {"id": 0, "parent": -1, "bag": [1, 2], "guard": []}
+    bad = tmp_path / "dec.json"
+    bad.write_text(json.dumps({"nodes": [node, node]}))
+    assert main(["dtw", str(d2), "--dtd", str(bad), "--proto"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "each once" in captured.err
+    # the ids may come in any order, but must be 0..m-1
+    leaf = {"id": 1, "parent": 0, "bag": [2], "guard": [1]}
+    assert dtd_from_json({"nodes": [leaf, {**node, "bag": [1]}]}).parent == (-1, 0)
+    for ids in ((0, 2), (1, 1), (-1, 0)):
+        with pytest.raises(ParseError, match="each once"):
+            dtd_from_json({"nodes": [{**node, "id": t} for t in ids]})
 
 
 def test_cli_decomp_json_roundtrip(tmp_path):
@@ -357,6 +376,21 @@ def test_cli_minor(tmp_path):
     assert code == 0 and out.strip() == "yes"
     code, out, _ = run_cli(["minor", fb, fh, "--oracle"])
     assert code == 0 and out.strip() == "yes"
+
+
+def test_cli_answers_past_the_recursion_limit(tmp_path, capsys):
+    # every question starts from a perfect matching of the host; on this
+    # path the matching search's one augmenting path runs through all 2,400
+    # vertices, and the answers come back as exit 0, not as a
+    # `RecursionError`
+    path = tmp_path / "path.b"
+    path.write_text(write_graph_text(greedy_trap_path(1200)))
+    k2 = tmp_path / "k2.b"
+    k2.write_text("b 1 1\ne 1 2\n")
+    assert main(["--json", "pm", "count", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == "1"
+    assert main(["minor", str(path), str(k2)]) == 0
+    assert capsys.readouterr().out == "yes\n"
 
 
 @pytest.mark.parametrize("command", ["bminor", "antichain"])

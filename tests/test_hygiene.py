@@ -4,7 +4,8 @@ is referenced somewhere else in the package unless it is a kept oracle or
 paper check, every optional parameter is set by some call in the package,
 every parameter is read, an import inside a function breaks an import
 cycle, no module imports another's underscore name beyond one kept
-exception, and no source or test line holds a tab."""
+exception, no source or test line holds a tab, and every nested function
+that recursion can reach again is listed with what bounds its depth."""
 
 import ast
 from collections import Counter
@@ -340,3 +341,76 @@ def test_no_private_name_is_imported_across_modules():
     src = Path(matchwidth.__file__).parent
     # an entry whose import is gone must go as well
     assert private_imports(sorted(src.glob("*.py"))) == sorted(KEPT_PRIVATE_IMPORTS)
+
+
+# Nested functions that call themselves, directly or through a sibling
+# closure, each with what bounds its depth.  Python recursion stops near
+# 1,000 frames, so an unlisted one may be a `RecursionError` waiting for a
+# large input; where the depth grows with the input, the entry says so.
+KEPT_RECURSIVE_CLOSURES = {
+    "bigraph.enumerate_perfect_matchings.rec": "n1 <= ORACLE_VERTEX_LIMIT / 2 levels",
+    "decomp._branch_dp.build": "the elements, <= PMW_ORACLE_LIMIT",
+    "decomp._monotone_win.win": "each move shrinks the robber's territory: <= DTW_ORACLE_LIMIT",
+    "digraph.simple_directed_cycles.dfs": "grows with the input: d.n (a test oracle)",
+    "direction.conformal_cycles.dfs": "grows with the input: b.n (oracles only)",
+    "grids.square_grid_model.ring_splits.rec": "grows with the input: the order k",
+    "grids.square_grid_model.solve": "grows with the input: the order k",
+    "isomorphism.bipartite_isomorphisms.extend": "n2; pattern symmetries stop at 12 vertices",
+    "linkage._alternating_paths.rec": "b.n / 2 <= DAPP_VERTEX_LIMIT / 2 (`dapp_bruteforce`)",
+    "linkage.dapp_bruteforce.try_pairs": "the pairs, <= DAPP_PAIR_LIMIT",
+    "linkage.make_proxies.rec": "grows with the input: the pairs",
+    "linkage._routes.enumerate_h": "grows with the input: k + w crossings",
+    "linkage._routes.assemble.advance": "grows with the input: k + w segments a side",
+    "linkage._routes.assemble.route_all": "grows with the input: the pairs, <= k + w",
+    "linkage._solve_full.w_candidates": "grows with the input: the terminals",
+    "minors._check_with_mh.guess": "one level per pattern vertex, <= 24 pattern vertices",
+    "minors._check_with_mh.place": "one level per anchor, <= 24 pattern vertices",
+    "minors._check_with_mh.mh_rec": "one level per m_h edge, <= 24 pattern vertices",
+    "minors.butterfly_minor_bruteforce.search": "each step shrinks d, d.n <= BM_ORACLE_LIMIT",
+    "minors.find_model_bruteforce.assign_vertices": "h's vertices, b.n <= MM_ORACLE_LIMIT",
+    "minors.find_model_bruteforce.extend": "h's edges, b.n <= MM_ORACLE_LIMIT",
+    "minors.matching_minor_bruteforce.search": "each step shrinks the graph, b.n <= limit",
+    "planarity.contains_kuratowski_subdivision.disjoint_paths": "<= 10 pairs, K5's edges",
+}
+
+
+def recursive_closures(paths: list[Path]) -> list[str]:
+    """`module.outer.name` of each nested function that can reach itself
+    through calls to itself or to functions nested in the same function;
+    any read of a sibling's name counts as a call."""
+    out = []
+    for path in paths:
+        todo = [(node, path.stem) for node in ast.parse(path.read_text()).body]
+        while todo:
+            fn, prefix = todo.pop()
+            if not isinstance(fn, FUNCTIONS + (ast.ClassDef,)):
+                continue
+            qualname = f"{prefix}.{fn.name}"
+            nested = own_nodes(fn)
+            todo += [(node, qualname) for node in nested]
+            inner = {node.name: node for node in nested if isinstance(node, FUNCTIONS)}
+            if isinstance(fn, ast.ClassDef):
+                continue
+            calls = {
+                name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in inner}
+                for name, node in inner.items()
+            }
+            for name in inner:
+                reached: set[str] = set()
+                frontier = list(calls[name])
+                while frontier:
+                    callee = frontier.pop()
+                    if callee not in reached:
+                        reached.add(callee)
+                        frontier += calls[callee]
+                if name in reached:
+                    out.append(f"{qualname}.{name}")
+    return sorted(out)
+
+
+def test_every_recursive_closure_is_listed_with_its_bound():
+    src = Path(matchwidth.__file__).parent
+    found = recursive_closures(sorted(src.glob("*.py")))
+    assert [name for name in found if name not in KEPT_RECURSIVE_CLOSURES] == []
+    # an entry whose closure is gone or no longer recursive must go as well
+    assert sorted(set(KEPT_RECURSIVE_CLOSURES) - set(found)) == []

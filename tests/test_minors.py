@@ -742,3 +742,69 @@ def test_matching_minor_check_prunes_without_losing_an_instance(monkeypatch):
             assert instances == want_instances, (sorted(b.edges), h.n)
         answers[h].add(got)
     assert all(seen == {True, False} for seen in answers.values())
+
+
+def test_matching_minor_check_leaves_no_reference_cycle():
+    # one check per pool pattern on a host shaped like the `minor`
+    # benchmark's, with the collector paused: what the collector then finds
+    # unreachable is what refcounting alone would have left, and no
+    # function of the search may be part of it.  Each pattern is analysed
+    # first, outside the measured checks: that is once per process, and it
+    # lists h's perfect matchings with a recursive oracle.
+    import gc
+    import types
+
+    import matchwidth.minors as minors
+
+    rng = random.Random(47)
+    targets = [even_cycle(2), even_cycle(3), even_cycle(4), complete_bipartite(3, 3)]
+    hosts = [random_bipartite_with_pm(rng, 5, rng.randint(3, 4)) for _ in targets]
+    for h in targets:
+        minors._pattern(h).representatives
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        answers = [minors.matching_minor_check(b, h) for b, h in zip(hosts, targets)]
+        gc.collect()
+        left = sorted(
+            {
+                f"{obj.__module__}.{obj.__qualname__}"
+                for obj in gc.garbage
+                if isinstance(obj, types.FunctionType)
+                and obj.__module__ in ("matchwidth.minors", "matchwidth.bigraph")
+            }
+        )
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
+    assert True in answers and False in answers
+
+
+def test_pattern_tables_are_pinned():
+    from math import factorial
+
+    from matchwidth.minors import _slot_patterns, _tree_shapes
+
+    # restricted growth strings: each slot at most one above the largest
+    # before it (0 at the start), with the number of spine slots; below
+    # three non-m_h edges, the all-zero pattern alone
+    sizes = []
+    for count in range(6):
+        table = _slot_patterns(count)
+        assigns = [assign for assign, _ in table]
+        assert assigns == sorted(set(assigns))
+        for assign, spines in table:
+            assert len(assign) == count and spines == max(assign, default=0)
+            assert all(s <= max(assign[:i], default=0) + 1 for i, s in enumerate(assign))
+        sizes.append(len(table))
+    assert sizes == [1, 1, 1, 15, 52, 203]
+    # spine trees: slot j's parent lies below j
+    for a in range(5):
+        shapes = _tree_shapes(a)
+        assert shapes == sorted(set(shapes)) and len(shapes) == factorial(a)
+        assert all(len(s) == a and all(p < j for j, p in enumerate(s, start=1)) for s in shapes)
