@@ -185,8 +185,10 @@ def count_pm(b: BipartiteGraph) -> int:
     matching per elementary component, and the count of b is the product of
     the components' counts; a K2 adds a factor of 1.  One M-direction of b,
     on the one perfect matching found here, gives every other component its
-    graph, M-direction and tag (`direction.elementary_directions`), and the
-    component is counted by the DP over its `decomp.direction_pmd` tree.
+    graph, M-direction and tag (`direction.elementary_directions`); an
+    elementary b is its own one component, with no copy.  Each component is
+    counted by the DP over its `decomp.direction_pmd` tree, which
+    `count_pm_decomp` validates, the one check the tree gets.
     The DP is exact on any valid tree, so the tree's width and niceness are
     never computed, and past `decomp.EXACT_TREE_LIMIT` matching edges the
     tree comes from the greedy cop strategy: no component size is refused.
@@ -197,5 +199,5 @@ def count_pm(b: BipartiteGraph) -> int:
         return 0
     total = 1
     for sub, d, tag in elementary_directions(b, m):
-        total *= count_pm_decomp(sub, direction_pmd(sub, d, tag))
+        total *= count_pm_decomp(sub, direction_pmd(d, tag))
     return total

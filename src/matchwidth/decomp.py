@@ -962,27 +962,25 @@ class NicePMD:
     type1_bound: int
 
 
-def dtd_to_pmd(
-    host: BipartiteGraph,
-    d: Digraph,
-    tag: VertexTag,
-    dec: DirectedTreeDecomposition,
-) -> PMDecomposition:
-    """Translate a directed tree decomposition of the M-direction of host
-    into a rooted perfect matching decomposition of host.
+def dtd_to_pmd(d: Digraph, tag: VertexTag, dec: DirectedTreeDecomposition) -> PMDecomposition:
+    """Translate a directed tree decomposition of an M-direction into a
+    rooted perfect matching decomposition of its graph.
 
     dec must be a decomposition of d that `validate_dtd` accepts, with
     proto=True allowed only for empty-bag nodes with at least two children,
     such as the chain nodes of `prepare_dtd`.  d and tag are the M-direction
-    of host (`direction.m_direction`) for a perfect matching M of host: b on
-    the pm route, b plus completion edges in k-DAPP.
+    (`direction.m_direction`) of a graph for a perfect matching M of it: b
+    on the pm route, b plus completion edges in k-DAPP.  The tree's leaves
+    are the ends of tag's edges.
 
     Each node's children are taken in `_children_topo_order` and
     right-folded into binary joins, and a node with a bag joins that fold
     with a caterpillar holding its bag; every digraph leaf then expands
     into the two endpoints of its matching edge.  Nodes are built on an
-    explicit stack, so any DTD depth is fine.  The tree is validated once,
-    here; a node whose children cannot be ordered raises NotNice.
+    explicit stack, so any DTD depth is fine.  A node whose children cannot
+    be ordered raises NotNice.  The tree is not validated here, but by the
+    function that hands it to a consumer: `compute_pmd`, `dtd_to_nice_pmd`
+    and `counting.count_pm_decomp` each validate it once.
     """
     tb = _TreeBuilder()
     leaf_of: dict[int, int] = {}  # tree leaf -> digraph vertex
@@ -1044,13 +1042,8 @@ def dtd_to_pmd(
         # a single matching edge: the decomposition is the bare two-leaf tree,
         # rooted at a leaf so the root-successor conditions are vacuous
         values = [final_leaf_map[x] for x in sorted(final_leaf_map)]
-        tree = LeafTree(
-            (frozenset({1}), frozenset({0})), {0: values[0], 1: values[1]}, root=0
-        )
-    else:
-        tree = LeafTree(tuple(frozenset(s) for s in tb.adj), final_leaf_map, root=top)
-    tree.validate(host.vertices)
-    return tree
+        return LeafTree((frozenset({1}), frozenset({0})), {0: values[0], 1: values[1]}, root=0)
+    return LeafTree(tuple(frozenset(s) for s in tb.adj), final_leaf_map, root=top)
 
 
 def dtd_to_nice_pmd(
@@ -1062,12 +1055,15 @@ def dtd_to_nice_pmd(
     """`dtd_to_pmd`'s tree with its width data, certified nice: the tree
     the k-DAPP dynamic program (`linkage._dp_decides`) runs on.
 
-    The arguments are those of `dtd_to_pmd`.  Each bag hangs as a
-    caterpillar of its matching edges, so type1_bound is at least twice the
-    largest bag.  `nice_pmd_check` is the one certificate of the output: a
-    tree it refuses raises NotNice.
+    d, tag and dec are those of `dtd_to_pmd`, and d and tag are the
+    M-direction of host.  The tree is validated for host's vertices once,
+    here, before `cut_width` and `nice_pmd_check` read it.  Each bag hangs
+    as a caterpillar of its matching edges, so type1_bound is at least
+    twice the largest bag.  `nice_pmd_check` is the one certificate of the
+    output: a tree it refuses raises NotNice.
     """
-    tree = dtd_to_pmd(host, d, tag, dec)
+    tree = dtd_to_pmd(d, tag, dec)
+    tree.validate(host.vertices)
     m = frozenset(tag.values())
     width = cut_width(host, m, tree)
     nice = NicePMD(tree, width, max(width, 2 * max(map(len, dec.bags)), 1))
@@ -1194,17 +1190,22 @@ def compute_pmd(b: BipartiteGraph, m: Matching) -> PMDecomposition:
     the minimum.
 
     m must be a perfect matching of b; the caller supplies it, and the
-    decomposition depends on which one it is."""
+    decomposition depends on which one it is.  The tree is validated for
+    b's vertices once, here, before it is returned."""
     d, tag = m_direction(b, m)
-    return direction_pmd(b, d, tag)
+    tree = direction_pmd(d, tag)
+    tree.validate(b.vertices)
+    return tree
 
 
-def direction_pmd(b: BipartiteGraph, d: Digraph, tag: VertexTag) -> PMDecomposition:
-    """`compute_pmd`'s tree of b from its M-direction d and tag: a directed
+def direction_pmd(d: Digraph, tag: VertexTag) -> PMDecomposition:
+    """`compute_pmd`'s tree from an M-direction d and its tag: a directed
     tree decomposition of d, converted with `dtd_to_pmd`.  An M-direction of
     more than `EXACT_TREE_LIMIT` vertices gets the greedy cop strategy of
     `dtd_greedy`, at any size; a smaller one gets the exact search of
     `dtw_exact_small`, which costs as little there.  `counting.count_pm`
-    passes each elementary component's part of its host's M-direction."""
+    passes each elementary component's M-direction.  Like `dtd_to_pmd`'s,
+    the tree is not validated here: its consumer does that once
+    (`compute_pmd`, `counting.count_pm_decomp`)."""
     dtd = dtd_greedy(d) if d.n > EXACT_TREE_LIMIT else dtw_exact_small(d)[1]
-    return dtd_to_pmd(b, d, tag, dtd)
+    return dtd_to_pmd(d, tag, dtd)

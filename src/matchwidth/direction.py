@@ -61,12 +61,20 @@ def elementary_directions(
     edge of b inside the part is a matching edge or gives an arc there, and
     each arc (e, f) comes from the one edge that joins the V1 end of e to
     the V2 end of f.
+
+    When the M-direction is one strong component of at least 2 vertices,
+    that numbering is b's own and every arc lies inside the part, so b, d
+    and tag themselves are yielded, with no copy.
     """
     d, tag = m_direction(b, m)
     out = d.out_masks
+    every = (1 << (d.n + 1)) - 2
     for comp in strong_component_masks(d):
         if not comp & (comp - 1):
             continue  # a K2, whose one perfect matching is its edge
+        if comp == every:
+            yield b, d, tag
+            return
         ids = sorted(mask_members(comp))
         k = len(ids)
         new = {e: i for i, e in enumerate(ids, start=1)}

@@ -826,18 +826,19 @@ def _check_with_mh(
     for x, y in admissible:
         adm[x] |= 1 << y
         adm[y] |= 1 << x
+    deg = [row.bit_count() for row in adj_masks]
     # host candidates per colour class, in the order `place` tries them,
     # each (spine edge, anchor vertex, other end of the spine edge, degree
     # of the anchor vertex, mask of the vertices it takes): an admissible
     # edge for a spine slot, and for an exposed vertex x (slot 0)
     # (None, x, None, deg, 1 << x), with no spine edge
     exposed_cands = {
-        c: [(None, x, None, b.degree(x), 1 << x) for x in xs] for c, xs in ((1, b.v1), (2, b.v2))
+        c: [(None, x, None, deg[x], 1 << x) for x in xs] for c, xs in ((1, b.v1), (2, b.v2))
     }
     host_edges = sorted(admissible)
     spine_cands = {
-        1: [(e, e[0], e[1], b.degree(e[0]), 1 << e[0] | 1 << e[1]) for e in host_edges],
-        2: [(e, e[1], e[0], b.degree(e[1]), 1 << e[0] | 1 << e[1]) for e in host_edges],
+        1: [(e, e[0], e[1], deg[e[0]], 1 << e[0] | 1 << e[1]) for e in host_edges],
+        2: [(e, e[1], e[0], deg[e[1]], 1 << e[0] | 1 << e[1]) for e in host_edges],
     }
 
     # placement state per placed u: its guess (slot pattern, spine tree)

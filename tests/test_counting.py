@@ -300,6 +300,70 @@ def test_component_directions_are_read_off_one_direction():
     assert several >= 40
 
 
+def test_a_one_component_host_is_its_own_component():
+    # an elementary host is yielded itself, with the M-direction and tag
+    # that m_direction gives it, whatever order its matching pairs V1 and
+    # V2 in
+    rng = random.Random(61)
+    hosts = [even_cycle(2), even_cycle(5), cylindrical_grid(2)[0], complete_bipartite(3, 3)]
+    while len(hosts) < 40:
+        n1 = rng.randint(2, 6)
+        b = relabelled(rng, random_bipartite_with_pm(rng, n1, rng.randint(n1, n1 * n1 - n1)))
+        if len(elementary_parts(b, some_perfect_matching(b))) == 1:
+            hosts.append(b)
+    for b in hosts:
+        m = some_perfect_matching(b)
+        assert len(elementary_parts(b, m)) == 1
+        ((sub, d, tag),) = elementary_directions(b, m)
+        assert sub is b
+        assert (d, tag) == m_direction(b, m)
+        assert count_pm(b) == count_pm_bruteforce(b)
+
+
+def spy_on_trees(monkeypatch):
+    """Record every tree `count_pm` builds and every tree that
+    `LeafTree.validate` checks."""
+    import matchwidth.counting as counting
+
+    built, checked = [], []
+    real_validate, real_build = LeafTree.validate, counting.direction_pmd
+
+    def validate(self, ground):
+        checked.append(self)
+        return real_validate(self, ground)
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(LeafTree, "validate", validate)
+    monkeypatch.setattr(counting, "direction_pmd", build)
+    return built, checked
+
+
+def test_count_pm_validates_each_component_tree_once(monkeypatch):
+    # a C6 block on V1 {1, 2, 3}, a K_{2,2} block on {4, 5} and two K2s,
+    # joined by edges from a block's V1 to a later block's V2, which lie in
+    # no perfect matching; and hosts of one elementary component
+    c6 = [(1, 8), (2, 9), (3, 10), (1, 9), (2, 10), (3, 8)]
+    k22 = [(4, 11), (4, 12), (5, 11), (5, 12)]
+    one_way = [(1, 11), (2, 14), (4, 13), (6, 14)]
+    blocks = graph_from_edges(7, 7, c6 + k22 + [(6, 13), (7, 14)] + one_way)
+    assert sorted(map(len, elementary_parts(blocks, some_perfect_matching(blocks)))) == [2, 2, 4, 6]
+    built, checked = spy_on_trees(monkeypatch)
+    for b, components in (
+        (blocks, 2),
+        (even_cycle(5), 1),
+        (square_grid(3, 4), 1),
+        (cylindrical_grid(2)[0], 1),
+    ):
+        built.clear()
+        checked.clear()
+        assert count_pm(b) == count_pm_bruteforce(b)
+        assert len(built) == components
+        assert [id(tree) for tree in checked] == [id(tree) for tree in built]
+
+
 def test_decomp_count_random_agreement():
     rng = random.Random(19)
     for _ in range(40):

@@ -568,6 +568,37 @@ def test_compute_pmd_width_is_at_least_pmw():
         assert cut_width(b, m, compute_pmd(b, m)) >= pmw_exact_small(b)[0]
 
 
+def test_each_tree_is_validated_once_by_the_function_that_returns_it(monkeypatch):
+    # dtd_to_pmd leaves the check to its callers: compute_pmd validates the
+    # tree it returns, and dtd_to_nice_pmd validates before cut_width and
+    # nice_pmd_check read the tree
+    log = []
+    real_validate, real_cut_width = LeafTree.validate, decomp_module.cut_width
+
+    def validate(self, ground):
+        log.append(("validate", self, frozenset(ground)))
+        return real_validate(self, ground)
+
+    def cut_width_(host, m, tree):
+        log.append(("cut_width", tree, frozenset(host.vertices)))
+        return real_cut_width(host, m, tree)
+
+    monkeypatch.setattr(LeafTree, "validate", validate)
+    monkeypatch.setattr(decomp_module, "cut_width", cut_width_)
+    for b in (even_cycle(5), square_grid(3, 4), cylindrical_grid(2)[0]):
+        m = some_perfect_matching(b)
+        d, tag = m_direction(b, m)
+        ground = frozenset(b.vertices)
+        log.clear()
+        dtd_to_pmd(d, tag, dtw_exact_small(d)[1])
+        assert log == []
+        tree = compute_pmd(b, m)
+        assert log == [("validate", tree, ground)]
+        log.clear()
+        nice = dtd_to_nice_pmd(b, d, tag, dtw_exact_small(d)[1])
+        assert log == [("validate", nice.tree, ground), ("cut_width", nice.tree, ground)]
+
+
 def test_dtd_to_pmd_on_a_deep_chain():
     # a zig-zag path host, whose M-direction is the path 1 -> 2 -> ... -> n,
     # and the DTD chain with one vertex per level: the conversion runs on an
@@ -584,7 +615,7 @@ def test_dtd_to_pmd_on_a_deep_chain():
     )
     assert validate_dtd(d, chain) == (True, 0, None)
     with recursion_headroom(100):
-        tree = dtd_to_pmd(host, d, tag, chain)
+        tree = dtd_to_pmd(d, tag, chain)
         assert count_pm_decomp(host, tree) == 1
     tree.validate(host.vertices)
     # each level adds a join above its child's subtree and its bag's leaf

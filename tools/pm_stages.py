@@ -18,7 +18,9 @@ running; after each pass one `gc.collect()` runs outside the timing, and
 the median of its seconds and of the objects it found are printed on a
 line of their own.  Stages nest, so their times do not add up to the
 pass: the cop strategies' closing check (`dtd_fault`, or `validate_dtd`
-in older checkouts) runs inside `dtd_greedy` and `dtw_exact_small`.  On
+in older checkouts) runs inside `dtd_greedy` and `dtw_exact_small`, and
+those and `dtd_to_pmd` run inside `direction_pmd`, the tree building of
+`pm count` and of `compute_pmd` (`pm width` and `pm decomp`).  On
 `minor`, `admissible_edges`, `_solve_full` and `has_perfect_matching` run
 inside `matching_minor_check`, and `max_matching` inside each of the
 three.  A generator stage (`elementary_directions`, `make_proxies`) is
@@ -47,6 +49,8 @@ STAGES = (
     "bigraph.max_matching",
     "direction.m_direction",
     "direction.elementary_directions",
+    "decomp.compute_pmd",
+    "decomp.direction_pmd",
     "decomp.dtd_greedy",
     "decomp.dtw_exact_small",
     "decomp.validate_dtd",
