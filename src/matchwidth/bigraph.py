@@ -308,24 +308,31 @@ def is_conformal(b: BipartiteGraph, x: Iterable[int]) -> bool:
 
 
 def admissible_edges(b: BipartiteGraph) -> frozenset[Edge]:
-    """Edges contained in at least one perfect matching (empty if no PM).
-
-    One perfect matching M and one split of its M-direction decide every
-    edge: an edge is admissible iff both its ends lie in one elementary
-    part, a strong component of the M-direction.  The M-direction is built
-    as successor and predecessor masks over V1, vertex u standing for the
-    matching edge at u, so an edge (u, v) is the arc from u to v's mate.
-    `digraph.component_masks` splits it, since no order of the parts is
-    read; an edge is kept iff u and v's mate lie in one part.
-    """
-    n1 = b.n1
-    if n1 != b.n2:
+    """Edges contained in at least one perfect matching (empty if no PM):
+    `admissible_edges_for` one perfect matching that Hopcroft-Karp finds."""
+    if b.n1 != b.n2:
         return frozenset()
     pair = max_matching(b)
-    if len(pair) != n1:
+    if len(pair) != b.n1:
         return frozenset()
+    return admissible_edges_for(b, pair.items())
+
+
+def admissible_edges_for(b: BipartiteGraph, m: Iterable[Edge]) -> frozenset[Edge]:
+    """The edges of b contained in at least one perfect matching, given a
+    perfect matching m of b as (V1 end, V2 end) pairs.
+
+    One split of m's M-direction decides every edge: an edge is admissible
+    iff both its ends lie in one elementary part, a strong component of the
+    M-direction.  The M-direction is built as successor and predecessor
+    masks over V1, vertex u standing for the matching edge at u, so an edge
+    (u, v) is the arc from u to v's mate.  `digraph.component_masks` splits
+    it, since no order of the parts is read; an edge is kept iff u and v's
+    mate lie in one part.
+    """
+    n1 = b.n1
     mate = [0] * (b.n + 1)
-    for u, v in pair.items():
+    for u, v in m:
         mate[v] = u
     out = [0] * (n1 + 1)
     inn = [0] * (n1 + 1)

@@ -73,6 +73,12 @@ def count_pm_decomp(
     at each child entry of an inner node that it misses.  The tree is
     validated here, and its rooted view is `LeafTree.binarised()`.
 
+    The setup reads g only through `adj_masks`.  Two post-order unions over
+    the rooted view give each node the vertices below it and their
+    neighbours.  A node's middle edges, those between its children t1 and
+    t2, then join each vertex u below t1 that has a neighbour below t2 to
+    those neighbours; a node over two leaves reads one `adj_masks` bit.
+
     A bipartite graph has no perfect matching unless it holds as many V1 as
     V2 vertices, so mu(t, S) = 0 unless below(t) - S is colour-balanced.
     With tilt(X) = |X & V1| - |X & V2|, the term of a middle matching w of t
@@ -96,11 +102,11 @@ def count_pm_decomp(
     view = dec.binarised()
     root, kids = view.root, view.kids
     uncounted = (root, dec.m)
+    leaves = dec.leaf_map
+    # vertex v is bit v: the vertices below each node, and their neighbours
+    adj = g.adj_masks
     below = view.below_masks()
-    # cuts are bitmasks over the sorted edges; vertex v is bit v
-    edges = sorted(g.edges)
-    ends = [1 << u | 1 << v for u, v in edges]
-    cut = view.cut_masks(edges)
+    nbrs = view.union_below(adj)
 
     black = (1 << g.n1 + 1) - 2  # V1 = [1..n1]
 
@@ -108,23 +114,37 @@ def count_pm_decomp(
         return 2 * (mask & black).bit_count() - mask.bit_count()
 
     # each leaf and each node whose children are both leaves: its vertex
-    # mask, and 1 if that is an edge of g, else 0; None at other nodes
+    # mask, and 1 if that is an edge of g, else 0; None at other nodes.
+    # Each middle matching of any other node x as (its vertices, those
+    # below x's first child, those below its second), grouped by the tilt
+    # of those below the first child; the middle edges join a vertex u
+    # below the first child to its neighbours below the second, and no
+    # matching of g has more than n/2 edges
     fixed: list[tuple[int, int] | None] = [None] * len(kids)
-    edge_set = set(ends)
-    for x, ys in enumerate(kids):
-        if x in dec.leaf_map or (ys[0] in dec.leaf_map and ys[1] in dec.leaf_map):
-            fixed[x] = below[x], 1 if below[x] in edge_set else 0
-
-    # each middle matching of x as (its vertices, those below x's first
-    # child, those below its second), grouped by the tilt of those below
-    # the first child; no matching of g has more than n/2 edges
     mids: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     for x, ys in enumerate(kids):
-        if fixed[x] is None:
-            b1 = below[ys[0]]
-            groups = mids[x] = {}
-            for _, w in matchings_in(cut[ys[0]] & cut[ys[1]], ends, g.n // 2):
-                groups.setdefault(tilt(w & b1), []).append((w, w & b1, w & ~b1))
+        if x in leaves:
+            fixed[x] = below[x], 0
+            continue
+        t1, t2 = ys
+        if t1 in leaves and t2 in leaves:
+            fixed[x] = below[x], adj[leaves[t1]] >> leaves[t2] & 1
+            continue
+        b1, b2 = below[t1], below[t2]
+        ends = []
+        us = b1 & nbrs[t2]
+        while us:
+            u = us & -us
+            us ^= u
+            vs = adj[u.bit_length() - 1] & b2
+            while vs:
+                v = vs & -vs
+                vs ^= v
+                ends.append(u | v)
+        groups = mids[x] = {}
+        for _, w in matchings_in((1 << len(ends)) - 1, ends, g.n // 2):
+            w1 = w & b1
+            groups.setdefault(tilt(w1), []).append((w, w1, w ^ w1))
 
     memo: list[dict[int, int]] = [{} for _ in kids]
 

@@ -15,6 +15,7 @@ from .bigraph import (
     BipartiteGraph,
     Edge,
     Matching,
+    admissible_edges_for,
     induced_subgraph,
     is_conformal,
     some_perfect_matching,
@@ -25,7 +26,6 @@ from .digraph import (
     is_strongly_connected,
     mask_members,
     mask_reach,
-    mask_union,
     strong_component_masks,
     vertex_mask,
 )
@@ -270,6 +270,13 @@ def cut_width(host: BipartiteGraph, m: Matching, tree: PMDecomposition) -> int:
     vertices, given a perfect matching m of host; the answer does not
     depend on which one.
 
+    Bounds and searches run on the admissible core of host, its edges
+    inside one elementary part of m (`bigraph.admissible_edges_for`), or on
+    host itself when every edge is admissible.  The core has the same
+    perfect matchings, so the same porosity on every cut, and its bounds
+    are no larger: on a graph with one perfect matching the core is m and
+    each bound is exact.
+
     Only cuts that can raise the maximum get the exact porosity search.
     The best value so far starts at the larger of 1 (every perfect matching
     crosses a leaf edge's cut exactly once) and the most edges that m uses
@@ -280,6 +287,8 @@ def cut_width(host: BipartiteGraph, m: Matching, tree: PMDecomposition) -> int:
     """
     if tree.m == 1:
         return 0
+    edges = admissible_edges_for(host, m)
+    core = host if len(edges) == len(host.edges) else BipartiteGraph(host.n1, host.n2, edges)
     view = tree.rooted(0)
     below = view.below_masks()
     mate = [0] * (host.n + 1)  # the m partner of each vertex, as a bit
@@ -292,12 +301,12 @@ def cut_width(host: BipartiteGraph, m: Matching, tree: PMDecomposition) -> int:
     inner = [x for x in range(1, tree.m) if 1 < below[x].bit_count() < host.n - 1]
     best = max([1] + [(mates[x] & ~below[x]).bit_count() for x in inner])
     bounded = sorted(
-        ((matching_porosity_bound(host, below[x]), below[x]) for x in inner), key=lambda p: -p[0]
+        ((matching_porosity_bound(core, below[x]), below[x]) for x in inner), key=lambda p: -p[0]
     )
     for bound, shore in bounded:
         if bound <= best:
             break
-        best = max(best, matching_porosity(host, shore))
+        best = max(best, matching_porosity(core, shore))
     return best
 
 
@@ -881,12 +890,30 @@ def cops_play(d: Digraph, dec: CycleDecomposition) -> PlayTranscript:
 # ---------------------------------------------------------------------------
 
 
-def _children_topo_order(d: Digraph, kids: Sequence[int], below: Sequence[int]) -> list[int]:
+def _out_reach(d: Digraph, dec: DirectedTreeDecomposition) -> list[int]:
+    """The out-neighbours in d of the vertices in each node's subtree, as
+    masks: the union of `d.out_masks` over `dec.subtree_masks[t]`, built
+    bottom-up."""
+    out = d.out_masks
+    reach = [0] * dec.m
+    for t in reversed(dec.order):
+        r = 0
+        for v in dec.bags[t]:
+            r |= out[v]
+        for s in dec.kids[t]:
+            r |= reach[s]
+        reach[t] = r
+    return reach
+
+
+def _children_topo_order(
+    kids: Sequence[int], below: Sequence[int], reach: Sequence[int]
+) -> list[int]:
     """Order children so no arc runs from a later subtree into an earlier one;
-    below[c] is the vertex mask of c's subtree, ties go to the lower id."""
+    below[c] is the vertex mask of c's subtree and reach[c] its out-reach
+    (`_out_reach`), ties go to the lower id."""
     if len(kids) < 2:
         return list(kids)
-    reach = {c: mask_union(d.out_masks, below[c]) for c in kids}
     order: list[int] = []
     remaining = sorted(kids)
     while remaining:
@@ -912,17 +939,18 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
     parent = list(dec.parent)
     bags = list(dec.bags)
     guards = list(dec.guards)
-    # children in ascending order and subtree masks, kept up to date; a split
-    # moves whole subtrees, so no other node's subtree changes
+    # children in ascending order, subtree masks and out-reach, kept up to
+    # date; a split moves whole subtrees, so no other node's subtree changes
     kids = [list(c) for c in dec.kids]
     below = list(dec.subtree_masks)
+    reach = _out_reach(d, dec)
 
     work = list(range(len(parent)))
     while work:
         t = work.pop()
         if len(kids[t]) <= 2:
             continue
-        keep, *rest = _children_topo_order(d, kids[t], below)
+        keep, *rest = _children_topo_order(kids[t], below, reach)
         new = len(parent)
         parent.append(t)
         bags.append(frozenset())
@@ -933,8 +961,10 @@ def prepare_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> DirectedTreeDecom
         kids[t] = [keep, new]
         kids.append(sorted(rest))
         below.append(0)
+        reach.append(0)
         for c in rest:
             below[new] |= below[c]
+            reach[new] |= reach[c]
         work.append(t)
         work.append(new)
 
@@ -1008,8 +1038,10 @@ def dtd_to_pmd(d: Digraph, tag: VertexTag, dec: DirectedTreeDecomposition) -> PM
             acc = upper
         return acc
 
+    below, reach = dec.subtree_masks, _out_reach(d, dec)
+
     def frame(t: int) -> tuple[int, Iterator[int], list[int]]:
-        return t, iter(_children_topo_order(d, dec.kids[t], dec.subtree_masks)), []
+        return t, iter(_children_topo_order(dec.kids[t], below, reach)), []
 
     # post-order on an explicit stack, so any DTD depth is fine: each frame
     # is a DTD node, its children still to build, and the tree nodes of

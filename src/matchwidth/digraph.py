@@ -74,12 +74,17 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 def mask_members(mask: int) -> frozenset[int]:
     """The vertex set of a mask made by `vertex_mask`."""
+    return frozenset(mask_sorted(mask))
+
+
+def mask_sorted(mask: int) -> list[int]:
+    """The vertices of a mask made by `vertex_mask`, in ascending order."""
     members = []
     while mask:
         bit = mask & -mask
         mask ^= bit
         members.append(bit.bit_length() - 1)
-    return frozenset(members)
+    return members
 
 
 def strong_component_masks(d: Digraph, banned: int = 0) -> list[int]:

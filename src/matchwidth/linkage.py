@@ -44,7 +44,7 @@ from .bigraph import (
     some_perfect_matching,
 )
 from .decomp import NicePMD, dtw_exact_small, dtd_to_nice_pmd, matchings_in, walk
-from .digraph import mask_members, mask_union, vertex_mask
+from .digraph import mask_members, mask_sorted, mask_union, vertex_mask
 from .direction import m_direction
 from .errors import (
     InvalidPairs,
@@ -210,20 +210,19 @@ def make_proxies(
     of b is the caller's test: `_solve_full` asks for a perfect matching of
     b - V(W) that holds W' and the forced edges."""
     pairs = [tuple(p) for p in pairs]
-    avoid = banned | {x for e in w for x in e}
-    s_terms = {s for s, _ in pairs}
-    t_terms = {t for _, t in pairs}
+    adj = b.adj_masks
+    avoid = vertex_mask(banned) | vertex_mask(x for e in w for x in e)
+    s_terms = vertex_mask(s for s, _ in pairs)
+    t_terms = vertex_mask(t for _, t in pairs)
 
-    def choices(x: int, terms: set[int]) -> list[tuple[int, int]]:
+    def choices(x: int, terms: int) -> list[tuple[int, int]]:
         """Proxy terminals p two steps from x along x-y-p, each with y, the
-        other end of the edge that covers it; no path vertex lies in W or
-        is banned."""
+        other end of the edge that covers it, both in ascending order; no
+        path vertex lies in W or is banned."""
         return [
             (p, y)
-            for y in sorted(b.adj[x])
-            if y not in avoid
-            for p in sorted(b.adj[y])
-            if p != x and p not in avoid and p not in terms
+            for y in mask_sorted(adj[x] & ~avoid)
+            for p in mask_sorted(adj[y] & ~(avoid | terms | 1 << x))
         ]
 
     # each terminal's choices depend on its pair alone, not on the branch
@@ -241,7 +240,7 @@ def make_proxies(
             e1 = (min(z, y), max(z, y))
             # collapsed proxy: one edge covers both proxy terminals
             # (arises from solution paths with exactly two inner vertices)
-            if z in b.adj[t]:
+            if adj[t] >> z & 1:
                 proxy.append((z, y))
                 wprime.add(e1)
                 used.update((z, y))
@@ -429,7 +428,7 @@ def _routes(
         if j_vertices >> v & 1:
             return []
         pool = (xs if xs >> v & 1 else ys) & ~j_vertices
-        return [u for u in sorted(b.adj[v]) if pool >> u & 1 and u not in ctx.banned]
+        return [u for u in mask_sorted(b.adj_masks[v] & pool) if u not in ctx.banned]
 
     crossings = [
         edges[i] for i in sorted(mask_members(mid & ~r_set)) if not set(edges[i]) & ctx.banned
@@ -689,7 +688,7 @@ def _solve_full(
             used.difference_update(e)
             del chosen[x]
             return
-        for y in sorted(b.adj[x]):
+        for y in mask_sorted(b.adj_masks[x]):
             if y in used or y in forced_by_vertex:
                 continue
             e = (min(x, y), max(x, y))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from matchwidth.bigraph import (
     BipartiteGraph,
     admissible_edges,
+    admissible_edges_for,
     bicontract,
     enumerate_perfect_matchings,
     graph_from_edges,
@@ -270,6 +271,21 @@ def test_admissible_edges_matches_the_reference():
         seen["k2_and_larger"] += bool(sizes) and sizes[0] == 2 and sizes[-1] > 2
         seen["all"] += bool(got) and got == b.edges
     assert min(seen.values()) >= 20, seen
+
+
+def test_admissible_edges_do_not_depend_on_the_perfect_matching():
+    # every perfect matching of b gives `admissible_edges_for` the same
+    # edges, the union of b's perfect matchings
+    rng = random.Random(43)
+    several = 0
+    for _ in range(150):
+        b = _random_bigraph(rng)
+        pms = enumerate_perfect_matchings(b)
+        union = frozenset(e for m in pms for e in m)
+        for m in pms[:6]:
+            assert admissible_edges_for(b, m) == union
+        several += len(pms) > 1
+    assert several >= 30
 
 
 @settings(max_examples=60, deadline=None)

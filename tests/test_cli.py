@@ -393,6 +393,22 @@ def test_cli_answers_past_the_recursion_limit(tmp_path, capsys):
     assert capsys.readouterr().out == "yes\n"
 
 
+def test_pm_width_of_a_path_searches_no_cut(tmp_path, capsys, monkeypatch):
+    # the path has one perfect matching, so `cut_width` bounds its cuts on
+    # the admissible core, the matching itself, where each bound is exact:
+    # width 1 with no exact porosity search
+    import matchwidth.decomp as decomp_module
+
+    def refuse(*args):
+        raise AssertionError("pm width ran an exact porosity search")
+
+    monkeypatch.setattr(decomp_module, "matching_porosity", refuse)
+    path = tmp_path / "path.b"
+    path.write_text(write_graph_text(greedy_trap_path(100)))
+    assert main(["pm", "width", str(path)]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 @pytest.mark.parametrize("command", ["bminor", "antichain"])
 def test_cli_has_no_exhaustive_only_butterfly_commands(tmp_path, capsys, command):
     # butterfly minors and anti-chains are paper checks in the tests, not

@@ -4,7 +4,14 @@ import pytest
 
 from matchwidth.bigraph import graph_from_edges, induced_subgraph, some_perfect_matching
 from matchwidth.counting import CountStats, count_pm, count_pm_bruteforce, count_pm_decomp
-from matchwidth.decomp import LeafTree, _TreeBuilder, compute_pmd, matchings_in, pmw_exact_small
+from matchwidth.decomp import (
+    LeafTree,
+    _TreeBuilder,
+    compute_pmd,
+    direction_pmd,
+    matchings_in,
+    pmw_exact_small,
+)
 from matchwidth.direction import elementary_directions, elementary_parts, m_direction
 from matchwidth.errors import OracleLimitExceeded
 from matchwidth.grids import cylindrical_grid, square_grid, square_grid_coords
@@ -531,3 +538,49 @@ def test_stats_envelope():
     envelope = n ** (4 * w + 1)
     assert stats.table_entries <= envelope
     assert stats.boundary_sets <= envelope
+
+
+# (n1, [(count, table_entries, boundary_sets)] per elementary component) of
+# the hosts `pm_dense_shaped_hosts` draws, recorded from the DP that set up
+# its middle matchings over sorted-edge cut masks
+PINNED_DENSE_COMPONENT_COUNTS = [
+    (10, [(91, 261, 337)]),
+    (10, [(101, 202, 222)]),
+    (11, [(32, 87, 85)]),
+    (9, [(72, 106, 164)]),
+    (11, [(124, 134, 146)]),
+    (10, [(80, 108, 118)]),
+    (9, [(62, 91, 100)]),
+    (10, [(109, 193, 235)]),
+    (9, [(64, 110, 140)]),
+    (11, [(152, 121, 143)]),
+    (10, [(75, 66, 61)]),
+    (9, [(49, 126, 143)]),
+]
+
+
+def pm_dense_shaped_hosts():
+    """Twelve relabelled planted hosts shaped like the `pm-dense`
+    benchmark's: n1 = 9-11 with 2.5 n1 extra edges."""
+    rng = random.Random(44)
+    for _ in range(12):
+        n1 = rng.randint(9, 11)
+        yield n1, relabelled(rng, random_bipartite_with_pm(rng, n1, round(2.5 * n1)))
+
+
+def test_component_tree_counts_and_table_sizes_are_pinned():
+    # the count and the table sizes of the DP on each component's
+    # `direction_pmd` tree, the trees `count_pm` builds
+    got = []
+    for n1, b in pm_dense_shaped_hosts():
+        rows = []
+        for sub, d, tag in elementary_directions(b, some_perfect_matching(b)):
+            stats = CountStats()
+            count = count_pm_decomp(sub, direction_pmd(d, tag), stats=stats)
+            rows.append((count, stats.table_entries, stats.boundary_sets))
+        got.append((n1, rows))
+        product = 1
+        for count, _, _ in rows:
+            product *= count
+        assert product == count_pm_bruteforce(b)
+    assert got == PINNED_DENSE_COMPONENT_COUNTS

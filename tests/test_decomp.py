@@ -6,7 +6,12 @@ from operator import or_
 
 import pytest
 
-from matchwidth.bigraph import graph_from_edges, some_perfect_matching
+from matchwidth.bigraph import (
+    admissible_edges_for,
+    enumerate_perfect_matchings,
+    graph_from_edges,
+    some_perfect_matching,
+)
 from matchwidth.decomp import (
     CycleDecomposition,
     DirectedTreeDecomposition,
@@ -37,6 +42,7 @@ from matchwidth.grids import cylindrical_grid, square_grid
 from matchwidth.porosity import (
     cycle_porosity,
     matching_porosity,
+    matching_porosity_bound,
     matching_porosity_bruteforce,
 )
 
@@ -153,6 +159,31 @@ def test_pmd_width_searches_few_cuts(monkeypatch):
     assert len(searched) == 1
     # the shore is searched as the vertex mask of one side of a tree edge
     assert searched[0] in {vertex_mask(side) for pair in tree_edge_shores(tree) for side in pair}
+
+
+def test_cut_bounds_are_exact_on_the_core_of_a_graph_with_one_perfect_matching():
+    # relabelled staircases, V1 vertex i joined to V2 vertices i..n1: one
+    # perfect matching m, so the admissible core is m, and the bound of
+    # every shore on the core is the porosity, the edges of m it cuts
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(30):
+        n1 = rng.randint(2, 7)
+        v2 = list(range(n1 + 1, 2 * n1 + 1))
+        rng.shuffle(v2)
+        edges = [(i, v2[j - 1]) for i in range(1, n1 + 1) for j in range(i, n1 + 1)]
+        b = graph_from_edges(n1, n1, edges)
+        (m,) = enumerate_perfect_matchings(b)
+        core = graph_from_edges(n1, n1, admissible_edges_for(b, m))
+        assert core.edges == m
+        for _ in range(10):
+            shore = vertex_mask(v for v in b.vertices if rng.random() < 0.5)
+            bound = matching_porosity_bound(core, shore)
+            assert bound == matching_porosity(b, shore) == sum(
+                (shore >> u & 1) != (shore >> v & 1) for u, v in m
+            )
+            seen.add(bound)
+    assert len(seen) >= 4
 
 
 def test_exact_small_trees_pinned():

@@ -1,23 +1,26 @@
 """Alternating before/after runs of the benchmark, written as one BENCH file.
 
-    python3 tools/ab.py --parent REV --workload W [W ...] --pairs N --seconds S --seed N \\
-        --out BENCH_<name>.json [--claim W:METRIC] [--what TEXT]
+    python3 tools/ab.py --parent REV --workload W [W ...] --pairs N --seconds S \\
+        --seed N|A-B --out BENCH_<name>.json [--claim W:METRIC] [--what TEXT]
 
 Run it from anywhere inside a checkout.  The change side is that
-checkout's working tree, as it stands; the parent side is REV, checked out
-into a temporary `git worktree` that is removed afterwards.  For each
-workload it runs `bench/run.py --trace 0` of each side from that side's
-root in N pairs, one process at a time, with the side that runs first
-alternating from pair to pair (the parent first in pair 1).  Every run
-answers the pool of `--seed`, so the two sides answer the same questions.
+checkout's working tree, as it stands; the parent side is REV's committed
+files, written by `git archive` into a temporary directory that is
+removed afterwards.  For each workload it runs `bench/run.py --trace 0` of
+each side from that side's root in N pairs, one process at a time, with
+the side that runs first alternating from pair to pair (the parent first
+in pair 1).  Both runs of a pair answer the pool of one seed, so the two
+sides answer the same questions: `--seed N` gives every pair seed N, and
+`--seed A-B` gives pair i seed A + i - 1, one seed per pair, so it must
+name N seeds.
 
 For each end-to-end metric of `BENCHMARK.json` it writes each side's
 median and quartiles over the pairs, the pairs in which the change was
 better, the change of the median in percent, and whether the change's
 median is worse than the parent's by more than the metric's bound (taken
 relative to the parent's median).  Next to them it writes both sides'
-`tools/answer_digest.py` line and `tools/pm_stages.py` table for the
-workload and seed, both run with this checkout's tools.  `--claim`
+`tools/answer_digest.py` lines, one for each seed, and `tools/pm_stages.py`
+table for the first seed, both run with this checkout's tools.  `--claim`
 names a metric whose gain the BENCH file claims: it is met when the change
 is better in at least nine of every ten pairs and its median is better
 than the parent's by more than the parent's interquartile range.
@@ -30,12 +33,14 @@ claim is not met, and 0 otherwise; the BENCH file is written either way.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -62,15 +67,35 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return last_json(cmd + ["--seconds", str(seconds), "--trace", "0"], root)
 
 
-def digest_line(src: Path, workload: str, seed: int) -> str:
+def digest_lines(src: Path, workload: str, seeds: list[int]) -> list[str]:
     cmd = [sys.executable, str(TOOLS / "answer_digest.py"), "--src", str(src)]
-    cmd += ["--workload", workload, "--seed", str(seed)]
-    return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.strip()
+    cmd += ["--workload", workload, "--seed", *map(str, seeds)]
+    done = subprocess.run(cmd, check=True, capture_output=True, text=True)
+    return done.stdout.strip().splitlines()
 
 
 def stage_table(src: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, str(TOOLS / "pm_stages.py"), "--src", str(src)]
     return last_json(cmd + ["--workload", workload, "--seed", str(seed)], ROOT)
+
+
+def export(rev: str, root: Path) -> None:
+    """Write the files that REV commits into root."""
+    done = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
+        tar.extractall(root)
+
+
+def seed_range(text: str) -> list[int]:
+    """The seeds of `--seed`: N, or A-B for A, A + 1, ..., B."""
+    first, dash, last = text.partition("-")
+    try:
+        seeds = [int(text)] if not dash else list(range(int(first), int(last) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not N or A-B: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"an empty range of seeds: {text!r}")
+    return seeds
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -124,7 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs="+", required=True, help="workloads of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True, help="--seconds of each run")
-    parser.add_argument("--seed", type=int, required=True, help="the pool's seed")
+    parser.add_argument(
+        "--seed", type=seed_range, required=True, help="the pools' seed N, or A-B, one per pair"
+    )
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<name>.json to write")
     parser.add_argument("--claim", help="W:METRIC, a metric whose gain on W is claimed")
     parser.add_argument("--what", default="", help="one line on what the change does")
@@ -140,6 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"not a workload of BENCHMARK.json: {', '.join(unknown)}")
     if claim and (len(claim) != 2 or claim[0] not in args.workload or claim[1] not in specs):
         parser.error("--claim takes W:METRIC, with W among --workload and METRIC end to end")
+    seeds = args.seed
+    if len(seeds) > 1 and len(seeds) != args.pairs:
+        parser.error(f"--seed names {len(seeds)} seeds for {args.pairs} pairs")
+    pair_seeds = seeds if len(seeds) > 1 else seeds * args.pairs
+    seeds_shown = str(seeds[0]) if len(seeds) == 1 else f"{seeds[0]}-{seeds[-1]}"
     parent_rev = git("rev-parse", "--short", args.parent)
     change_rev = git("rev-parse", "--short", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -148,53 +180,50 @@ def main(argv: list[str] | None = None) -> int:
         "what": args.what,
         "parent": parent_rev,
         "change": change_rev + (" plus uncommitted changes" if dirty else ""),
-        "command": f"python3 bench/run.py --workload W --seed {args.seed} "
+        "command": f"python3 bench/run.py --workload W --seed {seeds_shown} "
         f"--seconds {args.seconds:g} --trace 0",
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
         f"{platform.python_implementation()} {platform.python_version()}; end-to-end "
         "metrics are scaled to the benchmark's nominal speed",
         "order": f"{args.pairs} pairs per workload, one run at a time; the side that runs "
-        "first alternates, the parent first in pair 1",
+        "first alternates, the parent first in pair 1"
+        + ("" if len(seeds) == 1 else f"; pair i answers seed {seeds[0]} + i - 1"),
         "workloads": {},
     }
     failures = []
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         parent_root = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_root), parent_rev)
-        try:
-            roots = {"parent": parent_root, "change": ROOT}
-            for workload in args.workload:
-                runs = []
-                for i in range(args.pairs):
-                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    run = {"pair": i + 1, "first": order[0]}
-                    for side in order:
-                        got = bench_run(roots[side], workload, args.seed, args.seconds)
-                        if not got["correct"]:
-                            failures.append(f"{workload} pair {i + 1}: {side} answered wrongly")
-                        run[side] = {k: v["value"] for k, v in got["metrics"].items()}
-                        run[side]["failed"] = got["failed"]
-                    runs.append(run)
-                    print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-                summary = summarise(runs, metrics)
-                digests = {s: digest_line(r / "src", workload, args.seed) for s, r in roots.items()}
-                stages = {s: stage_table(r / "src", workload, args.seed) for s, r in roots.items()}
-                for name, s in summary.items():
-                    if s["bound_crossed"]:
-                        failures.append(f"{workload}: {name} crossed its bound")
-                if digests["parent"] != digests["change"]:
-                    failures.append(f"{workload}: the answer digests differ")
-                result["workloads"][workload] = {
-                    "pairs": args.pairs,
-                    "seed": args.seed,
-                    "summary": summary,
-                    "digests": digests,
-                    "stages": stages,
-                    "runs": runs,
-                }
-        finally:
-            git("worktree", "remove", "--force", str(parent_root))
-            git("worktree", "prune")
+        export(parent_rev, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        for workload in args.workload:
+            runs = []
+            for i, seed in enumerate(pair_seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                run = {"pair": i + 1, "seed": seed, "first": order[0]}
+                for side in order:
+                    got = bench_run(roots[side], workload, seed, args.seconds)
+                    if not got["correct"]:
+                        failures.append(f"{workload} pair {i + 1}: {side} answered wrongly")
+                    run[side] = {k: v["value"] for k, v in got["metrics"].items()}
+                    run[side]["failed"] = got["failed"]
+                runs.append(run)
+                print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+            summary = summarise(runs, metrics)
+            digests = {s: digest_lines(r / "src", workload, seeds) for s, r in roots.items()}
+            stages = {s: stage_table(r / "src", workload, seeds[0]) for s, r in roots.items()}
+            for name, s in summary.items():
+                if s["bound_crossed"]:
+                    failures.append(f"{workload}: {name} crossed its bound")
+            if digests["parent"] != digests["change"]:
+                failures.append(f"{workload}: the answer digests differ")
+            result["workloads"][workload] = {
+                "pairs": args.pairs,
+                "seeds": seeds_shown,
+                "summary": summary,
+                "digests": digests,
+                "stages": stages,
+                "runs": runs,
+            }
     if claim:
         verdict = claim_verdict(
             result["workloads"][claim[0]]["summary"], claim[1], specs[claim[1]], args.pairs
